@@ -1,0 +1,58 @@
+"""Pinned sha256 fingerprints of outputs that never pass through BLAS.
+
+Every value in these files comes from the package's own xoshiro256** stream
+and scalar Python float arithmetic, so the bytes are the same on any platform
+and any numpy/BLAS build. A change that alters one of these hashes changes
+the program's output and must say so.
+
+Outputs that depend on BLAS kernels (checkpoint.json, report.json and
+ablation.csv after a PPO update) are not pinned here: their last bits can
+differ between CPU kernels of one OpenBLAS build.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from spillreg.cli import EXIT_OK, MANIFEST_NAME, main
+
+# tune_pid on seeds 0-8 with the default config
+PINNED_GAINS = {"format_version": 1, "kp": 0.34375, "ki": 0.6, "kd": -8.750000000000001e-06, "dt": 1e-4}
+
+# (argv after the command's --out, data file, data sha256, manifest payload_sha256)
+CASES = {
+    "train": (
+        ["train", "--gains", "{gains}", "--iterations", "1", "--seed", "0"],
+        "curve.csv",
+        "1a5767d9635b2b62fc98f359b4964bb63a9569c2a06e30bbd86a5b0564676a1d",
+        "f3ad6767707b9c4c21c64cc01f87f7a15c567e129997bc96950814e2c5895bd1",
+    ),
+    "tune-pid": (
+        ["tune-pid", "--seeds", "0,1"],
+        "gains.json",
+        "3f5938615875f2395e919364ea12e9252af2e17cb49a05d3a2441cb4f442a512",
+        "7395d30e290251aa5db090539c7b8a3dda34b07ae4bc0a26998ec98e6bc244d0",
+    ),
+    "simulate": (
+        ["simulate", "--gains", "{gains}", "--seed", "0"],
+        "trace.csv",
+        "b791d2387a0003718c1791de39a6debf9c271ecee9336091f2e0821624cbe325",
+        "c73ef97c45e5c1f6fc11d6d55c1f9341ebce3cbc0c35e1ed26ec717a3ed7c684",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CASES))
+def test_output_fingerprint(tmp_path, command):
+    argv, data_file, data_sha, payload_sha = CASES[command]
+    gains = tmp_path / "gains.json"
+    gains.write_text(json.dumps(PINNED_GAINS), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [a.format(gains=gains) for a in argv] + ["--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert hashlib.sha256((out / data_file).read_bytes()).hexdigest() == data_sha
+    manifest = json.loads((out / MANIFEST_NAME).read_text(encoding="utf-8"))
+    assert manifest["payload_sha256"] == payload_sha
