@@ -19,7 +19,6 @@ Config file schema (JSON, all sections optional):
     }
 
 Exit codes: 0 success, 2 config error, 3 numeric divergence, 4 I/O.
-The SPILLREG_THREADS env var caps worker threads for per-seed evaluation.
 """
 
 from __future__ import annotations
@@ -84,16 +83,6 @@ VARIANTS: dict[str, VariantSpec] = {
 ABLATION_ROWS = ("ema01", "nn", "ema09", "sum", "pid3", "cd_over", "main")
 
 CONFIG_SECTIONS = {"env", "train", "reward", "variant", "master_seed", "gains"}
-
-
-def thread_budget() -> int:
-    raw = os.environ.get("SPILLREG_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"SPILLREG_THREADS must be an integer, got {raw!r}")
 
 
 def load_config_file(path: str) -> dict:
@@ -270,7 +259,6 @@ def cmd_tune_pid(args) -> int:
 def cmd_train(args) -> int:
     run = resolve_run(args)
     out_dir = ensure_out_dir(args)
-    threads = thread_budget()
     if run.gains is None:
         run.gains = tune_pid(run.env_cfg, list(run.train_cfg.seeds))
     try:
@@ -282,7 +270,6 @@ def cmd_train(args) -> int:
             state_variant=run.variant.state,
             master_seed=run.master_seed,
             gains=run.gains,
-            threads=threads,
         )
     except DivergenceError as exc:
         last_good = exc.diagnostics.get("last_good")
@@ -326,7 +313,7 @@ def cmd_evaluate(args) -> int:
     data = ppo.load_checkpoint(args.checkpoint)
     actor, _critic, env_cfg, gains, train_cfg, _reward_cfg = ppo.restore_from_checkpoint(data)
     seeds = parse_seed_list(args.seeds) if args.seeds else train_cfg.seeds
-    report = ppo.build_report(env_cfg, gains, actor, seeds, threads=thread_budget())
+    report = ppo.build_report(env_cfg, gains, actor, seeds)
     report_out = dict(report.to_dict(), manifest=MANIFEST_NAME, checkpoint=os.fspath(args.checkpoint))
     write_json_output(out_dir, "report.json", report_out)
     payload = {
@@ -383,7 +370,6 @@ def format_ablation_csv(rows: list[dict]) -> str:
 def cmd_ablate(args) -> int:
     run = resolve_run(args)
     out_dir = ensure_out_dir(args)
-    threads = thread_budget()
     row_names = list(ABLATION_ROWS)
     if args.rows:
         row_names = [name.strip() for name in args.rows.split(",") if name.strip()]
@@ -417,7 +403,6 @@ def cmd_ablate(args) -> int:
                 state_variant=spec.state,
                 master_seed=run.master_seed,
                 gains=run.gains,
-                threads=threads,
             )
         except (SpillRegError, FloatingPointError) as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"

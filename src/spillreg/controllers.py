@@ -24,7 +24,6 @@ probability; actuation clamps to the environment's action bound.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -33,7 +32,7 @@ import numpy as np
 from . import gradnet, metrics
 from .errors import ConfigError, DivergenceError, InputError, ShapeError
 from .rng import Xoshiro256StarStar
-from .spillsim import EnvConfig, SpillEnv
+from .spillsim import EnvConfig, closed_loop
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
@@ -50,8 +49,6 @@ STATE_LABELS = {
     VARIANT_PID3: "P,I,D",
     VARIANT_CD_OVER: "CD,Over-1,P,Act",
 }
-
-POLICY_KINDS = ("pid", "nn")
 
 # Per-feature scales used only inside trainable representations: learners see
 # features/scale and weights*scale, which balances Adam's uniform step size
@@ -96,9 +93,6 @@ class PidGains:
         if data.get("format_version") != 1:
             raise ConfigError(f"unsupported gains format_version {data.get('format_version')!r}")
         return cls(kp=float(data["kp"]), ki=float(data["ki"]), kd=float(data["kd"]), dt=float(data["dt"]))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 @dataclass(frozen=True)
@@ -148,17 +142,9 @@ def pid_update(gains: PidGains, err: ErrorState) -> float:
     return gains.kp * err.current_error + gains.ki * err.error_sum + gains.kd * err.error_diff_rate
 
 
-def clamp_action(action: float, bound: float) -> float:
-    if action > bound:
-        return bound
-    if action < -bound:
-        return -bound
-    return action
-
-
 def pid_episode_records(
     config: EnvConfig, seed: int, gains: PidGains
-) -> tuple[list[float], list[float], list[float]]:
+) -> tuple[tuple[float, ...], list[float], list[float]]:
     """Closed-loop PID episode; returns (raw, corrected, applied_actions).
 
     The control computed after observing x_t is applied to x_{t+1}; the
@@ -166,16 +152,8 @@ def pid_episode_records(
     """
     if gains.dt != config.dt:
         raise ConfigError(f"gains.dt={gains.dt} does not match config.dt={config.dt}")
-    env = SpillEnv(config)
-    env.reset(seed)
     tracker = ErrorTracker(config.reference, config.dt)
-    pending = 0.0
-    done = False
-    while not done:
-        obs, done = env.step(pending)
-        err = tracker.push(obs)
-        pending = clamp_action(pid_update(gains, err), config.action_bound)
-    return list(env.raw_trace), list(env.corrected_trace), list(env.actions)
+    return closed_loop(config, seed, lambda t, raw, x, applied: pid_update(gains, tracker.push(x)))
 
 
 def run_pid_episode(config: EnvConfig, seed: int, gains: PidGains) -> list[float]:
@@ -300,11 +278,9 @@ class StateTracker:
         self._over_scale = 1.0 / config.steps_per_episode
         self._over_count = 0
         self._prev_corrected: float | None = None
-        self.last_error_state: ErrorState | None = None
 
     def push(self, raw: float, corrected: float, applied_action: float) -> StateVector:
         err = self.errors.push(corrected)
-        self.last_error_state = err
         if self.variant == VARIANT_PID_ACT:
             values = (err.current_error, err.error_sum, err.error_diff_rate, applied_action)
         elif self.variant == VARIANT_PID3:
@@ -590,4 +566,4 @@ def make_actor(
         return LinearActor(initial_policy_params(gains, state_variant), state_variant)
     if policy_variant == "nn":
         return NnActor.fresh(state_variant, rng)
-    raise ConfigError(f"unknown policy variant {policy_variant!r}, expected one of {POLICY_KINDS}")
+    raise ConfigError(f"unknown policy variant {policy_variant!r}, expected 'pid' or 'nn'")

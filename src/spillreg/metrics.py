@@ -22,7 +22,6 @@ cross-check of the recursion.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -250,6 +249,3 @@ class ImprovementReport:
                 "vs_noise_pct_of_means": self.vs_noise_pct_of_means,
             },
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)

@@ -33,9 +33,7 @@ from .controllers import (
     StateTracker,
     StateVector,
     actor_from_dict,
-    clamp_action,
     feature_scales,
-    gaussian_log_prob,
     make_actor,
     run_pid_episode,
     tune_pid,
@@ -43,7 +41,7 @@ from .controllers import (
 from .errors import CheckpointError, ConfigError, DivergenceError, SpillRegError, UsageError
 from .metrics import ImprovementReport, SeedResult
 from .rng import Xoshiro256StarStar, derive_seed
-from .spillsim import EnvConfig, SpillEnv, run_raw_episode
+from .spillsim import EnvConfig, closed_loop, run_raw_episode
 
 # named sub-streams of the master seed
 STREAM_INIT = 1
@@ -151,16 +149,6 @@ class RewardConfig:
         return cls(**data)
 
 
-@dataclass(frozen=True)
-class Transition:
-    state: StateVector
-    action: float
-    log_prob: float
-    reward: float
-    value: float
-    done: bool
-
-
 class RolloutBuffer:
     """One episode of transitions plus the post-GAE training targets."""
 
@@ -170,7 +158,6 @@ class RolloutBuffer:
         self._log_probs: list[float] = []
         self._rewards: list[float] = []
         self._dones: list[bool] = []
-        self.raw_trace: list[float] = []
         self.corrected_trace: list[float] = []
         self.states: np.ndarray | None = None
         self.actions: np.ndarray | None = None
@@ -207,71 +194,42 @@ class RolloutBuffer:
     def __len__(self) -> int:
         return len(self._actions)
 
-    def transitions(self) -> list[Transition]:
-        if self.values is None:
-            raise UsageError("buffer not finalized")
-        return [
-            Transition(s, float(a), float(lp), float(r), float(v), bool(d))
-            for s, a, lp, r, v, d in zip(
-                self._state_vectors, self._actions, self._log_probs, self._rewards, self.values, self._dones
-            )
-        ]
-
 
 def collect_rollout(
-    env: SpillEnv,
+    env_cfg: EnvConfig,
+    seed: int,
     actor,
     critic: gradnet.DenseNet,
     reward_cfg: RewardConfig,
-    rng: Xoshiro256StarStar | None = None,
-    deterministic: bool = False,
+    rng: Xoshiro256StarStar,
 ) -> RolloutBuffer:
-    """Run one full episode and return the finalized buffer.
+    """Run one full stochastic episode on env seed `seed`; return the finalized buffer.
 
-    The decision after observing x_t is applied to x_{t+1} (the env's
-    one-step delay); the stored action is the pre-clamp Gaussian sample and
-    Act features see the clamped, actually-applied value. With
-    deterministic=True the mean action is used and no rng is consumed.
+    The decision after observing x_t is applied to x_{t+1} (the one-step
+    delay of spillsim.closed_loop); the stored action is the pre-clamp
+    Gaussian sample and Act features see the clamped, actually-applied value.
     """
-    if env.state is None or env.state.t != 0:
-        raise UsageError("collect_rollout needs a freshly reset env")
-    if not deterministic and rng is None:
-        raise UsageError("stochastic rollout needs an rng")
-    cfg = env.config
-    tracker = StateTracker(cfg, actor.variant)
-    racc = metrics.RewardAccumulator(reward_cfg.kind, reward_cfg.alpha, cfg.steps_per_episode)
+    tracker = StateTracker(env_cfg, actor.variant)
+    racc = metrics.RewardAccumulator(reward_cfg.kind, reward_cfg.alpha, env_cfg.steps_per_episode)
     buffer = RolloutBuffer()
-    pending = 0.0
-    done = False
-    t = 0
-    while not done:
+    last = env_cfg.steps_per_episode - 1
+
+    def control(t: int, raw: float, x: float, applied: float) -> float:
         try:
-            obs, done = env.step(pending)
-            sv = tracker.push(env.raw_trace[-1], obs, pending)
-            reward = racc.push(abs(obs - cfg.reference))
-            if deterministic:
-                action = actor.mean(sv)
-                log_prob = gaussian_log_prob(action, action, float(actor.log_std_arr[0]))
-            else:
-                action, log_prob = actor.sample(sv, rng)
+            sv = tracker.push(raw, x, applied)
+            reward = racc.push(abs(x - env_cfg.reference))
+            action, log_prob = actor.sample(sv, rng)
         except SpillRegError as exc:
             raise type(exc)(f"rollout step {t}: {exc}") from exc
-        buffer.add(sv, action, log_prob, reward, done)
-        pending = clamp_action(action, cfg.action_bound)
-        t += 1
-    buffer.raw_trace = list(env.raw_trace)
-    buffer.corrected_trace = list(env.corrected_trace)
+        buffer.add(sv, action, log_prob, reward, t == last)
+        return action
+
+    _, buffer.corrected_trace, _ = closed_loop(env_cfg, seed, control)
     n = len(buffer)
-    inputs = critic_inputs(buffer_states_array(buffer), np.arange(n), n, actor.variant)
-    values, _ = gradnet.forward(critic, inputs)
+    states = np.asarray([s.values for s in buffer._state_vectors], dtype=np.float64)
+    values, _ = gradnet.forward(critic, critic_inputs(states, np.arange(n), n, actor.variant))
     buffer.finalize(values[:, 0])
     return buffer
-
-
-def buffer_states_array(buffer: RolloutBuffer) -> np.ndarray:
-    if buffer.states is not None:
-        return buffer.states
-    return np.asarray([s.values for s in buffer._state_vectors], dtype=np.float64)
 
 
 def critic_inputs(states: np.ndarray, steps: np.ndarray, horizon: int, variant: str) -> np.ndarray:
@@ -478,16 +436,11 @@ def make_critic(state_dim: int, rng: Xoshiro256StarStar) -> gradnet.DenseNet:
 
 def evaluate_actor_sdf(env_cfg: EnvConfig, actor, seed: int) -> float:
     """SDF of one deterministic (mean-action) closed-loop episode."""
-    env = SpillEnv(env_cfg)
-    env.reset(seed)
     tracker = StateTracker(env_cfg, actor.variant)
-    pending = 0.0
-    done = False
-    while not done:
-        obs, done = env.step(pending)
-        sv = tracker.push(env.raw_trace[-1], obs, pending)
-        pending = clamp_action(actor.mean(sv), env_cfg.action_bound)
-    return metrics.sdf(env.corrected_trace).sdf
+    _, corrected, _ = closed_loop(
+        env_cfg, seed, lambda t, raw, x, applied: actor.mean(tracker.push(raw, x, applied))
+    )
+    return metrics.sdf(corrected).sdf
 
 
 def build_report(
@@ -495,28 +448,16 @@ def build_report(
     gains: PidGains,
     actor,
     seeds: tuple[int, ...],
-    threads: int = 1,
 ) -> ImprovementReport:
-    """Per-seed noise/PID/RL SDF comparison, merged in seed order."""
-
-    def one_seed(seed: int) -> SeedResult:
-        return SeedResult(
+    """Per-seed noise/PID/RL SDF comparison, in seed order."""
+    report = ImprovementReport()
+    for seed in seeds:
+        report.add(SeedResult(
             seed=seed,
             sdf_noise=metrics.sdf(run_raw_episode(env_cfg, seed)).sdf,
             sdf_pid=metrics.sdf(run_pid_episode(env_cfg, seed, gains)).sdf,
             sdf_rl=evaluate_actor_sdf(env_cfg, actor, seed),
-        )
-
-    report = ImprovementReport()
-    if threads > 1 and len(seeds) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(threads, len(seeds))) as pool:
-            for result in pool.map(one_seed, seeds):
-                report.add(result)
-    else:
-        for seed in seeds:
-            report.add(one_seed(seed))
+        ))
     return report
 
 
@@ -538,7 +479,6 @@ def train(
     state_variant: str = "pid_act",
     master_seed: int = 0,
     gains: PidGains | None = None,
-    threads: int = 1,
     on_iteration: Callable[[int, dict], None] | None = None,
 ) -> TrainResult:
     """Full training run: tune (if needed), iterate collect/GAE/update, evaluate.
@@ -576,10 +516,8 @@ def train(
     for it in range(train_cfg.iterations):
         slot = (it // train_cfg.seed_rotation_period) % len(train_cfg.seeds)
         ep_seed = train_cfg.seeds[slot]
-        env = SpillEnv(env_cfg)
-        env.reset(ep_seed)
         try:
-            buffer = collect_rollout(env, actor, critic, reward_cfg, sample_rng)
+            buffer = collect_rollout(env_cfg, ep_seed, actor, critic, reward_cfg, sample_rng)
             advantages, returns = compute_gae(buffer, train_cfg.gamma, train_cfg.gae_lambda)
             buffer.advantages = normalize_advantages(advantages)
             buffer.returns = returns
@@ -601,7 +539,7 @@ def train(
             on_iteration(it, row)
         last_good = snapshot(it + 1)
 
-    report = build_report(env_cfg, gains, actor, train_cfg.seeds, threads=threads)
+    report = build_report(env_cfg, gains, actor, train_cfg.seeds)
     return TrainResult(
         actor=actor,
         critic=critic,

@@ -100,24 +100,3 @@ class Xoshiro256StarStar:
         theta = _TWO_PI * u2
         self._spare = r * math.sin(theta)
         return r * math.cos(theta)
-
-    def randrange(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection (no modulo bias)."""
-        if n <= 0:
-            raise ValueError("randrange bound must be positive")
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            draw = self.next_u64()
-            if draw < limit:
-                return draw % n
-
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            items[i], items[j] = items[j], items[i]
-
-    def permutation(self, n: int) -> list[int]:
-        order = list(range(n))
-        self.shuffle(order)
-        return order

@@ -23,6 +23,15 @@ then exactly one normal is consumed per step, regardless of ou_sigma, so
 configs that differ only in noise amplitude share their phase draws. The raw
 trace depends only on (config, seed), never on the actions applied.
 
+Memo and driver: because of that, run_raw_episode() computes the raw trace
+once per (config, seed) with the scalar reference reset()/step() and keeps it
+as an immutable tuple in a bounded LRU memo (RAW_MEMO_SIZE entries).
+closed_loop() is the one closed-loop episode loop of the package: it replays
+the memoized raw trace, applies each decision one step late, clamps the
+corrected sample to [clamp_lo, clamp_hi] and the decision to +-action_bound,
+and hands every sample to a controller callback. Its arithmetic is step()'s,
+so its traces equal a reset()/step() loop bit for bit.
+
 Note on defaults: ou_sigma was calibrated upward (see its field comment) so
 that the unregulated signal starts below the operational SDF target of 0.6,
 leaving the controllers meaningful headroom.
@@ -30,13 +39,18 @@ leaving the controllers meaningful headroom.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import ConfigError, EpisodeExhausted, InvalidActionError
 from .rng import Xoshiro256StarStar
 
 _TWO_PI = 2.0 * math.pi
+
+# Raw traces kept by run_raw_episode(); the default config touches 9 seeds.
+RAW_MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -117,14 +131,9 @@ class EnvState:
     t: int
     ou_value: float
     phases: tuple[float, ...]
-    last_action: float
     raw_trace: list[float] = field(default_factory=list)
     corrected_trace: list[float] = field(default_factory=list)
     rng: Xoshiro256StarStar = None  # type: ignore[assignment]
-
-    @property
-    def rng_state(self) -> tuple[int, int, int, int]:
-        return self.rng.state
 
 
 def reset(config: EnvConfig, seed: int) -> EnvState:
@@ -132,7 +141,7 @@ def reset(config: EnvConfig, seed: int) -> EnvState:
     config.validate()
     rng = Xoshiro256StarStar(seed)
     phases = tuple(rng.uniform(0.0, _TWO_PI) for _ in config.ripple_amps)
-    return EnvState(t=0, ou_value=0.0, phases=phases, last_action=0.0, rng=rng)
+    return EnvState(t=0, ou_value=0.0, phases=phases, rng=rng)
 
 
 def raw_next(state: EnvState, config: EnvConfig) -> float:
@@ -170,47 +179,61 @@ def step(state: EnvState, config: EnvConfig, action: float) -> tuple[float, bool
         corrected = config.clamp_hi
     state.raw_trace.append(raw)
     state.corrected_trace.append(corrected)
-    state.last_action = float(action)
     state.t += 1
     return corrected, state.t == config.steps_per_episode
 
 
-class SpillEnv:
-    """Convenience wrapper owning (config, state) plus the applied-action record."""
-
-    def __init__(self, config: EnvConfig):
-        self.config = config
-        self.state: EnvState | None = None
-        self.actions: list[float] = []
-
-    def reset(self, seed: int) -> None:
-        self.state = reset(self.config, seed)
-        self.actions = []
-
-    def step(self, action: float) -> tuple[float, bool]:
-        if self.state is None:
-            raise EpisodeExhausted("call reset() before step()")
-        obs, done = step(self.state, self.config, action)
-        self.actions.append(float(action))
-        return obs, done
-
-    @property
-    def raw_trace(self) -> list[float]:
-        return [] if self.state is None else self.state.raw_trace
-
-    @property
-    def corrected_trace(self) -> list[float]:
-        return [] if self.state is None else self.state.corrected_trace
+def clamp_action(action: float, bound: float) -> float:
+    if action > bound:
+        return bound
+    if action < -bound:
+        return -bound
+    return action
 
 
-def run_raw_episode(config: EnvConfig, seed: int) -> list[float]:
-    """The unregulated episode: raw trace only (no clamping, no actions)."""
-    env = SpillEnv(config)
-    env.reset(seed)
-    done = False
-    while not done:
-        _, done = env.step(0.0)
-    return list(env.raw_trace)
+@functools.lru_cache(maxsize=RAW_MEMO_SIZE)
+def run_raw_episode(config: EnvConfig, seed: int) -> tuple[float, ...]:
+    """The unregulated episode's raw trace, memoized per (config, seed).
+
+    Computed by the scalar reference (reset, then step with action 0) on the
+    first request; later requests return the same immutable tuple.
+    """
+    state = reset(config, seed)
+    for _ in range(config.steps_per_episode):
+        step(state, config, 0.0)
+    return tuple(state.raw_trace)
+
+
+def closed_loop(
+    config: EnvConfig,
+    seed: int,
+    controller: Callable[[int, float, float, float], float],
+) -> tuple[tuple[float, ...], list[float], list[float]]:
+    """Run one closed-loop episode; returns (raw, corrected, applied_actions).
+
+    After each corrected sample x_t, controller(t, raw_t, x_t, a_t) returns
+    the next decision, where a_t is the action applied to produce x_t. The
+    decision is clamped to +-action_bound and applied to x_{t+1}; the first
+    step runs with action 0. A non-finite action raises InvalidActionError
+    when it is applied (a clamped +-inf is finite; NaN is not).
+    """
+    raw = run_raw_episode(config, seed)
+    lo, hi, bound = config.clamp_lo, config.clamp_hi, config.action_bound
+    corrected: list[float] = []
+    applied: list[float] = []
+    action = 0.0
+    for t, r in enumerate(raw):
+        if not math.isfinite(action):
+            raise InvalidActionError(f"action must be a finite number, got {action!r}")
+        x = r - action
+        if x < lo:
+            x = lo
+        elif x > hi:
+            x = hi
+        corrected.append(x)
+        applied.append(action)
+        action = clamp_action(controller(t, r, x, action), bound)
+    return raw, corrected, applied
 
 
 def format_trace_csv(

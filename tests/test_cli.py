@@ -183,14 +183,3 @@ def test_unknown_variant_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("train", "--out", tmp_path / "o", "--variant", "sac")
     assert exc.value.code == EXIT_CONFIG
-
-
-def test_thread_budget_env_var(tmp_path, gains_file, monkeypatch):
-    monkeypatch.setenv("SPILLREG_THREADS", "not-a-number")
-    assert run(
-        "train", "--out", tmp_path / "t", "--iterations", "1", "--gains", gains_file
-    ) == EXIT_CONFIG
-    monkeypatch.setenv("SPILLREG_THREADS", "2")
-    assert run(
-        "train", "--out", tmp_path / "t2", "--iterations", "1", "--gains", gains_file
-    ) == EXIT_OK

@@ -30,7 +30,6 @@ from spillreg.controllers import (
     StateTracker,
     StateVector,
     actor_from_dict,
-    clamp_action,
     clamp_log_std,
     feature_scales,
     gaussian_log_prob,
@@ -46,7 +45,7 @@ from spillreg.controllers import (
 from spillreg.errors import ConfigError, ShapeError
 from spillreg.metrics import sdf
 from spillreg.rng import Xoshiro256StarStar
-from spillreg.spillsim import EnvConfig, run_raw_episode
+from spillreg.spillsim import EnvConfig, clamp_action, run_raw_episode
 
 HAND_GAINS = PidGains(kp=0.5, ki=0.1, kd=0.01, dt=1e-4)
 

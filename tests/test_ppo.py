@@ -11,9 +11,10 @@ import pytest
 from spillreg import metrics, ppo
 from spillreg.controllers import (
     PidGains,
+    StateTracker,
     StateVector,
     make_actor,
-    run_pid_episode,
+    pid_episode_records,
 )
 from spillreg.errors import (
     CheckpointError,
@@ -40,7 +41,8 @@ from spillreg.ppo import (
     train,
 )
 from spillreg.rng import Xoshiro256StarStar
-from spillreg.spillsim import SpillEnv
+from spillreg import spillsim
+from spillreg.spillsim import clamp_action, closed_loop
 
 GAINS = PidGains(kp=0.4, ki=0.3, kd=1e-5, dt=1e-4)
 
@@ -126,8 +128,7 @@ def test_buffer_accumulates_and_finalizes():
     assert buf.states.shape == (2, 4)
     assert buf.actions.tolist() == [0.1, 0.2]
     assert buf.dones.tolist() == [False, True]
-    trs = buf.transitions()
-    assert trs[1].reward == -0.1 and trs[1].done is True
+    assert buf.rewards.tolist() == [-0.2, -0.1]
 
 
 def test_buffer_rejects_nonfinite():
@@ -154,71 +155,58 @@ def test_gae_requires_finalized_buffer():
 
 # --- rollout collection ---------------------------------------------------------
 
-def make_rollout(env_cfg, seed=0, deterministic=False, kind="pid", reward=None):
-    env = SpillEnv(env_cfg)
-    env.reset(seed)
+def make_rollout(env_cfg, seed=0, kind="pid", reward=None):
     actor = fresh_actor(kind=kind)
     critic = fresh_critic()
     reward = reward or RewardConfig(kind="neg_ema", alpha=0.5)
-    rng = None if deterministic else Xoshiro256StarStar(99)
-    return collect_rollout(env, actor, critic, reward, rng=rng, deterministic=deterministic), env
+    return collect_rollout(env_cfg, seed, actor, critic, reward, Xoshiro256StarStar(99))
+
+
+def replay_corrected(env_cfg, seed, buf):
+    """Corrected trace of reset/step driven by the buffer's clamped actions, one step late."""
+    state = spillsim.reset(env_cfg, seed)
+    pending = 0.0
+    for action in buf.actions:
+        spillsim.step(state, env_cfg, pending)
+        pending = clamp_action(float(action), env_cfg.action_bound)
+    return state.corrected_trace
 
 
 def test_rollout_has_episode_length(env_cfg):
-    buf, _ = make_rollout(env_cfg)
+    buf = make_rollout(env_cfg)
     assert len(buf) == env_cfg.steps_per_episode
 
 
 def test_rollout_rewards_match_reward_recomputation(env_cfg):
     """Stored rewards must be recomputable from the stored corrected trace."""
     for kind, alpha in (("neg_ema", 0.5), ("neg_sum", 0.5)):
-        buf, env = make_rollout(env_cfg, reward=RewardConfig(kind=kind, alpha=alpha))
+        buf = make_rollout(env_cfg, reward=RewardConfig(kind=kind, alpha=alpha))
         errors = [abs(x - env_cfg.reference) for x in buf.corrected_trace]
         if kind == "neg_ema":
             expected = metrics.ema_reward(errors, alpha)
         else:
             expected = metrics.neg_sum_series(errors, env_cfg.steps_per_episode)
         assert np.max(np.abs(buf.rewards - np.asarray(expected))) < 1e-12
-        assert buf.corrected_trace == env.corrected_trace
+        assert buf.corrected_trace == replay_corrected(env_cfg, 0, buf)
 
 
 def test_rollout_done_only_on_final_transition(env_cfg):
-    buf, _ = make_rollout(env_cfg)
+    buf = make_rollout(env_cfg)
     assert not buf.dones[:-1].any()
     assert buf.dones[-1]
-
-
-def test_rollout_needs_fresh_env(env_cfg):
-    env = SpillEnv(env_cfg)
-    env.reset(0)
-    env.step(0.0)
-    with pytest.raises(UsageError):
-        collect_rollout(
-            env, fresh_actor(), fresh_critic(), RewardConfig(kind="neg_ema", alpha=0.5),
-            rng=Xoshiro256StarStar(1),
-        )
-
-
-def test_rollout_needs_rng_when_stochastic(env_cfg):
-    env = SpillEnv(env_cfg)
-    env.reset(0)
-    with pytest.raises(UsageError):
-        collect_rollout(
-            env, fresh_actor(), fresh_critic(), RewardConfig(kind="neg_ema", alpha=0.5)
-        )
 
 
 def test_deterministic_rollout_of_initial_actor_reproduces_pid(env_cfg, tuned_gains):
     """At init the policy embeds the gains, so greedy rollouts equal PID runs."""
     actor = make_actor("pid", "pid_act", tuned_gains, Xoshiro256StarStar(0))
-    env = SpillEnv(env_cfg)
-    env.reset(3)
-    buf = collect_rollout(
-        env, actor, fresh_critic(), RewardConfig(kind="neg_ema", alpha=0.5),
-        deterministic=True,
+    tracker = StateTracker(env_cfg, actor.variant)
+    _, corrected, applied = closed_loop(
+        env_cfg, 3, lambda t, raw, x, a: actor.mean(tracker.push(raw, x, a))
     )
-    assert buf.corrected_trace == run_pid_episode(env_cfg, 3, tuned_gains)
-    assert evaluate_actor_sdf(env_cfg, actor, 3) == metrics.sdf(buf.corrected_trace).sdf
+    _, pid_corrected, pid_applied = pid_episode_records(env_cfg, 3, tuned_gains)
+    assert applied == pid_applied
+    assert corrected == pid_corrected
+    assert evaluate_actor_sdf(env_cfg, actor, 3) == metrics.sdf(pid_corrected).sdf
 
 
 # --- GAE -------------------------------------------------------------------------
@@ -414,11 +402,9 @@ def test_overflowing_ratio_raises_divergence():
 # --- update loop --------------------------------------------------------------------
 
 def collected_buffer(env_cfg, actor, critic, seed=0):
-    env = SpillEnv(env_cfg)
-    env.reset(seed)
     buf = collect_rollout(
-        env, actor, critic, RewardConfig(kind="neg_ema", alpha=0.5),
-        rng=Xoshiro256StarStar(42),
+        env_cfg, seed, actor, critic, RewardConfig(kind="neg_ema", alpha=0.5),
+        Xoshiro256StarStar(42),
     )
     adv, ret = compute_gae(buf, 0.99, 0.95)
     buf.advantages = normalize_advantages(adv)
@@ -434,11 +420,9 @@ def opt_pair(actor, critic, cfg):
 
 def test_ppo_update_requires_advantages(env_cfg):
     actor, critic = fresh_actor(), fresh_critic()
-    env = SpillEnv(env_cfg)
-    env.reset(0)
     buf = collect_rollout(
-        env, actor, critic, RewardConfig(kind="neg_ema", alpha=0.5),
-        rng=Xoshiro256StarStar(1),
+        env_cfg, 0, actor, critic, RewardConfig(kind="neg_ema", alpha=0.5),
+        Xoshiro256StarStar(1),
     )
     a_opt, c_opt = opt_pair(actor, critic, TrainConfig())
     with pytest.raises(UsageError):
@@ -565,13 +549,6 @@ def test_train_reward_defaults_to_config_alpha(env_cfg, tuned_gains):
     cfg = TrainConfig(iterations=1, seeds=(0,), alpha=0.9)
     result = train(cfg, env_cfg, master_seed=0, gains=tuned_gains)
     assert result.checkpoint["reward"] == {"kind": "neg_ema", "alpha": 0.9}
-
-
-def test_build_report_threads_agree(env_cfg, tuned_gains):
-    actor = make_actor("pid", "pid_act", tuned_gains, Xoshiro256StarStar(0))
-    serial = ppo.build_report(env_cfg, tuned_gains, actor, (0, 1, 2), threads=1)
-    pooled = ppo.build_report(env_cfg, tuned_gains, actor, (0, 1, 2), threads=3)
-    assert serial.to_dict() == pooled.to_dict()
 
 
 def test_curve_csv_round_trips_exactly():

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-import pytest
-
 from spillreg.rng import Xoshiro256StarStar, derive_seed, splitmix64
 
 # Reference outputs of splitmix64 started at state 0 (Steele/Lea/Flood
@@ -102,32 +100,6 @@ def test_normal_pair_caching_consumes_two_words():
     b.next_u64()
     b.next_u64()
     assert a.next_u64() == b.next_u64()
-
-
-def test_randrange_covers_small_domain():
-    g = Xoshiro256StarStar(12)
-    seen = {g.randrange(5) for _ in range(300)}
-    assert seen == {0, 1, 2, 3, 4}
-
-
-def test_randrange_rejects_nonpositive():
-    g = Xoshiro256StarStar(13)
-    with pytest.raises(ValueError):
-        g.randrange(0)
-
-
-def test_permutation_is_a_permutation():
-    g = Xoshiro256StarStar(14)
-    perm = g.permutation(30)
-    assert sorted(perm) == list(range(30))
-
-
-def test_shuffle_preserves_multiset():
-    g = Xoshiro256StarStar(15)
-    items = list(range(20)) + [3, 3]
-    shuffled = list(items)
-    g.shuffle(shuffled)
-    assert sorted(shuffled) == sorted(items)
 
 
 def test_derive_seed_deterministic_and_tag_sensitive():

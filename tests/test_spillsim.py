@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spillreg import spillsim
+from spillreg.controllers import ErrorTracker, PidGains, StateTracker, make_actor, pid_update
 from spillreg.errors import ConfigError, EpisodeExhausted, InvalidActionError
-from spillreg.spillsim import EnvConfig, SpillEnv, format_trace_csv, run_raw_episode
+from spillreg.rng import Xoshiro256StarStar
+from spillreg.spillsim import EnvConfig, clamp_action, closed_loop, format_trace_csv, run_raw_episode
 
 
 def test_same_seed_reproduces_raw_trace(env_cfg):
@@ -27,51 +29,41 @@ def test_episode_length(env_cfg):
 
 def test_raw_trace_independent_of_actions(env_cfg):
     """Actions shift the corrected sample only; the noise draw is untouched."""
-    idle = SpillEnv(env_cfg)
-    idle.reset(5)
-    driven = SpillEnv(env_cfg)
-    driven.reset(5)
-    done = False
-    k = 0
-    while not done:
-        idle.step(0.0)
-        _, done = driven.step(0.3 * math.sin(k))
-        k += 1
+    idle = spillsim.reset(env_cfg, 5)
+    driven = spillsim.reset(env_cfg, 5)
+    for k in range(env_cfg.steps_per_episode):
+        spillsim.step(idle, env_cfg, 0.0)
+        spillsim.step(driven, env_cfg, 0.3 * math.sin(k))
     assert idle.raw_trace == driven.raw_trace
     assert idle.corrected_trace != driven.corrected_trace
 
 
 def test_corrected_equals_raw_minus_action_within_clamp():
     cfg = EnvConfig(steps_per_episode=50)
-    env = SpillEnv(cfg)
-    env.reset(2)
-    done = False
-    action = 0.1
-    while not done:
-        obs, done = env.step(action)
-    for raw, corr, act in zip(env.raw_trace, env.corrected_trace, env.actions):
+    state = spillsim.reset(cfg, 2)
+    actions = [0.1] * cfg.steps_per_episode
+    for action in actions:
+        spillsim.step(state, cfg, action)
+    for raw, corr, act in zip(state.raw_trace, state.corrected_trace, actions):
         expected = min(max(raw - act, cfg.clamp_lo), cfg.clamp_hi)
         assert corr == expected
 
 
 def test_clamp_bounds_hold_under_big_actions():
     cfg = EnvConfig(steps_per_episode=60, clamp_lo=0.0, clamp_hi=2.0, action_bound=10.0)
-    env = SpillEnv(cfg)
-    env.reset(4)
+    state = spillsim.reset(cfg, 4)
     for k in range(cfg.steps_per_episode):
-        obs, _ = env.step(5.0 if k % 2 else -5.0)
+        obs, _ = spillsim.step(state, cfg, 5.0 if k % 2 else -5.0)
         assert cfg.clamp_lo <= obs <= cfg.clamp_hi
 
 
 def test_ripple_matches_analytic_form_when_noise_off():
     cfg = EnvConfig(steps_per_episode=100, ou_sigma=0.0)
-    env = SpillEnv(cfg)
-    env.reset(9)
-    phases = env.state.phases
-    done = False
-    while not done:
-        _, done = env.step(0.0)
-    for t, raw in enumerate(env.raw_trace):
+    state = spillsim.reset(cfg, 9)
+    for _ in range(cfg.steps_per_episode):
+        spillsim.step(state, cfg, 0.0)
+    phases = state.phases
+    for t, raw in enumerate(state.raw_trace):
         expected = cfg.reference
         for amp, freq, phase in zip(cfg.ripple_amps, cfg.ripple_freqs, phases):
             expected += amp * math.sin(2.0 * math.pi * freq * t * cfg.dt + phase)
@@ -99,34 +91,27 @@ def test_noise_amplitude_change_shares_phase_draws():
     assert a.phases == b.phases
 
 
-def test_step_past_end_raises(env_cfg):
-    env = SpillEnv(EnvConfig(steps_per_episode=3))
-    env.reset(0)
+def test_step_past_end_raises():
+    cfg = EnvConfig(steps_per_episode=3)
+    state = spillsim.reset(cfg, 0)
     for _ in range(3):
-        env.step(0.0)
+        spillsim.step(state, cfg, 0.0)
     with pytest.raises(EpisodeExhausted):
-        env.step(0.0)
-
-
-def test_step_before_reset_raises(env_cfg):
-    with pytest.raises(EpisodeExhausted):
-        SpillEnv(env_cfg).step(0.0)
+        spillsim.step(state, cfg, 0.0)
 
 
 def test_nonfinite_action_rejected(env_cfg):
-    env = SpillEnv(env_cfg)
-    env.reset(0)
+    state = spillsim.reset(env_cfg, 0)
     with pytest.raises(InvalidActionError):
-        env.step(float("nan"))
+        spillsim.step(state, env_cfg, float("nan"))
     with pytest.raises(InvalidActionError):
-        env.step(float("inf"))
+        spillsim.step(state, env_cfg, float("inf"))
 
 
 def test_done_flag_only_on_last_step():
     cfg = EnvConfig(steps_per_episode=5)
-    env = SpillEnv(cfg)
-    env.reset(1)
-    flags = [env.step(0.0)[1] for _ in range(5)]
+    state = spillsim.reset(cfg, 1)
+    flags = [spillsim.step(state, cfg, 0.0)[1] for _ in range(5)]
     assert flags == [False, False, False, False, True]
 
 
@@ -176,3 +161,82 @@ def test_reset_is_pure(seed):
     b = spillsim.reset(cfg, seed)
     assert a.phases == b.phases
     assert a.rng.state == b.rng.state
+
+
+# --- closed-loop driver against the scalar reference ---------------------------
+
+PINNED_GAINS = PidGains(kp=0.34375, ki=0.6, kd=-8.750000000000001e-06, dt=1e-4)
+DRIVER_CONFIGS = (EnvConfig(), EnvConfig(action_bound=0.05, clamp_lo=0.8, clamp_hi=1.2))
+
+
+def pid_controller(cfg):
+    tracker = ErrorTracker(cfg.reference, cfg.dt)
+    return lambda t, raw, x, applied: pid_update(PINNED_GAINS, tracker.push(x))
+
+
+def overdriven_controller(cfg):
+    return lambda t, raw, x, applied: 5.0 * cfg.action_bound * (1.0 if t % 3 else -1.0)
+
+
+def initial_actor_controller(cfg):
+    actor = make_actor("pid", "pid_act", PINNED_GAINS, Xoshiro256StarStar(0))
+    tracker = StateTracker(cfg, actor.variant)
+    return lambda t, raw, x, applied: actor.mean(tracker.push(raw, x, applied))
+
+
+CONTROLLERS = {
+    "pid": pid_controller,
+    "overdriven": overdriven_controller,
+    "initial_actor": initial_actor_controller,
+}
+
+
+def reference_episode(cfg, seed, controller):
+    """The closed loop written out with reset/step and clamp_action."""
+    state = spillsim.reset(cfg, seed)
+    applied = []
+    pending = 0.0
+    for t in range(cfg.steps_per_episode):
+        x, _ = spillsim.step(state, cfg, pending)
+        applied.append(pending)
+        pending = clamp_action(controller(t, state.raw_trace[-1], x, pending), cfg.action_bound)
+    return state.raw_trace, state.corrected_trace, applied
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    cfg=st.sampled_from(DRIVER_CONFIGS),
+    name=st.sampled_from(sorted(CONTROLLERS)),
+)
+def test_closed_loop_matches_scalar_reference(seed, cfg, name):
+    raw, corrected, applied = closed_loop(cfg, seed, CONTROLLERS[name](cfg))
+    ref_raw, ref_corrected, ref_applied = reference_episode(cfg, seed, CONTROLLERS[name](cfg))
+    assert list(raw) == ref_raw
+    assert corrected == ref_corrected
+    assert applied == ref_applied
+
+
+def test_closed_loop_rejects_nan_and_clamps_infinities(env_cfg):
+    with pytest.raises(InvalidActionError):
+        closed_loop(env_cfg, 0, lambda t, raw, x, applied: float("nan"))
+    for inf in (float("inf"), float("-inf")):
+        def controller(t, raw, x, applied):
+            return inf
+
+        _, corrected, applied = closed_loop(env_cfg, 0, controller)
+        bound = math.copysign(env_cfg.action_bound, inf)
+        assert applied == [0.0] + [bound] * (env_cfg.steps_per_episode - 1)
+        assert corrected == reference_episode(env_cfg, 0, controller)[1]
+
+
+def test_raw_trace_memo_is_immutable_and_recomputable(env_cfg):
+    memo = run_raw_episode(env_cfg, 6)
+    assert run_raw_episode(env_cfg, 6) is memo
+    assert closed_loop(env_cfg, 6, lambda t, raw, x, applied: 0.0)[0] is memo
+    with pytest.raises(TypeError):
+        memo[0] = 0.0  # type: ignore[index]
+    run_raw_episode.cache_clear()
+    fresh = run_raw_episode(env_cfg, 6)
+    assert fresh is not memo
+    assert fresh == memo
