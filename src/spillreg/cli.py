@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import __version__, metrics, ppo
-from .controllers import PidGains, pid_episode_records, run_pid_episode, tune_pid
+from .controllers import PidGains, pid_episode_records, pid_seed_sdfs, tune_pid
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -243,7 +243,7 @@ def cmd_tune_pid(args) -> int:
     out_dir = ensure_out_dir(args)
     seeds = parse_seed_list(args.seeds) if args.seeds else run.train_cfg.seeds
     gains = tune_pid(run.env_cfg, list(seeds))
-    scores = [metrics.sdf(run_pid_episode(run.env_cfg, s, gains)).sdf for s in seeds]
+    scores = pid_seed_sdfs(run.env_cfg, seeds, gains)
     mean_sdf = sum(scores) / len(scores)
     payload = run.config_payload()
     payload["gains"] = gains.to_dict()

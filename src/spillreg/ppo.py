@@ -35,6 +35,7 @@ from .controllers import (
     actor_from_dict,
     feature_scales,
     make_actor,
+    pid_seed_sdfs,
     run_pid_episode,
     tune_pid,
 )
@@ -96,6 +97,8 @@ class TrainConfig:
             raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if not 0.0 <= self.value_coef:
             raise ConfigError(f"value_coef must be >= 0, got {self.value_coef}")
+        if not math.isfinite(self.entropy_coef):
+            raise ConfigError(f"entropy_coef must be finite, got {self.entropy_coef}")
 
     def to_dict(self) -> dict:
         return {
@@ -180,11 +183,16 @@ class RolloutBuffer:
         self._rewards.append(reward)
         self._dones.append(done)
 
-    def finalize(self, values: np.ndarray) -> None:
+    def state_array(self) -> np.ndarray:
+        """The buffered state vectors as an (n, state_dim) float64 array."""
+        return np.asarray([s.values for s in self._state_vectors], dtype=np.float64)
+
+    def finalize(self, values: np.ndarray, states: np.ndarray | None = None) -> None:
+        """Freeze the buffer; states, if given, must be this buffer's state_array()."""
         n = len(self._actions)
         if np.shape(values) != (n,):
             raise UsageError(f"values shape {np.shape(values)} does not match buffer length {n}")
-        self.states = np.asarray([s.values for s in self._state_vectors], dtype=np.float64)
+        self.states = self.state_array() if states is None else states
         self.actions = np.asarray(self._actions, dtype=np.float64)
         self.log_probs = np.asarray(self._log_probs, dtype=np.float64)
         self.rewards = np.asarray(self._rewards, dtype=np.float64)
@@ -226,9 +234,9 @@ def collect_rollout(
 
     _, buffer.corrected_trace, _ = closed_loop(env_cfg, seed, control)
     n = len(buffer)
-    states = np.asarray([s.values for s in buffer._state_vectors], dtype=np.float64)
+    states = buffer.state_array()
     values, _ = gradnet.forward(critic, critic_inputs(states, np.arange(n), n, actor.variant))
-    buffer.finalize(values[:, 0])
+    buffer.finalize(values[:, 0], states)
     return buffer
 
 
@@ -451,11 +459,11 @@ def build_report(
 ) -> ImprovementReport:
     """Per-seed noise/PID/RL SDF comparison, in seed order."""
     report = ImprovementReport()
-    for seed in seeds:
+    for seed, sdf_pid in zip(seeds, pid_seed_sdfs(env_cfg, seeds, gains)):
         report.add(SeedResult(
             seed=seed,
             sdf_noise=metrics.sdf(run_raw_episode(env_cfg, seed)).sdf,
-            sdf_pid=metrics.sdf(run_pid_episode(env_cfg, seed, gains)).sdf,
+            sdf_pid=sdf_pid,
             sdf_rl=evaluate_actor_sdf(env_cfg, actor, seed),
         ))
     return report

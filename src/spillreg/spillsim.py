@@ -26,11 +26,16 @@ trace depends only on (config, seed), never on the actions applied.
 Memo and driver: because of that, run_raw_episode() computes the raw trace
 once per (config, seed) with the scalar reference reset()/step() and keeps it
 as an immutable tuple in a bounded LRU memo (RAW_MEMO_SIZE entries).
-closed_loop() is the one closed-loop episode loop of the package: it replays
-the memoized raw trace, applies each decision one step late, clamps the
+closed_loop() is the scalar closed-loop episode loop: it replays the
+memoized raw trace, applies each decision one step late, clamps the
 corrected sample to [clamp_lo, clamp_hi] and the decision to +-action_bound,
 and hands every sample to a controller callback. Its arithmetic is step()'s,
-so its traces equal a reset()/step() loop bit for bit.
+so its traces equal a reset()/step() loop bit for bit. Single episodes
+(simulate, the per-iteration training curve, mean-action evaluation, PPO
+rollouts) run through it. controllers.pid_sdfs replays the same memo for
+many PID episodes at once with elementwise numpy float64 operations in
+closed_loop's order; tune_pid and the per-seed PID SDFs of tune-pid and
+the training report use that batched kernel.
 
 Note on defaults: ou_sigma was calibrated upward (see its field comment) so
 that the unregulated signal starts below the operational SDF target of 0.6,

@@ -183,3 +183,12 @@ def test_unknown_variant_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("train", "--out", tmp_path / "o", "--variant", "sac")
     assert exc.value.code == EXIT_CONFIG
+
+
+def test_nonfinite_entropy_coef_is_config_error(tmp_path, gains_file):
+    # json accepts NaN; it must be refused as config, not diverge in training
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"train": {"entropy_coef": NaN}}', encoding="utf-8")
+    argv = ("train", "--gains", gains_file, "--config", cfg, "--iterations", "1", "--out", tmp_path / "o")
+    assert run(*argv) == EXIT_CONFIG
+    assert not (tmp_path / "o" / "checkpoint.json").exists()

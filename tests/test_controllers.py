@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spillreg.controllers import (
@@ -35,14 +35,16 @@ from spillreg.controllers import (
     gaussian_log_prob,
     initial_policy_params,
     make_actor,
+    PID_KERNEL_BYTES,
     pid_episode_records,
+    pid_sdfs,
     pid_update,
     policy_mean,
     policy_sample,
     run_pid_episode,
     tune_pid,
 )
-from spillreg.errors import ConfigError, ShapeError
+from spillreg.errors import ConfigError, InputError, InvalidActionError, ShapeError
 from spillreg.metrics import sdf
 from spillreg.rng import Xoshiro256StarStar
 from spillreg.spillsim import EnvConfig, clamp_action, run_raw_episode
@@ -147,6 +149,104 @@ def test_tune_pid_carries_config_dt():
 def test_gain_grid_rejects_empty_axis():
     with pytest.raises(ConfigError):
         GainGrid(kp=(), ki=(0.0,), kd=(0.0,))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_gain_grid_rejects_nonfinite_values(bad):
+    with pytest.raises(ConfigError):
+        GainGrid(kp=(0.0, bad), ki=(0.0,), kd=(0.0,))
+    with pytest.raises(ConfigError):
+        GainGrid(kp=(0.0,), ki=(0.0,), kd=(bad,))
+
+
+# --- batched PID kernel against the scalar path -----------------------------
+
+def scalar_sdfs(cfg, seeds, points):
+    return [
+        [sdf(run_pid_episode(cfg, s, PidGains(*p, dt=cfg.dt))).sdf for s in seeds]
+        for p in points
+    ]
+
+
+@st.composite
+def small_configs(draw):
+    ripples = draw(st.lists(st.tuples(st.floats(0.0, 0.3), st.floats(0.0, 2000.0)), max_size=2))
+    clamp_lo, clamp_hi = draw(st.sampled_from([(0.0, 2.0), (0.8, 1.2), (0.97, 1.03)]))
+    return EnvConfig(
+        steps_per_episode=draw(st.integers(2, 40)),
+        ripple_amps=tuple(a for a, _ in ripples),
+        ripple_freqs=tuple(f for _, f in ripples),
+        ou_sigma=draw(st.sampled_from([0.0, 0.05, 0.42])),
+        clamp_lo=clamp_lo,
+        clamp_hi=clamp_hi,
+        action_bound=draw(st.sampled_from([0.02, 1.0, 3.0])),
+    )
+
+
+# plain gains plus ones large enough to pin the action at +-action_bound and
+# the corrected sample at clamp_lo/clamp_hi
+GAIN_VALUES = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, 40.0, -40.0, 1e4, -1e4]))
+KD_VALUES = st.one_of(st.floats(-1e-4, 1e-4), st.sampled_from([0.0, 0.5, -0.5]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cfg=small_configs(),
+    seeds=st.lists(st.integers(min_value=0, max_value=2**32), min_size=1, max_size=3),
+    points=st.lists(st.tuples(GAIN_VALUES, GAIN_VALUES, KD_VALUES), min_size=1, max_size=6),
+)
+# full-length episodes at the tuned gains: short ones hide last-bit slips
+@example(cfg=EnvConfig(), seeds=list(range(9)), points=[(0.34375, 0.6, -8.75e-06), (1.0, 0.9, 2e-05)])
+def test_pid_sdfs_match_scalar_episodes_bit_for_bit(cfg, seeds, points):
+    got = pid_sdfs(cfg, seeds, points)
+    assert got.shape == (len(points), len(seeds))
+    assert got.tolist() == scalar_sdfs(cfg, seeds, points)
+
+
+def test_pid_sdfs_match_scalar_episodes_when_both_clamps_saturate():
+    cfg = EnvConfig(steps_per_episode=60, clamp_lo=0.9, clamp_hi=1.1, action_bound=0.5)
+    points = [(40.0, 1e4, 0.5), (-40.0, 0.0, -0.5), (0.34375, 0.6, -8.75e-06)]
+    for point in points[:2]:
+        _, corrected, applied = pid_episode_records(cfg, 1, PidGains(*point, dt=cfg.dt))
+        assert {cfg.clamp_lo, cfg.clamp_hi} <= set(corrected)
+        assert {cfg.action_bound, -cfg.action_bound} <= set(applied)
+    assert pid_sdfs(cfg, [1, 2], points).tolist() == scalar_sdfs(cfg, [1, 2], points)
+
+
+def test_pid_sdfs_row_does_not_depend_on_its_block(env_cfg):
+    seeds = list(range(9))
+    block = PID_KERNEL_BYTES // (8 * env_cfg.steps_per_episode * len(seeds))
+    target = (0.34375, 0.6, -8.75e-06)
+    others = [(0.1 * k, 0.05 * k, 1e-6 * k) for k in range(2 * block + 3)]
+    points = others[: block + 2] + [target] + others[block + 2 :]
+    assert len(points) > 2 * block
+    alone = pid_sdfs(env_cfg, seeds, [target])
+    batched = pid_sdfs(env_cfg, seeds, points)
+    assert batched[block + 2].tolist() == alone[0].tolist() == scalar_sdfs(env_cfg, seeds, [target])[0]
+    assert batched[3].tolist() == scalar_sdfs(env_cfg, seeds, [points[3]])[0]
+
+
+def test_pid_sdfs_nan_action_raises_like_the_scalar_loop(env_cfg):
+    overflowing = (0.0, 1e308, -1e308)  # ki*I and kd*D overflow to opposite infinities
+    with pytest.raises(InvalidActionError):
+        pid_episode_records(env_cfg, 0, PidGains(*overflowing, dt=env_cfg.dt))
+    with pytest.raises(InvalidActionError):
+        pid_sdfs(env_cfg, [0], [overflowing])
+    with pytest.raises(InvalidActionError):
+        pid_sdfs(env_cfg, [1, 0], [(0.5, 0.1, 0.0), overflowing, (0.0, 0.0, 0.0)])
+
+
+def test_pid_sdfs_rejects_nonfinite_points(env_cfg):
+    with pytest.raises(ConfigError):
+        pid_sdfs(env_cfg, [0], [(0.5, math.inf, 0.0)])
+
+
+def test_pid_sdfs_short_episode_raises_like_sdf():
+    cfg = EnvConfig(steps_per_episode=1)
+    with pytest.raises(InputError):
+        sdf(run_pid_episode(cfg, 0, PidGains(0.5, 0.1, 0.0, dt=cfg.dt)))
+    with pytest.raises(InputError):
+        pid_sdfs(cfg, [0], [(0.5, 0.1, 0.0)])
 
 
 # --- policy state construction -------------------------------------------

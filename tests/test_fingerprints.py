@@ -1,9 +1,13 @@
 """Pinned sha256 fingerprints of outputs that never pass through BLAS.
 
-Every value in these files comes from the package's own xoshiro256** stream
-and scalar Python float arithmetic, so the bytes are the same on any platform
-and any numpy/BLAS build. A change that alters one of these hashes changes
-the program's output and must say so.
+Every value in these files comes from the package's own xoshiro256** stream,
+scalar Python float arithmetic (spillsim.closed_loop, used by simulate and
+the training curve) and elementwise numpy float64 operations without BLAS
+(the batched PID kernel controllers.pid_sdfs, used by tune-pid). IEEE 754
+fixes each of those results, so the bytes are the same on any platform and
+any numpy/BLAS build; CI reruns this file with numpy's dispatched SIMD
+loops turned off to check it. A change that alters one of these hashes
+changes the program's output and must say so.
 
 Outputs that depend on BLAS kernels (checkpoint.json, report.json and
 ablation.csv after a PPO update) are not pinned here: their last bits can
