@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from . import gradnet, metrics
+from . import gradnet, metrics, pidbatch
 from .errors import ConfigError, DivergenceError, InputError, ShapeError
 from .rng import Xoshiro256StarStar
-from .spillsim import EnvConfig, closed_loop, run_raw_episode
+from .spillsim import EnvConfig, closed_loop
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
@@ -169,105 +168,23 @@ def run_pid_episode(config: EnvConfig, seed: int, gains: PidGains) -> list[float
     return corrected
 
 
-# Bytes of corrected trace one pid_sdfs pass keeps live: the points of a call
-# run in blocks of as many (point, seed) rows as fit (72 rows at the default
-# 430 steps and 9 seeds), which bounds the kernel's memory for any grid.
-PID_KERNEL_BYTES = 1 << 18
-
-
-def pid_sdfs(config: EnvConfig, seeds: Sequence[int], points) -> np.ndarray:
+def pid_sdfs(config: EnvConfig, seeds: list[int] | tuple[int, ...], points) -> np.ndarray:
     """SDF of the closed-loop PID episode of every (gain point, seed) pair.
 
     points holds (kp, ki, kd) rows. Entry [i, j] of the returned
     (len(points), len(seeds)) array equals
     metrics.sdf(run_pid_episode(config, seeds[j], PidGains(*points[i], config.dt))).sdf
-    bit for bit: all rows of a block step together through the memoized raw
-    traces with the elementwise float64 operations of closed_loop,
-    ErrorTracker and pid_update, in their order, and each row's variance is
-    reduced over one contiguous row as in metrics.sdf. No BLAS is involved,
-    so the results are platform-independent, and a row's result does not
-    depend on the block it runs in.
-
-    The scalar path recomputes every row the vectorized pass cannot vouch
-    for, in row order, and so raises its errors: rows whose trace or error
-    sum went non-finite (an applied NaN action, an overflowing feature), and
-    all rows when the derivative term could overflow ((clamp_hi - clamp_lo)
-    / dt near the float range) or an episode is shorter than two steps.
+    bit for bit. pidbatch.batch_sdfs computes the rows in memory-bounded
+    blocks with elementwise float64 numpy (no BLAS, so platform-independent);
+    the scalar path recomputes, in row order, every row that pass cannot
+    vouch for, and so raises the scalar path's errors (InvalidActionError
+    for an applied NaN action, InputError for a non-finite PID feature).
     """
-    gain_rows = np.array(points, dtype=np.float64).reshape(-1, 3)
-    if not np.isfinite(gain_rows).all():
-        raise ConfigError("gain points must be finite")
-    steps = config.steps_per_episode
-    out = np.empty((len(gain_rows), len(seeds)))
-    if len(seeds) == 0:
-        return out
-    raw = np.empty((steps, len(seeds)))
-    for j, seed in enumerate(seeds):
-        raw[:, j] = run_raw_episode(config, seed)
-    # with finite samples, |D| stays below 2 * (clamp_hi - clamp_lo) / dt plus rounding
-    vectorizable = steps >= 2 and math.isfinite(4.0 * (config.clamp_hi - config.clamp_lo) / config.dt)
-    block = max(1, PID_KERNEL_BYTES // (8 * steps * len(seeds)))
-    for start in range(0, len(gain_rows), block):
-        rows = gain_rows[start : start + block]
-        if vectorizable:
-            sdfs, exact = _pid_block_sdfs(config, raw, rows)
-        else:
-            sdfs = np.empty((len(rows), len(seeds)))
-            exact = np.zeros(sdfs.shape, dtype=bool)
-        for i, j in zip(*np.nonzero(~exact)):
-            gains = PidGains(*rows[i].tolist(), dt=config.dt)
-            sdfs[i, j] = metrics.sdf(run_pid_episode(config, seeds[j], gains)).sdf
-        out[start : start + len(rows)] = sdfs
-    return out
-
-
-def _pid_block_sdfs(config: EnvConfig, raw: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized PID episodes of rows x seeds; returns (sdfs, finite mask).
-
-    Row b * n_seeds + j is point b on seed j. Every operand is a full-length
-    array, because at these sizes a ufunc call with a broadcast or Python
-    float operand costs about twice one over equal-shape arrays.
-    """
-    steps, n_seeds = raw.shape
-    n = len(rows) * n_seeds
-    kp, ki, kd = (np.repeat(rows[:, k], n_seeds) for k in range(3))
-    lo, hi, ref, dt, bound, neg_bound = (
-        np.full(n, v)
-        for v in (config.clamp_lo, config.clamp_hi, config.reference, config.dt,
-                  config.action_bound, -config.action_bound)
-    )
-    trace = np.tile(raw, (1, len(rows)))  # raw samples, corrected in place
-    action = np.zeros(n)
-    err, prev_err, err_sum = np.empty(n), np.empty(n), np.zeros(n)
-    diff_rate = np.zeros(n)  # 0 at t = 0
-    term = np.empty(n)
-    # overflow and NaN stay silent, as in Python floats; such rows go to the scalar path
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(steps):
-            x = trace[t]
-            np.subtract(x, action, out=x)
-            np.maximum(x, lo, out=x)
-            np.minimum(x, hi, out=x)
-            np.subtract(x, ref, out=err)
-            np.add(err_sum, err, out=err_sum)
-            if t:
-                np.subtract(err, prev_err, out=diff_rate)
-                np.divide(diff_rate, dt, out=diff_rate)
-            # kp*P + ki*I + kd*D, summed left to right as pid_update does
-            np.multiply(kp, err, out=action)
-            np.multiply(ki, err_sum, out=term)
-            np.add(action, term, out=action)
-            np.multiply(kd, diff_rate, out=term)
-            np.add(action, term, out=action)
-            np.maximum(action, neg_bound, out=action)
-            np.minimum(action, bound, out=action)
-            err, prev_err = prev_err, err
-        # metrics.sdf's reduction: np.var of one contiguous 1-D trace per row
-        var = np.array([np.var(trace[:, i].copy()) for i in range(n)])
-        sdfs = 1.0 / (1.0 + var)
-    exact = np.isfinite(trace).all(axis=0) & np.isfinite(err_sum)
-    shape = (len(rows), n_seeds)
-    return sdfs.reshape(shape), exact.reshape(shape)
+    sdfs, exact = pidbatch.batch_sdfs(config, seeds, points)
+    for i, j in zip(*np.nonzero(~exact)):
+        gains = PidGains(*points[i], dt=config.dt)
+        sdfs[i, j] = metrics.sdf(run_pid_episode(config, seeds[j], gains)).sdf
+    return sdfs
 
 
 # --- gain tuning ------------------------------------------------------------
@@ -301,7 +218,7 @@ def _axis_step(axis: tuple[float, ...]) -> float:
     return (max(axis) - min(axis)) / (len(axis) - 1)
 
 
-def pid_seed_sdfs(config: EnvConfig, seeds: Sequence[int], gains: PidGains) -> list[float]:
+def pid_seed_sdfs(config: EnvConfig, seeds: list[int] | tuple[int, ...], gains: PidGains) -> list[float]:
     """Per-seed SDFs of one PID gain set, in seed order (one pid_sdfs call)."""
     _check_dt(config, gains)
     return pid_sdfs(config, seeds, [(gains.kp, gains.ki, gains.kd)])[0].tolist()

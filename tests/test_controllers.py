@@ -35,7 +35,6 @@ from spillreg.controllers import (
     gaussian_log_prob,
     initial_policy_params,
     make_actor,
-    PID_KERNEL_BYTES,
     pid_episode_records,
     pid_sdfs,
     pid_update,
@@ -46,6 +45,7 @@ from spillreg.controllers import (
 )
 from spillreg.errors import ConfigError, InputError, InvalidActionError, ShapeError
 from spillreg.metrics import sdf
+from spillreg.pidbatch import PID_KERNEL_BYTES
 from spillreg.rng import Xoshiro256StarStar
 from spillreg.spillsim import EnvConfig, clamp_action, run_raw_episode
 
