@@ -238,6 +238,7 @@ def tune_pid(config: EnvConfig, seeds: list[int], grid: GainGrid = DEFAULT_GAIN_
     cache: dict[tuple[float, float, float], float] = {}
 
     def seed_mean(sdfs: list[float]) -> float:
+        # a plain loop in seed order: sum() compensates rounding from Python 3.12
         total = 0.0
         for v in sdfs:
             total += v
