@@ -18,7 +18,8 @@ Config file schema (JSON, all sections optional):
       "gains":  { "format_version": 1, "kp": ..., "ki": ..., "kd": ..., "dt": ... }
     }
 
-Exit codes: 0 success, 2 config error, 3 numeric divergence, 4 I/O.
+Exit codes: 0 success, 2 config error, 3 numeric divergence (in training, or a
+non-finite control action in any closed loop), 4 I/O.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .errors import (
     ConfigError,
     DivergenceError,
     InputError,
+    InvalidActionError,
     SpillRegError,
     UsageError,
 )
@@ -244,7 +246,7 @@ def cmd_tune_pid(args) -> int:
     seeds = parse_seed_list(args.seeds) if args.seeds else run.train_cfg.seeds
     gains = tune_pid(run.env_cfg, list(seeds))
     scores = pid_seed_sdfs(run.env_cfg, seeds, gains)
-    mean_sdf = sum(scores) / len(scores)
+    mean_sdf = metrics.ordered_mean(scores)
     payload = run.config_payload()
     payload["gains"] = gains.to_dict()
     gains_out = dict(gains.to_dict(), manifest=MANIFEST_NAME, mean_sdf=mean_sdf, seeds=list(seeds))
@@ -361,8 +363,8 @@ def format_ablation_csv(rows: list[dict]) -> str:
         else:
             lines.append(f"nan,nan,{labels}")
     if ok:
-        mean_vp = sum(r["vs_pid"] for r in ok) / len(ok)
-        mean_vn = sum(r["vs_noise"] for r in ok) / len(ok)
+        mean_vp = metrics.ordered_mean([r["vs_pid"] for r in ok])
+        mean_vn = metrics.ordered_mean([r["vs_noise"] for r in ok])
         lines.append(f"{mean_vp!r},{mean_vn!r},MEAN({len(ok)} rows),,,")
     return "\n".join(lines) + "\n"
 
@@ -529,7 +531,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DivergenceError as exc:
+    except (DivergenceError, InvalidActionError) as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except (ConfigError, InputError, UsageError, CheckpointError) as exc:

@@ -17,6 +17,13 @@ ablation state variants exist (PID3 drops Act; CDOver swaps in corrected
 difference and an over-reference counter), plus an NN policy variant that
 replaces the linear map with a small tanh network over the same features.
 
+During an episode StateTracker.push returns each step's features as a plain
+tuple of floats; the actors act on those tuples. Each actor keeps all its
+trainable parameters in one float64 vector, `flat`, whose trailing entry is
+log_std; mean_params(), parameters() and log_std_arr are views into it, and
+mean()/sample() read it live. PolicyParams is the serialized record of the
+linear policy, built only for checkpoints and construction.
+
 Exploration is a Gaussian over the mean action with a learnable log_std,
 clamped to [-5, 2]. Sampling returns the pre-clamp action and its log
 probability; actuation clamps to the environment's action bound.
@@ -115,19 +122,18 @@ class ErrorTracker:
         self._prev_error = 0.0
         self._error_sum = 0.0
 
-    def push(self, sample: float) -> ErrorState:
+    def advance(self, sample: float) -> tuple[float, float, float]:
+        """Consume one sample; returns (P, I, D) as plain floats."""
         e = sample - self.reference
         diff_rate = 0.0 if self._n == 0 else (e - self._prev_error) / self.dt
         self._error_sum += e
-        state = ErrorState(
-            current_error=e,
-            error_sum=self._error_sum,
-            error_diff_rate=diff_rate,
-            prev_error=self._prev_error,
-        )
         self._prev_error = e
         self._n += 1
-        return state
+        return e, self._error_sum, diff_rate
+
+    def push(self, sample: float) -> ErrorState:
+        prev_error = self._prev_error
+        return ErrorState(*self.advance(sample), prev_error=prev_error)
 
 
 def pid_update(gains: PidGains, err: ErrorState) -> float:
@@ -237,17 +243,10 @@ def tune_pid(config: EnvConfig, seeds: list[int], grid: GainGrid = DEFAULT_GAIN_
         raise ConfigError("tune_pid needs a non-empty seed list")
     cache: dict[tuple[float, float, float], float] = {}
 
-    def seed_mean(sdfs: list[float]) -> float:
-        # a plain loop in seed order: sum() compensates rounding from Python 3.12
-        total = 0.0
-        for v in sdfs:
-            total += v
-        return total / len(seeds)
-
     def mean_sdf(point: tuple[float, float, float]) -> float:
         if point not in cache:
             gains = PidGains(point[0], point[1], point[2], dt=config.dt)
-            cache[point] = seed_mean(pid_seed_sdfs(config, seeds, gains))
+            cache[point] = metrics.ordered_mean(pid_seed_sdfs(config, seeds, gains))
         return cache[point]
 
     def magnitude(point: tuple[float, float, float]) -> tuple[float, float, float]:
@@ -255,7 +254,7 @@ def tune_pid(config: EnvConfig, seeds: list[int], grid: GainGrid = DEFAULT_GAIN_
 
     grid_points = [(kp, ki, kd) for kp in grid.kp for ki in grid.ki for kd in grid.kd]
     for point, sdfs in zip(grid_points, pid_sdfs(config, seeds, grid_points).tolist()):
-        cache.setdefault(point, seed_mean(sdfs))
+        cache.setdefault(point, metrics.ordered_mean(sdfs))
 
     best: tuple[float, float, float] | None = None
     best_score = -math.inf
@@ -282,30 +281,15 @@ def tune_pid(config: EnvConfig, seeds: list[int], grid: GainGrid = DEFAULT_GAIN_
     return PidGains(best[0], best[1], best[2], dt=config.dt)
 
 
-# --- state vectors ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class StateVector:
-    variant: str
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.variant not in STATE_DIMS:
-            raise ShapeError(f"unknown state variant {self.variant!r}")
-        if len(self.values) != STATE_DIMS[self.variant]:
-            raise ShapeError(
-                f"variant {self.variant} expects {STATE_DIMS[self.variant]} features, got {len(self.values)}"
-            )
-        if any(not math.isfinite(v) for v in self.values):
-            raise InputError(f"state vector has non-finite entries: {self.values}")
-
+# --- state features ---------------------------------------------------------
 
 class StateTracker:
-    """Builds the per-step StateVector for the active variant during an episode.
+    """Builds the per-step feature tuple of the active variant during an episode.
 
     push() is called once per environment step with the new raw sample, the
     corrected sample, and the action that was applied to produce it (that
     action is the Act feature, i.e. a_{t-1} relative to the new decision).
+    It returns the features as a plain tuple of STATE_DIMS[variant] floats.
     """
 
     def __init__(self, config: EnvConfig, variant: str):
@@ -318,19 +302,21 @@ class StateTracker:
         self._over_count = 0
         self._prev_corrected: float | None = None
 
-    def push(self, raw: float, corrected: float, applied_action: float) -> StateVector:
-        err = self.errors.push(corrected)
+    def push(self, raw: float, corrected: float, applied_action: float) -> tuple[float, ...]:
+        p, i, d = self.errors.advance(corrected)
         if self.variant == VARIANT_PID_ACT:
-            values = (err.current_error, err.error_sum, err.error_diff_rate, applied_action)
+            values = (p, i, d, applied_action)
         elif self.variant == VARIANT_PID3:
-            values = (err.current_error, err.error_sum, err.error_diff_rate)
+            values = (p, i, d)
         else:  # CDOver
             cd = 0.0 if self._prev_corrected is None else corrected - self._prev_corrected
             if raw >= self._reference:
                 self._over_count += 1
-            values = (cd, self._over_count * self._over_scale, err.current_error, applied_action)
+            values = (cd, self._over_count * self._over_scale, p, applied_action)
         self._prev_corrected = corrected
-        return StateVector(self.variant, values)
+        if not all(map(math.isfinite, values)):
+            raise InputError(f"state features are not finite: {values}")
+        return values
 
 
 # --- trainable policies -----------------------------------------------------
@@ -384,32 +370,26 @@ def gaussian_log_prob(x: float, mean: float, log_std: float) -> float:
     return -0.5 * z * z - log_std - _HALF_LOG_TWO_PI
 
 
-def policy_mean(params: PolicyParams, state: StateVector) -> float:
-    """Deterministic mean action of the linear policy for this state.
+def policy_mean(weights, bias: float, state: tuple[float, ...]) -> float:
+    """Deterministic mean action of the linear policy for a feature tuple.
 
-    For PIDAct the expression is written in the same order as pid_update so
-    the PID embedding (action_weight = bias = 0) is exact, not just close.
+    Four features (PIDAct, CDOver) use weights[0..3], three (PID3) use
+    weights[0..2]. The sum runs left to right in the order of pid_update, so
+    the PID embedding (action weight = bias = 0) is exact, not just close.
     """
-    w0, w1, w2 = params.pid_weights
-    v = state.values
-    if state.variant == VARIANT_PID_ACT:
-        return w0 * v[0] + w1 * v[1] + w2 * v[2] + params.action_weight * v[3] + params.bias
-    if state.variant == VARIANT_PID3:
-        return w0 * v[0] + w1 * v[1] + w2 * v[2] + params.bias
-    # CDOver: 4-weight linear map over (CD, Over1, P, Act)
-    return w0 * v[0] + w1 * v[1] + w2 * v[2] + params.action_weight * v[3] + params.bias
+    w, v = weights, state
+    if len(v) == 4:
+        return w[0] * v[0] + w[1] * v[1] + w[2] * v[2] + w[3] * v[3] + bias
+    return w[0] * v[0] + w[1] * v[1] + w[2] * v[2] + bias
 
 
-def policy_sample(
-    params: PolicyParams, state: StateVector, rng: Xoshiro256StarStar
-) -> tuple[float, float]:
-    """Draw action ~ Normal(mean, exp(log_std)^2); returns (action, log_prob).
+def gaussian_sample(mean: float, log_std: float, rng: Xoshiro256StarStar) -> tuple[float, float]:
+    """Draw action ~ Normal(mean, exp(log_std)^2) with log_std clamped; returns (action, log_prob).
 
     The returned action is the raw sample; callers clamp it to the actuation
     bound themselves, and the log probability refers to the pre-clamp value.
     """
-    mean = policy_mean(params, state)
-    log_std = clamp_log_std(params.log_std)
+    log_std = clamp_log_std(log_std)
     action = mean + math.exp(log_std) * rng.normal()
     return action, gaussian_log_prob(action, mean, log_std)
 
@@ -431,12 +411,15 @@ def initial_policy_params(gains: PidGains, variant: str) -> PolicyParams:
 
 
 class LinearActor:
-    """Trainable wrapper around PolicyParams.
+    """The neuralized-PID policy head: a linear map over the state features.
 
-    Acting goes through policy_mean/policy_sample on plain floats (exactness
-    matters there). Training views the same values as numpy arrays: a weight
-    vector over the state features plus a bias, with log_std kept separately
-    so the PPO update can treat it uniformly across actor kinds.
+    Its parameters live in one vector, flat = [w_0 .. w_{n-1}, bias, log_std],
+    where w are the feature weights times FEATURE_SCALES (the trainable
+    coordinates). mean_params(), log_std_arr and parameters() are views into
+    flat, so writing through them changes the policy. mean() and sample()
+    read the live vector on every call, unscale it exactly (power-of-two
+    scales) and evaluate policy_mean on plain floats, where exactness
+    matters; params builds the PolicyParams record for serialization.
     """
 
     kind = "pid"
@@ -445,48 +428,54 @@ class LinearActor:
         if variant not in STATE_DIMS:
             raise ShapeError(f"unknown state variant {variant!r}")
         self.variant = variant
-        self.state_dim = STATE_DIMS[variant]
-        if self.state_dim == 4:
-            w = [*params.pid_weights, params.action_weight]
-        else:
-            w = list(params.pid_weights)
+        self.state_dim = dim = STATE_DIMS[variant]
         self._scales = feature_scales(variant)
-        # trainable coordinates are the scaled weights (see FEATURE_SCALES)
-        self._w = np.asarray(w, dtype=np.float64) * self._scales
-        self._bias = np.asarray([params.bias], dtype=np.float64)
-        self.log_std_arr = np.asarray([clamp_log_std(params.log_std)], dtype=np.float64)
+        # flat[:-1] / _unscale is (weights, bias) exactly
+        self._unscale = np.append(self._scales, 1.0)
+        weights = [*params.pid_weights, params.action_weight][:dim]
+        self.flat = np.asarray([*weights, params.bias, clamp_log_std(params.log_std)], dtype=np.float64)
+        self.flat[:dim] *= self._scales
+        self._w, self._bias, self.log_std_arr = gradnet.split(self.flat, [(dim,), (1,), (1,)])
+
+    def _coefs(self) -> list[float]:
+        return (self.flat[:-1] / self._unscale).tolist()
 
     @property
     def params(self) -> PolicyParams:
-        w = self._w / self._scales
-        action_weight = float(w[3]) if self.state_dim == 4 else 0.0
+        *w, bias = self._coefs()
         return PolicyParams(
-            pid_weights=(float(w[0]), float(w[1]), float(w[2])),
-            action_weight=action_weight,
-            bias=float(self._bias[0]),
+            pid_weights=(w[0], w[1], w[2]),
+            action_weight=w[3] if self.state_dim == 4 else 0.0,
+            bias=bias,
             log_std=float(self.log_std_arr[0]),
         )
 
-    def mean(self, state: StateVector) -> float:
-        return policy_mean(self.params, state)
+    def mean(self, state: tuple[float, ...]) -> float:
+        *w, bias = self._coefs()
+        return policy_mean(w, bias, state)
 
-    def sample(self, state: StateVector, rng: Xoshiro256StarStar) -> tuple[float, float]:
-        return policy_sample(self.params, state, rng)
+    def sample(self, state: tuple[float, ...], rng: Xoshiro256StarStar) -> tuple[float, float]:
+        return gaussian_sample(self.mean(state), float(self.log_std_arr[0]), rng)
 
     # training interface
     def mean_params(self) -> list[np.ndarray]:
         return [self._w, self._bias]
 
+    def parameters(self) -> list[np.ndarray]:
+        """Views of flat in order: [w, bias, log_std]."""
+        return [self._w, self._bias, self.log_std_arr]
+
     def mean_batch(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         scaled = states / self._scales
         return scaled @ self._w + self._bias[0], scaled
 
-    def mean_grads(self, tape: np.ndarray, dmu: np.ndarray) -> list[np.ndarray]:
-        return [tape.T @ dmu, np.asarray([dmu.sum()])]
+    def mean_grads(self, tape: np.ndarray, dmu: np.ndarray) -> np.ndarray:
+        """Gradient of sum(mean * dmu) w.r.t. flat[:-1] (everything but log_std)."""
+        return np.append(tape.T @ dmu, dmu.sum())
 
     def finalize_update(self) -> None:
         self.log_std_arr[0] = clamp_log_std(float(self.log_std_arr[0]))
-        if not (np.all(np.isfinite(self._w)) and np.isfinite(self._bias[0])):
+        if not np.isfinite(self.flat).all():
             raise DivergenceError("linear actor parameters became non-finite")
 
     def to_dict(self) -> dict:
@@ -520,11 +509,16 @@ class NnActor:
             )
         self.variant = variant
         self.state_dim = STATE_DIMS[variant]
-        self.net = net
+        # one vector flat = [net parameters, log_std]; the net's arrays and
+        # log_std_arr are views into it
+        n = net.param_count
+        self.flat = np.empty(n + 1, dtype=np.float64)
+        self.net = gradnet.DenseNet(net.layers, self.flat[:n])
+        self.log_std_arr = self.flat[n:]
+        self.log_std_arr[0] = clamp_log_std(log_std)
         # the net is defined over features/scale; scales are part of the
         # serialized function, not just a training detail
         self._scales = feature_scales(variant) if scales is None else np.asarray(scales, dtype=np.float64)
-        self.log_std_arr = np.asarray([clamp_log_std(log_std)], dtype=np.float64)
 
     @classmethod
     def fresh(cls, variant: str, rng: Xoshiro256StarStar, log_std: float = -1.0) -> "NnActor":
@@ -532,34 +526,35 @@ class NnActor:
         net = gradnet.init_dense(dims, ["tanh", "tanh", "identity"], rng)
         return cls(net, variant, log_std)
 
-    def mean(self, state: StateVector) -> float:
-        scaled = np.asarray(state.values, dtype=np.float64) / self._scales
+    def mean(self, state: tuple[float, ...]) -> float:
+        scaled = np.asarray(state, dtype=np.float64) / self._scales
         out, _ = gradnet.forward(self.net, scaled)
         return float(out[0])
 
-    def sample(self, state: StateVector, rng: Xoshiro256StarStar) -> tuple[float, float]:
-        mean = self.mean(state)
-        log_std = float(self.log_std_arr[0])
-        action = mean + math.exp(log_std) * rng.normal()
-        return action, gaussian_log_prob(action, mean, log_std)
+    def sample(self, state: tuple[float, ...], rng: Xoshiro256StarStar) -> tuple[float, float]:
+        return gaussian_sample(self.mean(state), float(self.log_std_arr[0]), rng)
 
     # training interface
     def mean_params(self) -> list[np.ndarray]:
         return self.net.parameters()
 
+    def parameters(self) -> list[np.ndarray]:
+        """Views of flat in order: [W0, b0, W1, b1, W2, b2, log_std]."""
+        return [*self.net.parameters(), self.log_std_arr]
+
     def mean_batch(self, states: np.ndarray) -> tuple[np.ndarray, gradnet.Tape]:
         out, tape = gradnet.forward(self.net, states / self._scales)
         return out[:, 0], tape
 
-    def mean_grads(self, tape: gradnet.Tape, dmu: np.ndarray) -> list[np.ndarray]:
-        return gradnet.backward(self.net, tape, dmu[:, None]).params
+    def mean_grads(self, tape: gradnet.Tape, dmu: np.ndarray) -> np.ndarray:
+        """Gradient of sum(mean * dmu) w.r.t. flat[:-1] (the net's parameters)."""
+        return gradnet.backward(self.net, tape, dmu[:, None]).flat
 
     def finalize_update(self) -> None:
         self.log_std_arr[0] = clamp_log_std(float(self.log_std_arr[0]))
         self.net.bump_version()
-        for p in self.net.parameters():
-            if not np.all(np.isfinite(p)):
-                raise DivergenceError("NN actor parameters became non-finite")
+        if not np.isfinite(self.flat).all():
+            raise DivergenceError("NN actor parameters became non-finite")
 
     def to_dict(self) -> dict:
         return {

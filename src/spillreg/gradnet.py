@@ -9,15 +9,20 @@ forward/backward accept a single input vector (the documented contract) or a
 batch stacked along the first axis; gradients of a batch are summed over the
 batch, so per-sample loss weights belong in grad_output.
 
+Parameter layout: a DenseNet keeps all its parameters in one contiguous
+float64 vector, `flat` = [W0, b0, W1, b1, ...] row-major, and its layers'
+weight/bias arrays are views into it; backward returns the parameter
+gradient in the same layout. Writing through a view changes the net.
+
 Optimizers: bias-corrected Adam (the default throughout the package) and
-plain SGD behind the same interface for ablation hygiene. Both mutate the
-parameter arrays in place and return them.
+plain SGD. Each keeps its state over one flat parameter vector and updates
+that vector in place from one flat gradient of the same shape.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,10 +50,25 @@ class Layer:
             raise ShapeError(f"unknown activation {self.activation!r}, expected one of {ACTIVATIONS}")
 
 
-class DenseNet:
-    """A chain of affine layers with elementwise activations."""
+def split(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of flat cut into consecutive blocks of the given shapes."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    return views
 
-    def __init__(self, layers: list[Layer]):
+
+class DenseNet:
+    """A chain of affine layers with elementwise activations.
+
+    The parameters live in one vector, `flat` (pass `flat` to place them in
+    storage the caller owns, e.g. a slice of an actor's vector); the given
+    layers' values are copied in and the net's layers hold views into it.
+    """
+
+    def __init__(self, layers: list[Layer], flat: np.ndarray | None = None):
         if not layers:
             raise ShapeError("DenseNet needs at least one layer")
         for prev, nxt in zip(layers, layers[1:]):
@@ -56,7 +76,19 @@ class DenseNet:
                 raise ShapeError(
                     f"layer dims do not chain: {prev.weight.shape} -> {nxt.weight.shape}"
                 )
-        self.layers = layers
+        self._shapes = [a.shape for layer in layers for a in (layer.weight, layer.bias)]
+        size = sum(math.prod(shape) for shape in self._shapes)
+        if flat is None:
+            flat = np.empty(size, dtype=np.float64)
+        elif flat.shape != (size,):
+            raise ShapeError(f"flat storage shape {flat.shape} does not hold {size} parameters")
+        self.flat = flat
+        views = self.unflatten(flat)
+        self.layers = []
+        for layer, w, b in zip(layers, views[::2], views[1::2]):
+            w[...] = layer.weight
+            b[...] = layer.bias
+            self.layers.append(Layer(weight=w, bias=b, activation=layer.activation))
         self.version = 0  # bumped by whoever mutates the parameters
 
     @property
@@ -69,15 +101,15 @@ class DenseNet:
 
     @property
     def param_count(self) -> int:
-        return sum(p.size for p in self.parameters())
+        return self.flat.size
+
+    def unflatten(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Views of a vector laid out like flat: [W0, b0, W1, b1, ...]."""
+        return split(vec, self._shapes)
 
     def parameters(self) -> list[np.ndarray]:
-        """Parameter arrays in update order: [W0, b0, W1, b1, ...] (live views)."""
-        out = []
-        for layer in self.layers:
-            out.append(layer.weight)
-            out.append(layer.bias)
-        return out
+        """Parameter arrays in update order: [W0, b0, W1, b1, ...] (live views of flat)."""
+        return self.unflatten(self.flat)
 
     def bump_version(self) -> None:
         self.version += 1
@@ -97,7 +129,7 @@ class Tape:
 
 @dataclass
 class Gradients:
-    params: list[np.ndarray]  # aligned with net.parameters()
+    flat: np.ndarray  # aligned with net.flat; net.unflatten(flat) splits it per array
     input: np.ndarray
 
 
@@ -153,15 +185,16 @@ def backward(net: DenseNet, tape: Tape, grad_output: np.ndarray) -> Gradients:
         raise ShapeError(
             f"grad_output shape {g.shape} does not match output shape {tape.outputs[-1].shape}"
         )
-    param_grads: list[np.ndarray] = [None] * (2 * len(net.layers))  # type: ignore[list-item]
+    flat = np.empty_like(net.flat)
+    param_grads = net.unflatten(flat)
     for idx in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[idx]
         ga = g * _activation_grad(layer.activation, tape.pre_acts[idx], tape.outputs[idx])
-        param_grads[2 * idx] = ga.T @ tape.inputs[idx]
-        param_grads[2 * idx + 1] = ga.sum(axis=0)
+        param_grads[2 * idx][...] = ga.T @ tape.inputs[idx]
+        param_grads[2 * idx + 1][...] = ga.sum(axis=0)
         g = ga @ layer.weight
     input_grad = g[0] if tape.single else g
-    return Gradients(params=param_grads, input=input_grad)
+    return Gradients(flat=flat, input=input_grad)
 
 
 def init_dense(
@@ -199,81 +232,73 @@ def init_dense(
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam over a fixed list of parameter arrays."""
+    """Bias-corrected Adam; m and v are shaped like the flat parameter vector."""
 
+    m: np.ndarray
+    v: np.ndarray
     lr: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
-
-    @classmethod
-    def for_params(cls, params: list[np.ndarray], lr: float = 1e-4) -> "AdamState":
-        return cls(
-            lr=lr,
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-        )
 
 
-def adam_step(opt: AdamState, params: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
-    """One Adam update, in place. Raises DivergenceError on non-finite grads."""
-    _check_aligned(opt.m, params, grads, opt.step)
+def adam_step(opt: AdamState, params: np.ndarray, grads: np.ndarray) -> None:
+    """One Adam update of params, in place. Raises DivergenceError on non-finite grads."""
+    _check_grads(params, grads, opt.step)
+    if opt.m.shape != params.shape or opt.v.shape != params.shape:
+        raise ShapeError("optimizer state does not match parameter count")
     opt.step += 1
     bc1 = 1.0 - opt.beta1 ** opt.step
     bc2 = 1.0 - opt.beta2 ** opt.step
-    for p, g, m, v in zip(params, grads, opt.m, opt.v):
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * (g * g)
-        p -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
-    return params
+    m, v = opt.m, opt.v
+    m *= opt.beta1
+    m += (1.0 - opt.beta1) * grads
+    v *= opt.beta2
+    v += (1.0 - opt.beta2) * (grads * grads)
+    params -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
 
 
 @dataclass
 class SgdState:
-    """Plain SGD behind the same stepping interface as Adam."""
+    """Plain SGD; its only state is the step count."""
 
     lr: float = 1e-4
     step: int = 0
 
-    @classmethod
-    def for_params(cls, params: list[np.ndarray], lr: float = 1e-4) -> "SgdState":
-        return cls(lr=lr)
 
-
-def sgd_step(opt: SgdState, params: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
-    _check_aligned(None, params, grads, opt.step)
+def sgd_step(opt: SgdState, params: np.ndarray, grads: np.ndarray) -> None:
+    """One SGD update of params, in place. Raises DivergenceError on non-finite grads."""
+    _check_grads(params, grads, opt.step)
     opt.step += 1
-    for p, g in zip(params, grads):
-        p -= opt.lr * g
-    return params
+    params -= opt.lr * grads
 
 
-def optimizer_for(kind: str, params: list[np.ndarray], lr: float):
-    """Config switch between the two optimizers; returns (state, step_fn)."""
+def optimizer_for(kind: str, params: np.ndarray, lr: float) -> AdamState | SgdState:
+    """Config switch between the two optimizers: fresh state for a flat parameter vector."""
     if kind == "adam":
-        return AdamState.for_params(params, lr=lr), adam_step
+        return AdamState(m=np.zeros_like(params), v=np.zeros_like(params), lr=lr)
     if kind == "sgd":
-        return SgdState.for_params(params, lr=lr), sgd_step
+        return SgdState(lr=lr)
     raise ShapeError(f"unknown optimizer {kind!r}, expected 'adam' or 'sgd'")
 
 
-def _check_aligned(moments, params, grads, step: int) -> None:
-    if len(params) != len(grads):
-        raise ShapeError(f"{len(params)} params vs {len(grads)} grads")
-    if moments is not None and len(moments) != len(params):
-        raise ShapeError("optimizer state does not match parameter count")
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != np.shape(g):
-            raise ShapeError(f"param {i} shape {p.shape} vs grad shape {np.shape(g)}")
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(
-                f"non-finite gradient in parameter {i}", step=step, diagnostics={"param_index": i}
-            )
+def optimizer_step(opt: AdamState | SgdState, params: np.ndarray, grads: np.ndarray) -> None:
+    """One update of the flat params, in place, by opt's rule."""
+    if isinstance(opt, AdamState):
+        adam_step(opt, params, grads)
+    else:
+        sgd_step(opt, params, grads)
+
+
+def _check_grads(params: np.ndarray, grads: np.ndarray, step: int) -> None:
+    if params.shape != np.shape(grads):
+        raise ShapeError(f"gradient shape {np.shape(grads)} does not match parameter shape {params.shape}")
+    if not np.isfinite(grads).all():
+        coord = int(np.flatnonzero(~np.isfinite(grads))[0])
+        raise DivergenceError(
+            f"non-finite gradient at coordinate {coord}", step=step, diagnostics={"coordinate": coord}
+        )
 
 
 # --- checkpoint pieces ----------------------------------------------------
@@ -305,7 +330,9 @@ def net_from_dict(data: dict) -> DenseNet:
     return DenseNet(layers)
 
 
-def adam_to_dict(opt: AdamState) -> dict:
+def adam_to_dict(opt: AdamState, params: list[np.ndarray]) -> dict:
+    """Adam state with m and v cut into one list per parameter array of the flat vector."""
+    shapes = [p.shape for p in params]
     return {
         "kind": "adam",
         "lr": opt.lr,
@@ -313,25 +340,30 @@ def adam_to_dict(opt: AdamState) -> dict:
         "beta2": opt.beta2,
         "eps": opt.eps,
         "step": opt.step,
-        "m": [m.ravel().tolist() for m in opt.m],
-        "v": [v.ravel().tolist() for v in opt.v],
+        "m": [m.ravel().tolist() for m in split(opt.m, shapes)],
+        "v": [v.ravel().tolist() for v in split(opt.v, shapes)],
     }
 
 
 def adam_from_dict(data: dict, params: list[np.ndarray]) -> AdamState:
+    """Inverse of adam_to_dict for the same parameter arrays."""
     from .errors import CheckpointError
 
     if data.get("kind") != "adam":
         raise CheckpointError(f"expected adam optimizer state, got {data.get('kind')!r}")
-    opt = AdamState(
+
+    def join(blocks: list) -> np.ndarray:
+        arrays = [np.asarray(b, dtype=np.float64).ravel() for b in blocks]
+        if [a.size for a in arrays] != [p.size for p in params]:
+            raise CheckpointError("optimizer state does not match parameter count")
+        return np.concatenate(arrays)
+
+    return AdamState(
+        m=join(data["m"]),
+        v=join(data["v"]),
         lr=float(data["lr"]),
         beta1=float(data["beta1"]),
         beta2=float(data["beta2"]),
         eps=float(data["eps"]),
         step=int(data["step"]),
-        m=[np.asarray(m, dtype=np.float64).reshape(p.shape) for m, p in zip(data["m"], params)],
-        v=[np.asarray(v, dtype=np.float64).reshape(p.shape) for v, p in zip(data["v"], params)],
     )
-    if len(opt.m) != len(params) or len(opt.v) != len(params):
-        raise CheckpointError("optimizer state does not match parameter count")
-    return opt

@@ -154,6 +154,18 @@ def neg_sum_series(errors: Sequence[float], steps_per_episode: int) -> list[floa
     return out
 
 
+def ordered_mean(values: Sequence[float]) -> float:
+    """Mean of floats added one by one in the given order.
+
+    Used for every mean written to an output, so the bytes do not depend on
+    the Python version: builtin sum() compensates rounding from Python 3.12.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
 def improvement(sdf_new: float, sdf_ref: float) -> float:
     """Relative improvement of sdf_new over sdf_ref, in percent."""
     if sdf_ref <= 0.0:

@@ -7,6 +7,13 @@ gradients come from gradnet; no autograd framework is involved, so the
 gradient of the Gaussian log-probability and of the clipped ratio objective
 are written out explicitly in _minibatch_step.
 
+Each learner (the actor and the critic) keeps its parameters in one flat
+vector, `flat`; each minibatch produces one flat gradient per learner, and
+one optimizer state per learner (gradnet.optimizer_for) steps that vector
+in place. The rollout stores each step's feature tuple, action, log
+probability and reward straight into the preallocated arrays of a
+RolloutBuffer.
+
 Determinism: every random draw flows from the master seed through named
 streams (init / sampling / shuffling), and each training episode gets its own
 env seed derived from the rotation slot's base seed plus the episode index.
@@ -20,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,7 +38,6 @@ from .controllers import (
     NnActor,
     PidGains,
     StateTracker,
-    StateVector,
     actor_from_dict,
     feature_scales,
     make_actor,
@@ -153,54 +159,49 @@ class RewardConfig:
 
 
 class RolloutBuffer:
-    """One episode of transitions plus the post-GAE training targets."""
+    """One episode of transitions plus the post-GAE training targets.
 
-    def __init__(self):
-        self._state_vectors: list[StateVector] = []
-        self._actions: list[float] = []
-        self._log_probs: list[float] = []
-        self._rewards: list[float] = []
-        self._dones: list[bool] = []
+    Each field has one preallocated array of `capacity` rows that add()
+    fills in step order; finalize() trims them to the steps added.
+    """
+
+    def __init__(self, capacity: int, state_dim: int):
+        self.states = np.empty((capacity, state_dim), dtype=np.float64)
+        self.actions = np.empty(capacity, dtype=np.float64)
+        self.log_probs = np.empty(capacity, dtype=np.float64)
+        self.rewards = np.empty(capacity, dtype=np.float64)
+        self.dones = np.zeros(capacity, dtype=bool)
         self.corrected_trace: list[float] = []
-        self.states: np.ndarray | None = None
-        self.actions: np.ndarray | None = None
-        self.log_probs: np.ndarray | None = None
-        self.rewards: np.ndarray | None = None
         self.values: np.ndarray | None = None
-        self.dones: np.ndarray | None = None
         self.advantages: np.ndarray | None = None
         self.returns: np.ndarray | None = None
+        self._n = 0
 
-    def add(self, state: StateVector, action: float, log_prob: float, reward: float, done: bool) -> None:
+    def add(self, state: tuple[float, ...], action: float, log_prob: float, reward: float, done: bool) -> None:
+        i = self._n
         if not all(math.isfinite(v) for v in (action, log_prob, reward)):
             raise DivergenceError(
-                f"non-finite transition at step {len(self._actions)}",
+                f"non-finite transition at step {i}",
                 diagnostics={"action": action, "log_prob": log_prob, "reward": reward},
             )
-        self._state_vectors.append(state)
-        self._actions.append(action)
-        self._log_probs.append(log_prob)
-        self._rewards.append(reward)
-        self._dones.append(done)
+        self.states[i] = state
+        self.actions[i] = action
+        self.log_probs[i] = log_prob
+        self.rewards[i] = reward
+        self.dones[i] = done
+        self._n = i + 1
 
-    def state_array(self) -> np.ndarray:
-        """The buffered state vectors as an (n, state_dim) float64 array."""
-        return np.asarray([s.values for s in self._state_vectors], dtype=np.float64)
-
-    def finalize(self, values: np.ndarray, states: np.ndarray | None = None) -> None:
-        """Freeze the buffer; states, if given, must be this buffer's state_array()."""
-        n = len(self._actions)
+    def finalize(self, values: np.ndarray) -> None:
+        """Attach the critic's values of the stored states and trim every field to len(self)."""
+        n = self._n
         if np.shape(values) != (n,):
             raise UsageError(f"values shape {np.shape(values)} does not match buffer length {n}")
-        self.states = self.state_array() if states is None else states
-        self.actions = np.asarray(self._actions, dtype=np.float64)
-        self.log_probs = np.asarray(self._log_probs, dtype=np.float64)
-        self.rewards = np.asarray(self._rewards, dtype=np.float64)
+        self.states, self.actions = self.states[:n], self.actions[:n]
+        self.log_probs, self.rewards, self.dones = self.log_probs[:n], self.rewards[:n], self.dones[:n]
         self.values = np.asarray(values, dtype=np.float64)
-        self.dones = np.asarray(self._dones, dtype=bool)
 
     def __len__(self) -> int:
-        return len(self._actions)
+        return self._n
 
 
 def collect_rollout(
@@ -219,8 +220,8 @@ def collect_rollout(
     """
     tracker = StateTracker(env_cfg, actor.variant)
     racc = metrics.RewardAccumulator(reward_cfg.kind, reward_cfg.alpha, env_cfg.steps_per_episode)
-    buffer = RolloutBuffer()
-    last = env_cfg.steps_per_episode - 1
+    n = env_cfg.steps_per_episode
+    buffer = RolloutBuffer(n, actor.state_dim)
 
     def control(t: int, raw: float, x: float, applied: float) -> float:
         try:
@@ -229,14 +230,12 @@ def collect_rollout(
             action, log_prob = actor.sample(sv, rng)
         except SpillRegError as exc:
             raise type(exc)(f"rollout step {t}: {exc}") from exc
-        buffer.add(sv, action, log_prob, reward, t == last)
+        buffer.add(sv, action, log_prob, reward, t == n - 1)
         return action
 
     _, buffer.corrected_trace, _ = closed_loop(env_cfg, seed, control)
-    n = len(buffer)
-    states = buffer.state_array()
-    values, _ = gradnet.forward(critic, critic_inputs(states, np.arange(n), n, actor.variant))
-    buffer.finalize(values[:, 0], states)
+    values, _ = gradnet.forward(critic, critic_inputs(buffer.states, np.arange(n), n, actor.variant))
+    buffer.finalize(values[:, 0])
     return buffer
 
 
@@ -282,8 +281,7 @@ def normalize_advantages(advantages: np.ndarray) -> np.ndarray:
     return (adv - adv.mean()) / (adv.std() + 1e-8)
 
 
-@dataclass
-class LossReport:
+class LossReport(NamedTuple):
     actor_loss: float
     value_loss: float
     entropy: float
@@ -294,9 +292,8 @@ def _minibatch_step(actor, critic, states, actions, logp_old, advantages, return
     """Loss components and exact gradients for one minibatch.
 
     Returns (components, actor_grads, critic_grads) where actor_grads aligns
-    with actor.mean_params() + [log_std] and critic_grads with
-    critic.parameters(). Gradients are for the total loss
-    actor + value_coef * value - entropy_coef * entropy.
+    with actor.flat and critic_grads with critic.flat. Gradients are for the
+    total loss actor + value_coef * value - entropy_coef * entropy.
     """
     n = states.shape[0]
     log_std = float(actor.log_std_arr[0])
@@ -334,19 +331,12 @@ def _minibatch_step(actor, critic, states, actions, logp_old, advantages, return
     dlogstd_actor = float(np.dot(dlogp, z * z - 1.0))
     dlogstd = dlogstd_actor - cfg.entropy_coef * 1.0
 
-    actor_grads = actor.mean_grads(tape, dmu)
-    actor_grads = [*actor_grads, np.asarray([dlogstd])]
+    actor_grads = np.append(actor.mean_grads(tape, dmu), dlogstd)
 
     dv = cfg.value_coef * (2.0 / n) * v_err
-    critic_grads = gradnet.backward(critic, v_tape, dv[:, None]).params
+    critic_grads = gradnet.backward(critic, v_tape, dv[:, None]).flat
 
-    components = LossReport(
-        actor_loss=actor_loss,
-        value_loss=value_loss,
-        entropy=entropy,
-        clip_fraction=clip_fraction,
-    )
-    return components, actor_grads, critic_grads
+    return LossReport(actor_loss, value_loss, entropy, clip_fraction), actor_grads, critic_grads
 
 
 def surrogate_losses(
@@ -356,30 +346,13 @@ def surrogate_losses(
     """Loss components only, via the same code path ppo_update optimizes."""
     states = np.asarray(states, dtype=np.float64)
     n = states.shape[0]
+    arrays = [np.asarray(a, dtype=np.float64) for a in (actions, logp_old, advantages, returns)]
     components, _, _ = _minibatch_step(
-        actor,
-        critic,
-        states,
-        np.asarray(actions, dtype=np.float64),
-        np.asarray(logp_old, dtype=np.float64),
-        np.asarray(advantages, dtype=np.float64),
-        np.asarray(returns, dtype=np.float64),
-        cfg,
+        actor, critic, states, *arrays, cfg,
         steps=np.arange(n) if steps is None else np.asarray(steps),
         horizon=n if horizon is None else horizon,
     )
     return components
-
-
-class _Opt:
-    """Pairs optimizer state with its step function over fixed params."""
-
-    def __init__(self, kind: str, params: list[np.ndarray], lr: float):
-        self.params = params
-        self.state, self._fn = gradnet.optimizer_for(kind, params, lr)
-
-    def step(self, grads: list[np.ndarray]) -> None:
-        self._fn(self.state, self.params, grads)
 
 
 def ppo_update(
@@ -388,10 +361,14 @@ def ppo_update(
     buffer: RolloutBuffer,
     cfg: TrainConfig,
     rng: Xoshiro256StarStar,
-    actor_opt: _Opt,
-    critic_opt: _Opt,
+    actor_opt: gradnet.AdamState | gradnet.SgdState,
+    critic_opt: gradnet.AdamState | gradnet.SgdState,
 ) -> LossReport:
-    """Clipped-surrogate update: epochs_per_iter passes of shuffled minibatches."""
+    """Clipped-surrogate update: epochs_per_iter passes of shuffled minibatches.
+
+    actor_opt and critic_opt hold the optimizer state of actor.flat and
+    critic.flat (gradnet.optimizer_for).
+    """
     if buffer.advantages is None or buffer.returns is None:
         raise UsageError("buffer has no advantages; run compute_gae + normalize first")
     n = len(buffer)
@@ -406,35 +383,16 @@ def ppo_update(
         for start in range(0, n, cfg.minibatch):
             mb = perm[start : start + cfg.minibatch]
             components, actor_grads, critic_grads = _minibatch_step(
-                actor,
-                critic,
-                buffer.states[mb],
-                buffer.actions[mb],
-                buffer.log_probs[mb],
-                buffer.advantages[mb],
-                buffer.returns[mb],
-                cfg,
-                steps=mb,
-                horizon=n,
+                actor, critic, buffer.states[mb], buffer.actions[mb], buffer.log_probs[mb],
+                buffer.advantages[mb], buffer.returns[mb], cfg, steps=mb, horizon=n,
             )
-            actor_opt.step(actor_grads)
+            gradnet.optimizer_step(actor_opt, actor.flat, actor_grads)
             actor.finalize_update()
-            critic_opt.step(critic_grads)
+            gradnet.optimizer_step(critic_opt, critic.flat, critic_grads)
             critic.bump_version()
-            sums += (
-                components.actor_loss,
-                components.value_loss,
-                components.entropy,
-                components.clip_fraction,
-            )
+            sums += components
             batches += 1
-    means = sums / batches
-    return LossReport(
-        actor_loss=float(means[0]),
-        value_loss=float(means[1]),
-        entropy=float(means[2]),
-        clip_fraction=float(means[3]),
-    )
+    return LossReport(*(float(m) for m in sums / batches))
 
 
 def make_critic(state_dim: int, rng: Xoshiro256StarStar) -> gradnet.DenseNet:
@@ -510,8 +468,8 @@ def train(
     sample_rng = Xoshiro256StarStar(derive_seed(master_seed, STREAM_SAMPLE))
     shuffle_rng = Xoshiro256StarStar(derive_seed(master_seed, STREAM_SHUFFLE))
 
-    actor_opt = _Opt(train_cfg.optimizer, [*actor.mean_params(), actor.log_std_arr], train_cfg.lr)
-    critic_opt = _Opt(train_cfg.optimizer, critic.parameters(), train_cfg.lr)
+    actor_opt = gradnet.optimizer_for(train_cfg.optimizer, actor.flat, train_cfg.lr)
+    critic_opt = gradnet.optimizer_for(train_cfg.optimizer, critic.flat, train_cfg.lr)
 
     def snapshot(iterations_done: int) -> dict:
         return checkpoint_dict(
@@ -569,20 +527,10 @@ def format_curve_csv(rows: list[dict]) -> str:
 
 # --- checkpoints ------------------------------------------------------------
 
-def _optimizer_to_dict(opt: _Opt) -> dict:
-    if isinstance(opt.state, gradnet.AdamState):
-        return gradnet.adam_to_dict(opt.state)
-    return {"kind": "sgd", "lr": opt.state.lr, "step": opt.state.step}
-
-
-def _optimizer_restore(data: dict, opt: _Opt) -> None:
-    if data["kind"] == "adam":
-        opt.state = gradnet.adam_from_dict(data, opt.params)
-    elif data["kind"] == "sgd":
-        opt.state.lr = float(data["lr"])
-        opt.state.step = int(data["step"])
-    else:
-        raise CheckpointError(f"unknown optimizer kind {data['kind']!r}")
+def _optimizer_to_dict(opt, learner) -> dict:
+    if isinstance(opt, gradnet.AdamState):
+        return gradnet.adam_to_dict(opt, learner.parameters())
+    return {"kind": "sgd", "lr": opt.lr, "step": opt.step}
 
 
 def checkpoint_dict(
@@ -598,8 +546,8 @@ def checkpoint_dict(
         "actor": actor.to_dict(),
         "critic": gradnet.net_to_dict(critic),
         "critic_feature_scales": [float(s) for s in feature_scales(state_variant)],
-        "actor_opt": _optimizer_to_dict(actor_opt),
-        "critic_opt": _optimizer_to_dict(critic_opt),
+        "actor_opt": _optimizer_to_dict(actor_opt, actor),
+        "critic_opt": _optimizer_to_dict(critic_opt, critic),
         "gains": gains.to_dict(),
         "env": env_cfg.to_dict(),
         "train": train_cfg.to_dict(),

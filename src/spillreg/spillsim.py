@@ -83,8 +83,8 @@ class EnvConfig:
     def validate(self) -> None:
         if not isinstance(self.steps_per_episode, int) or self.steps_per_episode <= 0:
             raise ConfigError(f"steps_per_episode must be a positive integer, got {self.steps_per_episode}")
-        if not self.dt > 0:
-            raise ConfigError(f"dt must be > 0, got {self.dt}")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ConfigError(f"dt must be finite and > 0, got {self.dt}")
         if not math.isfinite(self.reference):
             raise ConfigError(f"reference must be finite, got {self.reference}")
         if len(self.ripple_amps) != len(self.ripple_freqs):
@@ -97,14 +97,17 @@ class EnvConfig:
             raise ConfigError("ripple_freqs must be finite and >= 0")
         if not 0.0 <= self.ou_rho < 1.0:
             raise ConfigError(f"ou_rho must lie in [0, 1), got {self.ou_rho}")
-        if not self.ou_sigma >= 0.0:
-            raise ConfigError(f"ou_sigma must be >= 0, got {self.ou_sigma}")
+        if not (self.ou_sigma >= 0.0 and math.isfinite(self.ou_sigma)):
+            raise ConfigError(f"ou_sigma must be finite and >= 0, got {self.ou_sigma}")
+        for name in ("clamp_lo", "clamp_hi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.clamp_lo < self.reference < self.clamp_hi:
             raise ConfigError(
                 f"clamp_lo < reference < clamp_hi required, got {self.clamp_lo}, {self.reference}, {self.clamp_hi}"
             )
-        if not self.action_bound > 0:
-            raise ConfigError(f"action_bound must be > 0, got {self.action_bound}")
+        if not (self.action_bound > 0 and math.isfinite(self.action_bound)):
+            raise ConfigError(f"action_bound must be finite and > 0, got {self.action_bound}")
 
     def to_dict(self) -> dict:
         return {

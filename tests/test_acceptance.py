@@ -21,7 +21,6 @@ from spillreg.controllers import (
     ErrorState,
     NnActor,
     PidGains,
-    StateVector,
     make_actor,
     pid_update,
     run_pid_episode,
@@ -114,7 +113,7 @@ def fd_check_net(net, in_dim, rng, coords=12, h=1e-5):
     x = rng.normal(size=(6, in_dim))
     probe = rng.normal(size=(6, net.out_dim))
     _, tape = forward(net, x)
-    grads = backward(net, tape, probe).params
+    grads = net.unflatten(backward(net, tape, probe).flat)
 
     def loss():
         out, _ = forward(net, x)
@@ -150,16 +149,15 @@ def fd_check_linear_actor(actor, rng, h=1e-5):
         return float(np.dot(mu, probe))
 
     worst = 0.0
-    for p, g in zip(actor.mean_params(), grads):
-        fp, fg = p.reshape(-1), np.asarray(g).reshape(-1)
-        for idx in range(fp.size):
-            orig = fp[idx]
-            fp[idx] = orig + h
-            up = loss()
-            fp[idx] = orig - h
-            down = loss()
-            fp[idx] = orig
-            worst = max(worst, relative_gradient_error(fg[idx], (up - down) / (2 * h)))
+    fp = actor.flat[:-1]  # every coordinate of the mean: weights and bias
+    for idx in range(fp.size):
+        orig = fp[idx]
+        fp[idx] = orig + h
+        up = loss()
+        fp[idx] = orig - h
+        down = loss()
+        fp[idx] = orig
+        worst = max(worst, relative_gradient_error(grads[idx], (up - down) / (2 * h)))
     return worst
 
 
@@ -174,8 +172,8 @@ def fd_check_nn_actor(actor, rng, coords=12, h=1e-5):
         return float(np.dot(mu, probe))
 
     worst = 0.0
-    for p, g in zip(actor.mean_params(), grads):
-        fp, fg = p.reshape(-1), np.asarray(g).reshape(-1)
+    for p, g in zip(actor.mean_params(), actor.net.unflatten(grads)):
+        fp, fg = p.reshape(-1), g.reshape(-1)
         n_take = min(coords, fp.size)
         idxs = rng.choice(fp.size, n_take, replace=False)
         for idx in idxs:
@@ -255,9 +253,9 @@ def test_criterion_3_gae_brute_force_equivalence(passline):
             rewards = rng.normal(size=length).tolist()
             values = rng.normal(size=length).tolist()
             for dones in ([0.0] * (length - 1) + [1.0], [0.0] * length):
-                buf = RolloutBuffer()
+                buf = RolloutBuffer(length, 4)
                 for r, d in zip(rewards, dones):
-                    buf.add(StateVector("pid_act", (0.0, 0.0, 0.0, 0.0)), 0.0, -0.5, r, bool(d))
+                    buf.add((0.0, 0.0, 0.0, 0.0), 0.0, -0.5, r, bool(d))
                 buf.finalize(np.asarray(values))
                 for gamma in (0.0, 0.5, 0.99):
                     for lam in (0.0, 0.5, 0.95, 1.0):
@@ -284,10 +282,7 @@ def test_criterion_4_embedding_equivalence(passline, tmp_path, env_cfg, tuned_ga
             error_diff_rate=float(rng.uniform(-1e4, 1e4)),
             prev_error=float(rng.uniform(-2, 2)),
         )
-        sv = StateVector(
-            "pid_act",
-            (err.current_error, err.error_sum, err.error_diff_rate, float(rng.uniform(-1, 1))),
-        )
+        sv = (err.current_error, err.error_sum, err.error_diff_rate, float(rng.uniform(-1, 1)))
         worst = max(worst, abs(actor.mean(sv) - pid_update(tuned_gains, err)))
     assert worst < 1e-12
 

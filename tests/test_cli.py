@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from spillreg.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, MANIFEST_NAME, main
+from spillreg.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, MANIFEST_NAME, main
 
 
 def read_json(path):
@@ -192,3 +192,20 @@ def test_nonfinite_entropy_coef_is_config_error(tmp_path, gains_file):
     argv = ("train", "--gains", gains_file, "--config", cfg, "--iterations", "1", "--out", tmp_path / "o")
     assert run(*argv) == EXIT_CONFIG
     assert not (tmp_path / "o" / "checkpoint.json").exists()
+
+
+def test_nonfinite_action_exits_diverged_without_traceback(tmp_path, capsys):
+    # ki*I and kd*D overflow to opposite infinities: the PID action is NaN
+    gains = write_config(tmp_path, {"format_version": 1, "kp": 0, "ki": 1e308, "kd": -1e308, "dt": 1e-4},
+                         name="gains.json")
+    assert run("simulate", "--gains", gains, "--out", tmp_path / "o") == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert "action must be a finite number" in err
+    assert "Traceback" not in err
+
+
+def test_nonfinite_env_value_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"env": {"dt": Infinity}}', encoding="utf-8")
+    assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == EXIT_CONFIG
+    assert "dt must be finite" in capsys.readouterr().err

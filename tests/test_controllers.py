@@ -28,7 +28,6 @@ from spillreg.controllers import (
     STATE_DIMS,
     STATE_LABELS,
     StateTracker,
-    StateVector,
     actor_from_dict,
     clamp_log_std,
     feature_scales,
@@ -39,7 +38,6 @@ from spillreg.controllers import (
     pid_sdfs,
     pid_update,
     policy_mean,
-    policy_sample,
     run_pid_episode,
     tune_pid,
 )
@@ -255,33 +253,33 @@ def test_state_tracker_pid_act_features():
     cfg = EnvConfig(steps_per_episode=10)
     tracker = StateTracker(cfg, "pid_act")
     sv = tracker.push(raw=1.3, corrected=1.2, applied_action=0.1)
-    assert sv.variant == "pid_act"
-    p, i, d, act = sv.values
+    assert type(sv) is tuple
+    p, i, d, act = sv
     assert p == pytest.approx(0.2)
     assert i == pytest.approx(0.2)
     assert d == 0.0
     assert act == 0.1
     sv2 = tracker.push(raw=1.0, corrected=0.9, applied_action=-0.2)
-    assert sv2.values[2] == pytest.approx((-0.1 - 0.2) / cfg.dt)
+    assert sv2[2] == pytest.approx((-0.1 - 0.2) / cfg.dt)
 
 
 def test_state_tracker_pid3_drops_action():
     cfg = EnvConfig(steps_per_episode=10)
     tracker = StateTracker(cfg, "pid3")
     sv = tracker.push(1.3, 1.2, 0.7)
-    assert len(sv.values) == 3
+    assert len(sv) == 3
 
 
 def test_state_tracker_cd_over_features():
     cfg = EnvConfig(steps_per_episode=10)
     tracker = StateTracker(cfg, "cd_over")
     first = tracker.push(raw=1.3, corrected=1.2, applied_action=0.0)
-    cd, over, p, act = first.values
+    cd, over, p, act = first
     assert cd == 0.0  # no previous corrected sample yet
     assert over == pytest.approx(1.0 / cfg.steps_per_episode)
     assert p == pytest.approx(0.2)
     second = tracker.push(raw=0.8, corrected=0.9, applied_action=0.3)
-    cd2, over2, p2, act2 = second.values
+    cd2, over2, p2, act2 = second
     assert cd2 == pytest.approx(0.9 - 1.2)
     assert over2 == pytest.approx(1.0 / cfg.steps_per_episode)  # raw below reference
     assert act2 == 0.3
@@ -351,22 +349,23 @@ def test_gaussian_log_prob_closed_form(x, mean, log_std):
 
 
 def test_policy_mean_matches_dot_product():
-    params = PolicyParams(
-        pid_weights=(0.4, -0.2, 1e-5), action_weight=0.3, bias=0.05, log_std=-1.0
-    )
-    sv = StateVector("pid_act", (0.5, -2.0, 800.0, 0.7))
+    weights = (0.4, -0.2, 1e-5, 0.3)
+    sv = (0.5, -2.0, 800.0, 0.7)
     expected = 0.4 * 0.5 - 0.2 * -2.0 + 1e-5 * 800.0 + 0.3 * 0.7 + 0.05
-    assert policy_mean(params, sv) == pytest.approx(expected, abs=1e-12)
+    assert policy_mean(weights, 0.05, sv) == pytest.approx(expected, abs=1e-12)
+    # three features (PID3) use the first three weights only
+    assert policy_mean(weights[:3], 0.05, sv[:3]) == pytest.approx(expected - 0.3 * 0.7, abs=1e-12)
 
 
 def test_policy_sample_log_prob_consistency():
     params = PolicyParams(
         pid_weights=(0.4, -0.2, 1e-5), action_weight=0.3, bias=0.05, log_std=-0.5
     )
-    sv = StateVector("pid_act", (0.5, -2.0, 800.0, 0.7))
+    actor = LinearActor(params, "pid_act")
+    sv = (0.5, -2.0, 800.0, 0.7)
     rng = Xoshiro256StarStar(3)
-    action, logp = policy_sample(params, sv, rng)
-    mean = policy_mean(params, sv)
+    action, logp = actor.sample(sv, rng)
+    mean = actor.mean(sv)
     assert logp == pytest.approx(gaussian_log_prob(action, mean, -0.5), abs=1e-12)
     # exploration actually perturbs the mean
     assert action != mean
@@ -405,7 +404,7 @@ def test_linear_actor_mean_is_exact_dot_product():
             rng.uniform(-9000, 9000),
             rng.uniform(-1, 1),
         )
-        sv = StateVector("pid_act", features)
+        sv = features
         p = actor.params
         expected = (
             p.pid_weights[0] * features[0]
@@ -421,7 +420,7 @@ def test_linear_actor_batch_matches_scalar(tuned_gains):
     actor = make_actor("pid", "pid_act", tuned_gains, Xoshiro256StarStar(0))
     states = np.array([[0.3, -1.0, 500.0, 0.2], [0.0, 2.0, -100.0, -0.5]])
     mus, _ = actor.mean_batch(states)
-    singles = [actor.mean(StateVector("pid_act", tuple(row))) for row in states]
+    singles = [actor.mean(tuple(row)) for row in states]
     assert mus == pytest.approx(singles, abs=1e-15)
 
 
@@ -430,13 +429,13 @@ def test_linear_actor_round_trip_preserves_function():
     again = actor_from_dict(actor.to_dict())
     assert isinstance(again, LinearActor)
     assert again.params == actor.params
-    sv = StateVector("pid_act", (0.4, -3.0, 1200.0, 0.9))
+    sv = (0.4, -3.0, 1200.0, 0.9)
     assert again.mean(sv) == actor.mean(sv)
 
 
 def test_linear_actor_sample_stream_is_deterministic():
     actor = make_actor("pid", "pid_act", HAND_GAINS, Xoshiro256StarStar(0))
-    sv = StateVector("pid_act", (0.4, -3.0, 1200.0, 0.9))
+    sv = (0.4, -3.0, 1200.0, 0.9)
     a1, l1 = actor.sample(sv, Xoshiro256StarStar(5))
     a2, l2 = actor.sample(sv, Xoshiro256StarStar(5))
     assert (a1, l1) == (a2, l2)
@@ -446,7 +445,7 @@ def test_nn_actor_round_trip_preserves_function():
     actor = NnActor.fresh("pid_act", Xoshiro256StarStar(4))
     again = actor_from_dict(actor.to_dict())
     assert isinstance(again, NnActor)
-    sv = StateVector("pid_act", (0.4, -3.0, 1200.0, 0.9))
+    sv = (0.4, -3.0, 1200.0, 0.9)
     assert again.mean(sv) == actor.mean(sv)
     assert again.to_dict()["feature_scales"] == actor.to_dict()["feature_scales"]
 
@@ -455,14 +454,14 @@ def test_nn_actor_batch_matches_scalar():
     actor = NnActor.fresh("pid_act", Xoshiro256StarStar(4))
     states = np.array([[0.3, -1.0, 500.0, 0.2], [0.0, 2.0, -100.0, -0.5]])
     mus, _ = actor.mean_batch(states)
-    singles = [actor.mean(StateVector("pid_act", tuple(row))) for row in states]
+    singles = [actor.mean(tuple(row)) for row in states]
     assert mus == pytest.approx(singles, abs=1e-12)
 
 
 def test_nn_actor_initial_output_is_small():
     # tiny output gain keeps the untrained net close to the zero action
     actor = NnActor.fresh("pid_act", Xoshiro256StarStar(4))
-    sv = StateVector("pid_act", (0.5, 5.0, 4000.0, 0.8))
+    sv = (0.5, 5.0, 4000.0, 0.8)
     assert abs(actor.mean(sv)) < 0.5
 
 
@@ -470,3 +469,40 @@ def test_actor_log_std_starts_at_minus_one():
     for kind in ("pid", "nn"):
         actor = make_actor(kind, "pid_act", HAND_GAINS, Xoshiro256StarStar(0))
         assert float(actor.log_std_arr[0]) == -1.0
+
+
+def test_state_tracker_rejects_nonfinite_features(env_cfg):
+    tracker = StateTracker(env_cfg, "pid_act")
+    with pytest.raises(InputError):
+        tracker.push(1.0, 1.0, math.nan)
+
+
+@pytest.mark.parametrize("kind,variant", [("pid", "pid_act"), ("pid", "pid3"), ("nn", "cd_over")])
+def test_actor_parameters_are_views_of_one_vector(kind, variant):
+    actor = make_actor(kind, variant, HAND_GAINS, Xoshiro256StarStar(0))
+    params = actor.parameters()
+    assert params[-1] is actor.log_std_arr
+    assert np.array_equal(np.concatenate([p.ravel() for p in params]), actor.flat)
+    for p in [*params, *actor.mean_params()]:
+        assert np.shares_memory(p, actor.flat)
+
+
+@pytest.mark.parametrize("kind", ["pid", "nn"])
+def test_writes_through_views_change_the_next_action(kind):
+    """mean/sample read the live vector: no cached copy goes stale."""
+    actor = make_actor(kind, "pid_act", HAND_GAINS, Xoshiro256StarStar(0))
+    sv = (0.4, -3.0, 1200.0, 0.9)
+    before = actor.mean(sv)
+    actor.mean_params()[-1][0] += 0.25  # the bias of the (last) output layer
+    if kind == "nn":
+        actor.net.bump_version()
+    assert actor.mean(sv) == pytest.approx(before + 0.25, abs=1e-12)
+    actor.parameters()[0][...] *= 2.0
+    assert actor.mean(sv) != pytest.approx(before + 0.25, abs=1e-9)
+    mean = actor.mean(sv)
+    actor.parameters()[-1][0] = -2.0  # log_std, written through parameters()
+    action, logp = actor.sample(sv, Xoshiro256StarStar(5))
+    assert logp == pytest.approx(gaussian_log_prob(action, mean, -2.0), abs=1e-12)
+    if kind == "pid":
+        assert actor.params.bias == 0.25
+        assert actor.params.log_std == -2.0

@@ -40,6 +40,13 @@ CASES = {
         "3f5938615875f2395e919364ea12e9252af2e17cb49a05d3a2441cb4f442a512",
         "7395d30e290251aa5db090539c7b8a3dda34b07ae4bc0a26998ec98e6bc244d0",
     ),
+    # nine seeds: here a compensated sum would change mean_sdf in the last bit
+    "tune-pid-9": (
+        ["tune-pid", "--seeds", "1,2,3,4,5,6,7,8,9"],
+        "gains.json",
+        "af9dddb11aee2045553eb006a39bca809d26b63226df41f3f467cb0e03d4b0d4",
+        "ef7947e7d588ca11d15455d55dd84583b995fb59191745c97a3ba56e62428ee2",
+    ),
     "simulate": (
         ["simulate", "--gains", "{gains}", "--seed", "0"],
         "trace.csv",

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spillreg import gradnet
-from spillreg.errors import ShapeError, UsageError
+from spillreg.errors import CheckpointError, DivergenceError, ShapeError, UsageError
 from spillreg.gradnet import (
     ACTIVATIONS,
     AdamState,
@@ -20,6 +24,7 @@ from spillreg.gradnet import (
     net_from_dict,
     net_to_dict,
     optimizer_for,
+    optimizer_step,
     sgd_step,
 )
 from spillreg.rng import Xoshiro256StarStar
@@ -76,7 +81,7 @@ def test_backward_matches_finite_differences():
     loss, tape = scalar_loss(net, x, probe)
     grads = backward(net, tape, probe)
     h = 1e-6
-    for p, g in zip(net.parameters(), grads.params):
+    for p, g in zip(net.parameters(), net.unflatten(grads.flat)):
         flat_p = p.reshape(-1)
         flat_g = g.reshape(-1)
         for idx in range(flat_p.size):
@@ -167,65 +172,191 @@ def test_net_round_trip_is_exact():
 
 def test_sgd_step_exact():
     opt = SgdState(lr=0.1)
-    params = [np.array([1.0, 2.0])]
-    grads = [np.array([0.5, -1.0])]
-    out = sgd_step(opt, params, grads)
-    assert np.allclose(out[0], [0.95, 2.1], atol=0.0)
+    params = np.array([1.0, 2.0])
+    sgd_step(opt, params, np.array([0.5, -1.0]))
+    assert np.allclose(params, [0.95, 2.1], atol=0.0)
     assert opt.step == 1
 
 
 def test_adam_first_step_is_signed_lr():
     # with zero moments, m-hat = g and v-hat = g^2, so the move is
     # lr * g / (|g| + eps) which is lr * sign(g) up to eps
-    opt = AdamState(lr=0.01, m=[np.zeros(3)], v=[np.zeros(3)])
-    params = [np.array([1.0, -1.0, 0.5])]
-    grads = [np.array([10.0, -0.001, 2.0])]
-    out = adam_step(opt, params, grads)
-    assert np.allclose(out[0], [1.0 - 0.01, -1.0 + 0.01, 0.5 - 0.01], atol=1e-6)
+    params = np.array([1.0, -1.0, 0.5])
+    opt = optimizer_for("adam", params, 0.01)
+    adam_step(opt, params, np.array([10.0, -0.001, 2.0]))
+    assert np.allclose(params, [1.0 - 0.01, -1.0 + 0.01, 0.5 - 0.01], atol=1e-6)
 
 
 def test_adam_zero_gradient_is_a_fixed_point():
-    opt = AdamState(lr=0.1, m=[np.zeros(2)], v=[np.zeros(2)])
-    params = [np.array([3.0, -4.0])]
-    out = adam_step(opt, params, [np.zeros(2)])
-    assert np.array_equal(out[0], [3.0, -4.0])
+    params = np.array([3.0, -4.0])
+    opt = optimizer_for("adam", params, 0.1)
+    adam_step(opt, params, np.zeros(2))
+    assert np.array_equal(params, [3.0, -4.0])
 
 
 def test_adam_descends_a_quadratic():
-    opt = AdamState(lr=0.05, m=[np.zeros(1)], v=[np.zeros(1)])
-    params = [np.array([2.0])]
+    params = np.array([2.0])
+    opt = optimizer_for("adam", params, 0.05)
     for _ in range(500):
-        adam_step(opt, params, [2.0 * params[0]])
-    assert abs(params[0][0]) < 0.05
+        adam_step(opt, params, 2.0 * params)
+    assert abs(params[0]) < 0.05
 
 
 def test_adam_serialize_resume_matches_uninterrupted():
-    def run(steps, opt, params):
-        rng = np.random.default_rng(3)
-        for _ in range(steps):
-            adam_step(opt, params, [rng.normal(size=2)])
-        return rng
+    views = [np.zeros(2)]  # layout of the single parameter array
 
-    opt_a = AdamState(lr=0.01, m=[np.zeros(2)], v=[np.zeros(2)])
-    p_a = [np.array([1.0, -1.0])]
-    run(10, opt_a, p_a)
+    p_a = np.array([1.0, -1.0])
+    opt_a = optimizer_for("adam", p_a, 0.01)
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        adam_step(opt_a, p_a, rng.normal(size=2))
 
-    opt_b = AdamState(lr=0.01, m=[np.zeros(2)], v=[np.zeros(2)])
-    p_b = [np.array([1.0, -1.0])]
+    p_b = np.array([1.0, -1.0])
+    opt_b = optimizer_for("adam", p_b, 0.01)
     rng = np.random.default_rng(3)
     for _ in range(5):
-        adam_step(opt_b, p_b, [rng.normal(size=2)])
-    restored = adam_from_dict(adam_to_dict(opt_b), p_b)
+        adam_step(opt_b, p_b, rng.normal(size=2))
+    restored = adam_from_dict(adam_to_dict(opt_b, views), views)
     for _ in range(5):
-        adam_step(restored, p_b, [rng.normal(size=2)])
-    assert np.array_equal(p_a[0], p_b[0])
+        adam_step(restored, p_b, rng.normal(size=2))
+    assert np.array_equal(p_a, p_b)
 
 
 def test_optimizer_for_dispatch():
-    params = [np.zeros(2)]
-    state, step_fn = optimizer_for("adam", params, 1e-3)
-    assert isinstance(state, AdamState) and step_fn is adam_step
-    state, step_fn = optimizer_for("sgd", params, 1e-3)
-    assert isinstance(state, SgdState) and step_fn is sgd_step
+    params = np.zeros(2)
+    state = optimizer_for("adam", params, 1e-3)
+    assert isinstance(state, AdamState) and state.m.shape == state.v.shape == (2,)
+    assert isinstance(optimizer_for("sgd", params, 1e-3), SgdState)
     with pytest.raises(ShapeError):
         optimizer_for("rmsprop", params, 1e-3)
+
+
+# --- flat layout -------------------------------------------------------------
+
+def test_net_parameters_are_views_of_flat():
+    net = small_net(seed=2)
+    params = net.parameters()
+    assert np.array_equal(np.concatenate([p.ravel() for p in params]), net.flat)
+    for p, layer_array in zip(params, [a for l in net.layers for a in (l.weight, l.bias)]):
+        assert np.shares_memory(p, net.flat) and np.shares_memory(layer_array, net.flat)
+    # storage passed in is used, not copied
+    storage = np.zeros(net.param_count + 3)
+    placed = gradnet.DenseNet(net.layers, storage[1:-2])
+    assert placed.flat.base is storage and np.array_equal(storage[1:-2], net.flat)
+    with pytest.raises(ShapeError):
+        gradnet.DenseNet(net.layers, storage)
+
+
+def test_writes_through_parameters_change_forward():
+    net = small_net(seed=3)
+    x = np.array([0.3, -0.2, 0.9])
+    before, _ = forward(net, x)
+    net.parameters()[-1][0] += 0.5  # output bias
+    after, _ = forward(net, x)
+    assert after[0] == pytest.approx(before[0] + 0.5, abs=1e-12)
+    assert after[1] == before[1]
+    net.flat[:] = 0.0
+    zero, _ = forward(net, x)
+    assert np.array_equal(zero, np.zeros(2))
+
+
+def test_backward_flat_is_laid_out_like_the_parameters():
+    net = small_net(seed=5)
+    x = np.random.default_rng(4).normal(size=(3, 3))
+    _, tape = forward(net, x)
+    grads = backward(net, tape, np.ones((3, 2)))
+    assert grads.flat.shape == net.flat.shape
+    w0, b0, w1, b1 = net.unflatten(grads.flat)
+    # output layer is identity: dL/db1 = sum over the batch of ones, dL/dW1 = sum of hidden outputs
+    assert b1.tolist() == [3.0, 3.0]
+    assert np.allclose(w1, np.tile(tape.outputs[0].sum(axis=0), (2, 1)), rtol=1e-12, atol=0.0)
+
+
+# --- flat optimizers against the per-array reference ------------------------------
+
+def reference_adam(m, v, step, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-array Adam loop the flat optimizer replaced, kept as a reference."""
+    step += 1
+    bc1 = 1.0 - beta1 ** step
+    bc2 = 1.0 - beta2 ** step
+    for p, g, mi, vi in zip(params, grads, m, v):
+        mi *= beta1
+        mi += (1.0 - beta1) * g
+        vi *= beta2
+        vi += (1.0 - beta2) * (g * g)
+        p -= lr * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
+    return step
+
+
+array_shapes = st.lists(
+    st.one_of(
+        st.tuples(st.integers(1, 7)),
+        st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes=array_shapes, steps=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       lr=st.sampled_from([1e-4, 1e-2, 0.3]))
+def test_flat_optimizers_equal_per_array_reference(shapes, steps, seed, lr):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4) for shape in shapes]
+    flat_adam = np.concatenate([a.ravel() for a in arrays])
+    flat_sgd = flat_adam.copy()
+    ref_adam = [a.copy() for a in arrays]
+    ref_sgd = [a.copy() for a in arrays]
+    adam = optimizer_for("adam", flat_adam, lr)
+    sgd = optimizer_for("sgd", flat_sgd, lr)
+    m = [np.zeros(shape) for shape in shapes]
+    v = [np.zeros(shape) for shape in shapes]
+    ref_step = 0
+    for _ in range(steps):
+        grads = [rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6) for shape in shapes]
+        flat_grads = np.concatenate([g.ravel() for g in grads])
+        optimizer_step(adam, flat_adam, flat_grads)
+        optimizer_step(sgd, flat_sgd, flat_grads)
+        ref_step = reference_adam(m, v, ref_step, ref_adam, grads, lr)
+        for p, g in zip(ref_sgd, grads):
+            p -= lr * g
+    assert adam.step == sgd.step == ref_step == steps
+    for flat, ref in ((flat_adam, ref_adam), (flat_sgd, ref_sgd)):
+        assert flat.tobytes() == np.concatenate([p.ravel() for p in ref]).tobytes()
+    assert adam.m.tobytes() == np.concatenate([a.ravel() for a in m]).tobytes()
+    assert adam.v.tobytes() == np.concatenate([a.ravel() for a in v]).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["adam", "sgd"])
+def test_optimizers_reject_bad_gradients_without_moving(kind):
+    params = np.array([1.0, 2.0, 3.0])
+    opt = optimizer_for(kind, params, 0.1)
+    with pytest.raises(DivergenceError) as info:
+        optimizer_step(opt, params, np.array([0.0, np.nan, np.inf]))
+    assert info.value.diagnostics == {"coordinate": 1}
+    with pytest.raises(ShapeError):
+        optimizer_step(opt, params, np.zeros(2))
+    assert params.tolist() == [1.0, 2.0, 3.0] and opt.step == 0
+
+
+def test_adam_dict_round_trip_keeps_per_array_lists():
+    net = small_net(seed=1)
+    opt = optimizer_for("adam", net.flat, 0.01)
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        adam_step(opt, net.flat, rng.normal(size=net.flat.shape))
+    data = adam_to_dict(opt, net.parameters())
+    assert set(data) == {"kind", "lr", "beta1", "beta2", "eps", "step", "m", "v"}
+    # one flat list per parameter array, as [W0, b0, W1, b1] of the net
+    assert [len(block) for block in data["m"]] == [15, 5, 10, 2]
+    assert [len(block) for block in data["v"]] == [15, 5, 10, 2]
+    assert data["m"][0] == opt.m[:15].tolist() and data["v"][3] == opt.v[-2:].tolist()
+    text = json.dumps(data, sort_keys=True)
+    restored = adam_from_dict(json.loads(text), net.parameters())
+    assert json.dumps(adam_to_dict(restored, net.parameters()), sort_keys=True) == text
+    assert restored.m.tobytes() == opt.m.tobytes() and restored.v.tobytes() == opt.v.tobytes()
+    with pytest.raises(CheckpointError):
+        adam_from_dict(data, net.parameters()[:-1])
+    with pytest.raises(CheckpointError):
+        adam_from_dict(dict(data, kind="sgd"), net.parameters())

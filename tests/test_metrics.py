@@ -20,6 +20,7 @@ from spillreg.metrics import (
     ema_reward,
     improvement,
     neg_sum_series,
+    ordered_mean,
     sdf,
 )
 
@@ -168,3 +169,10 @@ def test_improvement_report_dict_shape():
 
 def test_reward_kinds_registry():
     assert set(metrics.REWARD_KINDS) == {"neg_ema", "neg_sum"}
+
+
+def test_ordered_mean_adds_left_to_right():
+    # a compensated sum (math.fsum, builtin sum from Python 3.12) gives 0.5 here
+    assert ordered_mean([1.0, 1e100, 1.0, -1e100]) == 0.0
+    assert ordered_mean([0.1] * 10) == (((0.1 + 0.1) + 0.1) + 0.1 + 0.1 + 0.1 + 0.1 + 0.1 + 0.1 + 0.1) / 10
+    assert ordered_mean([2.5]) == 2.5

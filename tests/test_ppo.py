@@ -8,11 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
-from spillreg import metrics, ppo
+from spillreg import gradnet, metrics, ppo
 from spillreg.controllers import (
     PidGains,
     StateTracker,
-    StateVector,
     make_actor,
     pid_episode_records,
 )
@@ -47,8 +46,8 @@ from spillreg.spillsim import clamp_action, closed_loop
 GAINS = PidGains(kp=0.4, ki=0.3, kd=1e-5, dt=1e-4)
 
 
-def sv(*vals, variant="pid_act"):
-    return StateVector(variant, tuple(float(v) for v in vals))
+def sv(*vals):
+    return tuple(float(v) for v in vals)
 
 
 def fresh_actor(seed=0, kind="pid", variant="pid_act"):
@@ -120,34 +119,38 @@ def test_reward_config_validation_and_round_trip():
 # --- rollout buffer -----------------------------------------------------------
 
 def test_buffer_accumulates_and_finalizes():
-    buf = RolloutBuffer()
+    buf = RolloutBuffer(3, 4)
     buf.add(sv(0.1, 0.2, 3.0, 0.0), 0.1, -0.5, -0.2, False)
     buf.add(sv(0.0, 0.1, -1.0, 0.1), 0.2, -0.6, -0.1, True)
     assert len(buf) == 2
     buf.finalize(np.array([0.3, -0.2]))
-    assert buf.states.shape == (2, 4)
+    # every field is trimmed to the two transitions added
+    assert buf.states.tolist() == [[0.1, 0.2, 3.0, 0.0], [0.0, 0.1, -1.0, 0.1]]
     assert buf.actions.tolist() == [0.1, 0.2]
+    assert buf.log_probs.tolist() == [-0.5, -0.6]
     assert buf.dones.tolist() == [False, True]
     assert buf.rewards.tolist() == [-0.2, -0.1]
+    assert buf.values.tolist() == [0.3, -0.2]
 
 
 def test_buffer_rejects_nonfinite():
-    buf = RolloutBuffer()
+    buf = RolloutBuffer(2, 4)
     with pytest.raises(DivergenceError):
         buf.add(sv(0, 0, 0, 0), float("nan"), -0.5, -0.1, False)
     with pytest.raises(DivergenceError):
         buf.add(sv(0, 0, 0, 0), 0.1, -0.5, float("inf"), False)
+    assert len(buf) == 0
 
 
 def test_buffer_finalize_shape_guard():
-    buf = RolloutBuffer()
+    buf = RolloutBuffer(1, 4)
     buf.add(sv(0, 0, 0, 0), 0.1, -0.5, -0.1, True)
     with pytest.raises(UsageError):
         buf.finalize(np.zeros(3))
 
 
 def test_gae_requires_finalized_buffer():
-    buf = RolloutBuffer()
+    buf = RolloutBuffer(1, 4)
     buf.add(sv(0, 0, 0, 0), 0.1, -0.5, -0.1, True)
     with pytest.raises(UsageError):
         compute_gae(buf, 0.99, 0.95)
@@ -212,7 +215,7 @@ def test_deterministic_rollout_of_initial_actor_reproduces_pid(env_cfg, tuned_ga
 # --- GAE -------------------------------------------------------------------------
 
 def finalized_buffer(rewards, values, dones=None):
-    buf = RolloutBuffer()
+    buf = RolloutBuffer(len(rewards), 4)
     n = len(rewards)
     dones = dones or [False] * (n - 1) + [True]
     for r, d in zip(rewards, dones):
@@ -366,10 +369,9 @@ def test_minibatch_gradients_match_finite_differences():
         steps=steps, horizon=n,
     )
     h = 1e-6
-    flat_params = [*actor.mean_params(), actor.log_std_arr, *critic.parameters()]
-    flat_grads = [*actor_grads, *critic_grads]
-    assert len(flat_params) == len(flat_grads)
-    for p, g in zip(flat_params, flat_grads):
+    assert actor_grads.shape == actor.flat.shape and critic_grads.shape == critic.flat.shape
+    pairs = [(actor.flat, actor_grads), *zip(critic.parameters(), critic.unflatten(critic_grads))]
+    for p, g in pairs:
         fp, fg = p.reshape(-1), np.asarray(g).reshape(-1)
         # subsample large critic matrices, check every actor coordinate
         idxs = range(fp.size) if fp.size <= 8 else rng.choice(fp.size, 8, replace=False)
@@ -413,8 +415,8 @@ def collected_buffer(env_cfg, actor, critic, seed=0):
 
 
 def opt_pair(actor, critic, cfg):
-    actor_opt = ppo._Opt(cfg.optimizer, [*actor.mean_params(), actor.log_std_arr], cfg.lr)
-    critic_opt = ppo._Opt(cfg.optimizer, critic.parameters(), cfg.lr)
+    actor_opt = gradnet.optimizer_for(cfg.optimizer, actor.flat, cfg.lr)
+    critic_opt = gradnet.optimizer_for(cfg.optimizer, critic.flat, cfg.lr)
     return actor_opt, critic_opt
 
 

@@ -133,6 +133,21 @@ def test_config_validation(kwargs):
         EnvConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("dt", math.inf),
+        ("ou_sigma", math.inf),
+        ("clamp_lo", -math.inf),
+        ("clamp_hi", math.inf),
+        ("action_bound", math.inf),
+    ],
+)
+def test_config_rejects_nonfinite_values(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+        EnvConfig(**{field: value})
+
+
 def test_config_round_trip(env_cfg):
     again = EnvConfig.from_dict(env_cfg.to_dict())
     assert again == env_cfg
