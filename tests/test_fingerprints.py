@@ -1,17 +1,20 @@
 """Pinned sha256 fingerprints of outputs that never pass through BLAS.
 
 Every value in these files comes from the package's own xoshiro256** stream,
-scalar Python float arithmetic (spillsim.closed_loop, used by simulate and
-the training curve) and elementwise numpy float64 operations without BLAS
-(the batched PID kernel controllers.pid_sdfs, used by tune-pid). IEEE 754
+scalar Python float arithmetic (spillsim.closed_loop, used by simulate, the
+training curve and the mean-action evaluation of a linear policy) and
+elementwise numpy float64 operations without BLAS (the batched PID kernel
+controllers.pid_sdfs, used by tune-pid and evaluate). IEEE 754
 fixes each of those results, so the bytes are the same on any platform and
 any numpy/BLAS build; CI reruns this file with numpy's dispatched SIMD
 loops turned off to check it. A change that alters one of these hashes
 changes the program's output and must say so.
 
 Outputs that depend on BLAS kernels (checkpoint.json, report.json and
-ablation.csv after a PPO update) are not pinned here: their last bits can
-differ between CPU kernels of one OpenBLAS build.
+ablation.csv after a PPO update, and anything an NN policy computes) are not
+pinned here: their last bits can differ between CPU kernels of one OpenBLAS
+build. evaluate of a linear policy never calls its critic, so the report of
+a hand-written linear checkpoint is pinned.
 """
 
 from __future__ import annotations
@@ -25,6 +28,24 @@ from spillreg.cli import EXIT_OK, MANIFEST_NAME, main
 
 # tune_pid on seeds 0-8 with the default config
 PINNED_GAINS = {"format_version": 1, "kp": 0.34375, "ki": 0.6, "kd": -8.750000000000001e-06, "dt": 1e-4}
+
+# a pid_act linear policy with a nonzero action weight and bias; evaluate
+# restores but never runs the (all-zero) critic
+LINEAR_CHECKPOINT = {
+    "format_version": 1,
+    "master_seed": 0,
+    "policy_variant": "pid",
+    "state_variant": "pid_act",
+    "actor": {
+        "format_version": 1, "kind": "linear", "variant": "pid_act",
+        "pid_weights": [0.5, 0.45, -6e-06], "action_weight": 0.25, "bias": 0.015, "log_std": -1.0,
+    },
+    "critic": {"layer_dims": [[1, 5]], "activations": ["identity"], "params": [[0.0] * 5, [0.0]]},
+    "gains": PINNED_GAINS,
+    "env": {},
+    "train": {},
+    "reward": {},
+}
 
 # (argv after the command's --out, data file, data sha256, manifest payload_sha256)
 CASES = {
@@ -47,6 +68,13 @@ CASES = {
         "af9dddb11aee2045553eb006a39bca809d26b63226df41f3f467cb0e03d4b0d4",
         "ef7947e7d588ca11d15455d55dd84583b995fb59191745c97a3ba56e62428ee2",
     ),
+    # relative paths: report.json and the manifest record the checkpoint path
+    "evaluate": (
+        ["evaluate", "--checkpoint", "checkpoint.json"],
+        "report.json",
+        "203b50def45d896fc55e21a07047ba1c34babaf094d535246a8c93ced6a94353",
+        "ae1b2b4f98ca47026517e0d86b97db77e93930d633adee9852f3ac108fa278b9",
+    ),
     "simulate": (
         ["simulate", "--gains", "{gains}", "--seed", "0"],
         "trace.csv",
@@ -57,10 +85,12 @@ CASES = {
 
 
 @pytest.mark.parametrize("command", sorted(CASES))
-def test_output_fingerprint(tmp_path, command):
+def test_output_fingerprint(tmp_path, monkeypatch, command):
     argv, data_file, data_sha, payload_sha = CASES[command]
+    monkeypatch.chdir(tmp_path)
     gains = tmp_path / "gains.json"
     gains.write_text(json.dumps(PINNED_GAINS), encoding="utf-8")
+    (tmp_path / "checkpoint.json").write_text(json.dumps(LINEAR_CHECKPOINT), encoding="utf-8")
     out = tmp_path / "out"
     argv = [a.format(gains=gains) for a in argv] + ["--out", str(out)]
     assert main(argv) == EXIT_OK
