@@ -49,7 +49,6 @@ VARIANT_PID_ACT = "pid_act"  # [P, I, D, Act]
 VARIANT_PID3 = "pid3"  # [P, I, D]
 VARIANT_CD_OVER = "cd_over"  # [CD, Over1, P, Act]
 
-STATE_VARIANTS = (VARIANT_PID_ACT, VARIANT_PID3, VARIANT_CD_OVER)
 STATE_DIMS = {VARIANT_PID_ACT: 4, VARIANT_PID3: 3, VARIANT_CD_OVER: 4}
 STATE_LABELS = {
     VARIANT_PID_ACT: "P,I,D,Act",
@@ -237,7 +236,10 @@ def tune_pid(config: EnvConfig, seeds: list[int], grid: GainGrid = DEFAULT_GAIN_
     coordinate-descent pass: 3 rounds over the axes, probing +-step with the
     step halved each round (initial step = half the axis spacing). Ties are
     broken toward the smallest (|kp|, |ki|, |kd|) lexicographically. The grid
-    pass is one pid_sdfs call; each probe is one call over the seeds.
+    pass is one pid_sdfs call. Before each round, pidbatch.score_round scores
+    every point the round could probe, under any outcome of its decisions,
+    in one batched call; the probes then run in order on that cache, and a
+    probe it could not vouch for runs on its own as before.
     """
     if not seeds:
         raise ConfigError("tune_pid needs a non-empty seed list")
@@ -245,7 +247,7 @@ def tune_pid(config: EnvConfig, seeds: list[int], grid: GainGrid = DEFAULT_GAIN_
 
     def mean_sdf(point: tuple[float, float, float]) -> float:
         if point not in cache:
-            gains = PidGains(point[0], point[1], point[2], dt=config.dt)
+            gains = PidGains(*point, dt=config.dt)
             cache[point] = metrics.ordered_mean(pid_seed_sdfs(config, seeds, gains))
         return cache[point]
 
@@ -267,6 +269,7 @@ def tune_pid(config: EnvConfig, seeds: list[int], grid: GainGrid = DEFAULT_GAIN_
 
     steps = [_axis_step(grid.kp), _axis_step(grid.ki), _axis_step(grid.kd)]
     for rnd in range(1, 4):
+        pidbatch.score_round(config, seeds, best, [s / (2.0 ** rnd) for s in steps], cache)
         for axis in range(3):
             h = steps[axis] / (2.0 ** rnd)
             if h == 0.0:
@@ -278,7 +281,7 @@ def tune_pid(config: EnvConfig, seeds: list[int], grid: GainGrid = DEFAULT_GAIN_
                 score = mean_sdf(point)
                 if score > best_score or (score == best_score and magnitude(point) < magnitude(best)):
                     best, best_score = point, score
-    return PidGains(best[0], best[1], best[2], dt=config.dt)
+    return PidGains(*best, dt=config.dt)
 
 
 # --- state features ---------------------------------------------------------
@@ -437,12 +440,13 @@ class LinearActor:
         self.flat[:dim] *= self._scales
         self._w, self._bias, self.log_std_arr = gradnet.split(self.flat, [(dim,), (1,), (1,)])
 
-    def _coefs(self) -> list[float]:
+    def coefs(self) -> list[float]:
+        """The live (weights..., bias) as plain floats, unscaled exactly."""
         return (self.flat[:-1] / self._unscale).tolist()
 
     @property
     def params(self) -> PolicyParams:
-        *w, bias = self._coefs()
+        *w, bias = self.coefs()
         return PolicyParams(
             pid_weights=(w[0], w[1], w[2]),
             action_weight=w[3] if self.state_dim == 4 else 0.0,
@@ -451,7 +455,7 @@ class LinearActor:
         )
 
     def mean(self, state: tuple[float, ...]) -> float:
-        *w, bias = self._coefs()
+        *w, bias = self.coefs()
         return policy_mean(w, bias, state)
 
     def sample(self, state: tuple[float, ...], rng: Xoshiro256StarStar) -> tuple[float, float]:

@@ -15,9 +15,9 @@ tracking error e_t = |x_t - reference|:
               seeded with EMA_{-1} = 0
     neg_sum   r_t = -(1 / steps_per_episode) * sum_{tau <= t} e_tau
 
-The recursive EMA has the closed form sum_{tau<=t} alpha*(1-alpha)^(t-tau)*e_tau,
-which ema_direct_oracle() evaluates by direct summation as an independent
-cross-check of the recursion.
+The recursive EMA has the closed form sum_{tau<=t} alpha*(1-alpha)^(t-tau)*e_tau;
+the tests evaluate it by direct summation as an independent cross-check of
+the recursion.
 """
 
 from __future__ import annotations
@@ -79,44 +79,12 @@ def ema_reward(errors: Sequence[float], alpha: float) -> list[float]:
     return rewards
 
 
-def ema_direct_oracle(errors: Sequence[float], alpha: float, t: int) -> float:
-    """EMA_t evaluated by direct summation: sum_{tau<=t} alpha*(1-alpha)^(t-tau)*e_tau.
-
-    Independent of the recursion in ema_reward(); intended as a test oracle.
-    Returns the positive EMA value (the reward at t is its negation).
-    """
-    _check_alpha(alpha)
-    if not 0 <= t < len(errors):
-        raise InputError(f"t={t} outside the error series of length {len(errors)}")
-    e = np.asarray(errors[: t + 1], dtype=np.float64)
-    # powers (1-alpha)^(t-tau) for tau = 0..t, with 0^0 = 1 so alpha=1 works
-    decay = np.power(1.0 - alpha, np.arange(t, -1, -1, dtype=np.float64))
-    return float(alpha * np.dot(decay, e))
-
-
-def ema_direct_series(errors: Sequence[float], alpha: float) -> np.ndarray:
-    """All EMA_t values by direct summation, vectorized over t.
-
-    Equivalent to [ema_direct_oracle(errors, alpha, t) for t in range(T)]
-    but built from one lower-triangular weight matrix so long batches stay
-    inside the acceptance-suite time budget.
-    """
-    _check_alpha(alpha)
-    e = np.asarray(errors, dtype=np.float64)
-    t_len = e.shape[0]
-    if t_len == 0:
-        return np.zeros(0)
-    lag = np.arange(t_len)[:, None] - np.arange(t_len)[None, :]
-    weights = np.where(lag >= 0, np.power(1.0 - alpha, np.maximum(lag, 0)), 0.0)
-    return alpha * (weights @ e)
-
-
 class RewardAccumulator:
     """Incremental per-step reward tracker used while an episode unfolds.
 
     push() consumes one absolute error and returns the reward for that step.
-    The offline series helpers above must reproduce the pushed sequence
-    exactly; tests rely on that equivalence.
+    The offline series (ema_reward here, the direct sums of the tests) must
+    reproduce the pushed sequence exactly; tests rely on that equivalence.
     """
 
     def __init__(self, kind: str, alpha: float, steps_per_episode: int):
@@ -139,19 +107,6 @@ class RewardAccumulator:
             return -self._ema
         self._running_sum += error
         return -self.scale * self._running_sum
-
-
-def neg_sum_series(errors: Sequence[float], steps_per_episode: int) -> list[float]:
-    """Offline neg_sum reward series matching RewardAccumulator('neg_sum', ...)."""
-    if steps_per_episode < 1:
-        raise InputError("steps_per_episode must be >= 1")
-    scale = 1.0 / steps_per_episode
-    out = []
-    total = 0.0
-    for e in errors:
-        total += e
-        out.append(-scale * total)
-    return out
 
 
 def ordered_mean(values: Sequence[float]) -> float:

@@ -1,18 +1,21 @@
-"""Vectorized arithmetic of the batched PID kernel (controllers.pid_sdfs).
+"""Vectorized arithmetic of the batched closed-loop kernel.
 
-batch_sdfs steps blocks of closed-loop PID episodes, one row per (gain point,
+batch_sdfs steps blocks of closed-loop episodes, one row per (controller,
 seed) pair, together through the memoized raw traces with elementwise
-float64 numpy operations, in the order of spillsim.closed_loop,
-controllers.ErrorTracker and controllers.pid_update, and reduces each row's
-variance as metrics.sdf does, so every row it marks exact equals the scalar
-path bit for bit. controllers.pid_sdfs recomputes the other rows with the
-scalar path.
+float64 numpy operations, and reduces each row's variance as metrics.sdf
+does. A controller is a PID point (controllers.pid_sdfs, in the order of
+spillsim.closed_loop, controllers.ErrorTracker and controllers.pid_update)
+or the coefficients of a linear policy head over the P, I, D features
+(ppo.actor_sdfs, in the order of controllers.StateTracker and
+controllers.policy_mean). Every row it marks exact equals the scalar path
+bit for bit; the callers recompute the other rows with the scalar path.
+
+score_round scores a whole tune_pid refinement round in one batch_sdfs call.
 
 This code is a module of its own because every process that runs without
-cached bytecode compiles the package from source, and CPython 3.11's
-compile memory steps up at token-count thresholds; controllers sits just
-below one (about 4096 tokens). With this code inside controllers a tune-pid
-process peaked about 0.2 MB higher.
+cached bytecode compiles the package from source, and the compile memory of
+the largest module (controllers) sets such a process's peak RSS. With the
+kernel inside controllers a tune-pid process peaked about 0.2 MB higher.
 """
 
 from __future__ import annotations
@@ -21,29 +24,42 @@ import math
 
 import numpy as np
 
+from . import metrics
 from .errors import ConfigError
 from .spillsim import EnvConfig, run_raw_episode
 
-# Bytes of trace one pass keeps live: the points of a call run in blocks of
-# as many (point, seed) rows as fit (72 rows at the default 430 steps and 9
-# seeds), which bounds the kernel's memory for any grid.
-PID_KERNEL_BYTES = 1 << 18
+# Bytes of trace one pass keeps live: the rows of a call run in blocks of as
+# many (row, seed) episodes as fit (33 rows at the default 430 steps and 9
+# seeds), which bounds the kernel's memory for any grid. A pass costs about
+# the same for 9 episodes as for 300 (430 steps of a dozen ufunc calls), so
+# fewer, fuller blocks are faster.
+PID_KERNEL_BYTES = 1 << 20
 
 
-def batch_sdfs(config: EnvConfig, seeds, points) -> tuple[np.ndarray, np.ndarray]:
-    """SDFs of every (point, seed) PID episode; returns (sdfs, exact).
+def batch_sdfs(config: EnvConfig, seeds, rows) -> tuple[np.ndarray, np.ndarray]:
+    """SDFs of every (row, seed) closed-loop episode; returns (sdfs, exact).
 
-    sdfs and exact have shape (len(points), len(seeds)). exact[i, j] is False
-    where the vectorized pass cannot vouch for sdfs[i, j]: the row's trace or
+    rows is a (n, k) array-like. A row of k = 3 is a PID point (kp, ki, kd),
+    whose decision is kp*P + ki*I + kd*D. A row of k = 4 or 5 holds a linear
+    policy head's coefficients as LinearActor.coefs() gives them, over the
+    pid3 features (w_P, w_I, w_D, bias) or the pid_act features (w_P, w_I,
+    w_D, w_Act, bias); its decision is policy_mean's left-to-right sum, Act
+    being the action applied to the current sample. Non-finite rows raise
+    ConfigError.
+
+    sdfs and exact have shape (n, len(seeds)). exact[i, j] is False where
+    the vectorized pass cannot vouch for sdfs[i, j]: the row's trace or
     error sum went non-finite, or, for every row, the derivative term could
     overflow ((clamp_hi - clamp_lo) / dt near the float range) or an episode
     is shorter than two steps.
     """
-    gain_rows = np.array(points, dtype=np.float64).reshape(-1, 3)
-    if not np.isfinite(gain_rows).all():
+    rows = np.array(rows, dtype=np.float64)
+    if rows.ndim == 1:  # no rows, or one flat PID point
+        rows = rows.reshape(-1, 3)
+    if not np.isfinite(rows).all():
         raise ConfigError("gain points must be finite")
     steps = config.steps_per_episode
-    sdfs = np.empty((len(gain_rows), len(seeds)))
+    sdfs = np.empty((len(rows), len(seeds)))
     exact = np.zeros(sdfs.shape, dtype=bool)
     # with finite samples, |D| stays below 2 * (clamp_hi - clamp_lo) / dt plus rounding
     d_bound = 4.0 * (config.clamp_hi - config.clamp_lo) / config.dt
@@ -53,25 +69,29 @@ def batch_sdfs(config: EnvConfig, seeds, points) -> tuple[np.ndarray, np.ndarray
     for j, seed in enumerate(seeds):
         raw[:, j] = run_raw_episode(config, seed)
     block = max(1, PID_KERNEL_BYTES // (8 * steps * len(seeds)))
-    for start in range(0, len(gain_rows), block):
+    for start in range(0, len(rows), block):
         stop = start + block
-        sdfs[start:stop], exact[start:stop] = _block_sdfs(config, raw, gain_rows[start:stop])
+        sdfs[start:stop], exact[start:stop] = _block_sdfs(config, raw, rows[start:stop])
     return sdfs, exact
 
 
 def _block_sdfs(config: EnvConfig, raw: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """SDFs of the PID episodes of every (row, seed) pair; returns (sdfs, exact).
+    """SDFs of the episodes of every (row, seed) pair; returns (sdfs, exact).
 
-    raw is the (steps, n_seeds) array of raw traces and rows the (kp, ki, kd)
-    points. exact[i, j] is False where the trace or the error sum went
+    raw is the (steps, n_seeds) array of raw traces and rows the batch_sdfs
+    rows. exact[i, j] is False where the trace or the error sum went
     non-finite; sdfs[i, j] means nothing there. Inside, row b * n_seeds + j
-    is point b on seed j, and every operand is a full-length array, because
+    is row b on seed j, and every operand is a full-length array, because
     at these sizes a ufunc call with a broadcast or Python float operand
-    costs about twice one over equal-shape arrays.
+    costs about twice one over equal-shape arrays. Only linear-head rows pay
+    for the w_Act*Act and bias terms.
     """
     steps, n_seeds = raw.shape
     n = len(rows) * n_seeds
-    kp, ki, kd = (np.repeat(rows[:, k], n_seeds) for k in range(3))
+    coefs = [np.repeat(rows[:, k], n_seeds) for k in range(rows.shape[1])]
+    kp, ki, kd = coefs[:3]
+    act_w = coefs[3] if len(coefs) == 5 else None
+    bias = coefs[-1] if len(coefs) > 3 else None
     lo, hi, ref, dt, bound, neg_bound = (
         np.full(n, v)
         for v in (config.clamp_lo, config.clamp_hi, config.reference, config.dt,
@@ -81,7 +101,7 @@ def _block_sdfs(config: EnvConfig, raw: np.ndarray, rows: np.ndarray) -> tuple[n
     action = np.zeros(n)
     err, prev_err, err_sum = np.empty(n), np.empty(n), np.zeros(n)
     diff_rate = np.zeros(n)  # 0 at t = 0
-    term = np.empty(n)
+    term, act_term = np.empty(n), np.empty(n)
     # overflow and NaN stay silent, as in Python floats; such rows go to the scalar path
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
@@ -94,18 +114,57 @@ def _block_sdfs(config: EnvConfig, raw: np.ndarray, rows: np.ndarray) -> tuple[n
             if t:
                 np.subtract(err, prev_err, out=diff_rate)
                 np.divide(diff_rate, dt, out=diff_rate)
-            # kp*P + ki*I + kd*D, summed left to right as pid_update does
+            if act_w is not None:  # Act is the action applied to x, before it is replaced
+                np.multiply(act_w, action, out=act_term)
+            # kp*P + ki*I + kd*D (+ w_Act*Act) (+ bias), summed left to right
+            # as pid_update and policy_mean do
             np.multiply(kp, err, out=action)
             np.multiply(ki, err_sum, out=term)
             np.add(action, term, out=action)
             np.multiply(kd, diff_rate, out=term)
             np.add(action, term, out=action)
+            if act_w is not None:
+                np.add(action, act_term, out=action)
+            if bias is not None:
+                np.add(action, bias, out=action)
             np.maximum(action, neg_bound, out=action)
             np.minimum(action, bound, out=action)
             err, prev_err = prev_err, err
-        # metrics.sdf's reduction: np.var of one contiguous 1-D trace per row;
-        # a non-finite sample makes the row's variance NaN
-        var = np.array([np.var(trace[:, i].copy()) for i in range(n)])
+        # metrics.sdf's reduction: np.var over each episode's trace, laid out
+        # contiguously so that it reduces with the pairwise sum of one 1-D
+        # trace; one row's seeds at a time, so the copies stay small. A
+        # non-finite sample makes the episode's variance NaN.
+        var = np.concatenate([
+            np.var(np.ascontiguousarray(trace[:, i:i + n_seeds].T), axis=1) for i in range(0, n, n_seeds)
+        ])
     exact = np.isfinite(var) & np.isfinite(err_sum)
     shape = (len(rows), n_seeds)
     return (1.0 / (1.0 + var)).reshape(shape), exact.reshape(shape)
+
+
+def score_round(config: EnvConfig, seeds, best, hs, cache: dict) -> None:
+    """Cache the mean SDF of every point a tune_pid refinement round could probe.
+
+    The round probes, axis by axis with h = hs[axis] (skipping h == 0),
+    best[axis] - h and then best[axis] + h, and either probe may become the
+    new best. The points are listed for every such outcome with the round's
+    own float ops, so (b - h) + h is a point of its own where it differs
+    from b. Those finite and not yet cached are scored in one batch_sdfs
+    call, and the ones exact on every seed are cached (ordered_mean over
+    the seeds). A visited point left uncached takes tune_pid's scalar
+    fallback; an unvisited one is never looked at, so it cannot raise.
+    """
+    bests = {best: None}  # every point the round's best could be, in first-seen order
+    for axis, h in enumerate(hs):
+        if h == 0.0:
+            continue
+        for delta in (-h, h):
+            for point in list(bests):
+                cand = list(point)
+                cand[axis] += delta
+                bests.setdefault(tuple(cand))
+    todo = [p for p in bests if p not in cache and all(map(math.isfinite, p))]
+    sdfs, exact = batch_sdfs(config, seeds, todo)
+    for point, row, ok in zip(todo, sdfs.tolist(), exact.all(axis=1)):
+        if ok:
+            cache[point] = metrics.ordered_mean(row)

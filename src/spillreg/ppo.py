@@ -31,9 +31,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import gradnet, metrics
+from . import gradnet, metrics, pidbatch
 from .controllers import (
     STATE_DIMS,
+    VARIANT_CD_OVER,
     LinearActor,
     NnActor,
     PidGains,
@@ -339,22 +340,6 @@ def _minibatch_step(actor, critic, states, actions, logp_old, advantages, return
     return LossReport(actor_loss, value_loss, entropy, clip_fraction), actor_grads, critic_grads
 
 
-def surrogate_losses(
-    actor, critic, states, actions, logp_old, advantages, returns, cfg,
-    steps=None, horizon=None,
-) -> LossReport:
-    """Loss components only, via the same code path ppo_update optimizes."""
-    states = np.asarray(states, dtype=np.float64)
-    n = states.shape[0]
-    arrays = [np.asarray(a, dtype=np.float64) for a in (actions, logp_old, advantages, returns)]
-    components, _, _ = _minibatch_step(
-        actor, critic, states, *arrays, cfg,
-        steps=np.arange(n) if steps is None else np.asarray(steps),
-        horizon=n if horizon is None else horizon,
-    )
-    return components
-
-
 def ppo_update(
     actor,
     critic: gradnet.DenseNet,
@@ -409,6 +394,22 @@ def evaluate_actor_sdf(env_cfg: EnvConfig, actor, seed: int) -> float:
     return metrics.sdf(corrected).sdf
 
 
+def actor_sdfs(env_cfg: EnvConfig, actor, seeds: tuple[int, ...]) -> list[float]:
+    """Mean-action SDF of actor on each seed, in seed order.
+
+    A finite LinearActor over P, I, D (pid_act, pid3) runs every seed in one
+    pass of the batched kernel (pidbatch.batch_sdfs). Seeds that pass cannot
+    vouch for, and any other actor, run evaluate_actor_sdf, which raises the
+    scalar path's errors.
+    """
+    sdfs, exact = [0.0] * len(seeds), [False] * len(seeds)
+    linear = isinstance(actor, LinearActor) and actor.variant != VARIANT_CD_OVER
+    if linear and np.isfinite(actor.flat[:-1]).all():
+        rows, ok = pidbatch.batch_sdfs(env_cfg, seeds, [actor.coefs()])
+        sdfs, exact = rows[0].tolist(), ok[0]
+    return [s if e else evaluate_actor_sdf(env_cfg, actor, seed) for seed, s, e in zip(seeds, sdfs, exact)]
+
+
 def build_report(
     env_cfg: EnvConfig,
     gains: PidGains,
@@ -417,12 +418,13 @@ def build_report(
 ) -> ImprovementReport:
     """Per-seed noise/PID/RL SDF comparison, in seed order."""
     report = ImprovementReport()
-    for seed, sdf_pid in zip(seeds, pid_seed_sdfs(env_cfg, seeds, gains)):
+    pid, rl = pid_seed_sdfs(env_cfg, seeds, gains), actor_sdfs(env_cfg, actor, seeds)
+    for seed, sdf_pid, sdf_rl in zip(seeds, pid, rl):
         report.add(SeedResult(
             seed=seed,
             sdf_noise=metrics.sdf(run_raw_episode(env_cfg, seed)).sdf,
             sdf_pid=sdf_pid,
-            sdf_rl=evaluate_actor_sdf(env_cfg, actor, seed),
+            sdf_rl=sdf_rl,
         ))
     return report
 

@@ -31,11 +31,13 @@ memoized raw trace, applies each decision one step late, clamps the
 corrected sample to [clamp_lo, clamp_hi] and the decision to +-action_bound,
 and hands every sample to a controller callback. Its arithmetic is step()'s,
 so its traces equal a reset()/step() loop bit for bit. Single episodes
-(simulate, the per-iteration training curve, mean-action evaluation, PPO
-rollouts) run through it. controllers.pid_sdfs replays the same memo for
-many PID episodes at once with elementwise numpy float64 operations in
-closed_loop's order; tune_pid and the per-seed PID SDFs of tune-pid and
-the training report use that batched kernel.
+(simulate, the per-iteration training curve, PPO rollouts, and the
+mean-action evaluation the kernel below cannot take) run through it.
+pidbatch.batch_sdfs replays the same memo for many PID or linear-policy
+episodes at once with elementwise numpy float64 operations in
+closed_loop's order; tune_pid, the per-seed PID SDFs of tune-pid and of
+the report, and the report's SDFs of a linear policy over P, I, D use that
+batched kernel.
 
 Note on defaults: ou_sigma was calibrated upward (see its field comment) so
 that the unregulated signal starts below the operational SDF target of 0.6,

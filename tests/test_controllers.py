@@ -7,14 +7,20 @@ exhaustive sweep of its own grid.
 
 from __future__ import annotations
 
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from oracles import sequential_tune_pid
+from spillreg import controllers, pidbatch, ppo
 from spillreg.controllers import (
+    DEFAULT_GAIN_GRID,
     FEATURE_SCALES,
     LOG_STD_MAX,
     LOG_STD_MIN,
@@ -41,11 +47,12 @@ from spillreg.controllers import (
     run_pid_episode,
     tune_pid,
 )
-from spillreg.errors import ConfigError, InputError, InvalidActionError, ShapeError
-from spillreg.metrics import sdf
+from spillreg.errors import ConfigError, InputError, InvalidActionError, ShapeError, SpillRegError
+from spillreg.metrics import ordered_mean, sdf
 from spillreg.pidbatch import PID_KERNEL_BYTES
 from spillreg.rng import Xoshiro256StarStar
-from spillreg.spillsim import EnvConfig, clamp_action, run_raw_episode
+from spillreg.ppo import evaluate_actor_sdf
+from spillreg.spillsim import EnvConfig, clamp_action, closed_loop, run_raw_episode
 
 HAND_GAINS = PidGains(kp=0.5, ki=0.1, kd=0.01, dt=1e-4)
 
@@ -245,6 +252,271 @@ def test_pid_sdfs_short_episode_raises_like_sdf():
         sdf(run_pid_episode(cfg, 0, PidGains(0.5, 0.1, 0.0, dt=cfg.dt)))
     with pytest.raises(InputError):
         pid_sdfs(cfg, [0], [(0.5, 0.1, 0.0)])
+
+
+# --- batched refinement rounds against the sequential search ----------------
+
+# moderate gains: every kernel row is exact, so no probe needs the scalar path
+MODERATE_GAINS = st.one_of(st.floats(-1.5, 1.5), st.sampled_from([0.0, 0.25, 0.3, 0.6, 0.9, 1.0]))
+MODERATE_KD = st.one_of(st.floats(-3e-5, 3e-5), st.sampled_from([0.0, 1e-5, 2e-5]))
+
+
+@st.composite
+def gain_grids(draw):
+    def axis(values, default):
+        # the default axes have steps such as 0.9 / 4 = 0.225, where (b - h) + h != b;
+        # single-value axes have h = 0
+        return draw(st.one_of(st.just(default), st.lists(values, min_size=1, max_size=4, unique=True)))
+
+    return GainGrid(
+        kp=axis(MODERATE_GAINS, DEFAULT_GAIN_GRID.kp),
+        ki=axis(MODERATE_GAINS, DEFAULT_GAIN_GRID.ki),
+        kd=axis(MODERATE_KD, DEFAULT_GAIN_GRID.kd),
+    )
+
+
+# a raw trace flat at the reference scores every gain point 1.0: all ties
+FLAT_CONFIGS = st.builds(
+    EnvConfig, steps_per_episode=st.integers(2, 30), ripple_amps=st.just(()),
+    ripple_freqs=st.just(()), ou_sigma=st.just(0.0),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cfg=st.one_of(small_configs(), FLAT_CONFIGS),
+    seeds=st.lists(st.integers(min_value=0, max_value=2**32), min_size=1, max_size=3, unique=True),
+    grid=gain_grids(),
+)
+def test_tune_pid_matches_the_sequential_search(cfg, seeds, grid):
+    expected = sequential_tune_pid(cfg, seeds, grid)
+    # every probe the search makes was scored by its round's batch
+    with mock.patch.object(controllers, "pid_seed_sdfs", side_effect=AssertionError("probe outside its round")):
+        assert tune_pid(cfg, seeds, grid) == expected
+
+
+def outcome_points(best, hs):
+    """Every point the round can probe, found by running it under each outcome sequence."""
+    axes = [a for a in range(3) if hs[a] != 0.0]
+    points = set()
+    for improves in itertools.product((False, True), repeat=2 * len(axes)):
+        point, decisions = best, iter(improves)
+        for axis in axes:
+            for delta in (-hs[axis], hs[axis]):
+                cand = list(point)
+                cand[axis] += delta
+                points.add(tuple(cand))
+                if next(decisions):
+                    point = tuple(cand)
+    return points
+
+
+@pytest.mark.parametrize("best, hs", [
+    ((0.6, 0.6, 0.0), (0.125, 0.1125, 2.5e-06)),
+    ((0.1, 0.3, 1e-05), (0.0, 0.05625, 0.0)),
+    ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+])
+def test_score_round_scores_every_point_the_round_can_probe(best, hs):
+    cfg = EnvConfig(steps_per_episode=20)
+    cache = {best: 0.5}
+    pidbatch.score_round(cfg, [0, 3], best, hs, cache)
+    assert outcome_points(best, hs) <= set(cache)
+    assert cache[best] == 0.5
+    for point in set(cache) - {best}:
+        assert cache[point] == ordered_mean(scalar_sdfs(cfg, [0, 3], [point])[0])
+
+
+def test_score_round_skips_nonfinite_points():
+    cfg = EnvConfig(steps_per_episode=20)
+    best, hs = (1.7e308, 0.5, 0.0), (1e308, 0.25, 0.0)
+    cache = {}
+    pidbatch.score_round(cfg, [0], best, hs, cache)  # best + h overflows: no ConfigError
+    assert all(math.isfinite(v) for point in cache for v in point)
+    assert (1.7e308 - 1e308, 0.5, 0.0) in cache
+
+
+def test_tune_pid_reruns_a_visited_inexact_point_and_ignores_an_unvisited_one(monkeypatch):
+    cfg, seeds = EnvConfig(steps_per_episode=60), [0, 1]
+    grid_points = {(kp, ki, kd) for kp in DEFAULT_GAIN_GRID.kp for ki in DEFAULT_GAIN_GRID.ki
+                   for kd in DEFAULT_GAIN_GRID.kd}
+    visited = set()
+    reference_seed_sdfs = oracles.pid_seed_sdfs
+
+    def recording_seed_sdfs(config, seeds_, gains):
+        visited.add((gains.kp, gains.ki, gains.kd))
+        return reference_seed_sdfs(config, seeds_, gains)
+
+    monkeypatch.setattr(oracles, "pid_seed_sdfs", recording_seed_sdfs)
+    expected = sequential_tune_pid(cfg, seeds)
+
+    scored = []
+    real_batch = pidbatch.batch_sdfs
+
+    def recording_batch(config, seeds_, rows):
+        scored.extend(tuple(r) for r in rows)
+        return real_batch(config, seeds_, rows)
+
+    monkeypatch.setattr(pidbatch, "batch_sdfs", recording_batch)
+    assert tune_pid(cfg, seeds) == expected
+    unvisited = sorted(set(scored) - grid_points - visited)
+    assert unvisited and visited - grid_points <= set(scored)
+
+    # mark one unvisited and one visited probe inexact; the scalar fallback
+    # refuses the unvisited one, so it must never be looked at
+    never, probe = unvisited[0], sorted(visited - grid_points)[0]
+
+    def inexact_batch(config, seeds_, rows):
+        sdfs, exact = real_batch(config, seeds_, rows)
+        for i, row in enumerate(rows):
+            if tuple(row) in (never, probe):
+                exact[i] = False
+        return sdfs, exact
+
+    reruns = []
+    real_episode = controllers.run_pid_episode
+
+    def guarded_episode(config, seed, gains):
+        point = (gains.kp, gains.ki, gains.kd)
+        assert point != never, "scored an unvisited inexact point on the scalar path"
+        reruns.append(point)
+        return real_episode(config, seed, gains)
+
+    monkeypatch.setattr(pidbatch, "batch_sdfs", inexact_batch)
+    monkeypatch.setattr(controllers, "run_pid_episode", guarded_episode)
+    assert tune_pid(cfg, seeds) == expected
+    assert reruns == [probe] * len(seeds)
+
+
+def test_tune_pid_raises_like_the_sequential_search():
+    cfg = EnvConfig(steps_per_episode=40)
+    # ki*I and kd*D overflow to opposite infinities: a NaN action on the grid
+    nan_grid = GainGrid(kp=(0.5,), ki=(0.0, 1e308), kd=(0.0, -1e308))
+    # an infinite step: the first probe is not a finite gain
+    wide_grid = GainGrid(kp=(-1e308, 1e308), ki=(0.1,), kd=(0.0,))
+    for grid, error in ((nan_grid, InvalidActionError), (wide_grid, ConfigError)):
+        with pytest.raises(error):
+            sequential_tune_pid(cfg, [0], grid)
+        with pytest.raises(error):
+            tune_pid(cfg, [0], grid)
+
+
+def test_tune_pid_default_grid_takes_seven_kernel_passes(monkeypatch):
+    passes, calls = [], []
+    real_block, real_batch = pidbatch._block_sdfs, pidbatch.batch_sdfs
+
+    def counting_block(config, raw, rows):
+        passes.append(len(rows))
+        return real_block(config, raw, rows)
+
+    def counting_batch(config, seeds, rows):
+        calls.append(len(rows))
+        return real_batch(config, seeds, rows)
+
+    monkeypatch.setattr(pidbatch, "_block_sdfs", counting_block)
+    monkeypatch.setattr(pidbatch, "batch_sdfs", counting_batch)
+    monkeypatch.setattr(controllers, "pid_seed_sdfs", mock.Mock(side_effect=AssertionError("probe outside its round")))
+    gains = tune_pid(EnvConfig(), list(range(9)))
+    assert (gains.kp, gains.ki, gains.kd) == (0.34375, 0.6, -8.750000000000001e-06)
+    # the grid, then one call per round
+    assert len(calls) == 4 and calls[0] == 75
+    assert len(passes) <= 7
+
+
+# --- linear policy head in the kernel against the scalar path ---------------
+
+ACT_WEIGHTS = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, 0.9, -40.0]))
+BIASES = st.one_of(st.floats(-0.5, 0.5), st.sampled_from([0.0, 5.0, -5.0]))
+
+
+def linear_actor(variant, kp, ki, kd, act_w, bias):
+    params = PolicyParams(pid_weights=(kp, ki, kd), action_weight=act_w, bias=bias, log_std=-1.0)
+    return LinearActor(params, variant)
+
+
+def scalar_actor_sdfs(cfg, actor, seeds):
+    """evaluate_actor_sdf per seed, or the type of the error it raises."""
+    out = []
+    for seed in seeds:
+        try:
+            out.append(evaluate_actor_sdf(cfg, actor, seed))
+        except SpillRegError as exc:
+            out.append(type(exc))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cfg=small_configs(),
+    seeds=st.lists(st.integers(min_value=0, max_value=2**32), min_size=1, max_size=3),
+    variant=st.sampled_from(["pid_act", "pid3"]),
+    coefs=st.tuples(GAIN_VALUES, GAIN_VALUES, KD_VALUES, ACT_WEIGHTS, BIASES),
+)
+# full-length episodes of a pid_act head near the tuned gains: short ones hide last-bit slips
+@example(cfg=EnvConfig(), seeds=list(range(9)), variant="pid_act",
+         coefs=(0.5, 0.45, -6e-06, 0.25, 0.015))
+@example(cfg=EnvConfig(), seeds=list(range(9)), variant="pid3",
+         coefs=(0.85, 0.6, -8.75e-06, 0.0, -0.02))
+def test_linear_head_kernel_matches_evaluate_actor_sdf(cfg, seeds, variant, coefs):
+    actor = linear_actor(variant, *coefs)
+    expected = scalar_actor_sdfs(cfg, actor, seeds)
+    sdfs, exact = pidbatch.batch_sdfs(cfg, seeds, [actor.coefs()])
+    # a row the kernel vouches for equals the scalar SDF (and so never one that raises)
+    for got, ok, want in zip(sdfs[0].tolist(), exact[0], expected):
+        if ok:
+            assert got == want
+    if all(isinstance(v, float) for v in expected):
+        assert ppo.actor_sdfs(cfg, actor, seeds) == expected
+    else:
+        with pytest.raises(next(v for v in expected if isinstance(v, type))):
+            ppo.actor_sdfs(cfg, actor, seeds)
+
+
+def test_linear_head_kernel_matches_when_both_clamps_saturate():
+    cfg = EnvConfig(steps_per_episode=60, clamp_lo=0.9, clamp_hi=1.1, action_bound=0.5)
+    for variant, coefs in (("pid_act", (40.0, 1e4, 0.5, -40.0, 5.0)), ("pid3", (-40.0, 0.0, -0.5, 0.0, -5.0)),
+                           ("pid_act", (0.5, 0.45, -6e-06, 0.9, 0.3))):
+        actor = linear_actor(variant, *coefs)
+        if coefs[0] != 0.5:
+            tracker = StateTracker(cfg, variant)
+            _, corrected, applied = closed_loop(
+                cfg, 1, lambda t, raw, x, a: actor.mean(tracker.push(raw, x, a)))
+            assert {cfg.clamp_lo, cfg.clamp_hi} <= set(corrected)
+            assert {cfg.action_bound, -cfg.action_bound} <= set(applied)
+        sdfs, exact = pidbatch.batch_sdfs(cfg, [1, 2], [actor.coefs()])
+        assert exact.all()
+        assert sdfs[0].tolist() == scalar_actor_sdfs(cfg, actor, [1, 2])
+
+
+@pytest.mark.parametrize("variant", ["pid_act", "pid3"])
+def test_linear_head_nan_weights_raise_like_the_scalar_path(variant):
+    cfg = EnvConfig(steps_per_episode=40)
+    actor = linear_actor(variant, 0.5, 0.1, 0.0, 0.25, 0.0)
+    actor.mean_params()[0][1] = math.nan
+    with pytest.raises(InvalidActionError):
+        evaluate_actor_sdf(cfg, actor, 0)
+    with pytest.raises(InvalidActionError):
+        ppo.actor_sdfs(cfg, actor, (0, 1))
+    with pytest.raises(InvalidActionError):
+        ppo.build_report(cfg, PidGains(0.5, 0.1, 0.0, dt=cfg.dt), actor, (0, 1))
+
+
+def test_linear_head_nonfinite_features_raise_like_the_scalar_path():
+    # D = (e - e_prev) / dt overflows: the kernel vouches for no row
+    cfg = EnvConfig(steps_per_episode=40, dt=1e-310)
+    actor = linear_actor("pid_act", 0.5, 0.1, 0.0, 0.25, 0.01)
+    with pytest.raises(InputError):
+        evaluate_actor_sdf(cfg, actor, 0)
+    with pytest.raises(InputError):
+        ppo.actor_sdfs(cfg, actor, (0,))
+
+
+@pytest.mark.parametrize("kind, variant", [("pid", "cd_over"), ("nn", "pid_act")])
+def test_other_actors_keep_the_scalar_path(monkeypatch, kind, variant):
+    cfg = EnvConfig(steps_per_episode=40)
+    actor = make_actor(kind, variant, HAND_GAINS, Xoshiro256StarStar(0))
+    expected = [evaluate_actor_sdf(cfg, actor, s) for s in (0, 1)]
+    monkeypatch.setattr(pidbatch, "batch_sdfs", mock.Mock(side_effect=AssertionError("kernel used")))
+    assert ppo.actor_sdfs(cfg, actor, (0, 1)) == expected
 
 
 # --- policy state construction -------------------------------------------

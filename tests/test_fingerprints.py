@@ -1,10 +1,10 @@
 """Pinned sha256 fingerprints of outputs that never pass through BLAS.
 
 Every value in these files comes from the package's own xoshiro256** stream,
-scalar Python float arithmetic (spillsim.closed_loop, used by simulate, the
-training curve and the mean-action evaluation of a linear policy) and
-elementwise numpy float64 operations without BLAS (the batched PID kernel
-controllers.pid_sdfs, used by tune-pid and evaluate). IEEE 754
+scalar Python float arithmetic (spillsim.closed_loop, used by simulate and
+the training curve) and elementwise numpy float64 operations without BLAS
+(the batched kernel pidbatch.batch_sdfs, used by tune-pid and, for the PID
+baseline and a linear policy, by evaluate). IEEE 754
 fixes each of those results, so the bytes are the same on any platform and
 any numpy/BLAS build; CI reruns this file with numpy's dispatched SIMD
 loops turned off to check it. A change that alters one of these hashes

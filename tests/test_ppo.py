@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import neg_sum_series, surrogate_losses
 from spillreg import gradnet, metrics, ppo
 from spillreg.controllers import (
     PidGains,
@@ -36,7 +37,6 @@ from spillreg.ppo import (
     ppo_update,
     restore_from_checkpoint,
     save_checkpoint,
-    surrogate_losses,
     train,
 )
 from spillreg.rng import Xoshiro256StarStar
@@ -188,7 +188,7 @@ def test_rollout_rewards_match_reward_recomputation(env_cfg):
         if kind == "neg_ema":
             expected = metrics.ema_reward(errors, alpha)
         else:
-            expected = metrics.neg_sum_series(errors, env_cfg.steps_per_episode)
+            expected = neg_sum_series(errors, env_cfg.steps_per_episode)
         assert np.max(np.abs(buf.rewards - np.asarray(expected))) < 1e-12
         assert buf.corrected_trace == replay_corrected(env_cfg, 0, buf)
 
