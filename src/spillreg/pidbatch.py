@@ -57,7 +57,7 @@ def batch_sdfs(config: EnvConfig, seeds, rows) -> tuple[np.ndarray, np.ndarray]:
     if rows.ndim == 1:  # no rows, or one flat PID point
         rows = rows.reshape(-1, 3)
     if not np.isfinite(rows).all():
-        raise ConfigError("gain points must be finite")
+        raise ConfigError("gain points and policy coefficients must be finite")
     steps = config.steps_per_episode
     sdfs = np.empty((len(rows), len(seeds)))
     exact = np.zeros(sdfs.shape, dtype=bool)
