@@ -147,6 +147,23 @@ def test_ablate_subset_csv_parses(tmp_path, gains_file):
     assert manifest["shared_seed_schedule"] is True
 
 
+def test_ablate_row_labels(tmp_path, gains_file):
+    out = tmp_path / "ab"
+    assert run("ablate", "--out", out, "--iterations", "0", "--gains", gains_file) == EXIT_OK
+    text = (out / "ablation.csv").read_text()
+    rows = list(csv.reader(io.StringIO("\n".join(l for l in text.splitlines() if not l.startswith("#")))))
+    assert [r[2:] for r in rows[1:8]] == [
+        ["PID", "EMA a=0.1", "PPO", "P,I,D,Act"],
+        ["NN", "EMA a=0.5", "PPO", "P,I,D,Act"],
+        ["PID", "EMA a=0.9", "PPO", "P,I,D,Act"],
+        ["PID", "-SUM", "PPO", "P,I,D,Act"],
+        ["PID", "EMA a=0.5", "PPO", "P,I,D"],
+        ["PID", "EMA a=0.5", "PPO", "CD,Over-1,P,Act"],
+        ["PID", "EMA a=0.5", "PPO", "P,I,D,Act"],
+    ]
+    assert rows[8][2] == "MEAN(7 rows)"
+
+
 def test_ablate_rejects_unknown_row(tmp_path):
     assert run("ablate", "--out", tmp_path / "x", "--rows", "main,sac") == EXIT_CONFIG
 

@@ -705,6 +705,61 @@ def test_linear_actor_round_trip_preserves_function():
     assert again.mean(sv) == actor.mean(sv)
 
 
+@pytest.mark.parametrize("variant,weights", [
+    ("pid_act", [0.5, 0.1, 0.01]),
+    ("pid3", [0.5, 0.1, 0.01]),
+    ("cd_over", [0.0, 0.0, 0.5]),
+])
+def test_linear_actor_checkpoint_layout(variant, weights):
+    actor = make_actor("pid", variant, HAND_GAINS, Xoshiro256StarStar(0))
+    assert actor.to_dict() == {
+        "format_version": 1, "kind": "linear", "variant": variant,
+        "pid_weights": weights, "action_weight": 0.0, "bias": 0.0, "log_std": -1.0,
+    }
+
+
+LINEAR_DICT = {
+    "format_version": 1, "kind": "linear", "variant": "pid_act",
+    "pid_weights": [0.5, 0.1, 0.01], "action_weight": 0.25, "bias": 0.015, "log_std": -1.0,
+}
+
+
+def test_linear_actor_rejects_bad_header():
+    with pytest.raises(ConfigError, match=r"unsupported policy params header: 2/'linear'"):
+        actor_from_dict(dict(LINEAR_DICT, format_version=2))
+
+
+@pytest.mark.parametrize("weights", [[0.5, 0.1], [0.5, 0.1, 0.01, 0.2]])
+def test_linear_actor_rejects_pid_weights_length(weights):
+    with pytest.raises(ShapeError):
+        actor_from_dict(dict(LINEAR_DICT, pid_weights=weights))
+
+
+def test_linear_actor_rejects_unknown_variant():
+    with pytest.raises(ShapeError):
+        actor_from_dict(dict(LINEAR_DICT, variant="lstm"))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["kp", "ki", "kd", "action_weight", "bias", "log_std"])
+@pytest.mark.parametrize("variant", ["pid_act", "pid3"])
+def test_linear_actor_rejects_nonfinite_values(variant, field, bad):
+    data = dict(LINEAR_DICT, variant=variant)
+    if field in ("kp", "ki", "kd"):
+        data["pid_weights"] = list(data["pid_weights"])
+        data["pid_weights"][("kp", "ki", "kd").index(field)] = bad
+    else:
+        data[field] = bad
+    with pytest.raises(InputError):
+        actor_from_dict(data)
+
+
+def test_linear_actor_pid3_ignores_action_weight():
+    actor = actor_from_dict(dict(LINEAR_DICT, variant="pid3"))
+    assert actor.to_dict()["action_weight"] == 0.0
+    assert actor.mean((0.4, -3.0, 1200.0)) == 0.5 * 0.4 + 0.1 * -3.0 + 0.01 * 1200.0 + 0.015
+
+
 def test_linear_actor_sample_stream_is_deterministic():
     actor = make_actor("pid", "pid_act", HAND_GAINS, Xoshiro256StarStar(0))
     sv = (0.4, -3.0, 1200.0, 0.9)

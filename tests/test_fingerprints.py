@@ -13,8 +13,8 @@ changes the program's output and must say so.
 Outputs that depend on BLAS kernels (checkpoint.json, report.json and
 ablation.csv after a PPO update, and anything an NN policy computes) are not
 pinned here: their last bits can differ between CPU kernels of one OpenBLAS
-build. evaluate of a linear policy never calls its critic, so the report of
-a hand-written linear checkpoint is pinned.
+build. evaluate of a linear policy never calls its critic, so the reports of
+hand-written linear checkpoints, one per state variant, are pinned.
 """
 
 from __future__ import annotations
@@ -47,6 +47,24 @@ LINEAR_CHECKPOINT = {
     "reward": {},
 }
 
+
+def linear_checkpoint(variant, weights, action_weight, bias, critic_inputs):
+    """LINEAR_CHECKPOINT with another state variant's linear actor."""
+    actor = {"format_version": 1, "kind": "linear", "variant": variant, "pid_weights": weights,
+             "action_weight": action_weight, "bias": bias, "log_std": -1.0}
+    critic = {"layer_dims": [[1, critic_inputs]], "activations": ["identity"],
+              "params": [[0.0] * critic_inputs, [0.0]]}
+    return dict(LINEAR_CHECKPOINT, state_variant=variant, actor=actor, critic=critic)
+
+
+CHECKPOINTS = {
+    "checkpoint.json": LINEAR_CHECKPOINT,
+    # pid3 has no Act feature: the nonzero action_weight is read and ignored
+    "checkpoint_pid3.json": linear_checkpoint("pid3", [0.5, 0.45, -6e-06], 0.25, 0.015, 4),
+    # cd_over weights (CD, Over-1, P, Act) run on the scalar closed loop
+    "checkpoint_cd_over.json": linear_checkpoint("cd_over", [0.1, -0.2, 0.4], 0.25, 0.015, 5),
+}
+
 # (argv after the command's --out, data file, data sha256, manifest payload_sha256)
 CASES = {
     "train": (
@@ -75,6 +93,18 @@ CASES = {
         "203b50def45d896fc55e21a07047ba1c34babaf094d535246a8c93ced6a94353",
         "ae1b2b4f98ca47026517e0d86b97db77e93930d633adee9852f3ac108fa278b9",
     ),
+    "evaluate-pid3": (
+        ["evaluate", "--checkpoint", "checkpoint_pid3.json"],
+        "report.json",
+        "4896cba9d0ef7a60a4fff2cfb73080b1e3989569790ad29a21c67a850db90847",
+        "7c90edfde3a2e48429d6b9e0db68a9d3441b068f96a6a7494ab7089601e30541",
+    ),
+    "evaluate-cd_over": (
+        ["evaluate", "--checkpoint", "checkpoint_cd_over.json"],
+        "report.json",
+        "b322bb078769d983771e6831c06d07f95a930fa7ffc89720c33451c5843c7898",
+        "fee8c2c8aa2a0146b93cadb03cc53533270cbe2dbd2706196b16dcf563cbf872",
+    ),
     "simulate": (
         ["simulate", "--gains", "{gains}", "--seed", "0"],
         "trace.csv",
@@ -90,7 +120,8 @@ def test_output_fingerprint(tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
     gains = tmp_path / "gains.json"
     gains.write_text(json.dumps(PINNED_GAINS), encoding="utf-8")
-    (tmp_path / "checkpoint.json").write_text(json.dumps(LINEAR_CHECKPOINT), encoding="utf-8")
+    for name, checkpoint in CHECKPOINTS.items():
+        (tmp_path / name).write_text(json.dumps(checkpoint), encoding="utf-8")
     out = tmp_path / "out"
     argv = [a.format(gains=gains) for a in argv] + ["--out", str(out)]
     assert main(argv) == EXIT_OK
