@@ -29,11 +29,12 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import __version__, metrics, ppo
-from .controllers import PidGains, pid_episode_records, pid_seed_sdfs, tune_pid
+from .controllers import STATE_LABELS, PidGains, pid_episode_records, pid_seed_sdfs, tune_pid
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -62,22 +63,18 @@ class VariantSpec:
     state: str  # "pid_act" | "pid3" | "cd_over"
     reward_kind: str
     alpha: float
-    policy_label: str
-    reward_label: str
-    state_label: str
-    algo_label: str = "PPO"
 
 
 VARIANTS: dict[str, VariantSpec] = {
     v.name: v
     for v in (
-        VariantSpec("main", "pid", "pid_act", "neg_ema", 0.5, "PID", "EMA a=0.5", "P,I,D,Act"),
-        VariantSpec("ema01", "pid", "pid_act", "neg_ema", 0.1, "PID", "EMA a=0.1", "P,I,D,Act"),
-        VariantSpec("ema09", "pid", "pid_act", "neg_ema", 0.9, "PID", "EMA a=0.9", "P,I,D,Act"),
-        VariantSpec("sum", "pid", "pid_act", "neg_sum", 0.5, "PID", "-SUM", "P,I,D,Act"),
-        VariantSpec("nn", "nn", "pid_act", "neg_ema", 0.5, "NN", "EMA a=0.5", "P,I,D,Act"),
-        VariantSpec("pid3", "pid", "pid3", "neg_ema", 0.5, "PID", "EMA a=0.5", "P,I,D"),
-        VariantSpec("cd_over", "pid", "cd_over", "neg_ema", 0.5, "PID", "EMA a=0.5", "CD,Over-1,P,Act"),
+        VariantSpec("main", "pid", "pid_act", "neg_ema", 0.5),
+        VariantSpec("ema01", "pid", "pid_act", "neg_ema", 0.1),
+        VariantSpec("ema09", "pid", "pid_act", "neg_ema", 0.9),
+        VariantSpec("sum", "pid", "pid_act", "neg_sum", 0.5),
+        VariantSpec("nn", "nn", "pid_act", "neg_ema", 0.5),
+        VariantSpec("pid3", "pid", "pid3", "neg_ema", 0.5),
+        VariantSpec("cd_over", "pid", "cd_over", "neg_ema", 0.5),
     )
 }
 
@@ -87,12 +84,26 @@ ABLATION_ROWS = ("ema01", "nn", "ema09", "sum", "pid3", "cd_over", "main")
 CONFIG_SECTIONS = {"env", "train", "reward", "variant", "master_seed", "gains"}
 
 
-def load_config_file(path: str) -> dict:
+@contextmanager
+def reading(path, error=ConfigError):
+    """Report malformed data read from file path as error, naming the file.
+
+    Bad JSON, a value of the wrong type and a missing key surface as these
+    builtin exceptions; error is a SpillRegError, so main exits 2.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise error(f"{path}: malformed data ({type(exc).__name__}: {exc})") from exc
+
+
+def load_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def load_config_file(path: str) -> dict:
+    data = load_json(path)
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path}: top level must be a JSON object")
     if "command" in data and "config" in data:
@@ -127,46 +138,41 @@ class ResolvedRun:
 
 
 def resolve_run(args) -> ResolvedRun:
-    file_cfg = load_config_file(args.config) if getattr(args, "config", None) else {}
-    variant_name = getattr(args, "variant", None) or file_cfg.get("variant") or "main"
-    if variant_name not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant_name!r}; choose from {sorted(VARIANTS)}")
-    variant = VARIANTS[variant_name]
+    config_path = getattr(args, "config", None)
+    with reading(config_path) if config_path else nullcontext():
+        file_cfg = load_config_file(config_path) if config_path else {}
+        variant_name = getattr(args, "variant", None) or file_cfg.get("variant") or "main"
+        if variant_name not in VARIANTS:
+            raise ConfigError(f"unknown variant {variant_name!r}; choose from {sorted(VARIANTS)}")
+        variant = VARIANTS[variant_name]
 
-    env_cfg = EnvConfig.from_dict(file_cfg.get("env", {}))
+        env_cfg = EnvConfig.from_dict(file_cfg.get("env", {}))
 
-    if "reward" in file_cfg:
-        reward_cfg = ppo.RewardConfig.from_dict(file_cfg["reward"])
-    else:
-        reward_cfg = ppo.RewardConfig(kind=variant.reward_kind, alpha=variant.alpha)
+        if "reward" in file_cfg:
+            reward_cfg = ppo.RewardConfig.from_dict(file_cfg["reward"])
+        else:
+            reward_cfg = ppo.RewardConfig(kind=variant.reward_kind, alpha=variant.alpha)
 
-    train_over = dict(file_cfg.get("train", {}))
-    iterations = getattr(args, "iterations", None)
-    if iterations is not None:
-        train_over["iterations"] = iterations
-    train_over.setdefault("alpha", reward_cfg.alpha)
-    train_cfg = ppo.TrainConfig.from_dict(train_over)
+        train_over = dict(file_cfg.get("train", {}))
+        iterations = getattr(args, "iterations", None)
+        if iterations is not None:
+            train_over["iterations"] = iterations
+        train_over.setdefault("alpha", reward_cfg.alpha)
+        train_cfg = ppo.TrainConfig.from_dict(train_over)
 
-    if getattr(args, "seed", None) is not None:
-        master_seed = args.seed
-    else:
-        master_seed = int(file_cfg.get("master_seed", 0))
+        if getattr(args, "seed", None) is not None:
+            master_seed = args.seed
+        else:
+            master_seed = int(file_cfg.get("master_seed", 0))
 
-    gains = None
-    gains_path = getattr(args, "gains", None)
-    if gains_path:
-        gains = PidGains.from_dict(load_json(gains_path))
-    elif "gains" in file_cfg:
-        gains = PidGains.from_dict(file_cfg["gains"])
+        gains = None
+        gains_path = getattr(args, "gains", None)
+        if gains_path:
+            with reading(gains_path):
+                gains = PidGains.from_dict(load_json(gains_path))
+        elif "gains" in file_cfg:
+            gains = PidGains.from_dict(file_cfg["gains"])
     return ResolvedRun(env_cfg, train_cfg, reward_cfg, variant, master_seed, gains)
-
-
-def load_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def canonical_json(obj) -> str:
@@ -312,8 +318,9 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     out_dir = ensure_out_dir(args)
-    data = ppo.load_checkpoint(args.checkpoint)
-    actor, _critic, env_cfg, gains, train_cfg, _reward_cfg = ppo.restore_from_checkpoint(data)
+    with reading(args.checkpoint, CheckpointError):
+        data = ppo.load_checkpoint(args.checkpoint)
+        actor, _critic, env_cfg, gains, train_cfg, _reward_cfg = ppo.restore_from_checkpoint(data)
     seeds = parse_seed_list(args.seeds) if args.seeds else train_cfg.seeds
     report = ppo.build_report(env_cfg, gains, actor, seeds)
     report_out = dict(report.to_dict(), manifest=MANIFEST_NAME, checkpoint=os.fspath(args.checkpoint))
@@ -388,10 +395,10 @@ def cmd_ablate(args) -> int:
         spec = VARIANTS[name]
         row = {
             "name": name,
-            "policy": spec.policy_label,
-            "reward": spec.reward_label,
-            "algo": spec.algo_label,
-            "state": spec.state_label,
+            "policy": spec.policy.upper(),
+            "reward": "-SUM" if spec.reward_kind == "neg_sum" else f"EMA a={spec.alpha}",
+            "algo": "PPO",
+            "state": STATE_LABELS[spec.state],
             "vs_pid": None,
             "vs_noise": None,
             "error": None,

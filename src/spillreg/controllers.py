@@ -21,8 +21,7 @@ During an episode StateTracker.push returns each step's features as a plain
 tuple of floats; the actors act on those tuples. Each actor keeps all its
 trainable parameters in one float64 vector, `flat`, whose trailing entry is
 log_std; mean_params(), parameters() and log_std_arr are views into it, and
-mean()/sample() read it live. PolicyParams is the serialized record of the
-linear policy, built only for checkpoints and construction.
+mean()/sample() read it live.
 
 Exploration is a Gaussian over the mean action with a learnable log_std,
 clamped to [-5, 2]. Sampling returns the pre-clamp action and its log
@@ -324,45 +323,6 @@ class StateTracker:
 
 # --- trainable policies -----------------------------------------------------
 
-@dataclass(frozen=True)
-class PolicyParams:
-    """Parameters of the linear (neuralized-PID) policy head."""
-
-    pid_weights: tuple[float, float, float]
-    action_weight: float
-    bias: float
-    log_std: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "pid_weights", tuple(float(w) for w in self.pid_weights))
-        if len(self.pid_weights) != 3:
-            raise ShapeError(f"pid_weights must have 3 entries, got {len(self.pid_weights)}")
-        values = (*self.pid_weights, self.action_weight, self.bias, self.log_std)
-        if any(not math.isfinite(v) for v in values):
-            raise InputError("policy parameters must be finite")
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": 1,
-            "kind": "linear",
-            "pid_weights": list(self.pid_weights),
-            "action_weight": self.action_weight,
-            "bias": self.bias,
-            "log_std": self.log_std,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PolicyParams":
-        if data.get("format_version") != 1 or data.get("kind") != "linear":
-            raise ConfigError(f"unsupported policy params header: {data.get('format_version')!r}/{data.get('kind')!r}")
-        return cls(
-            pid_weights=tuple(float(w) for w in data["pid_weights"]),
-            action_weight=float(data["action_weight"]),
-            bias=float(data["bias"]),
-            log_std=float(data["log_std"]),
-        )
-
-
 def clamp_log_std(log_std: float) -> float:
     return min(max(log_std, LOG_STD_MIN), LOG_STD_MAX)
 
@@ -397,62 +357,67 @@ def gaussian_sample(mean: float, log_std: float, rng: Xoshiro256StarStar) -> tup
     return action, gaussian_log_prob(action, mean, log_std)
 
 
-def initial_policy_params(gains: PidGains, variant: str) -> PolicyParams:
-    """Start the policy at the tuned baseline it must beat.
-
-    PIDAct/PID3 embed the tuned gains directly. CDOver's features are not
-    (P, I, D), so only the proportional gain carries over (onto its P
-    feature); the remaining weights start at zero.
-    """
-    if variant in (VARIANT_PID_ACT, VARIANT_PID3):
-        weights = (gains.kp, gains.ki, gains.kd)
-    elif variant == VARIANT_CD_OVER:
-        weights = (0.0, 0.0, gains.kp)
-    else:
-        raise ShapeError(f"unknown state variant {variant!r}")
-    return PolicyParams(pid_weights=weights, action_weight=0.0, bias=0.0, log_std=-1.0)
-
-
 class LinearActor:
     """The neuralized-PID policy head: a linear map over the state features.
 
-    Its parameters live in one vector, flat = [w_0 .. w_{n-1}, bias, log_std],
-    where w are the feature weights times FEATURE_SCALES (the trainable
+    weights holds one coefficient per feature of variant, in feature units.
+    The parameters live in one vector, flat = [w_0 .. w_{n-1}, bias, log_std],
+    where w are those weights times FEATURE_SCALES (the trainable
     coordinates). mean_params(), log_std_arr and parameters() are views into
     flat, so writing through them changes the policy. mean() and sample()
     read the live vector on every call, unscale it exactly (power-of-two
     scales) and evaluate policy_mean on plain floats, where exactness
-    matters; params builds the PolicyParams record for serialization.
+    matters; params is the checkpoint record of the live coefficients.
     """
 
     kind = "pid"
 
-    def __init__(self, params: PolicyParams, variant: str):
-        if variant not in STATE_DIMS:
-            raise ShapeError(f"unknown state variant {variant!r}")
+    def __init__(self, variant: str, weights, bias: float = 0.0, log_std: float = -1.0):
+        self._scales = feature_scales(variant)  # ShapeError for an unknown variant
         self.variant = variant
-        self.state_dim = dim = STATE_DIMS[variant]
-        self._scales = feature_scales(variant)
+        self.state_dim = dim = len(self._scales)
+        values = [*map(float, weights), float(bias), float(log_std)]
+        if len(values) != dim + 2:
+            raise ShapeError(f"variant {variant!r} takes {dim} weights, got {len(values) - 2}")
+        if not all(map(math.isfinite, values)):
+            raise InputError("policy parameters must be finite")
+        values[-1] = clamp_log_std(values[-1])
         # flat[:-1] / _unscale is (weights, bias) exactly
         self._unscale = np.append(self._scales, 1.0)
-        weights = [*params.pid_weights, params.action_weight][:dim]
-        self.flat = np.asarray([*weights, params.bias, clamp_log_std(params.log_std)], dtype=np.float64)
+        self.flat = np.asarray(values, dtype=np.float64)
         self.flat[:dim] *= self._scales
         self._w, self._bias, self.log_std_arr = gradnet.split(self.flat, [(dim,), (1,), (1,)])
+
+    @classmethod
+    def from_gains(cls, gains: PidGains, variant: str) -> "LinearActor":
+        """Start the policy at the tuned baseline it must beat.
+
+        PIDAct/PID3 embed the tuned gains directly. CDOver's features are not
+        (P, I, D), so only the proportional gain carries over (onto its P
+        feature); the remaining weights start at zero.
+        """
+        weights = {
+            VARIANT_PID_ACT: (gains.kp, gains.ki, gains.kd, 0.0),
+            VARIANT_PID3: (gains.kp, gains.ki, gains.kd),
+            VARIANT_CD_OVER: (0.0, 0.0, gains.kp, 0.0),
+        }.get(variant, ())
+        return cls(variant, weights)
 
     def coefs(self) -> list[float]:
         """The live (weights..., bias) as plain floats, unscaled exactly."""
         return (self.flat[:-1] / self._unscale).tolist()
 
     @property
-    def params(self) -> PolicyParams:
+    def params(self) -> dict:
         *w, bias = self.coefs()
-        return PolicyParams(
-            pid_weights=(w[0], w[1], w[2]),
-            action_weight=w[3] if self.state_dim == 4 else 0.0,
-            bias=bias,
-            log_std=float(self.log_std_arr[0]),
-        )
+        return {
+            "format_version": 1,
+            "kind": "linear",
+            "pid_weights": w[:3],
+            "action_weight": w[3] if self.state_dim == 4 else 0.0,
+            "bias": bias,
+            "log_std": float(self.log_std_arr[0]),
+        }
 
     def mean(self, state: tuple[float, ...]) -> float:
         *w, bias = self.coefs()
@@ -483,13 +448,20 @@ class LinearActor:
             raise DivergenceError("linear actor parameters became non-finite")
 
     def to_dict(self) -> dict:
-        d = self.params.to_dict()
-        d["variant"] = self.variant
-        return d
+        return dict(self.params, variant=self.variant)
 
     @classmethod
     def from_dict(cls, data: dict) -> "LinearActor":
-        return cls(PolicyParams.from_dict(data), data["variant"])
+        if data.get("format_version") != 1 or data.get("kind") != "linear":
+            raise ConfigError(f"unsupported policy params header: {data.get('format_version')!r}/{data.get('kind')!r}")
+        weights = [*map(float, data["pid_weights"]), float(data["action_weight"])]
+        if len(weights) != 4:
+            raise ShapeError(f"pid_weights must have 3 entries, got {len(weights) - 1}")
+        # pid3 has no Act feature: its action_weight is checked, then dropped
+        if data["variant"] == VARIANT_PID3:
+            if not math.isfinite(weights.pop()):
+                raise InputError("policy parameters must be finite")
+        return cls(data["variant"], weights, float(data["bias"]), float(data["log_std"]))
 
 
 class NnActor:
@@ -601,7 +573,7 @@ def make_actor(
 ):
     """Build the actor for a (policy, state) variant pair at its documented init."""
     if policy_variant == "pid":
-        return LinearActor(initial_policy_params(gains, state_variant), state_variant)
+        return LinearActor.from_gains(gains, state_variant)
     if policy_variant == "nn":
         return NnActor.fresh(state_variant, rng)
     raise ConfigError(f"unknown policy variant {policy_variant!r}, expected 'pid' or 'nn'")

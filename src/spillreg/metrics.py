@@ -15,9 +15,10 @@ tracking error e_t = |x_t - reference|:
               seeded with EMA_{-1} = 0
     neg_sum   r_t = -(1 / steps_per_episode) * sum_{tau <= t} e_tau
 
-The recursive EMA has the closed form sum_{tau<=t} alpha*(1-alpha)^(t-tau)*e_tau;
-the tests evaluate it by direct summation as an independent cross-check of
-the recursion.
+The recursive EMA has the closed form sum_{tau<=t} alpha*(1-alpha)^(t-tau)*e_tau.
+RewardAccumulator computes the rewards step by step while an episode runs;
+the tests check it against offline series, among them that closed form
+evaluated by direct summation.
 """
 
 from __future__ import annotations
@@ -65,26 +66,12 @@ def _check_alpha(alpha: float) -> None:
         raise InputError(f"alpha must lie in [0, 1], got {alpha}")
 
 
-def ema_reward(errors: Sequence[float], alpha: float) -> list[float]:
-    """Reward series r_t = -EMA_t over an absolute-error series.
-
-    The recursion starts from EMA_{-1} = 0, so r_0 = -alpha * e_0.
-    """
-    _check_alpha(alpha)
-    rewards = []
-    ema = 0.0
-    for e in errors:
-        ema = alpha * e + (1.0 - alpha) * ema
-        rewards.append(-ema)
-    return rewards
-
-
 class RewardAccumulator:
     """Incremental per-step reward tracker used while an episode unfolds.
 
     push() consumes one absolute error and returns the reward for that step.
-    The offline series (ema_reward here, the direct sums of the tests) must
-    reproduce the pushed sequence exactly; tests rely on that equivalence.
+    The offline series of the tests (the recursive ema_reward and the direct
+    sums in tests/oracles.py) must reproduce the pushed sequence exactly.
     """
 
     def __init__(self, kind: str, alpha: float, steps_per_episode: int):

@@ -2,9 +2,10 @@
 
 None of these is used by the package itself:
 
+- ema_reward is the offline EMA reward series by its recursion;
 - ema_direct_oracle / ema_direct_series evaluate the EMA reward by direct
-  geometric summation, independent of the recursion in metrics.ema_reward
-  and metrics.RewardAccumulator;
+  geometric summation, independent of the recursion in ema_reward and
+  metrics.RewardAccumulator;
 - neg_sum_series is the offline neg_sum reward series;
 - surrogate_losses returns the PPO loss components through the code path
   ppo_update optimizes;
@@ -33,6 +34,20 @@ from spillreg.errors import ConfigError, InputError
 from spillreg.metrics import _check_alpha
 from spillreg.ppo import LossReport, _minibatch_step
 from spillreg.spillsim import EnvConfig
+
+
+def ema_reward(errors: Sequence[float], alpha: float) -> list[float]:
+    """Reward series r_t = -EMA_t over an absolute-error series.
+
+    The recursion starts from EMA_{-1} = 0, so r_0 = -alpha * e_0.
+    """
+    _check_alpha(alpha)
+    rewards = []
+    ema = 0.0
+    for e in errors:
+        ema = alpha * e + (1.0 - alpha) * ema
+        rewards.append(-ema)
+    return rewards
 
 
 def ema_direct_oracle(errors: Sequence[float], alpha: float, t: int) -> float:

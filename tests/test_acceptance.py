@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import ema_reward
 from spillreg import cli
 from spillreg.controllers import (
     ErrorState,
@@ -27,7 +28,7 @@ from spillreg.controllers import (
     tune_pid,
 )
 from spillreg.gradnet import backward, forward
-from spillreg.metrics import ema_reward, sdf
+from spillreg.metrics import sdf
 from spillreg.ppo import RolloutBuffer, compute_gae, make_critic
 from spillreg.rng import Xoshiro256StarStar
 from spillreg.spillsim import run_raw_episode

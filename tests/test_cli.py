@@ -226,3 +226,20 @@ def test_nonfinite_env_value_is_config_error(tmp_path, capsys):
     cfg.write_text('{"env": {"dt": Infinity}}', encoding="utf-8")
     assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == EXIT_CONFIG
     assert "dt must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag,text", [
+    ("evaluate", "--checkpoint", "{bad"),
+    ("evaluate", "--checkpoint", "[1,2]"),
+    ("evaluate", "--checkpoint", '{"format_version": 1}'),
+    ("simulate", "--gains", "[1,2]"),
+    ("simulate", "--gains", '{"format_version":1,"kp":0.3}'),
+    ("simulate", "--config", '{"env": {"ou_rho": "x"}}'),
+])
+def test_malformed_file_is_config_error(tmp_path, capsys, command, flag, text):
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(command, flag, path, "--out", tmp_path / "o") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "Traceback" not in err

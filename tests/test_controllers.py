@@ -30,7 +30,6 @@ from spillreg.controllers import (
     LinearActor,
     NnActor,
     PidGains,
-    PolicyParams,
     STATE_DIMS,
     STATE_LABELS,
     StateTracker,
@@ -38,7 +37,6 @@ from spillreg.controllers import (
     clamp_log_std,
     feature_scales,
     gaussian_log_prob,
-    initial_policy_params,
     make_actor,
     pid_episode_records,
     pid_sdfs,
@@ -429,8 +427,7 @@ BIASES = st.one_of(st.floats(-0.5, 0.5), st.sampled_from([0.0, 5.0, -5.0]))
 
 
 def linear_actor(variant, kp, ki, kd, act_w, bias):
-    params = PolicyParams(pid_weights=(kp, ki, kd), action_weight=act_w, bias=bias, log_std=-1.0)
-    return LinearActor(params, variant)
+    return LinearActor(variant, [kp, ki, kd, act_w][:STATE_DIMS[variant]], bias)
 
 
 def scalar_actor_sdfs(cfg, actor, seeds):
@@ -582,21 +579,31 @@ def test_feature_scales_are_powers_of_two():
 # --- initialization --------------------------------------------------------
 
 def test_initial_params_embed_tuned_gains():
-    params = initial_policy_params(HAND_GAINS, "pid_act")
-    assert params.pid_weights == (0.5, 0.1, 0.01)
-    assert params.action_weight == 0.0
-    assert params.bias == 0.0
-    assert params.log_std == -1.0
+    actor = LinearActor.from_gains(HAND_GAINS, "pid_act")
+    assert actor.coefs() == [0.5, 0.1, 0.01, 0.0, 0.0]
+    assert float(actor.log_std_arr[0]) == -1.0
 
 
 def test_initial_params_cd_over_carries_kp_only():
-    params = initial_policy_params(HAND_GAINS, "cd_over")
-    assert params.pid_weights == (0.0, 0.0, 0.5)
+    assert LinearActor.from_gains(HAND_GAINS, "cd_over").coefs() == [0.0, 0.0, 0.5, 0.0, 0.0]
 
 
 def test_initial_params_rejects_unknown_variant():
     with pytest.raises(ShapeError):
-        initial_policy_params(HAND_GAINS, "lstm")
+        LinearActor.from_gains(HAND_GAINS, "lstm")
+
+
+@pytest.mark.parametrize("variant,weights,bias,log_std,error", [
+    ("lstm", (0.5, 0.1, 0.01, 0.0), 0.0, -1.0, ShapeError),
+    ("pid_act", (0.5, 0.1, 0.01), 0.0, -1.0, ShapeError),
+    ("pid3", (0.5, 0.1, 0.01, 0.0), 0.0, -1.0, ShapeError),
+    ("pid3", (0.5, math.nan, 0.01), 0.0, -1.0, InputError),
+    ("pid_act", (0.5, 0.1, 0.01, 0.0), math.inf, -1.0, InputError),
+    ("cd_over", (0.0, 0.0, 0.5, 0.0), 0.0, math.nan, InputError),
+])
+def test_linear_actor_constructor_checks(variant, weights, bias, log_std, error):
+    with pytest.raises(error):
+        LinearActor(variant, weights, bias, log_std)
 
 
 # --- Gaussian policy math ---------------------------------------------------
@@ -630,10 +637,7 @@ def test_policy_mean_matches_dot_product():
 
 
 def test_policy_sample_log_prob_consistency():
-    params = PolicyParams(
-        pid_weights=(0.4, -0.2, 1e-5), action_weight=0.3, bias=0.05, log_std=-0.5
-    )
-    actor = LinearActor(params, "pid_act")
+    actor = LinearActor("pid_act", (0.4, -0.2, 1e-5, 0.3), bias=0.05, log_std=-0.5)
     sv = (0.5, -2.0, 800.0, 0.7)
     rng = Xoshiro256StarStar(3)
     action, logp = actor.sample(sv, rng)
@@ -679,11 +683,11 @@ def test_linear_actor_mean_is_exact_dot_product():
         sv = features
         p = actor.params
         expected = (
-            p.pid_weights[0] * features[0]
-            + p.pid_weights[1] * features[1]
-            + p.pid_weights[2] * features[2]
-            + p.action_weight * features[3]
-            + p.bias
+            p["pid_weights"][0] * features[0]
+            + p["pid_weights"][1] * features[1]
+            + p["pid_weights"][2] * features[2]
+            + p["action_weight"] * features[3]
+            + p["bias"]
         )
         assert actor.mean(sv) == expected
 
@@ -831,5 +835,5 @@ def test_writes_through_views_change_the_next_action(kind):
     action, logp = actor.sample(sv, Xoshiro256StarStar(5))
     assert logp == pytest.approx(gaussian_log_prob(action, mean, -2.0), abs=1e-12)
     if kind == "pid":
-        assert actor.params.bias == 0.25
-        assert actor.params.log_std == -2.0
+        assert actor.params["bias"] == 0.25
+        assert actor.params["log_std"] == -2.0

@@ -9,14 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ema_direct_oracle, ema_direct_series, neg_sum_series
+from oracles import ema_direct_oracle, ema_direct_series, ema_reward, neg_sum_series
 from spillreg import metrics
 from spillreg.errors import InputError
 from spillreg.metrics import (
     ImprovementReport,
     RewardAccumulator,
     SeedResult,
-    ema_reward,
     improvement,
     ordered_mean,
     sdf,

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import neg_sum_series, surrogate_losses
+from oracles import ema_reward, neg_sum_series, surrogate_losses
 from spillreg import gradnet, metrics, ppo
 from spillreg.controllers import (
     PidGains,
@@ -186,7 +186,7 @@ def test_rollout_rewards_match_reward_recomputation(env_cfg):
         buf = make_rollout(env_cfg, reward=RewardConfig(kind=kind, alpha=alpha))
         errors = [abs(x - env_cfg.reference) for x in buf.corrected_trace]
         if kind == "neg_ema":
-            expected = metrics.ema_reward(errors, alpha)
+            expected = ema_reward(errors, alpha)
         else:
             expected = neg_sum_series(errors, env_cfg.steps_per_episode)
         assert np.max(np.abs(buf.rewards - np.asarray(expected))) < 1e-12
@@ -306,14 +306,14 @@ def test_two_transition_spreadsheet():
     returns = np.array([0.2, -0.3])
 
     p = actor.params
-    log_std = p.log_std
+    log_std = p["log_std"]
     std = math.exp(log_std)
     per_sample = []
     clip_hits = 0
     for s, a, lo, adv in zip(states, actions, logp_old, advantages):
         mean = (
-            p.pid_weights[0] * s[0] + p.pid_weights[1] * s[1]
-            + p.pid_weights[2] * s[2] + p.action_weight * s[3] + p.bias
+            p["pid_weights"][0] * s[0] + p["pid_weights"][1] * s[1]
+            + p["pid_weights"][2] * s[2] + p["action_weight"] * s[3] + p["bias"]
         )
         z = (a - mean) / std
         logp = -0.5 * z * z - log_std - 0.5 * math.log(2 * math.pi)
