@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 
@@ -243,3 +244,21 @@ def test_malformed_file_is_config_error(tmp_path, capsys, command, flag, text):
     err = capsys.readouterr().err
     assert str(path) in err
     assert "Traceback" not in err
+
+
+def test_train_divergence_keeps_the_initial_checkpoint(tmp_path, capsys):
+    # lr 1e300 overflows the first Adam step of iteration 0, so the last good
+    # checkpoint is the initial state: its bytes involve no BLAS product
+    gains = write_config(tmp_path, {"format_version": 1, "kp": 0.34375, "ki": 0.6,
+                                    "kd": -8.750000000000001e-06, "dt": 1e-4}, name="gains.json")
+    cfg = write_config(tmp_path, {"train": {"lr": 1e300}})
+    out = tmp_path / "o"
+    argv = ("train", "--gains", gains, "--config", cfg, "--iterations", "3", "--out", out)
+    assert run(*argv) == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert "non-finite loss in ppo update" in err
+    assert "Traceback" not in err
+    data = (out / "checkpoint.json").read_bytes()
+    assert json.loads(data)["iterations_done"] == 0
+    assert hashlib.sha256(data).hexdigest() == (
+        "944b6bfd5766c5e9e7adfea48c4fa0dd53ba77a6e50a76485093fdb2a401e7eb")
