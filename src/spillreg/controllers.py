@@ -21,15 +21,23 @@ During an episode StateTracker.push returns each step's features as a plain
 tuple of floats; the actors act on those tuples. Each actor keeps all its
 trainable parameters in one float64 vector, `flat`, whose trailing entry is
 log_std; mean_params(), parameters() and log_std_arr are views into it, and
-mean()/sample() read it live.
+mean()/sample() read it live. A rollout, in which the policy does not change,
+reads it once per episode through sampler().
 
 Exploration is a Gaussian over the mean action with a learnable log_std,
 clamped to [-5, 2]. Sampling returns the pre-clamp action and its log
-probability; actuation clamps to the environment's action bound.
+probability; actuation clamps to the environment's action bound. That math,
+policy_mean and the actors' shared methods (gradnet.GaussianPolicy) live in
+gradnet, next to the PPO gradient that differentiates them; this module
+re-exports the public names.
+
+run_pid_episode memoizes the corrected PID trace per (config, seed, gains),
+so the per-iteration training curve recomputes no PID episode.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,12 +45,16 @@ import numpy as np
 
 from . import gradnet, metrics, pidbatch
 from .errors import ConfigError, DivergenceError, InputError, ShapeError
+from .gradnet import (  # noqa: F401 (re-exported policy-head math)
+    LOG_STD_MAX,
+    LOG_STD_MIN,
+    clamp_log_std,
+    gaussian_log_prob,
+    gaussian_sample,
+    policy_mean,
+)
 from .rng import Xoshiro256StarStar
-from .spillsim import EnvConfig, closed_loop
-
-LOG_STD_MIN = -5.0
-LOG_STD_MAX = 2.0
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+from .spillsim import RAW_MEMO_SIZE, EnvConfig, closed_loop
 
 VARIANT_PID_ACT = "pid_act"  # [P, I, D, Act]
 VARIANT_PID3 = "pid3"  # [P, I, D]
@@ -166,10 +178,18 @@ def pid_episode_records(
     return closed_loop(config, seed, lambda t, raw, x, applied: pid_update(gains, tracker.push(x)))
 
 
+@functools.lru_cache(maxsize=RAW_MEMO_SIZE)
+def _pid_trace(config, seed, gains):
+    return tuple(pid_episode_records(config, seed, gains)[1])
+
+
 def run_pid_episode(config: EnvConfig, seed: int, gains: PidGains) -> list[float]:
-    """Corrected trace of one closed-loop PID episode."""
-    _, corrected, _ = pid_episode_records(config, seed, gains)
-    return corrected
+    """Corrected trace of one closed-loop PID episode, memoized per (config, seed, gains).
+
+    Like spillsim.run_raw_episode, the first request runs the scalar path and
+    later ones copy the kept tuple; an episode that raises is not kept.
+    """
+    return list(_pid_trace(config, seed, gains))
 
 
 def pid_sdfs(config: EnvConfig, seeds: list[int] | tuple[int, ...], points) -> np.ndarray:
@@ -323,41 +343,8 @@ class StateTracker:
 
 # --- trainable policies -----------------------------------------------------
 
-def clamp_log_std(log_std: float) -> float:
-    return min(max(log_std, LOG_STD_MIN), LOG_STD_MAX)
 
-
-def gaussian_log_prob(x: float, mean: float, log_std: float) -> float:
-    std = math.exp(log_std)
-    z = (x - mean) / std
-    return -0.5 * z * z - log_std - _HALF_LOG_TWO_PI
-
-
-def policy_mean(weights, bias: float, state: tuple[float, ...]) -> float:
-    """Deterministic mean action of the linear policy for a feature tuple.
-
-    Four features (PIDAct, CDOver) use weights[0..3], three (PID3) use
-    weights[0..2]. The sum runs left to right in the order of pid_update, so
-    the PID embedding (action weight = bias = 0) is exact, not just close.
-    """
-    w, v = weights, state
-    if len(v) == 4:
-        return w[0] * v[0] + w[1] * v[1] + w[2] * v[2] + w[3] * v[3] + bias
-    return w[0] * v[0] + w[1] * v[1] + w[2] * v[2] + bias
-
-
-def gaussian_sample(mean: float, log_std: float, rng: Xoshiro256StarStar) -> tuple[float, float]:
-    """Draw action ~ Normal(mean, exp(log_std)^2) with log_std clamped; returns (action, log_prob).
-
-    The returned action is the raw sample; callers clamp it to the actuation
-    bound themselves, and the log probability refers to the pre-clamp value.
-    """
-    log_std = clamp_log_std(log_std)
-    action = mean + math.exp(log_std) * rng.normal()
-    return action, gaussian_log_prob(action, mean, log_std)
-
-
-class LinearActor:
+class LinearActor(gradnet.GaussianPolicy):
     """The neuralized-PID policy head: a linear map over the state features.
 
     weights holds one coefficient per feature of variant, in feature units.
@@ -367,7 +354,9 @@ class LinearActor:
     flat, so writing through them changes the policy. mean() and sample()
     read the live vector on every call, unscale it exactly (power-of-two
     scales) and evaluate policy_mean on plain floats, where exactness
-    matters; params is the checkpoint record of the live coefficients.
+    matters; sampler() reads it once, for an episode in which the policy
+    does not change. params is the checkpoint record of the live
+    coefficients.
     """
 
     kind = "pid"
@@ -426,6 +415,11 @@ class LinearActor:
     def sample(self, state: tuple[float, ...], rng: Xoshiro256StarStar) -> tuple[float, float]:
         return gaussian_sample(self.mean(state), float(self.log_std_arr[0]), rng)
 
+    def sampler(self, rng: Xoshiro256StarStar):
+        """sample(·, rng) as one function of the state, the coefficients read once."""
+        *w, bias = self.coefs()
+        return gradnet.episode_sampler(functools.partial(policy_mean, w, bias), self.log_std_arr, rng)
+
     # training interface
     def mean_params(self) -> list[np.ndarray]:
         return [self._w, self._bias]
@@ -434,13 +428,17 @@ class LinearActor:
         """Views of flat in order: [w, bias, log_std]."""
         return [self._w, self._bias, self.log_std_arr]
 
-    def mean_batch(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        scaled = states / self._scales
+    def mean_scaled(self, scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(mean actions, tape for mean_grads) of scaled states."""
         return scaled @ self._w + self._bias[0], scaled
 
-    def mean_grads(self, tape: np.ndarray, dmu: np.ndarray) -> np.ndarray:
-        """Gradient of sum(mean * dmu) w.r.t. flat[:-1] (everything but log_std)."""
-        return np.append(tape.T @ dmu, dmu.sum())
+    def mean_grads(self, tape: np.ndarray, dmu: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Gradient of sum(mean * dmu) w.r.t. flat[:-1] (everything but log_std), written into out."""
+        if out is None:
+            out = np.empty(self.state_dim + 1)
+        np.matmul(tape.T, dmu, out=out[:-1])
+        out[-1] = np.add.reduce(dmu)
+        return out
 
     def finalize_update(self) -> None:
         self.log_std_arr[0] = clamp_log_std(float(self.log_std_arr[0]))
@@ -464,7 +462,7 @@ class LinearActor:
         return cls(data["variant"], weights, float(data["bias"]), float(data["log_std"]))
 
 
-class NnActor:
+class NnActor(gradnet.GaussianPolicy):
     """NN-policy ablation: a 64x64 tanh network emits the mean action."""
 
     kind = "nn"
@@ -518,13 +516,14 @@ class NnActor:
         """Views of flat in order: [W0, b0, W1, b1, W2, b2, log_std]."""
         return [*self.net.parameters(), self.log_std_arr]
 
-    def mean_batch(self, states: np.ndarray) -> tuple[np.ndarray, gradnet.Tape]:
-        out, tape = gradnet.forward(self.net, states / self._scales)
+    def mean_scaled(self, scaled: np.ndarray) -> tuple[np.ndarray, gradnet.Tape]:
+        """(mean actions, tape for mean_grads) of scaled states."""
+        out, tape = gradnet.forward(self.net, scaled)
         return out[:, 0], tape
 
-    def mean_grads(self, tape: gradnet.Tape, dmu: np.ndarray) -> np.ndarray:
-        """Gradient of sum(mean * dmu) w.r.t. flat[:-1] (the net's parameters)."""
-        return gradnet.backward(self.net, tape, dmu[:, None]).flat
+    def mean_grads(self, tape: gradnet.Tape, dmu: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Gradient of sum(mean * dmu) w.r.t. flat[:-1] (the net's parameters), written into out."""
+        return gradnet.backward(self.net, tape, dmu.reshape(-1, 1), out).flat
 
     def finalize_update(self) -> None:
         self.log_std_arr[0] = clamp_log_std(float(self.log_std_arr[0]))

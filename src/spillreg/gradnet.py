@@ -1,18 +1,33 @@
 """Minimal dense-network toolkit with exact reverse-mode gradients.
 
 Sized for exactly what the training loop needs: a linear actor head and a
-two-hidden-layer (64x64) critic. Forward returns an activation tape;
-backward replays it to produce exact gradients of output . grad_output with
-respect to every parameter and the input. All math is float64 numpy.
+two-hidden-layer (64x64) critic. Forward returns the output and a tape of
+each layer's input and output; backward replays it to produce exact
+gradients of output . grad_output with respect to every parameter (and, on
+first read, the input). All math is float64 numpy.
 
 forward/backward accept a single input vector (the documented contract) or a
 batch stacked along the first axis; gradients of a batch are summed over the
 batch, so per-sample loss weights belong in grad_output.
 
+The pass is lean but keeps every product of the textbook one, with the same
+operand shapes and layouts: h @ W.T + b forward (bias added in place),
+g.T @ inputs and g @ W backward. The tape keeps no pre-activations (tanh'
+is 1 - out^2, relu' is out > 0), an identity layer passes g on without a
+multiply by ones, and the input gradient is computed only if it is read.
+
 Parameter layout: a DenseNet keeps all its parameters in one contiguous
 float64 vector, `flat` = [W0, b0, W1, b1, ...] row-major, and its layers'
 weight/bias arrays are views into it; backward returns the parameter
-gradient in the same layout. Writing through a view changes the net.
+gradient in the same layout, written into a caller's buffer if given (cut
+into per-array views once per buffer). Writing through a view changes the
+net.
+
+Policy heads and the PPO objective: the Gaussian exploration math shared by
+controllers' LinearActor and NnActor (log_std clamp, sampling, log
+probability, and the once-per-episode sampler), the linear head's mean, and
+surrogate_grads, the loss components and exact gradients of PPO's clipped
+objective on one minibatch.
 
 Optimizers: bias-corrected Adam (the default throughout the package) and
 plain SGD. Each keeps its state over one flat parameter vector and updates
@@ -23,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,6 +106,10 @@ class DenseNet:
             b[...] = layer.bias
             self.layers.append(Layer(weight=w, bias=b, activation=layer.activation))
         self.version = 0  # bumped by whoever mutates the parameters
+        # what forward reads per layer, and backward's views of its last `out`
+        self._plan = [(layer.weight.T, layer.bias, layer.activation) for layer in self.layers]
+        self._grad_flat: np.ndarray | None = None
+        self._grad_split: list[np.ndarray] = []
 
     @property
     def in_dim(self) -> int:
@@ -114,39 +134,46 @@ class DenseNet:
     def bump_version(self) -> None:
         self.version += 1
 
+    def _grad_views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """unflatten(flat), cut once for a buffer that backward is given again and again."""
+        if flat is not self._grad_flat:
+            self._grad_flat, self._grad_split = flat, self.unflatten(flat)
+        return self._grad_split
 
-@dataclass
-class Tape:
-    """Activation record of one forward pass."""
+
+class Tape(NamedTuple):
+    """Activation record of one forward pass: acts[0] is the (n, in) input,
+    acts[i + 1] the output of layer i."""
 
     net: DenseNet
     version: int
-    inputs: list[np.ndarray]  # input to each layer, shape (n, in)
-    pre_acts: list[np.ndarray]  # affine outputs before activation
-    outputs: list[np.ndarray]  # post-activation outputs
+    acts: list[np.ndarray]
     single: bool  # True if forward received a 1-D vector
 
+    @property
+    def outputs(self) -> list[np.ndarray]:
+        return self.acts[1:]
 
-@dataclass
+
 class Gradients:
-    flat: np.ndarray  # aligned with net.flat; net.unflatten(flat) splits it per array
-    input: np.ndarray
+    """Parameter gradient `flat`, aligned with net.flat (net.unflatten(flat)
+    splits it per array), and the input gradient, computed on first read of
+    `input` from the first layer's gradient and weight."""
 
+    __slots__ = ("flat", "_tape", "_first", "_input")
 
-def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    return z
+    def __init__(self, flat: np.ndarray, tape: Tape, first: np.ndarray):
+        self.flat, self._tape, self._first, self._input = flat, tape, first, None
 
-
-def _activation_grad(name: str, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return 1.0 - out * out
-    if name == "relu":
-        return (z > 0.0).astype(np.float64)
-    return np.ones_like(z)
+    @property
+    def input(self) -> np.ndarray:
+        if self._input is None:
+            tape = self._tape
+            if tape.version != tape.net.version:
+                raise UsageError("stale gradients: net parameters changed since backward")
+            g = self._first @ tape.net.layers[0].weight
+            self._input = g[0] if tape.single else g
+        return self._input
 
 
 def forward(net: DenseNet, x: np.ndarray) -> tuple[np.ndarray, Tape]:
@@ -157,44 +184,56 @@ def forward(net: DenseNet, x: np.ndarray) -> tuple[np.ndarray, Tape]:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != net.in_dim:
         raise ShapeError(f"input shape {np.shape(x)} does not match in_dim {net.in_dim}")
-    inputs, pre_acts, outputs = [], [], []
+    acts = [arr]
     h = arr
-    for layer in net.layers:
-        inputs.append(h)
-        z = h @ layer.weight.T + layer.bias
-        out = _apply_activation(layer.activation, z)
-        pre_acts.append(z)
-        outputs.append(out)
-        h = out
-    tape = Tape(net=net, version=net.version, inputs=inputs, pre_acts=pre_acts, outputs=outputs, single=single)
-    return (h[0] if single else h), tape
+    for weight_t, bias, activation in net._plan:
+        h = h @ weight_t
+        h += bias
+        if activation == "tanh":
+            np.tanh(h, out=h)
+        elif activation == "relu":
+            np.maximum(h, 0.0, out=h)
+        acts.append(h)
+    return (h[0] if single else h), Tape(net, net.version, acts, single)
 
 
-def backward(net: DenseNet, tape: Tape, grad_output: np.ndarray) -> Gradients:
-    """Exact gradients of sum(output * grad_output) w.r.t. parameters and input."""
+def backward(net: DenseNet, tape: Tape, grad_output: np.ndarray, out: np.ndarray | None = None) -> Gradients:
+    """Exact gradients of sum(output * grad_output) w.r.t. parameters and input.
+
+    The parameter gradient is written into `out` (a vector laid out like
+    net.flat; a new one if None) and returned as Gradients.flat.
+    """
     if tape.net is not net:
         raise UsageError("tape was recorded on a different net")
     if tape.version != net.version:
         raise UsageError("stale tape: net parameters changed since forward")
-    g = np.asarray(grad_output, dtype=np.float64)
+    # a fresh C-order copy: an identity layer passes g on unmultiplied, and
+    # its products then see the layout a multiply would have produced
+    g = np.array(grad_output, dtype=np.float64)
+    acts = tape.acts
     if tape.single:
         if g.shape != (net.out_dim,):
             raise ShapeError(f"grad_output shape {g.shape} does not match out_dim {net.out_dim}")
-        g = g[None, :]
-    elif g.shape != tape.outputs[-1].shape:
-        raise ShapeError(
-            f"grad_output shape {g.shape} does not match output shape {tape.outputs[-1].shape}"
-        )
-    flat = np.empty_like(net.flat)
-    param_grads = net.unflatten(flat)
+        g = g.reshape(1, -1)
+    elif g.shape != acts[-1].shape:
+        raise ShapeError(f"grad_output shape {g.shape} does not match output shape {acts[-1].shape}")
+    flat = np.empty_like(net.flat) if out is None else out
+    views = net._grad_views(flat)
     for idx in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[idx]
-        ga = g * _activation_grad(layer.activation, tape.pre_acts[idx], tape.outputs[idx])
-        param_grads[2 * idx][...] = ga.T @ tape.inputs[idx]
-        param_grads[2 * idx + 1][...] = ga.sum(axis=0)
-        g = ga @ layer.weight
-    input_grad = g[0] if tape.single else g
-    return Gradients(flat=flat, input=input_grad)
+        if layer.activation == "tanh":  # d tanh = 1 - out^2
+            ga = acts[idx + 1] * acts[idx + 1]
+            np.subtract(1.0, ga, out=ga)
+            np.multiply(g, ga, out=ga)
+        elif layer.activation == "relu":  # out > 0 exactly where the pre-activation is
+            ga = g * (acts[idx + 1] > 0.0)
+        else:
+            ga = g
+        np.matmul(ga.T, acts[idx], out=views[2 * idx])
+        np.add.reduce(ga, axis=0, out=views[2 * idx + 1])
+        if idx:
+            g = ga @ layer.weight
+    return Gradients(flat, tape, ga)
 
 
 def init_dense(
@@ -299,6 +338,145 @@ def _check_grads(params: np.ndarray, grads: np.ndarray, step: int) -> None:
         raise DivergenceError(
             f"non-finite gradient at coordinate {coord}", step=step, diagnostics={"coordinate": coord}
         )
+
+
+# --- Gaussian policy heads and the PPO objective ---------------------------
+
+LOG_STD_MIN = -5.0
+LOG_STD_MAX = 2.0
+_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+_ENTROPY_OFFSET = 0.5 * math.log(2.0 * math.pi * math.e)  # Gaussian entropy minus log_std
+
+
+def clamp_log_std(log_std: float) -> float:
+    return min(max(log_std, LOG_STD_MIN), LOG_STD_MAX)
+
+
+def gaussian_log_prob(x: float, mean: float, log_std: float) -> float:
+    std = math.exp(log_std)
+    z = (x - mean) / std
+    return -0.5 * z * z - log_std - _HALF_LOG_TWO_PI
+
+
+def policy_mean(weights, bias: float, state: tuple[float, ...]) -> float:
+    """Deterministic mean action of the linear policy for a feature tuple.
+
+    Four features (PIDAct, CDOver) use weights[0..3], three (PID3) use
+    weights[0..2]. The sum runs left to right in the order of
+    controllers.pid_update, so the PID embedding (action weight = bias = 0)
+    is exact, not just close.
+    """
+    w, v = weights, state
+    if len(v) == 4:
+        return w[0] * v[0] + w[1] * v[1] + w[2] * v[2] + w[3] * v[3] + bias
+    return w[0] * v[0] + w[1] * v[1] + w[2] * v[2] + bias
+
+
+def gaussian_sample(mean: float, log_std: float, rng) -> tuple[float, float]:
+    """Draw action ~ Normal(mean, exp(log_std)^2) with log_std clamped; returns (action, log_prob).
+
+    The returned action is the raw sample; callers clamp it to the actuation
+    bound themselves, and the log probability refers to the pre-clamp value.
+    rng is any object with a normal() -> N(0, 1) method.
+    """
+    log_std = clamp_log_std(log_std)
+    return _gaussian_draw(mean, log_std, math.exp(log_std), rng)
+
+
+def _gaussian_draw(mean: float, log_std: float, std: float, rng) -> tuple[float, float]:
+    """gaussian_sample with log_std already clamped and std = exp(log_std)."""
+    action = mean + std * rng.normal()
+    return action, gaussian_log_prob(action, mean, log_std)
+
+
+def episode_sampler(mean, log_std_arr: np.ndarray, rng):
+    """state -> gaussian_sample(mean(state), log_std_arr[0], rng), with log_std
+    read, clamped and exponentiated once: a policy is fixed for an episode."""
+    log_std = clamp_log_std(float(log_std_arr[0]))
+    std = math.exp(log_std)
+    return lambda state: _gaussian_draw(mean(state), log_std, std, rng)
+
+
+class GaussianPolicy:
+    """What the policy heads share: a mean over scaled states (states /
+    self._scales) and Gaussian exploration around it, std exp(log_std_arr[0])."""
+
+    def scale(self, states: np.ndarray) -> np.ndarray:
+        """States in the units the mean is defined over: the input of mean_scaled."""
+        return states / self._scales
+
+    def mean_batch(self, states: np.ndarray):
+        """(mean actions, tape for mean_grads) of a batch of states."""
+        return self.mean_scaled(self.scale(states))
+
+    def sampler(self, rng):
+        """sample(·, rng) as one function of the state, log_std read once."""
+        return episode_sampler(self.mean, self.log_std_arr, rng)
+
+
+class LossReport(NamedTuple):
+    actor_loss: float
+    value_loss: float
+    entropy: float
+    clip_fraction: float
+
+
+def surrogate_grads(actor, critic: DenseNet, actor_x, critic_x, actions, logp_old, advantages, returns, cfg,
+                    grads) -> LossReport:
+    """Loss components and exact gradients of PPO's objective on one minibatch.
+
+    The total loss is actor + value_coef * value - entropy_coef * entropy
+    (cfg: a ppo.TrainConfig), with the clipped-surrogate actor loss of a
+    Gaussian policy and a squared-error value loss. actor_x and critic_x are
+    the minibatch's rows of actor.scale(states) and ppo.critic_inputs.
+    grads is (actor_grads, actor_grads[:-1], critic_grads), buffers aligned
+    with actor.flat and critic.flat that the gradients are written into.
+    Raises DivergenceError on a non-finite loss.
+    """
+    n = actions.shape[0]
+    log_std = float(actor.log_std_arr[0])
+    std = math.exp(log_std)
+
+    mu, tape = actor.mean_scaled(actor_x)
+    z = (actions - mu) / std
+    logp_new = -0.5 * z * z - log_std - _HALF_LOG_TWO_PI
+    ratio = np.exp(logp_new - logp_old)
+    surr1 = ratio * advantages
+    clipped_ratio = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
+    surr2 = clipped_ratio * advantages
+    per_sample = np.minimum(surr1, surr2)
+    # float(a.mean()) is float(np.add.reduce(a)) / n, bit for bit
+    actor_loss = -(float(np.add.reduce(per_sample)) / n)
+    clip_fraction = np.count_nonzero(np.abs(ratio - 1.0) > cfg.clip_eps) / n
+    entropy = log_std + _ENTROPY_OFFSET
+
+    v_out, v_tape = forward(critic, critic_x)
+    v_err = v_out[:, 0] - returns
+    value_loss = float(np.add.reduce(v_err * v_err)) / n
+
+    if not (math.isfinite(actor_loss) and math.isfinite(value_loss)):
+        raise DivergenceError(
+            "non-finite loss in ppo update",
+            diagnostics={"actor_loss": actor_loss, "value_loss": value_loss},
+        )
+
+    # d(actor_loss)/d(ratio): only the unclipped branch carries gradient
+    # (inside the clip band both branches coincide, so ties route cleanly)
+    active = surr1 <= surr2
+    dratio = np.where(active, advantages, 0.0) * (-1.0 / n)
+    dlogp = dratio * ratio
+    dmu = dlogp * z / std  # d logp / d mu = z / std
+    dlogstd_actor = float(np.dot(dlogp, z * z - 1.0))
+    dlogstd = dlogstd_actor - cfg.entropy_coef * 1.0
+
+    actor_grads, mean_grads, critic_grads = grads
+    actor.mean_grads(tape, dmu, mean_grads)
+    actor_grads[-1] = dlogstd
+
+    dv = cfg.value_coef * (2.0 / n) * v_err
+    backward(critic, v_tape, dv.reshape(n, 1), critic_grads)
+
+    return LossReport(actor_loss, value_loss, entropy, clip_fraction)
 
 
 # --- checkpoint pieces ----------------------------------------------------

@@ -5,14 +5,19 @@ rollout with the stochastic policy, compute GAE advantages against the critic,
 then run several epochs of clipped-surrogate minibatch updates. Nets and
 gradients come from gradnet; no autograd framework is involved, so the
 gradient of the Gaussian log-probability and of the clipped ratio objective
-are written out explicitly in _minibatch_step.
+are written out explicitly in gradnet.surrogate_grads.
 
 Each learner (the actor and the critic) keeps its parameters in one flat
-vector, `flat`; each minibatch produces one flat gradient per learner, and
-one optimizer state per learner (gradnet.optimizer_for) steps that vector
-in place. The rollout stores each step's feature tuple, action, log
-probability and reward straight into the preallocated arrays of a
-RolloutBuffer.
+vector, `flat`, and one optimizer state (gradnet.optimizer_for) steps that
+vector in place. ppo_update builds a plan once per update: the actor's
+scaled features and the critic's inputs for every row, and one gradient
+buffer per learner that every minibatch writes into. Each epoch draws its
+shuffle keys in bulk (Xoshiro256StarStar.randoms), gathers the rows once in
+the shuffled order, and takes each minibatch as a slice of contiguous rows,
+so its products see the layouts the per-minibatch gather gave them. The
+rollout reads the policy once per episode (actor.sampler), collects each
+step's feature tuple, action, log probability and reward in lists, and
+stores them into a RolloutBuffer's arrays in one write per field.
 
 Determinism: every random draw flows from the master seed through named
 streams (init / sampling / shuffling), and each training episode gets its own
@@ -27,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -47,6 +52,7 @@ from .controllers import (
     tune_pid,
 )
 from .errors import CheckpointError, ConfigError, DivergenceError, SpillRegError, UsageError
+from .gradnet import LossReport
 from .metrics import ImprovementReport, SeedResult
 from .rng import Xoshiro256StarStar, derive_seed
 from .spillsim import EnvConfig, closed_loop, run_raw_episode
@@ -180,17 +186,24 @@ class RolloutBuffer:
 
     def add(self, state: tuple[float, ...], action: float, log_prob: float, reward: float, done: bool) -> None:
         i = self._n
-        if not all(math.isfinite(v) for v in (action, log_prob, reward)):
-            raise DivergenceError(
-                f"non-finite transition at step {i}",
-                diagnostics={"action": action, "log_prob": log_prob, "reward": reward},
-            )
+        _check_transition(i, action, log_prob, reward)
         self.states[i] = state
         self.actions[i] = action
         self.log_probs[i] = log_prob
         self.rewards[i] = reward
         self.dones[i] = done
         self._n = i + 1
+
+    def add_episode(self, states: list, actions: list, log_probs: list, rewards: list) -> None:
+        """add() of a whole episode's checked transitions in one write per field; the last is terminal."""
+        i, n = self._n, self._n + len(actions)
+        self.states[i:n] = states
+        self.actions[i:n] = actions
+        self.log_probs[i:n] = log_probs
+        self.rewards[i:n] = rewards
+        self.dones[i:n] = False
+        self.dones[n - 1] = True
+        self._n = n
 
     def finalize(self, values: np.ndarray) -> None:
         """Attach the critic's values of the stored states and trim every field to len(self)."""
@@ -203,6 +216,14 @@ class RolloutBuffer:
 
     def __len__(self) -> int:
         return self._n
+
+
+def _check_transition(step: int, action: float, log_prob: float, reward: float) -> None:
+    if not (math.isfinite(action) and math.isfinite(log_prob) and math.isfinite(reward)):
+        raise DivergenceError(
+            f"non-finite transition at step {step}",
+            diagnostics={"action": action, "log_prob": log_prob, "reward": reward},
+        )
 
 
 def collect_rollout(
@@ -223,18 +244,29 @@ def collect_rollout(
     racc = metrics.RewardAccumulator(reward_cfg.kind, reward_cfg.alpha, env_cfg.steps_per_episode)
     n = env_cfg.steps_per_episode
     buffer = RolloutBuffer(n, actor.state_dim)
+    sample = actor.sampler(rng)
+    reference = env_cfg.reference
+    states: list[tuple[float, ...]] = []
+    actions: list[float] = []
+    log_probs: list[float] = []
+    rewards: list[float] = []
 
     def control(t: int, raw: float, x: float, applied: float) -> float:
         try:
             sv = tracker.push(raw, x, applied)
-            reward = racc.push(abs(x - env_cfg.reference))
-            action, log_prob = actor.sample(sv, rng)
+            reward = racc.push(abs(x - reference))
+            action, log_prob = sample(sv)
         except SpillRegError as exc:
             raise type(exc)(f"rollout step {t}: {exc}") from exc
-        buffer.add(sv, action, log_prob, reward, t == n - 1)
+        _check_transition(t, action, log_prob, reward)
+        states.append(sv)
+        actions.append(action)
+        log_probs.append(log_prob)
+        rewards.append(reward)
         return action
 
     _, buffer.corrected_trace, _ = closed_loop(env_cfg, seed, control)
+    buffer.add_episode(states, actions, log_probs, rewards)
     values, _ = gradnet.forward(critic, critic_inputs(buffer.states, np.arange(n), n, actor.variant))
     buffer.finalize(values[:, 0])
     return buffer
@@ -261,9 +293,10 @@ def compute_gae(buffer: RolloutBuffer, gamma: float, lam: float) -> tuple[np.nda
     """
     if buffer.values is None:
         raise UsageError("buffer not finalized; values missing")
-    rewards, values, dones = buffer.rewards, buffer.values, buffer.dones
+    # plain floats: the same IEEE operations as on numpy scalars, faster
+    rewards, values, dones = buffer.rewards.tolist(), buffer.values.tolist(), buffer.dones.tolist()
     n = len(buffer)
-    advantages = np.zeros(n, dtype=np.float64)
+    advantages = [0.0] * n
     gae = 0.0
     for t in range(n - 1, -1, -1):
         nonterminal = 0.0 if dones[t] else 1.0
@@ -271,7 +304,8 @@ def compute_gae(buffer: RolloutBuffer, gamma: float, lam: float) -> tuple[np.nda
         delta = rewards[t] + gamma * v_next * nonterminal - values[t]
         gae = delta + gamma * lam * nonterminal * gae
         advantages[t] = gae
-    return advantages, advantages + values
+    advantages = np.array(advantages, dtype=np.float64)
+    return advantages, advantages + buffer.values
 
 
 def normalize_advantages(advantages: np.ndarray) -> np.ndarray:
@@ -280,64 +314,6 @@ def normalize_advantages(advantages: np.ndarray) -> np.ndarray:
     if adv.size <= 1:
         return adv.copy()
     return (adv - adv.mean()) / (adv.std() + 1e-8)
-
-
-class LossReport(NamedTuple):
-    actor_loss: float
-    value_loss: float
-    entropy: float
-    clip_fraction: float
-
-
-def _minibatch_step(actor, critic, states, actions, logp_old, advantages, returns, cfg, steps, horizon):
-    """Loss components and exact gradients for one minibatch.
-
-    Returns (components, actor_grads, critic_grads) where actor_grads aligns
-    with actor.flat and critic_grads with critic.flat. Gradients are for the
-    total loss actor + value_coef * value - entropy_coef * entropy.
-    """
-    n = states.shape[0]
-    log_std = float(actor.log_std_arr[0])
-    std = math.exp(log_std)
-
-    mu, tape = actor.mean_batch(states)
-    z = (actions - mu) / std
-    logp_new = -0.5 * z * z - log_std - 0.5 * math.log(2.0 * math.pi)
-    ratio = np.exp(logp_new - logp_old)
-    surr1 = ratio * advantages
-    clipped_ratio = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
-    surr2 = clipped_ratio * advantages
-    per_sample = np.minimum(surr1, surr2)
-    actor_loss = -float(per_sample.mean())
-    clip_fraction = float(np.mean(np.abs(ratio - 1.0) > cfg.clip_eps))
-    entropy = log_std + 0.5 * math.log(2.0 * math.pi * math.e)
-
-    v_out, v_tape = gradnet.forward(critic, critic_inputs(states, steps, horizon, actor.variant))
-    v = v_out[:, 0]
-    v_err = v - returns
-    value_loss = float(np.mean(v_err * v_err))
-
-    if not (math.isfinite(actor_loss) and math.isfinite(value_loss)):
-        raise DivergenceError(
-            "non-finite loss in ppo update",
-            diagnostics={"actor_loss": actor_loss, "value_loss": value_loss},
-        )
-
-    # d(actor_loss)/d(ratio): only the unclipped branch carries gradient
-    # (inside the clip band both branches coincide, so ties route cleanly)
-    active = surr1 <= surr2
-    dratio = np.where(active, advantages, 0.0) * (-1.0 / n)
-    dlogp = dratio * ratio
-    dmu = dlogp * z / std  # d logp / d mu = z / std
-    dlogstd_actor = float(np.dot(dlogp, z * z - 1.0))
-    dlogstd = dlogstd_actor - cfg.entropy_coef * 1.0
-
-    actor_grads = np.append(actor.mean_grads(tape, dmu), dlogstd)
-
-    dv = cfg.value_coef * (2.0 / n) * v_err
-    critic_grads = gradnet.backward(critic, v_tape, dv[:, None]).flat
-
-    return LossReport(actor_loss, value_loss, entropy, clip_fraction), actor_grads, critic_grads
 
 
 def ppo_update(
@@ -352,25 +328,33 @@ def ppo_update(
     """Clipped-surrogate update: epochs_per_iter passes of shuffled minibatches.
 
     actor_opt and critic_opt hold the optimizer state of actor.flat and
-    critic.flat (gradnet.optimizer_for).
+    critic.flat (gradnet.optimizer_for). The inputs of both nets are built
+    for every row once per update; each epoch gathers the rows once in its
+    shuffled order, so a minibatch is a slice of contiguous rows. One
+    gradient buffer per learner takes every minibatch's gradient.
     """
     if buffer.advantages is None or buffer.returns is None:
         raise UsageError("buffer has no advantages; run compute_gae + normalize first")
     n = len(buffer)
     if cfg.minibatch > n:
         raise ConfigError(f"minibatch {cfg.minibatch} exceeds buffer length {n}")
+    columns = (
+        actor.scale(buffer.states), critic_inputs(buffer.states, np.arange(n), n, actor.variant),
+        buffer.actions, buffer.log_probs, buffer.advantages, buffer.returns,
+    )
+    actor_grads, critic_grads = np.empty_like(actor.flat), np.empty_like(critic.flat)
+    # the mean part is one view for the whole update: backward cuts a buffer
+    # into per-array views only the first time it is given that buffer
+    grads = (actor_grads, actor_grads[:-1], critic_grads)
     sums = np.zeros(4)
     batches = 0
     for _ in range(cfg.epochs_per_iter):
         # argsort of iid uniforms is a uniform random permutation
-        keys = np.asarray([rng.random() for _ in range(n)])
-        perm = np.argsort(keys, kind="stable")
+        perm = np.argsort(np.asarray(rng.randoms(n)), kind="stable")
+        rows = [column[perm] for column in columns]
         for start in range(0, n, cfg.minibatch):
-            mb = perm[start : start + cfg.minibatch]
-            components, actor_grads, critic_grads = _minibatch_step(
-                actor, critic, buffer.states[mb], buffer.actions[mb], buffer.log_probs[mb],
-                buffer.advantages[mb], buffer.returns[mb], cfg, steps=mb, horizon=n,
-            )
+            stop = start + cfg.minibatch
+            components = gradnet.surrogate_grads(actor, critic, *[r[start:stop] for r in rows], cfg, grads)
             gradnet.optimizer_step(actor_opt, actor.flat, actor_grads)
             actor.finalize_update()
             gradnet.optimizer_step(critic_opt, critic.flat, critic_grads)
@@ -575,9 +559,24 @@ def load_checkpoint(path) -> dict:
 
 
 def restore_from_checkpoint(data: dict):
-    """Rebuild (actor, critic, env_cfg, gains, train_cfg, reward_cfg) from a checkpoint dict."""
+    """Rebuild (actor, critic, env_cfg, gains, train_cfg, reward_cfg) from a checkpoint dict.
+
+    Raises CheckpointError when its parts disagree: the actor's kind or state
+    variant is not the checkpoint's, or the critic does not map the state
+    variant's features plus episode time to one value.
+    """
     actor = actor_from_dict(data["actor"])
     critic = gradnet.net_from_dict(data["critic"])
+    policy_variant, state_variant = data.get("policy_variant"), data.get("state_variant")
+    if actor.kind != policy_variant:
+        raise CheckpointError(f"actor kind {actor.kind!r} does not match policy_variant {policy_variant!r}")
+    if actor.variant != state_variant:
+        raise CheckpointError(f"actor variant {actor.variant!r} does not match state_variant {state_variant!r}")
+    if critic.in_dim != actor.state_dim + 1 or critic.out_dim != 1:
+        raise CheckpointError(
+            f"critic maps {critic.in_dim} -> {critic.out_dim} values; state variant {state_variant!r} "
+            f"needs {actor.state_dim + 1} -> 1"
+        )
     env_cfg = EnvConfig.from_dict(data["env"])
     gains = PidGains.from_dict(data["gains"])
     train_cfg = TrainConfig.from_dict(data["train"])

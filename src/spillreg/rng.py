@@ -4,7 +4,8 @@ All stochastic pieces of the package (noise draws, weight init, exploration,
 minibatch shuffling) run on xoshiro256** seeded through splitmix64, with
 normal variates produced by the Box-Muller transform. The generator is pure
 64-bit integer arithmetic, so a given seed yields bit-identical streams on
-any platform and any Python build; nothing here depends on numpy's RNG.
+any platform and any Python build; nothing here depends on numpy's RNG
+(randoms() only borrows numpy's wrapping uint64 arithmetic).
 
 Seeding: the four 64-bit state words are the first four outputs of the
 splitmix64 sequence started at the seed. Derived streams come from
@@ -14,6 +15,8 @@ derive_seed(), which chains the splitmix64 finalizer over integer tags.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -83,6 +86,35 @@ class Xoshiro256StarStar:
     def random(self) -> float:
         """Uniform double in [0, 1): top 53 bits of the next word."""
         return (self.next_u64() >> 11) * 2.0**-53
+
+    def randoms(self, n: int) -> list[float]:
+        """The n floats that n calls of random() return, in order, with the same end state.
+
+        One loop over local variables runs the state recurrence and keeps
+        each step's s1; the output scrambler then runs on all of them at once
+        in numpy uint64 arithmetic, which wraps modulo 2**64 as next_u64's
+        masks do, so every float is random()'s bit for bit. The Box-Muller
+        spare is untouched, as it is by random().
+        """
+        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
+        mask = _MASK64
+        words = []
+        append = words.append
+        for _ in range(n):
+            append(s1)
+            t = (s1 << 17) & mask
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & mask
+        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
+        x = np.array(words, dtype=np.uint64) * np.uint64(5)
+        x = (x << np.uint64(7)) | (x >> np.uint64(57))
+        x *= np.uint64(9)
+        x >>= np.uint64(11)
+        return (x.astype(np.float64) * 2.0**-53).tolist()
 
     def uniform(self, low: float, high: float) -> float:
         return low + (high - low) * self.random()

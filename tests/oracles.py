@@ -11,17 +11,26 @@ None of these is used by the package itself:
   ppo_update optimizes;
 - sequential_tune_pid is controllers.tune_pid as it was before its
   refinement rounds were scored in batches: every probe is scored on its
-  own, when the search reaches it.
+  own, when the search reaches it;
+- dense_forward / dense_backward, minibatch_step and ppo_update are
+  gradnet.forward / backward, the PPO minibatch gradient (now
+  gradnet.surrogate_grads) and ppo.ppo_update as they were before the lean
+  inner loop: a tape of pre-activations, a multiply by
+  the activation derivative on every layer (ones for identity), the critic
+  inputs, shuffle keys and gradients rebuilt per minibatch. The package's
+  versions must match them bit for bit;
+- compute_gae is ppo.compute_gae as it was, on numpy scalars.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from spillreg import metrics
+from spillreg import gradnet, metrics
 from spillreg.controllers import (
     DEFAULT_GAIN_GRID,
     GainGrid,
@@ -30,9 +39,11 @@ from spillreg.controllers import (
     pid_sdfs,
     pid_seed_sdfs,
 )
-from spillreg.errors import ConfigError, InputError
+from spillreg.errors import ConfigError, DivergenceError, InputError
 from spillreg.metrics import _check_alpha
-from spillreg.ppo import LossReport, _minibatch_step
+from spillreg.controllers import LinearActor
+from spillreg.gradnet import LossReport, surrogate_grads
+from spillreg.ppo import critic_inputs
 from spillreg.spillsim import EnvConfig
 
 
@@ -103,12 +114,13 @@ def surrogate_losses(
     states = np.asarray(states, dtype=np.float64)
     n = states.shape[0]
     arrays = [np.asarray(a, dtype=np.float64) for a in (actions, logp_old, advantages, returns)]
-    components, _, _ = _minibatch_step(
-        actor, critic, states, *arrays, cfg,
-        steps=np.arange(n) if steps is None else np.asarray(steps),
-        horizon=n if horizon is None else horizon,
+    critic_x = critic_inputs(
+        states, np.arange(n) if steps is None else np.asarray(steps), n if horizon is None else horizon,
+        actor.variant,
     )
-    return components
+    actor_grads = np.empty_like(actor.flat)
+    grads = (actor_grads, actor_grads[:-1], np.empty_like(critic.flat))
+    return surrogate_grads(actor, critic, actor.scale(states), critic_x, *arrays, cfg, grads)
 
 
 def sequential_tune_pid(config: EnvConfig, seeds: list[int], grid: GainGrid = DEFAULT_GAIN_GRID) -> PidGains:
@@ -160,3 +172,156 @@ def sequential_tune_pid(config: EnvConfig, seeds: list[int], grid: GainGrid = DE
                 if score > best_score or (score == best_score and magnitude(point) < magnitude(best)):
                     best, best_score = point, score
     return PidGains(best[0], best[1], best[2], dt=config.dt)
+
+
+# --- the PPO inner loop before its lean rewrite -------------------------------
+
+@dataclass
+class DenseTape:
+    inputs: list[np.ndarray]  # input to each layer, shape (n, in)
+    pre_acts: list[np.ndarray]  # affine outputs before activation
+    outputs: list[np.ndarray]  # post-activation outputs
+    single: bool  # True if forward received a 1-D vector
+
+
+def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
+    if name == "tanh":
+        return np.tanh(z)
+    if name == "relu":
+        return np.maximum(z, 0.0)
+    return z
+
+
+def _activation_grad(name: str, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    if name == "tanh":
+        return 1.0 - out * out
+    if name == "relu":
+        return (z > 0.0).astype(np.float64)
+    return np.ones_like(z)
+
+
+def dense_forward(net: gradnet.DenseNet, x: np.ndarray) -> tuple[np.ndarray, DenseTape]:
+    arr = np.asarray(x, dtype=np.float64)
+    single = arr.ndim == 1
+    if single:
+        arr = arr[None, :]
+    inputs, pre_acts, outputs = [], [], []
+    h = arr
+    for layer in net.layers:
+        inputs.append(h)
+        z = h @ layer.weight.T + layer.bias
+        out = _apply_activation(layer.activation, z)
+        pre_acts.append(z)
+        outputs.append(out)
+        h = out
+    return (h[0] if single else h), DenseTape(inputs, pre_acts, outputs, single)
+
+
+def dense_backward(net: gradnet.DenseNet, tape: DenseTape, grad_output: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(flat parameter gradient, input gradient)."""
+    g = np.asarray(grad_output, dtype=np.float64)
+    if tape.single:
+        g = g[None, :]
+    flat = np.empty_like(net.flat)
+    param_grads = net.unflatten(flat)
+    for idx in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[idx]
+        ga = g * _activation_grad(layer.activation, tape.pre_acts[idx], tape.outputs[idx])
+        param_grads[2 * idx][...] = ga.T @ tape.inputs[idx]
+        param_grads[2 * idx + 1][...] = ga.sum(axis=0)
+        g = ga @ layer.weight
+    return flat, (g[0] if tape.single else g)
+
+
+def _mean_batch(actor, states):
+    if isinstance(actor, LinearActor):
+        scaled = states / actor._scales
+        return scaled @ actor._w + actor._bias[0], scaled
+    out, tape = dense_forward(actor.net, states / actor._scales)
+    return out[:, 0], tape
+
+
+def _mean_grads(actor, tape, dmu):
+    if isinstance(actor, LinearActor):
+        return np.append(tape.T @ dmu, dmu.sum())
+    return dense_backward(actor.net, tape, dmu[:, None])[0]
+
+
+def minibatch_step(actor, critic, states, actions, logp_old, advantages, returns, cfg, steps, horizon):
+    """(components, actor_grads, critic_grads) for one minibatch."""
+    n = states.shape[0]
+    log_std = float(actor.log_std_arr[0])
+    std = math.exp(log_std)
+
+    mu, tape = _mean_batch(actor, states)
+    z = (actions - mu) / std
+    logp_new = -0.5 * z * z - log_std - 0.5 * math.log(2.0 * math.pi)
+    ratio = np.exp(logp_new - logp_old)
+    surr1 = ratio * advantages
+    clipped_ratio = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
+    surr2 = clipped_ratio * advantages
+    per_sample = np.minimum(surr1, surr2)
+    actor_loss = -float(per_sample.mean())
+    clip_fraction = float(np.mean(np.abs(ratio - 1.0) > cfg.clip_eps))
+    entropy = log_std + 0.5 * math.log(2.0 * math.pi * math.e)
+
+    v_out, v_tape = dense_forward(critic, critic_inputs(states, steps, horizon, actor.variant))
+    v = v_out[:, 0]
+    v_err = v - returns
+    value_loss = float(np.mean(v_err * v_err))
+
+    if not (math.isfinite(actor_loss) and math.isfinite(value_loss)):
+        raise DivergenceError(
+            "non-finite loss in ppo update",
+            diagnostics={"actor_loss": actor_loss, "value_loss": value_loss},
+        )
+
+    active = surr1 <= surr2
+    dratio = np.where(active, advantages, 0.0) * (-1.0 / n)
+    dlogp = dratio * ratio
+    dmu = dlogp * z / std
+    dlogstd_actor = float(np.dot(dlogp, z * z - 1.0))
+    dlogstd = dlogstd_actor - cfg.entropy_coef * 1.0
+
+    actor_grads = np.append(_mean_grads(actor, tape, dmu), dlogstd)
+
+    dv = cfg.value_coef * (2.0 / n) * v_err
+    critic_grads = dense_backward(critic, v_tape, dv[:, None])[0]
+
+    return LossReport(actor_loss, value_loss, entropy, clip_fraction), actor_grads, critic_grads
+
+
+def ppo_update(actor, critic, buffer, cfg, rng, actor_opt, critic_opt) -> LossReport:
+    n = len(buffer)
+    sums = np.zeros(4)
+    batches = 0
+    for _ in range(cfg.epochs_per_iter):
+        keys = np.asarray([rng.random() for _ in range(n)])
+        perm = np.argsort(keys, kind="stable")
+        for start in range(0, n, cfg.minibatch):
+            mb = perm[start : start + cfg.minibatch]
+            components, actor_grads, critic_grads = minibatch_step(
+                actor, critic, buffer.states[mb], buffer.actions[mb], buffer.log_probs[mb],
+                buffer.advantages[mb], buffer.returns[mb], cfg, steps=mb, horizon=n,
+            )
+            gradnet.optimizer_step(actor_opt, actor.flat, actor_grads)
+            actor.finalize_update()
+            gradnet.optimizer_step(critic_opt, critic.flat, critic_grads)
+            critic.bump_version()
+            sums += components
+            batches += 1
+    return LossReport(*(float(m) for m in sums / batches))
+
+
+def compute_gae(buffer, gamma: float, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    rewards, values, dones = buffer.rewards, buffer.values, buffer.dones
+    n = len(buffer)
+    advantages = np.zeros(n, dtype=np.float64)
+    gae = 0.0
+    for t in range(n - 1, -1, -1):
+        nonterminal = 0.0 if dones[t] else 1.0
+        v_next = values[t + 1] if t + 1 < n else 0.0
+        delta = rewards[t] + gamma * v_next * nonterminal - values[t]
+        gae = delta + gamma * lam * nonterminal * gae
+        advantages[t] = gae
+    return advantages, advantages + values

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from test_fingerprints import LINEAR_CHECKPOINT
 from spillreg.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, MANIFEST_NAME, main
 
 
@@ -262,3 +263,19 @@ def test_train_divergence_keeps_the_initial_checkpoint(tmp_path, capsys):
     assert json.loads(data)["iterations_done"] == 0
     assert hashlib.sha256(data).hexdigest() == (
         "944b6bfd5766c5e9e7adfea48c4fa0dd53ba77a6e50a76485093fdb2a401e7eb")
+
+
+@pytest.mark.parametrize("change,text", [
+    ({"policy_variant": "nn"}, "policy_variant"),
+    ({"state_variant": "cd_over"}, "state_variant"),
+    ({"critic": {"layer_dims": [[1, 2]], "activations": ["identity"], "params": [[0.0, 0.0], [0.0]]}},
+     "critic maps 2 -> 1"),
+    ({"critic": {"layer_dims": [[2, 5]], "activations": ["identity"], "params": [[0.0] * 10, [0.0, 0.0]]}},
+     "critic maps 5 -> 2"),
+])
+def test_evaluate_refuses_a_checkpoint_whose_parts_disagree(tmp_path, capsys, change, text):
+    path = write_config(tmp_path, dict(LINEAR_CHECKPOINT, **change), name="checkpoint.json")
+    assert run("evaluate", "--checkpoint", path, "--out", tmp_path / "o") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert text in err
+    assert "Traceback" not in err

@@ -647,6 +647,24 @@ def test_policy_sample_log_prob_consistency():
     assert action != mean
 
 
+@pytest.mark.parametrize("kind", ["pid", "nn"])
+def test_episode_sampler_draws_what_sample_draws(kind):
+    actor = make_actor(kind, "pid_act", HAND_GAINS, Xoshiro256StarStar(2))
+    actor.log_std_arr[0] = -0.7
+    states = [(0.5, -2.0, 800.0, 0.7), (-0.1, 3.0, -50.0, 0.2), (0.0, 0.0, 0.0, 0.0)]
+    rng_a, rng_b = Xoshiro256StarStar(4), Xoshiro256StarStar(4)
+    sample = actor.sampler(rng_a)
+    assert [sample(s) for s in states] == [actor.sample(s, rng_b) for s in states]
+
+
+def test_pid_episode_memo_returns_fresh_equal_lists(env_cfg, tuned_gains):
+    first = run_pid_episode(env_cfg, 4, tuned_gains)
+    first[0] = math.nan  # a caller's edit must not reach the memo
+    again = run_pid_episode(env_cfg, 4, tuned_gains)
+    assert again == pid_episode_records(env_cfg, 4, tuned_gains)[1]
+    assert again is not run_pid_episode(env_cfg, 4, tuned_gains)
+
+
 def test_clamp_action_bound():
     assert clamp_action(3.0, 1.0) == 1.0
     assert clamp_action(-3.0, 1.0) == -1.0

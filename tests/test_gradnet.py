@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from spillreg import gradnet
 from spillreg.errors import CheckpointError, DivergenceError, ShapeError, UsageError
 from spillreg.gradnet import (
@@ -270,6 +271,49 @@ def test_backward_flat_is_laid_out_like_the_parameters():
     # output layer is identity: dL/db1 = sum over the batch of ones, dL/dW1 = sum of hidden outputs
     assert b1.tolist() == [3.0, 3.0]
     assert np.allclose(w1, np.tile(tape.outputs[0].sum(axis=0), (2, 1)), rtol=1e-12, atol=0.0)
+
+
+# --- bit identity with the tape-and-multiply pass it replaced ---------------------
+
+@settings(max_examples=80, deadline=None)
+@given(
+    in_dim=st.integers(1, 6),
+    hidden=st.lists(st.integers(1, 64), min_size=0, max_size=2),
+    out_dim=st.integers(1, 3),
+    acts=st.lists(st.sampled_from(ACTIVATIONS), min_size=3, max_size=3),
+    rows=st.sampled_from([None, 1, 64]),
+    seed=st.integers(0, 2**16),
+)
+def test_forward_backward_match_the_reference_bit_for_bit(in_dim, hidden, out_dim, acts, rows, seed):
+    dims = [in_dim, *hidden, out_dim]
+    net = init_dense(dims, acts[: len(dims) - 1], Xoshiro256StarStar(seed))
+    rng = np.random.default_rng(seed)
+    net.flat[net.param_count - out_dim:] = rng.normal(size=out_dim)  # nonzero output bias
+    shape = (in_dim,) if rows is None else (rows, in_dim)
+    x = rng.normal(size=shape) * 2.0
+    probe = rng.normal(size=(out_dim,) if rows is None else (rows, out_dim))
+
+    out, tape = forward(net, x)
+    ref_out, ref_tape = oracles.dense_forward(net, x)
+    assert out.tobytes() == ref_out.tobytes() and out.shape == ref_out.shape
+    grads = backward(net, tape, probe)
+    ref_flat, ref_input = oracles.dense_backward(net, ref_tape, probe)
+    assert grads.flat.tobytes() == ref_flat.tobytes()
+    assert grads.input.tobytes() == ref_input.tobytes() and grads.input.shape == ref_input.shape
+    # a reused gradient buffer gets the same bytes
+    buffer = np.full_like(net.flat, np.nan)
+    for _ in range(2):
+        assert backward(net, tape, probe, buffer).flat is buffer
+        assert buffer.tobytes() == ref_flat.tobytes()
+
+
+def test_input_gradient_of_stale_gradients_is_refused():
+    net = small_net()
+    out, tape = forward(net, np.ones((2, 3)))
+    grads = backward(net, tape, np.ones_like(out))
+    net.bump_version()
+    with pytest.raises(UsageError):
+        grads.input
 
 
 # --- flat optimizers against the per-array reference ------------------------------

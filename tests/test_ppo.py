@@ -8,9 +8,13 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import ema_reward, neg_sum_series, surrogate_losses
 from spillreg import gradnet, metrics, ppo
 from spillreg.controllers import (
+    STATE_DIMS,
     PidGains,
     StateTracker,
     make_actor,
@@ -364,9 +368,10 @@ def test_minibatch_gradients_match_finite_differences():
         )
         return rep.actor_loss + cfg.value_coef * rep.value_loss - cfg.entropy_coef * rep.entropy
 
-    _, actor_grads, critic_grads = ppo._minibatch_step(
-        actor, critic, states, actions, logp_old, advantages, returns, cfg,
-        steps=steps, horizon=n,
+    actor_grads, critic_grads = np.empty_like(actor.flat), np.empty_like(critic.flat)
+    gradnet.surrogate_grads(
+        actor, critic, actor.scale(states), critic_inputs(states, steps, n, actor.variant),
+        actions, logp_old, advantages, returns, cfg, (actor_grads, actor_grads[:-1], critic_grads),
     )
     h = 1e-6
     assert actor_grads.shape == actor.flat.shape and critic_grads.shape == critic.flat.shape
@@ -481,6 +486,86 @@ def test_repeated_updates_reduce_value_loss(env_cfg):
     for _ in range(4):
         last = ppo_update(actor, critic, buf, cfg, rng, a_opt, c_opt)
     assert last.value_loss < first.value_loss
+
+
+# --- bit identity with the per-minibatch loop it replaced -----------------------------
+
+def random_update_buffer(seed, actor, n=430):
+    """A finalized buffer of random transitions near the actor's own policy."""
+    rng = np.random.default_rng(seed)
+    magnitudes = np.array([0.5, 5.0, 3000.0, 0.5])[: actor.state_dim]
+    states = rng.normal(size=(n, actor.state_dim)) * magnitudes
+    mu, _ = actor.mean_batch(states)
+    log_std = float(actor.log_std_arr[0])
+    actions = mu + rng.normal(size=n) * math.exp(log_std)
+    z = (actions - mu) / math.exp(log_std)
+    # offsets of +-0.3 put some ratios outside the clip band of 0.2
+    log_probs = -0.5 * z * z - log_std - 0.5 * math.log(2 * math.pi) + rng.uniform(-0.3, 0.3, n)
+    buf = RolloutBuffer(n, actor.state_dim)
+    buf.add_episode([tuple(row) for row in states.tolist()], actions.tolist(), log_probs.tolist(),
+                    (-rng.uniform(0.0, 0.1, n)).tolist())
+    buf.finalize(rng.normal(size=n) * 0.1)
+    buf.advantages = normalize_advantages(rng.normal(size=n))
+    buf.returns = rng.normal(size=n) * 0.2
+    return buf
+
+
+def opt_bytes(opt):
+    if isinstance(opt, gradnet.AdamState):
+        return opt.m.tobytes(), opt.v.tobytes(), opt.step
+    return (opt.step,)
+
+
+def update_runs(update, kind, variant, cfg, seed, updates=2):
+    actor = fresh_actor(seed, kind, variant)
+    critic = fresh_critic(seed + 1, STATE_DIMS[variant])
+    buf = random_update_buffer(seed, actor)
+    a_opt, c_opt = opt_pair(actor, critic, cfg)
+    rng = Xoshiro256StarStar(seed)
+    states = []
+    for _ in range(updates):
+        try:
+            report = np.array(update(actor, critic, buf, cfg, rng, a_opt, c_opt)).tobytes()
+        except DivergenceError as exc:
+            report = (str(exc), repr(exc.diagnostics))
+        states.append((report, actor.flat.tobytes(), critic.flat.tobytes(), opt_bytes(a_opt), opt_bytes(c_opt),
+                       rng.state))
+    return states
+
+
+@settings(max_examples=16, deadline=None)
+@given(
+    kind=st.sampled_from(["pid", "nn"]),
+    variant=st.sampled_from(sorted(STATE_DIMS)),
+    optimizer=st.sampled_from(["adam", "sgd"]),
+    seed=st.integers(0, 2**16),
+)
+def test_ppo_update_matches_the_reference_bit_for_bit(kind, variant, optimizer, seed):
+    # 430 rows in minibatches of 64: six full ones and a 46-row tail per epoch
+    cfg = TrainConfig(epochs_per_iter=2, optimizer=optimizer, lr=1e-3, entropy_coef=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert update_runs(ppo_update, kind, variant, cfg, seed) == update_runs(
+            oracles.ppo_update, kind, variant, cfg, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_compute_gae_matches_the_reference_bit_for_bit(seed):
+    buf = random_update_buffer(seed, fresh_actor())
+    buf.dones[200] = True  # a terminal step inside the buffer
+    ours, reference = compute_gae(buf, 0.99, 0.95), oracles.compute_gae(buf, 0.99, 0.95)
+    assert [a.tobytes() for a in ours] == [a.tobytes() for a in reference]
+
+
+@pytest.mark.parametrize("kind", ["pid", "nn"])
+def test_ppo_update_diverges_where_the_reference_does(kind):
+    cfg = TrainConfig(epochs_per_iter=2, lr=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ours = update_runs(ppo_update, kind, "pid_act", cfg, 5, updates=1)
+        reference = update_runs(oracles.ppo_update, kind, "pid_act", cfg, 5, updates=1)
+    assert ours == reference
+    assert "non-finite" in ours[0][0][0]
 
 
 # --- critic features -------------------------------------------------------------

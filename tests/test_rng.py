@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import pytest
+
 from spillreg.rng import Xoshiro256StarStar, derive_seed, splitmix64
 
 # Reference outputs of splitmix64 started at state 0 (Steele/Lea/Flood
@@ -100,6 +102,31 @@ def test_normal_pair_caching_consumes_two_words():
     b.next_u64()
     b.next_u64()
     assert a.next_u64() == b.next_u64()
+
+
+@pytest.mark.parametrize("seed,n", [(0, 1), (3, 430), (2**64 - 1, 4300)])
+def test_randoms_equals_repeated_random(seed, n):
+    bulk, single = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    assert bulk.randoms(n) == [single.random() for _ in range(n)]
+    assert bulk.state == single.state
+    assert bulk.next_u64() == single.next_u64()
+
+
+def test_randoms_of_zero_draws_nothing():
+    rng = Xoshiro256StarStar(5)
+    state = rng.state
+    assert rng.randoms(0) == []
+    assert rng.state == state
+
+
+def test_randoms_keeps_a_pending_normal_spare():
+    bulk, single = Xoshiro256StarStar(9), Xoshiro256StarStar(9)
+    bulk.normal()
+    single.normal()  # both now hold the second Box-Muller variate
+    assert bulk.randoms(7) == [single.random() for _ in range(7)]
+    spare = single.normal()
+    assert bulk.normal() == spare
+    assert bulk.state == single.state
 
 
 def test_derive_seed_deterministic_and_tag_sensitive():
