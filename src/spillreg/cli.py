@@ -25,13 +25,12 @@ non-finite control action in any closed loop), 4 I/O.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
+import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from datetime import datetime, timezone
 
 from . import __version__, metrics, ppo
 from .controllers import STATE_LABELS, PidGains, pid_episode_records, pid_seed_sdfs, tune_pid
@@ -45,6 +44,16 @@ from .errors import (
     UsageError,
 )
 from .spillsim import EnvConfig, run_raw_episode, write_trace_csv
+
+# CPython's built-in SHA-256. hashlib would load OpenSSL's libcrypto, about
+# 3.5 MB resident, to hash one small manifest payload per command.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -179,14 +188,19 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def payload_digest(data: bytes) -> str:
+    """Hex SHA-256 of data, as hashlib.sha256(data).hexdigest() gives it."""
+    return _sha256(data).hexdigest()
+
+
 def write_manifest(out_dir: str, command: str, config_payload: dict, master_seed: int,
                    outputs: dict, extra: dict | None = None) -> str:
     payload = {"command": command, "master_seed": master_seed, "config": config_payload}
     manifest = dict(payload)
     manifest["tool_version"] = __version__
-    manifest["created_utc"] = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    manifest["created_utc"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     manifest["outputs"] = outputs
-    manifest["payload_sha256"] = hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    manifest["payload_sha256"] = payload_digest(canonical_json(payload).encode("utf-8"))
     if extra:
         manifest.update(extra)
     path = os.path.join(out_dir, MANIFEST_NAME)

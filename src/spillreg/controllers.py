@@ -28,8 +28,7 @@ Exploration is a Gaussian over the mean action with a learnable log_std,
 clamped to [-5, 2]. Sampling returns the pre-clamp action and its log
 probability; actuation clamps to the environment's action bound. That math,
 policy_mean and the actors' shared methods (gradnet.GaussianPolicy) live in
-gradnet, next to the PPO gradient that differentiates them; this module
-re-exports the public names.
+gradnet, next to the PPO gradient that differentiates them.
 
 run_pid_episode memoizes the corrected PID trace per (config, seed, gains),
 so the per-iteration training curve recomputes no PID episode.
@@ -45,14 +44,7 @@ import numpy as np
 
 from . import gradnet, metrics, pidbatch
 from .errors import ConfigError, DivergenceError, InputError, ShapeError
-from .gradnet import (  # noqa: F401 (re-exported policy-head math)
-    LOG_STD_MAX,
-    LOG_STD_MIN,
-    clamp_log_std,
-    gaussian_log_prob,
-    gaussian_sample,
-    policy_mean,
-)
+from .gradnet import clamp_log_std, gaussian_sample, policy_mean
 from .rng import Xoshiro256StarStar
 from .spillsim import RAW_MEMO_SIZE, EnvConfig, closed_loop
 

@@ -248,7 +248,10 @@ def init_dense(
     Weights are drawn U(-L, L) with L = gain * sqrt(3 / fan_in), which matches
     the variance of orthogonal init at the given gain; hidden layers use
     hidden_gain, the final layer out_gain (small, so initial outputs hug 0).
-    Biases start at zero. rng is any object with a random() -> [0, 1) method.
+    Biases start at zero. rng is any object whose randoms(n) returns n floats
+    in [0, 1), as rng.Xoshiro256StarStar.randoms does. A layer takes
+    fan_out * fan_in of them in row-major order, and each weight is
+    low + (high - low) * u, the two IEEE operations of rng.uniform(low, high).
     """
     if len(layer_dims) < 2:
         raise ShapeError("layer_dims needs at least input and output sizes")
@@ -261,10 +264,9 @@ def init_dense(
         fan_in, fan_out = layer_dims[i], layer_dims[i + 1]
         gain = out_gain if i == len(activations) - 1 else hidden_gain
         limit = gain * math.sqrt(3.0 / fan_in)
-        w = np.empty((fan_out, fan_in), dtype=np.float64)
-        for r in range(fan_out):
-            for c in range(fan_in):
-                w[r, c] = rng.uniform(-limit, limit)
+        low, high = -limit, limit
+        u = np.array(rng.randoms(fan_out * fan_in), dtype=np.float64).reshape(fan_out, fan_in)
+        w = low + (high - low) * u
         layers.append(Layer(weight=w, bias=np.zeros(fan_out), activation=act))
     return DenseNet(layers)
 

@@ -7,7 +7,7 @@ does. A controller is a PID point (controllers.pid_sdfs, in the order of
 spillsim.closed_loop, controllers.ErrorTracker and controllers.pid_update)
 or the coefficients of a linear policy head over the P, I, D features
 (ppo.actor_sdfs, in the order of controllers.StateTracker and
-controllers.policy_mean). Every row it marks exact equals the scalar path
+gradnet.policy_mean). Every row it marks exact equals the scalar path
 bit for bit; the callers recompute the other rows with the scalar path.
 
 score_round scores a whole tune_pid refinement round in one batch_sdfs call.

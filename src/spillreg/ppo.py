@@ -489,6 +489,7 @@ def train(
         curve_rows.append(row)
         if on_iteration is not None:
             on_iteration(it, row)
+        last_good = None  # so that only one snapshot is alive at a time
         last_good = snapshot(it + 1)
 
     report = build_report(env_cfg, gains, actor, train_cfg.seeds)

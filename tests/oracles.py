@@ -20,6 +20,8 @@ None of these is used by the package itself:
   inputs, shuffle keys and gradients rebuilt per minibatch. The package's
   versions must match them bit for bit;
 - compute_gae is ppo.compute_gae as it was, on numpy scalars.
+- init_dense_weights draws gradnet.init_dense's weights as it did before
+  its bulk draw: one rng.uniform call per weight, row by row.
 """
 
 from __future__ import annotations
@@ -325,3 +327,17 @@ def compute_gae(buffer, gamma: float, lam: float) -> tuple[np.ndarray, np.ndarra
         gae = delta + gamma * lam * nonterminal * gae
         advantages[t] = gae
     return advantages, advantages + values
+
+
+def init_dense_weights(layer_dims, activations, rng, hidden_gain=math.sqrt(2.0), out_gain=0.01):
+    weights = []
+    for i in range(len(activations)):
+        fan_in, fan_out = layer_dims[i], layer_dims[i + 1]
+        gain = out_gain if i == len(activations) - 1 else hidden_gain
+        limit = gain * math.sqrt(3.0 / fan_in)
+        w = np.empty((fan_out, fan_in), dtype=np.float64)
+        for r in range(fan_out):
+            for c in range(fan_in):
+                w[r, c] = rng.uniform(-limit, limit)
+        weights.append(w)
+    return weights

@@ -1,16 +1,29 @@
-"""End-to-end CLI behavior through main(argv); no subprocesses needed."""
+"""End-to-end CLI behavior through main(argv).
+
+One test runs a command in a fresh interpreter, to see which modules a
+command loads; pytest itself has already loaded hashlib in this one.
+"""
 
 from __future__ import annotations
 
+import calendar
 import csv
 import hashlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_fingerprints import LINEAR_CHECKPOINT
-from spillreg.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, MANIFEST_NAME, main
+import spillreg
+from spillreg.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, MANIFEST_NAME, main, payload_digest
 
 
 def read_json(path):
@@ -58,6 +71,41 @@ def test_simulate_unregulated(tmp_path):
     assert manifest["outputs"]["trace_csv"] == "trace.csv"
     assert manifest["sdf_raw"] == manifest["sdf_corrected"]
     assert len(manifest["payload_sha256"]) == 64
+
+
+def test_manifest_created_utc_is_the_current_utc_second(tmp_path):
+    before = time.time()
+    assert run("simulate", "--out", tmp_path, "--seed", "1") == EXIT_OK
+    after = time.time()
+    stamp = read_json(tmp_path / MANIFEST_NAME)["created_utc"]
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", stamp)
+    seconds = calendar.timegm(time.strptime(stamp, "%Y-%m-%dT%H:%M:%SZ"))
+    assert before - 2 <= seconds <= after + 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.binary(max_size=300))
+def test_manifest_digest_matches_hashlib(data):
+    assert payload_digest(data) == hashlib.sha256(data).hexdigest()
+
+
+def test_commands_load_no_openssl(tmp_path):
+    # import hashlib loads OpenSSL's libcrypto (~3.5 MB resident) through
+    # _hashlib; numpy imports datetime itself, so _datetime is not checked.
+    script = (
+        "import sys\n"
+        "import spillreg.cli\n"
+        "code = spillreg.cli.main(['simulate', '--out', sys.argv[1]])\n"
+        "print(code, sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spillreg.__file__)))
+    path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{EXIT_OK} []"
+    assert (tmp_path / MANIFEST_NAME).exists()
 
 
 def test_simulate_with_gains_regulates(tmp_path, gains_file):

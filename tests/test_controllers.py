@@ -22,8 +22,6 @@ from spillreg import controllers, pidbatch, ppo
 from spillreg.controllers import (
     DEFAULT_GAIN_GRID,
     FEATURE_SCALES,
-    LOG_STD_MAX,
-    LOG_STD_MIN,
     ErrorState,
     ErrorTracker,
     GainGrid,
@@ -34,18 +32,16 @@ from spillreg.controllers import (
     STATE_LABELS,
     StateTracker,
     actor_from_dict,
-    clamp_log_std,
     feature_scales,
-    gaussian_log_prob,
     make_actor,
     pid_episode_records,
     pid_sdfs,
     pid_update,
-    policy_mean,
     run_pid_episode,
     tune_pid,
 )
 from spillreg.errors import ConfigError, InputError, InvalidActionError, ShapeError, SpillRegError
+from spillreg.gradnet import LOG_STD_MAX, LOG_STD_MIN, clamp_log_std, gaussian_log_prob, policy_mean
 from spillreg.metrics import ordered_mean, sdf
 from spillreg.pidbatch import PID_KERNEL_BYTES
 from spillreg.rng import Xoshiro256StarStar

@@ -162,6 +162,26 @@ def test_init_is_seed_deterministic():
         assert np.array_equal(pa, pb)
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+@pytest.mark.parametrize("dims,gains", [
+    ((5, 64, 64, 1), {}),
+    ((3, 64, 64, 1), {}),
+    ((2, 7, 1), {"hidden_gain": 1.0, "out_gain": 0.5}),
+    ((4, 3), {}),
+])
+def test_init_dense_bulk_draw_matches_per_weight_uniform(seed, dims, gains):
+    acts = ["tanh"] * (len(dims) - 2) + ["identity"]
+    rng, ref_rng = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    net = init_dense(list(dims), acts, rng, **gains)
+    expected = oracles.init_dense_weights(list(dims), acts, ref_rng, **gains)
+    assert len(net.layers) == len(expected)
+    for layer, w in zip(net.layers, expected):
+        assert layer.weight.tobytes() == w.tobytes()
+        assert not layer.bias.any()
+    assert rng.state == ref_rng.state
+    assert rng.random() == ref_rng.random()
+
+
 def test_net_round_trip_is_exact():
     net = small_net(seed=6)
     again = net_from_dict(net_to_dict(net))
