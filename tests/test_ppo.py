@@ -15,6 +15,7 @@ from oracles import ema_reward, neg_sum_series, surrogate_losses
 from spillreg import gradnet, metrics, ppo
 from spillreg.controllers import (
     STATE_DIMS,
+    LinearActor,
     PidGains,
     StateTracker,
     make_actor,
@@ -24,6 +25,7 @@ from spillreg.errors import (
     CheckpointError,
     ConfigError,
     DivergenceError,
+    InputError,
     UsageError,
 )
 from spillreg.ppo import (
@@ -201,6 +203,30 @@ def test_rollout_done_only_on_final_transition(env_cfg):
     buf = make_rollout(env_cfg)
     assert not buf.dones[:-1].any()
     assert buf.dones[-1]
+
+
+def test_rollout_step_error_names_its_step():
+    """A package error inside a step is re-raised as its own type, prefixed with the step."""
+    # dt near the smallest double turns the D feature's 1/dt into inf at step 1
+    cfg = spillsim.EnvConfig(steps_per_episode=5, dt=1e-310)
+    with pytest.raises(InputError, match=r"^rollout step 1: state features are not finite: ") as info:
+        make_rollout(cfg)
+    assert type(info.value) is InputError
+    assert isinstance(info.value.__cause__, InputError)
+
+
+def test_nonfinite_transition_raises_divergence(env_cfg):
+    """An overflowing action stops the rollout at its step, with the transition in diagnostics."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        # the weights overflow to inf once scaled to trainable coordinates
+        actor = LinearActor("pid_act", [1e308, 1e308, 0.0, 0.0])
+        with pytest.raises(DivergenceError, match=r"^non-finite transition at step 0$") as info:
+            collect_rollout(env_cfg, 0, actor, fresh_critic(), RewardConfig(), Xoshiro256StarStar(99))
+    diagnostics = info.value.diagnostics
+    assert set(diagnostics) == {"action", "log_prob", "reward"}
+    assert not math.isfinite(diagnostics["action"])
+    assert math.isfinite(diagnostics["reward"])
 
 
 def test_deterministic_rollout_of_initial_actor_reproduces_pid(env_cfg, tuned_gains):
