@@ -99,8 +99,14 @@ class RewardAccumulator:
 def ordered_mean(values: Sequence[float]) -> float:
     """Mean of floats added one by one in the given order.
 
-    Used for every mean written to an output, so the bytes do not depend on
-    the Python version: builtin sum() compensates rounding from Python 3.12.
+    Used for the means of Python lists that reach an output: tune-pid's
+    mean_sdf, the scores tune_pid (and pidbatch.score_round) compares, and
+    the ablation table's MEAN row. builtin sum() compensates rounding from
+    Python 3.12, so a sum()-based mean would change those bytes with the
+    Python version. The numpy means elsewhere (report.json's aggregates via
+    np.mean, curve.csv's mean_reward via ndarray.mean) need no such care:
+    numpy sums float64 with its own pairwise add.reduce, written in C, so
+    their bytes follow numpy and the array's layout, not the interpreter.
     """
     total = 0.0
     for v in values:

@@ -9,15 +9,16 @@ are written out explicitly in gradnet.surrogate_grads.
 
 Each learner (the actor and the critic) keeps its parameters in one flat
 vector, `flat`, and one optimizer state (gradnet.optimizer_for) steps that
-vector in place. ppo_update builds a plan once per update: the actor's
-scaled features and the critic's inputs for every row, and one gradient
-buffer per learner that every minibatch writes into. Each epoch draws its
-shuffle keys in bulk (Xoshiro256StarStar.randoms), gathers the rows once in
-the shuffled order, and takes each minibatch as a slice of contiguous rows,
-so its products see the layouts the per-minibatch gather gave them. The
-rollout reads the policy once per episode (actor.sampler), collects each
-step's feature tuple, action, log probability and reward in lists, and
-stores them into a RolloutBuffer's arrays in one write per field.
+vector in place. The rollout reads the policy once per episode
+(actor.sampler), collects each step's feature tuple, action, log probability
+and reward in lists and returns them as one immutable Rollout, with the
+critic's inputs and values of its states. ppo_update builds the actor's
+scaled features once per update, reuses the rollout's critic inputs, and
+writes every minibatch's gradient into one buffer per learner. Each epoch
+draws its shuffle keys in bulk (Xoshiro256StarStar.randoms), gathers the
+rows once in the shuffled order, and takes each minibatch as a slice of
+contiguous rows, so its products see the layouts the per-minibatch gather
+gave them.
 
 Determinism: every random draw flows from the master seed through named
 streams (init / sampling / shuffling), and each training episode gets its own
@@ -51,7 +52,7 @@ from .controllers import (
     run_pid_episode,
     tune_pid,
 )
-from .errors import CheckpointError, ConfigError, DivergenceError, SpillRegError, UsageError
+from .errors import CheckpointError, ConfigError, DivergenceError, SpillRegError
 from .gradnet import LossReport
 from .metrics import ImprovementReport, SeedResult
 from .rng import Xoshiro256StarStar, derive_seed
@@ -92,18 +93,14 @@ class TrainConfig:
             raise ConfigError(f"gae_lambda must lie in [0, 1], got {self.gae_lambda}")
         if not self.clip_eps > 0:
             raise ConfigError(f"clip_eps must be > 0, got {self.clip_eps}")
-        if self.epochs_per_iter < 1:
-            raise ConfigError(f"epochs_per_iter must be >= 1, got {self.epochs_per_iter}")
-        if self.minibatch < 1:
-            raise ConfigError(f"minibatch must be >= 1, got {self.minibatch}")
+        for name, low in (("epochs_per_iter", 1), ("minibatch", 1), ("iterations", 0), ("seed_rotation_period", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value}")
         if not self.lr > 0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
-        if self.iterations < 0:
-            raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.seed_rotation_period < 1:
-            raise ConfigError(f"seed_rotation_period must be >= 1, got {self.seed_rotation_period}")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
         if self.optimizer not in ("adam", "sgd"):
@@ -136,9 +133,6 @@ class TrainConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown train config field(s): {sorted(unknown)}")
-        if "seeds" in data:
-            data = dict(data)
-            data["seeds"] = tuple(data["seeds"])
         return cls(**data)
 
 
@@ -165,57 +159,21 @@ class RewardConfig:
         return cls(**data)
 
 
-class RolloutBuffer:
-    """One episode of transitions plus the post-GAE training targets.
+@dataclass(frozen=True)
+class Rollout:
+    """One episode of checked transitions, in step order; its last step is terminal.
 
-    Each field has one preallocated array of `capacity` rows that add()
-    fills in step order; finalize() trims them to the steps added.
+    critic_x is critic_inputs of states and values the critic's output on
+    it, both from the critic as it was when the episode was collected.
     """
 
-    def __init__(self, capacity: int, state_dim: int):
-        self.states = np.empty((capacity, state_dim), dtype=np.float64)
-        self.actions = np.empty(capacity, dtype=np.float64)
-        self.log_probs = np.empty(capacity, dtype=np.float64)
-        self.rewards = np.empty(capacity, dtype=np.float64)
-        self.dones = np.zeros(capacity, dtype=bool)
-        self.corrected_trace: list[float] = []
-        self.values: np.ndarray | None = None
-        self.advantages: np.ndarray | None = None
-        self.returns: np.ndarray | None = None
-        self._n = 0
-
-    def add(self, state: tuple[float, ...], action: float, log_prob: float, reward: float, done: bool) -> None:
-        i = self._n
-        _check_transition(i, action, log_prob, reward)
-        self.states[i] = state
-        self.actions[i] = action
-        self.log_probs[i] = log_prob
-        self.rewards[i] = reward
-        self.dones[i] = done
-        self._n = i + 1
-
-    def add_episode(self, states: list, actions: list, log_probs: list, rewards: list) -> None:
-        """add() of a whole episode's checked transitions in one write per field; the last is terminal."""
-        i, n = self._n, self._n + len(actions)
-        self.states[i:n] = states
-        self.actions[i:n] = actions
-        self.log_probs[i:n] = log_probs
-        self.rewards[i:n] = rewards
-        self.dones[i:n] = False
-        self.dones[n - 1] = True
-        self._n = n
-
-    def finalize(self, values: np.ndarray) -> None:
-        """Attach the critic's values of the stored states and trim every field to len(self)."""
-        n = self._n
-        if np.shape(values) != (n,):
-            raise UsageError(f"values shape {np.shape(values)} does not match buffer length {n}")
-        self.states, self.actions = self.states[:n], self.actions[:n]
-        self.log_probs, self.rewards, self.dones = self.log_probs[:n], self.rewards[:n], self.dones[:n]
-        self.values = np.asarray(values, dtype=np.float64)
-
-    def __len__(self) -> int:
-        return self._n
+    states: np.ndarray
+    actions: np.ndarray
+    log_probs: np.ndarray
+    rewards: np.ndarray
+    critic_x: np.ndarray
+    values: np.ndarray
+    corrected_trace: list[float]
 
 
 def _check_transition(step: int, action: float, log_prob: float, reward: float) -> None:
@@ -233,17 +191,19 @@ def collect_rollout(
     critic: gradnet.DenseNet,
     reward_cfg: RewardConfig,
     rng: Xoshiro256StarStar,
-) -> RolloutBuffer:
-    """Run one full stochastic episode on env seed `seed`; return the finalized buffer.
+) -> Rollout:
+    """Run one full stochastic episode on env seed `seed`; return its Rollout.
 
     The decision after observing x_t is applied to x_{t+1} (the one-step
     delay of spillsim.closed_loop); the stored action is the pre-clamp
     Gaussian sample and Act features see the clamped, actually-applied value.
+    A package error inside step t is re-raised as its own type, prefixed
+    "rollout step t: "; a non-finite action, log probability or reward
+    raises DivergenceError.
     """
     tracker = StateTracker(env_cfg, actor.variant)
     racc = metrics.RewardAccumulator(reward_cfg.kind, reward_cfg.alpha, env_cfg.steps_per_episode)
     n = env_cfg.steps_per_episode
-    buffer = RolloutBuffer(n, actor.state_dim)
     sample = actor.sampler(rng)
     reference = env_cfg.reference
     states: list[tuple[float, ...]] = []
@@ -265,11 +225,19 @@ def collect_rollout(
         rewards.append(reward)
         return action
 
-    _, buffer.corrected_trace, _ = closed_loop(env_cfg, seed, control)
-    buffer.add_episode(states, actions, log_probs, rewards)
-    values, _ = gradnet.forward(critic, critic_inputs(buffer.states, np.arange(n), n, actor.variant))
-    buffer.finalize(values[:, 0])
-    return buffer
+    _, corrected_trace, _ = closed_loop(env_cfg, seed, control)
+    state_rows = np.array(states, dtype=np.float64)
+    critic_x = critic_inputs(state_rows, np.arange(n), n, actor.variant)
+    values, _ = gradnet.forward(critic, critic_x)
+    return Rollout(
+        states=state_rows,
+        actions=np.array(actions, dtype=np.float64),
+        log_probs=np.array(log_probs, dtype=np.float64),
+        rewards=np.array(rewards, dtype=np.float64),
+        critic_x=critic_x,
+        values=values[:, 0],
+        corrected_trace=corrected_trace,
+    )
 
 
 def critic_inputs(states: np.ndarray, steps: np.ndarray, horizon: int, variant: str) -> np.ndarray:
@@ -284,28 +252,23 @@ def critic_inputs(states: np.ndarray, steps: np.ndarray, horizon: int, variant: 
     return np.concatenate([scaled, t_frac], axis=1)
 
 
-def compute_gae(buffer: RolloutBuffer, gamma: float, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """GAE advantages and returns (unnormalized; terminal bootstrap 0).
+def compute_gae(rewards: np.ndarray, values: np.ndarray, gamma: float, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """GAE advantages and returns (unnormalized) of one episode whose last step is terminal.
 
-    delta_t = r_t + gamma * V_{t+1} * (1 - done_t) - V_t
-    A_t     = delta_t + gamma * lam * (1 - done_t) * A_{t+1}
+    delta_t = r_t + gamma * V_{t+1} - V_t,  with V_n = 0
+    A_t     = delta_t + gamma * lam * A_{t+1},  with A_n = 0
     returns = advantages + values
     """
-    if buffer.values is None:
-        raise UsageError("buffer not finalized; values missing")
     # plain floats: the same IEEE operations as on numpy scalars, faster
-    rewards, values, dones = buffer.rewards.tolist(), buffer.values.tolist(), buffer.dones.tolist()
-    n = len(buffer)
-    advantages = [0.0] * n
-    gae = 0.0
-    for t in range(n - 1, -1, -1):
-        nonterminal = 0.0 if dones[t] else 1.0
-        v_next = values[t + 1] if t + 1 < n else 0.0
-        delta = rewards[t] + gamma * v_next * nonterminal - values[t]
-        gae = delta + gamma * lam * nonterminal * gae
+    r, v = rewards.tolist(), values.tolist()
+    advantages = [0.0] * len(r)
+    gae = v_next = 0.0
+    for t in range(len(r) - 1, -1, -1):
+        gae = r[t] + gamma * v_next - v[t] + gamma * lam * gae
         advantages[t] = gae
-    advantages = np.array(advantages, dtype=np.float64)
-    return advantages, advantages + buffer.values
+        v_next = v[t]
+    adv = np.array(advantages, dtype=np.float64)
+    return adv, adv + values
 
 
 def normalize_advantages(advantages: np.ndarray) -> np.ndarray:
@@ -319,7 +282,9 @@ def normalize_advantages(advantages: np.ndarray) -> np.ndarray:
 def ppo_update(
     actor,
     critic: gradnet.DenseNet,
-    buffer: RolloutBuffer,
+    rollout: Rollout,
+    advantages: np.ndarray,
+    returns: np.ndarray,
     cfg: TrainConfig,
     rng: Xoshiro256StarStar,
     actor_opt: gradnet.AdamState | gradnet.SgdState,
@@ -328,19 +293,16 @@ def ppo_update(
     """Clipped-surrogate update: epochs_per_iter passes of shuffled minibatches.
 
     actor_opt and critic_opt hold the optimizer state of actor.flat and
-    critic.flat (gradnet.optimizer_for). The inputs of both nets are built
-    for every row once per update; each epoch gathers the rows once in its
-    shuffled order, so a minibatch is a slice of contiguous rows. One
-    gradient buffer per learner takes every minibatch's gradient.
+    critic.flat (gradnet.optimizer_for). The actor's inputs are built once per
+    update and the critic's are rollout.critic_x; each epoch gathers the rows
+    once in its shuffled order, so a minibatch is a slice of contiguous rows.
+    One gradient buffer per learner takes every minibatch's gradient.
     """
-    if buffer.advantages is None or buffer.returns is None:
-        raise UsageError("buffer has no advantages; run compute_gae + normalize first")
-    n = len(buffer)
+    n = rollout.actions.size
     if cfg.minibatch > n:
-        raise ConfigError(f"minibatch {cfg.minibatch} exceeds buffer length {n}")
+        raise ConfigError(f"minibatch {cfg.minibatch} exceeds rollout length {n}")
     columns = (
-        actor.scale(buffer.states), critic_inputs(buffer.states, np.arange(n), n, actor.variant),
-        buffer.actions, buffer.log_probs, buffer.advantages, buffer.returns,
+        actor.scale(rollout.states), rollout.critic_x, rollout.actions, rollout.log_probs, advantages, returns,
     )
     actor_grads, critic_grads = np.empty_like(actor.flat), np.empty_like(critic.flat)
     # the mean part is one view for the whole update: backward cuts a buffer
@@ -441,8 +403,6 @@ def train(
     traces through its own exploration. On divergence the exception carries
     the last good checkpoint in its .diagnostics["last_good"] entry.
     """
-    train_cfg.validate()
-    env_cfg.validate()
     if reward_cfg is None:
         reward_cfg = RewardConfig(kind="neg_ema", alpha=train_cfg.alpha)
     if gains is None:
@@ -469,11 +429,10 @@ def train(
         slot = (it // train_cfg.seed_rotation_period) % len(train_cfg.seeds)
         ep_seed = train_cfg.seeds[slot]
         try:
-            buffer = collect_rollout(env_cfg, ep_seed, actor, critic, reward_cfg, sample_rng)
-            advantages, returns = compute_gae(buffer, train_cfg.gamma, train_cfg.gae_lambda)
-            buffer.advantages = normalize_advantages(advantages)
-            buffer.returns = returns
-            ppo_update(actor, critic, buffer, train_cfg, shuffle_rng, actor_opt, critic_opt)
+            rollout = collect_rollout(env_cfg, ep_seed, actor, critic, reward_cfg, sample_rng)
+            advantages, returns = compute_gae(rollout.rewards, rollout.values, train_cfg.gamma, train_cfg.gae_lambda)
+            ppo_update(actor, critic, rollout, normalize_advantages(advantages), returns, train_cfg,
+                       shuffle_rng, actor_opt, critic_opt)
         except DivergenceError as exc:
             exc.diagnostics["iteration"] = it
             exc.diagnostics["last_good"] = last_good
@@ -481,8 +440,8 @@ def train(
         row = {
             "iter": it,
             "seed": ep_seed,
-            "mean_reward": float(buffer.rewards.mean()),
-            "sdf_rl": metrics.sdf(buffer.corrected_trace).sdf,
+            "mean_reward": float(rollout.rewards.mean()),
+            "sdf_rl": metrics.sdf(rollout.corrected_trace).sdf,
             "sdf_pid": metrics.sdf(run_pid_episode(env_cfg, ep_seed, gains)).sdf,
             "sdf_noise": metrics.sdf(run_raw_episode(env_cfg, ep_seed)).sdf,
         }

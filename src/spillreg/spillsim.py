@@ -148,7 +148,6 @@ class EnvState:
 
 def reset(config: EnvConfig, seed: int) -> EnvState:
     """Start a fresh episode. Identical (config, seed) gives a bit-identical state."""
-    config.validate()
     rng = Xoshiro256StarStar(seed)
     phases = tuple(rng.uniform(0.0, _TWO_PI) for _ in config.ripple_amps)
     return EnvState(t=0, ou_value=0.0, phases=phases, rng=rng)

@@ -19,7 +19,8 @@ None of these is used by the package itself:
   the activation derivative on every layer (ones for identity), the critic
   inputs, shuffle keys and gradients rebuilt per minibatch. The package's
   versions must match them bit for bit;
-- compute_gae is ppo.compute_gae as it was, on numpy scalars.
+- compute_gae is ppo.compute_gae as it was, on numpy scalars, with its
+  per-step dones column.
 - init_dense_weights draws gradnet.init_dense's weights as it did before
   its bulk draw: one rng.uniform call per weight, row by row.
 """
@@ -293,8 +294,8 @@ def minibatch_step(actor, critic, states, actions, logp_old, advantages, returns
     return LossReport(actor_loss, value_loss, entropy, clip_fraction), actor_grads, critic_grads
 
 
-def ppo_update(actor, critic, buffer, cfg, rng, actor_opt, critic_opt) -> LossReport:
-    n = len(buffer)
+def ppo_update(actor, critic, rollout, advantages, returns, cfg, rng, actor_opt, critic_opt) -> LossReport:
+    n = len(rollout.actions)
     sums = np.zeros(4)
     batches = 0
     for _ in range(cfg.epochs_per_iter):
@@ -303,8 +304,8 @@ def ppo_update(actor, critic, buffer, cfg, rng, actor_opt, critic_opt) -> LossRe
         for start in range(0, n, cfg.minibatch):
             mb = perm[start : start + cfg.minibatch]
             components, actor_grads, critic_grads = minibatch_step(
-                actor, critic, buffer.states[mb], buffer.actions[mb], buffer.log_probs[mb],
-                buffer.advantages[mb], buffer.returns[mb], cfg, steps=mb, horizon=n,
+                actor, critic, rollout.states[mb], rollout.actions[mb], rollout.log_probs[mb],
+                advantages[mb], returns[mb], cfg, steps=mb, horizon=n,
             )
             gradnet.optimizer_step(actor_opt, actor.flat, actor_grads)
             actor.finalize_update()
@@ -315,9 +316,8 @@ def ppo_update(actor, critic, buffer, cfg, rng, actor_opt, critic_opt) -> LossRe
     return LossReport(*(float(m) for m in sums / batches))
 
 
-def compute_gae(buffer, gamma: float, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    rewards, values, dones = buffer.rewards, buffer.values, buffer.dones
-    n = len(buffer)
+def compute_gae(rewards, values, dones, gamma: float, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    n = len(rewards)
     advantages = np.zeros(n, dtype=np.float64)
     gae = 0.0
     for t in range(n - 1, -1, -1):

@@ -261,6 +261,19 @@ def test_nonfinite_entropy_coef_is_config_error(tmp_path, gains_file):
     assert not (tmp_path / "o" / "checkpoint.json").exists()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("iterations", 1.5), ("minibatch", 64.0), ("epochs_per_iter", 2.5), ("seed_rotation_period", 1.5)],
+)
+def test_float_count_in_config_is_config_error(tmp_path, gains_file, capsys, field, value):
+    cfg = write_config(tmp_path, {"train": {field: value}})
+    assert run("train", "--gains", gains_file, "--config", cfg, "--out", tmp_path / "o") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "checkpoint.json").exists()
+
+
 def test_nonfinite_action_exits_diverged_without_traceback(tmp_path, capsys):
     # ki*I and kd*D overflow to opposite infinities: the PID action is NaN
     gains = write_config(tmp_path, {"format_version": 1, "kp": 0, "ki": 1e308, "kd": -1e308, "dt": 1e-4},

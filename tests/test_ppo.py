@@ -26,11 +26,10 @@ from spillreg.errors import (
     ConfigError,
     DivergenceError,
     InputError,
-    UsageError,
 )
 from spillreg.ppo import (
     RewardConfig,
-    RolloutBuffer,
+    Rollout,
     TrainConfig,
     collect_rollout,
     compute_gae,
@@ -50,10 +49,6 @@ from spillreg import spillsim
 from spillreg.spillsim import clamp_action, closed_loop
 
 GAINS = PidGains(kp=0.4, ki=0.3, kd=1e-5, dt=1e-4)
-
-
-def sv(*vals):
-    return tuple(float(v) for v in vals)
 
 
 def fresh_actor(seed=0, kind="pid", variant="pid_act"):
@@ -98,10 +93,15 @@ def test_train_config_defaults():
         {"seed_rotation_period": 0},
         {"seeds": ()},
         {"optimizer": "rmsprop"},
+        {"iterations": 1.5},
+        {"minibatch": 64.0},
+        {"epochs_per_iter": 2.5},
+        {"seed_rotation_period": 1.5},
     ],
 )
 def test_train_config_validation(kwargs):
-    with pytest.raises(ConfigError):
+    (name,) = kwargs
+    with pytest.raises(ConfigError, match=name):
         TrainConfig(**kwargs)
 
 
@@ -122,46 +122,6 @@ def test_reward_config_validation_and_round_trip():
         RewardConfig(kind="neg_ema", alpha=-0.5)
 
 
-# --- rollout buffer -----------------------------------------------------------
-
-def test_buffer_accumulates_and_finalizes():
-    buf = RolloutBuffer(3, 4)
-    buf.add(sv(0.1, 0.2, 3.0, 0.0), 0.1, -0.5, -0.2, False)
-    buf.add(sv(0.0, 0.1, -1.0, 0.1), 0.2, -0.6, -0.1, True)
-    assert len(buf) == 2
-    buf.finalize(np.array([0.3, -0.2]))
-    # every field is trimmed to the two transitions added
-    assert buf.states.tolist() == [[0.1, 0.2, 3.0, 0.0], [0.0, 0.1, -1.0, 0.1]]
-    assert buf.actions.tolist() == [0.1, 0.2]
-    assert buf.log_probs.tolist() == [-0.5, -0.6]
-    assert buf.dones.tolist() == [False, True]
-    assert buf.rewards.tolist() == [-0.2, -0.1]
-    assert buf.values.tolist() == [0.3, -0.2]
-
-
-def test_buffer_rejects_nonfinite():
-    buf = RolloutBuffer(2, 4)
-    with pytest.raises(DivergenceError):
-        buf.add(sv(0, 0, 0, 0), float("nan"), -0.5, -0.1, False)
-    with pytest.raises(DivergenceError):
-        buf.add(sv(0, 0, 0, 0), 0.1, -0.5, float("inf"), False)
-    assert len(buf) == 0
-
-
-def test_buffer_finalize_shape_guard():
-    buf = RolloutBuffer(1, 4)
-    buf.add(sv(0, 0, 0, 0), 0.1, -0.5, -0.1, True)
-    with pytest.raises(UsageError):
-        buf.finalize(np.zeros(3))
-
-
-def test_gae_requires_finalized_buffer():
-    buf = RolloutBuffer(1, 4)
-    buf.add(sv(0, 0, 0, 0), 0.1, -0.5, -0.1, True)
-    with pytest.raises(UsageError):
-        compute_gae(buf, 0.99, 0.95)
-
-
 # --- rollout collection ---------------------------------------------------------
 
 def make_rollout(env_cfg, seed=0, kind="pid", reward=None):
@@ -171,38 +131,47 @@ def make_rollout(env_cfg, seed=0, kind="pid", reward=None):
     return collect_rollout(env_cfg, seed, actor, critic, reward, Xoshiro256StarStar(99))
 
 
-def replay_corrected(env_cfg, seed, buf):
-    """Corrected trace of reset/step driven by the buffer's clamped actions, one step late."""
+def replay_corrected(env_cfg, seed, rollout):
+    """Corrected trace of reset/step driven by the rollout's clamped actions, one step late."""
     state = spillsim.reset(env_cfg, seed)
     pending = 0.0
-    for action in buf.actions:
+    for action in rollout.actions:
         spillsim.step(state, env_cfg, pending)
         pending = clamp_action(float(action), env_cfg.action_bound)
     return state.corrected_trace
 
 
 def test_rollout_has_episode_length(env_cfg):
-    buf = make_rollout(env_cfg)
-    assert len(buf) == env_cfg.steps_per_episode
+    rollout = make_rollout(env_cfg)
+    n = env_cfg.steps_per_episode
+    assert rollout.states.shape == (n, 4)
+    assert rollout.critic_x.shape == (n, 5)
+    for column in (rollout.actions, rollout.log_probs, rollout.rewards, rollout.values):
+        assert column.shape == (n,)
+    assert len(rollout.corrected_trace) == n
+
+
+def test_rollout_keeps_the_critic_columns_of_its_states(env_cfg):
+    """critic_x and values are the critic's inputs and outputs on the stored states."""
+    actor, critic = fresh_actor(), fresh_critic()
+    rollout = collect_rollout(env_cfg, 0, actor, critic, RewardConfig(), Xoshiro256StarStar(99))
+    n = env_cfg.steps_per_episode
+    critic_x = critic_inputs(rollout.states, np.arange(n), n, actor.variant)
+    assert rollout.critic_x.tobytes() == critic_x.tobytes()
+    assert rollout.values.tobytes() == gradnet.forward(critic, critic_x)[0][:, 0].tobytes()
 
 
 def test_rollout_rewards_match_reward_recomputation(env_cfg):
     """Stored rewards must be recomputable from the stored corrected trace."""
     for kind, alpha in (("neg_ema", 0.5), ("neg_sum", 0.5)):
-        buf = make_rollout(env_cfg, reward=RewardConfig(kind=kind, alpha=alpha))
-        errors = [abs(x - env_cfg.reference) for x in buf.corrected_trace]
+        rollout = make_rollout(env_cfg, reward=RewardConfig(kind=kind, alpha=alpha))
+        errors = [abs(x - env_cfg.reference) for x in rollout.corrected_trace]
         if kind == "neg_ema":
             expected = ema_reward(errors, alpha)
         else:
             expected = neg_sum_series(errors, env_cfg.steps_per_episode)
-        assert np.max(np.abs(buf.rewards - np.asarray(expected))) < 1e-12
-        assert buf.corrected_trace == replay_corrected(env_cfg, 0, buf)
-
-
-def test_rollout_done_only_on_final_transition(env_cfg):
-    buf = make_rollout(env_cfg)
-    assert not buf.dones[:-1].any()
-    assert buf.dones[-1]
+        assert np.max(np.abs(rollout.rewards - np.asarray(expected))) < 1e-12
+        assert rollout.corrected_trace == replay_corrected(env_cfg, 0, rollout)
 
 
 def test_rollout_step_error_names_its_step():
@@ -244,19 +213,12 @@ def test_deterministic_rollout_of_initial_actor_reproduces_pid(env_cfg, tuned_ga
 
 # --- GAE -------------------------------------------------------------------------
 
-def finalized_buffer(rewards, values, dones=None):
-    buf = RolloutBuffer(len(rewards), 4)
-    n = len(rewards)
-    dones = dones or [False] * (n - 1) + [True]
-    for r, d in zip(rewards, dones):
-        buf.add(sv(0, 0, 0, 0), 0.0, -0.5, r, d)
-    buf.finalize(np.asarray(values, dtype=np.float64))
-    return buf
+def gae(rewards, values, gamma, lam):
+    return compute_gae(np.asarray(rewards, dtype=np.float64), np.asarray(values, dtype=np.float64), gamma, lam)
 
 
 def test_gae_hand_case():
-    buf = finalized_buffer([-0.2, -0.1], [0.3, -0.2])
-    adv, ret = compute_gae(buf, 0.5, 0.5)
+    adv, ret = gae([-0.2, -0.1], [0.3, -0.2], 0.5, 0.5)
     # d0 = -0.2 + 0.5*(-0.2) - 0.3 = -0.6, d1 = -0.1 - (-0.2) = 0.1
     # A1 = 0.1, A0 = d0 + (0.5*0.5)*A1 = -0.575
     assert adv == pytest.approx([-0.575, 0.1], abs=1e-15)
@@ -267,8 +229,7 @@ def test_gae_lambda_zero_is_td_error():
     rng = np.random.default_rng(4)
     rewards = rng.normal(size=6).tolist()
     values = rng.normal(size=6).tolist()
-    buf = finalized_buffer(rewards, values)
-    adv, _ = compute_gae(buf, 0.9, 0.0)
+    adv, _ = gae(rewards, values, 0.9, 0.0)
     boot = values[1:] + [0.0]
     dones = [0.0] * 5 + [1.0]
     expected = [
@@ -281,8 +242,7 @@ def test_gae_gamma_zero_ignores_future():
     rng = np.random.default_rng(5)
     rewards = rng.normal(size=5).tolist()
     values = rng.normal(size=5).tolist()
-    buf = finalized_buffer(rewards, values)
-    adv, ret = compute_gae(buf, 0.0, 0.95)
+    adv, ret = gae(rewards, values, 0.0, 0.95)
     assert adv == pytest.approx([r - v for r, v in zip(rewards, values)], abs=1e-15)
     assert ret == pytest.approx(rewards, abs=1e-15)
 
@@ -434,15 +394,14 @@ def test_overflowing_ratio_raises_divergence():
 
 # --- update loop --------------------------------------------------------------------
 
-def collected_buffer(env_cfg, actor, critic, seed=0):
-    buf = collect_rollout(
+def collected_update_inputs(env_cfg, actor, critic, seed=0):
+    """(rollout, normalized advantages, returns), as train passes them to ppo_update."""
+    rollout = collect_rollout(
         env_cfg, seed, actor, critic, RewardConfig(kind="neg_ema", alpha=0.5),
         Xoshiro256StarStar(42),
     )
-    adv, ret = compute_gae(buf, 0.99, 0.95)
-    buf.advantages = normalize_advantages(adv)
-    buf.returns = ret
-    return buf
+    adv, ret = compute_gae(rollout.rewards, rollout.values, 0.99, 0.95)
+    return rollout, normalize_advantages(adv), ret
 
 
 def opt_pair(actor, critic, cfg):
@@ -451,34 +410,22 @@ def opt_pair(actor, critic, cfg):
     return actor_opt, critic_opt
 
 
-def test_ppo_update_requires_advantages(env_cfg):
-    actor, critic = fresh_actor(), fresh_critic()
-    buf = collect_rollout(
-        env_cfg, 0, actor, critic, RewardConfig(kind="neg_ema", alpha=0.5),
-        Xoshiro256StarStar(1),
-    )
-    a_opt, c_opt = opt_pair(actor, critic, TrainConfig())
-    with pytest.raises(UsageError):
-        ppo_update(actor, critic, buf, TrainConfig(), Xoshiro256StarStar(0), a_opt, c_opt)
-
-
 def test_ppo_update_rejects_oversized_minibatch(env_cfg):
     actor, critic = fresh_actor(), fresh_critic()
-    buf = collected_buffer(env_cfg, actor, critic)
-    cfg = TrainConfig(minibatch=len(buf) + 1)
+    inputs = collected_update_inputs(env_cfg, actor, critic)
+    cfg = TrainConfig(minibatch=env_cfg.steps_per_episode + 1)
     a_opt, c_opt = opt_pair(actor, critic, cfg)
     with pytest.raises(ConfigError):
-        ppo_update(actor, critic, buf, cfg, Xoshiro256StarStar(0), a_opt, c_opt)
+        ppo_update(actor, critic, *inputs, cfg, Xoshiro256StarStar(0), a_opt, c_opt)
 
 
 def test_zero_advantages_leave_actor_untouched(env_cfg):
     actor, critic = fresh_actor(), fresh_critic()
-    buf = collected_buffer(env_cfg, actor, critic)
-    buf.advantages = np.zeros_like(buf.advantages)
+    rollout, adv, ret = collected_update_inputs(env_cfg, actor, critic)
     cfg = TrainConfig(epochs_per_iter=2)
     a_opt, c_opt = opt_pair(actor, critic, cfg)
     before = [p.copy() for p in actor.mean_params()] + [actor.log_std_arr.copy()]
-    ppo_update(actor, critic, buf, cfg, Xoshiro256StarStar(0), a_opt, c_opt)
+    ppo_update(actor, critic, rollout, np.zeros_like(adv), ret, cfg, Xoshiro256StarStar(0), a_opt, c_opt)
     after = [*actor.mean_params(), actor.log_std_arr]
     for b, a in zip(before, after):
         assert np.array_equal(b, a)
@@ -489,11 +436,11 @@ def test_ppo_update_is_deterministic(env_cfg):
     finals = []
     for _ in range(2):
         actor, critic = fresh_actor(), fresh_critic()
-        buf = collected_buffer(env_cfg, actor, critic)
+        inputs = collected_update_inputs(env_cfg, actor, critic)
         cfg = TrainConfig(epochs_per_iter=2)
         a_opt, c_opt = opt_pair(actor, critic, cfg)
         reports.append(
-            ppo_update(actor, critic, buf, cfg, Xoshiro256StarStar(7), a_opt, c_opt)
+            ppo_update(actor, critic, *inputs, cfg, Xoshiro256StarStar(7), a_opt, c_opt)
         )
         finals.append([p.copy() for p in actor.mean_params()])
     assert reports[0] == reports[1]
@@ -503,21 +450,21 @@ def test_ppo_update_is_deterministic(env_cfg):
 
 def test_repeated_updates_reduce_value_loss(env_cfg):
     actor, critic = fresh_actor(), fresh_critic()
-    buf = collected_buffer(env_cfg, actor, critic)
+    inputs = collected_update_inputs(env_cfg, actor, critic)
     cfg = TrainConfig(epochs_per_iter=10)
     a_opt, c_opt = opt_pair(actor, critic, cfg)
     rng = Xoshiro256StarStar(3)
-    first = ppo_update(actor, critic, buf, cfg, rng, a_opt, c_opt)
+    first = ppo_update(actor, critic, *inputs, cfg, rng, a_opt, c_opt)
     last = None
     for _ in range(4):
-        last = ppo_update(actor, critic, buf, cfg, rng, a_opt, c_opt)
+        last = ppo_update(actor, critic, *inputs, cfg, rng, a_opt, c_opt)
     assert last.value_loss < first.value_loss
 
 
 # --- bit identity with the per-minibatch loop it replaced -----------------------------
 
-def random_update_buffer(seed, actor, n=430):
-    """A finalized buffer of random transitions near the actor's own policy."""
+def random_update_inputs(seed, actor, n=430):
+    """(rollout, advantages, returns) of random transitions near the actor's own policy."""
     rng = np.random.default_rng(seed)
     magnitudes = np.array([0.5, 5.0, 3000.0, 0.5])[: actor.state_dim]
     states = rng.normal(size=(n, actor.state_dim)) * magnitudes
@@ -527,13 +474,12 @@ def random_update_buffer(seed, actor, n=430):
     z = (actions - mu) / math.exp(log_std)
     # offsets of +-0.3 put some ratios outside the clip band of 0.2
     log_probs = -0.5 * z * z - log_std - 0.5 * math.log(2 * math.pi) + rng.uniform(-0.3, 0.3, n)
-    buf = RolloutBuffer(n, actor.state_dim)
-    buf.add_episode([tuple(row) for row in states.tolist()], actions.tolist(), log_probs.tolist(),
-                    (-rng.uniform(0.0, 0.1, n)).tolist())
-    buf.finalize(rng.normal(size=n) * 0.1)
-    buf.advantages = normalize_advantages(rng.normal(size=n))
-    buf.returns = rng.normal(size=n) * 0.2
-    return buf
+    rollout = Rollout(
+        states=states, actions=actions, log_probs=log_probs, rewards=-rng.uniform(0.0, 0.1, n),
+        critic_x=critic_inputs(states, np.arange(n), n, actor.variant), values=rng.normal(size=n) * 0.1,
+        corrected_trace=[],
+    )
+    return rollout, normalize_advantages(rng.normal(size=n)), rng.normal(size=n) * 0.2
 
 
 def opt_bytes(opt):
@@ -545,13 +491,13 @@ def opt_bytes(opt):
 def update_runs(update, kind, variant, cfg, seed, updates=2):
     actor = fresh_actor(seed, kind, variant)
     critic = fresh_critic(seed + 1, STATE_DIMS[variant])
-    buf = random_update_buffer(seed, actor)
+    inputs = random_update_inputs(seed, actor)
     a_opt, c_opt = opt_pair(actor, critic, cfg)
     rng = Xoshiro256StarStar(seed)
     states = []
     for _ in range(updates):
         try:
-            report = np.array(update(actor, critic, buf, cfg, rng, a_opt, c_opt)).tobytes()
+            report = np.array(update(actor, critic, *inputs, cfg, rng, a_opt, c_opt)).tobytes()
         except DivergenceError as exc:
             report = (str(exc), repr(exc.diagnostics))
         states.append((report, actor.flat.tobytes(), critic.flat.tobytes(), opt_bytes(a_opt), opt_bytes(c_opt),
@@ -577,10 +523,18 @@ def test_ppo_update_matches_the_reference_bit_for_bit(kind, variant, optimizer, 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_compute_gae_matches_the_reference_bit_for_bit(seed):
-    buf = random_update_buffer(seed, fresh_actor())
-    buf.dones[200] = True  # a terminal step inside the buffer
-    ours, reference = compute_gae(buf, 0.99, 0.95), oracles.compute_gae(buf, 0.99, 0.95)
-    assert [a.tobytes() for a in ours] == [a.tobytes() for a in reference]
+    """One terminal-last episode per case, against the dones-based recurrence it replaced."""
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 3, 64, 429, 430):
+        for gamma, lam in ((0.99, 0.95), (1.0, 1.0), (1e-9, 0.0), (0.5, 1.0), (1.0, 0.0)):
+            rewards, values = -rng.uniform(0.0, 0.1, n), rng.normal(size=n) * 0.1
+            if n == 3:
+                rewards[-1], values[-1] = -0.0, 0.0  # a signed-zero last step
+            dones = np.zeros(n, dtype=bool)
+            dones[-1] = True
+            ours = compute_gae(rewards, values, gamma, lam)
+            reference = oracles.compute_gae(rewards, values, dones, gamma, lam)
+            assert [a.tobytes() for a in ours] == [a.tobytes() for a in reference]
 
 
 @pytest.mark.parametrize("kind", ["pid", "nn"])
