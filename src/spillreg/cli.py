@@ -172,7 +172,9 @@ def resolve_run(args) -> ResolvedRun:
         if getattr(args, "seed", None) is not None:
             master_seed = args.seed
         else:
-            master_seed = int(file_cfg.get("master_seed", 0))
+            master_seed = file_cfg.get("master_seed", 0)
+            if type(master_seed) is not int:  # neither a float nor a bool
+                raise ConfigError(f"master_seed must be an integer, got {master_seed!r}")
 
         gains = None
         gains_path = getattr(args, "gains", None)
@@ -248,8 +250,8 @@ def cmd_simulate(args) -> int:
         actions = [0.0] * len(raw)
     trace_path = os.path.join(out_dir, "trace.csv")
     write_trace_csv(trace_path, raw, corrected, actions)
-    sdf_raw = metrics.sdf(raw).sdf
-    sdf_corr = metrics.sdf(corrected).sdf
+    sdf_raw = metrics.sdf(raw)
+    sdf_corr = metrics.sdf(corrected)
     write_manifest(
         out_dir, "simulate", run.config_payload(), seed,
         outputs={"trace_csv": "trace.csv"},

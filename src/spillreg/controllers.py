@@ -21,11 +21,11 @@ During an episode StateTracker.push returns each step's features as a plain
 tuple of floats; the actors act on those tuples. Each actor keeps all its
 trainable parameters in one float64 vector, `flat`, whose trailing entry is
 log_std; mean_params(), parameters() and log_std_arr are views into it, and
-mean()/sample() read it live. A rollout, in which the policy does not change,
-reads it once per episode through sampler().
+mean() reads it live. A rollout, in which the policy does not change, reads
+it once per episode through sampler().
 
 Exploration is a Gaussian over the mean action with a learnable log_std,
-clamped to [-5, 2]. Sampling returns the pre-clamp action and its log
+clamped to [-5, 2]. The sampler returns the pre-clamp action and its log
 probability; actuation clamps to the environment's action bound. That math,
 policy_mean and the actors' shared methods (gradnet.GaussianPolicy) live in
 gradnet, next to the PPO gradient that differentiates them.
@@ -44,7 +44,7 @@ import numpy as np
 
 from . import gradnet, metrics, pidbatch
 from .errors import ConfigError, DivergenceError, InputError, ShapeError
-from .gradnet import clamp_log_std, gaussian_sample, policy_mean
+from .gradnet import clamp_log_std, policy_mean
 from .rng import Xoshiro256StarStar
 from .spillsim import RAW_MEMO_SIZE, EnvConfig, closed_loop
 
@@ -189,7 +189,7 @@ def pid_sdfs(config: EnvConfig, seeds: list[int] | tuple[int, ...], points) -> n
 
     points holds (kp, ki, kd) rows. Entry [i, j] of the returned
     (len(points), len(seeds)) array equals
-    metrics.sdf(run_pid_episode(config, seeds[j], PidGains(*points[i], config.dt))).sdf
+    metrics.sdf(run_pid_episode(config, seeds[j], PidGains(*points[i], config.dt)))
     bit for bit. pidbatch.batch_sdfs computes the rows in memory-bounded
     blocks with elementwise float64 numpy (no BLAS, so platform-independent);
     the scalar path recomputes, in row order, every row that pass cannot
@@ -199,7 +199,7 @@ def pid_sdfs(config: EnvConfig, seeds: list[int] | tuple[int, ...], points) -> n
     sdfs, exact = pidbatch.batch_sdfs(config, seeds, points)
     for i, j in zip(*np.nonzero(~exact)):
         gains = PidGains(*points[i], dt=config.dt)
-        sdfs[i, j] = metrics.sdf(run_pid_episode(config, seeds[j], gains)).sdf
+        sdfs[i, j] = metrics.sdf(run_pid_episode(config, seeds[j], gains))
     return sdfs
 
 
@@ -343,12 +343,11 @@ class LinearActor(gradnet.GaussianPolicy):
     The parameters live in one vector, flat = [w_0 .. w_{n-1}, bias, log_std],
     where w are those weights times FEATURE_SCALES (the trainable
     coordinates). mean_params(), log_std_arr and parameters() are views into
-    flat, so writing through them changes the policy. mean() and sample()
-    read the live vector on every call, unscale it exactly (power-of-two
-    scales) and evaluate policy_mean on plain floats, where exactness
-    matters; sampler() reads it once, for an episode in which the policy
-    does not change. params is the checkpoint record of the live
-    coefficients.
+    flat, so writing through them changes the policy. mean() reads the live
+    vector on every call, unscales it exactly (power-of-two scales) and
+    evaluates policy_mean on plain floats, where exactness matters;
+    sampler() reads it once, for an episode in which the policy does not
+    change. params is the checkpoint record of the live coefficients.
     """
 
     kind = "pid"
@@ -404,11 +403,8 @@ class LinearActor(gradnet.GaussianPolicy):
         *w, bias = self.coefs()
         return policy_mean(w, bias, state)
 
-    def sample(self, state: tuple[float, ...], rng: Xoshiro256StarStar) -> tuple[float, float]:
-        return gaussian_sample(self.mean(state), float(self.log_std_arr[0]), rng)
-
     def sampler(self, rng: Xoshiro256StarStar):
-        """sample(·, rng) as one function of the state, the coefficients read once."""
+        """The episode's (action, log_prob) draw, the coefficients read once."""
         *w, bias = self.coefs()
         return gradnet.episode_sampler(functools.partial(policy_mean, w, bias), self.log_std_arr, rng)
 
@@ -477,7 +473,7 @@ class NnActor(gradnet.GaussianPolicy):
         self.state_dim = STATE_DIMS[variant]
         # one vector flat = [net parameters, log_std]; the net's arrays and
         # log_std_arr are views into it
-        n = net.param_count
+        n = net.flat.size
         self.flat = np.empty(n + 1, dtype=np.float64)
         self.net = gradnet.DenseNet(net.layers, self.flat[:n])
         self.log_std_arr = self.flat[n:]
@@ -494,11 +490,8 @@ class NnActor(gradnet.GaussianPolicy):
 
     def mean(self, state: tuple[float, ...]) -> float:
         scaled = np.asarray(state, dtype=np.float64) / self._scales
-        out, _ = gradnet.forward(self.net, scaled)
-        return float(out[0])
-
-    def sample(self, state: tuple[float, ...], rng: Xoshiro256StarStar) -> tuple[float, float]:
-        return gaussian_sample(self.mean(state), float(self.log_std_arr[0]), rng)
+        out, _ = gradnet.forward(self.net, scaled[None, :])
+        return float(out[0, 0])
 
     # training interface
     def mean_params(self) -> list[np.ndarray]:
@@ -515,7 +508,7 @@ class NnActor(gradnet.GaussianPolicy):
 
     def mean_grads(self, tape: gradnet.Tape, dmu: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Gradient of sum(mean * dmu) w.r.t. flat[:-1] (the net's parameters), written into out."""
-        return gradnet.backward(self.net, tape, dmu.reshape(-1, 1), out).flat
+        return gradnet.backward(self.net, tape, dmu.reshape(-1, 1), out)
 
     def finalize_update(self) -> None:
         self.log_std_arr[0] = clamp_log_std(float(self.log_std_arr[0]))

@@ -1,20 +1,17 @@
 """Minimal dense-network toolkit with exact reverse-mode gradients.
 
-Sized for exactly what the training loop needs: a linear actor head and a
-two-hidden-layer (64x64) critic. Forward returns the output and a tape of
-each layer's input and output; backward replays it to produce exact
-gradients of output . grad_output with respect to every parameter (and, on
-first read, the input). All math is float64 numpy.
-
-forward/backward accept a single input vector (the documented contract) or a
-batch stacked along the first axis; gradients of a batch are summed over the
-batch, so per-sample loss weights belong in grad_output.
+Sized for exactly what the training loop needs: the critic and the NN
+actor, tanh nets with an identity output layer, run on batches of (n, in)
+rows. forward returns the output and a tape of each layer's input and
+output; backward replays it into the exact gradient of
+sum(output * grad_output) with respect to every parameter, summed over the
+batch, so per-sample loss weights belong in grad_output. All math is
+float64 numpy.
 
 The pass is lean but keeps every product of the textbook one, with the same
 operand shapes and layouts: h @ W.T + b forward (bias added in place),
 g.T @ inputs and g @ W backward. The tape keeps no pre-activations (tanh'
-is 1 - out^2, relu' is out > 0), an identity layer passes g on without a
-multiply by ones, and the input gradient is computed only if it is read.
+is 1 - out^2), and an identity layer passes g on without a multiply by ones.
 
 Parameter layout: a DenseNet keeps all its parameters in one contiguous
 float64 vector, `flat` = [W0, b0, W1, b1, ...] row-major, and its layers'
@@ -24,10 +21,10 @@ into per-array views once per buffer). Writing through a view changes the
 net.
 
 Policy heads and the PPO objective: the Gaussian exploration math shared by
-controllers' LinearActor and NnActor (log_std clamp, sampling, log
-probability, and the once-per-episode sampler), the linear head's mean, and
-surrogate_grads, the loss components and exact gradients of PPO's clipped
-objective on one minibatch.
+controllers' LinearActor and NnActor (log_std clamp, log probability, and
+the once-per-episode sampler), the linear head's mean, and surrogate_grads,
+the loss components and exact gradients of PPO's clipped objective on one
+minibatch.
 
 Optimizers: bias-corrected Adam (the default throughout the package) and
 plain SGD. Each keeps its state over one flat parameter vector and updates
@@ -44,7 +41,7 @@ import numpy as np
 
 from .errors import DivergenceError, ShapeError, UsageError
 
-ACTIVATIONS = ("tanh", "relu", "identity")
+ACTIVATIONS = ("tanh", "identity")
 
 
 @dataclass
@@ -119,10 +116,6 @@ class DenseNet:
     def out_dim(self) -> int:
         return self.layers[-1].weight.shape[0]
 
-    @property
-    def param_count(self) -> int:
-        return self.flat.size
-
     def unflatten(self, vec: np.ndarray) -> list[np.ndarray]:
         """Views of a vector laid out like flat: [W0, b0, W1, b1, ...]."""
         return split(vec, self._shapes)
@@ -148,42 +141,13 @@ class Tape(NamedTuple):
     net: DenseNet
     version: int
     acts: list[np.ndarray]
-    single: bool  # True if forward received a 1-D vector
-
-    @property
-    def outputs(self) -> list[np.ndarray]:
-        return self.acts[1:]
-
-
-class Gradients:
-    """Parameter gradient `flat`, aligned with net.flat (net.unflatten(flat)
-    splits it per array), and the input gradient, computed on first read of
-    `input` from the first layer's gradient and weight."""
-
-    __slots__ = ("flat", "_tape", "_first", "_input")
-
-    def __init__(self, flat: np.ndarray, tape: Tape, first: np.ndarray):
-        self.flat, self._tape, self._first, self._input = flat, tape, first, None
-
-    @property
-    def input(self) -> np.ndarray:
-        if self._input is None:
-            tape = self._tape
-            if tape.version != tape.net.version:
-                raise UsageError("stale gradients: net parameters changed since backward")
-            g = self._first @ tape.net.layers[0].weight
-            self._input = g[0] if tape.single else g
-        return self._input
 
 
 def forward(net: DenseNet, x: np.ndarray) -> tuple[np.ndarray, Tape]:
-    """Run the net; returns (output, tape). Pure: mutates nothing."""
+    """Run the net on (n, in) inputs; returns ((n, out) output, tape). Pure: mutates nothing."""
     arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != net.in_dim:
-        raise ShapeError(f"input shape {np.shape(x)} does not match in_dim {net.in_dim}")
+        raise ShapeError(f"input shape {np.shape(x)} does not match (n, {net.in_dim})")
     acts = [arr]
     h = arr
     for weight_t, bias, activation in net._plan:
@@ -191,18 +155,13 @@ def forward(net: DenseNet, x: np.ndarray) -> tuple[np.ndarray, Tape]:
         h += bias
         if activation == "tanh":
             np.tanh(h, out=h)
-        elif activation == "relu":
-            np.maximum(h, 0.0, out=h)
         acts.append(h)
-    return (h[0] if single else h), Tape(net, net.version, acts, single)
+    return h, Tape(net, net.version, acts)
 
 
-def backward(net: DenseNet, tape: Tape, grad_output: np.ndarray, out: np.ndarray | None = None) -> Gradients:
-    """Exact gradients of sum(output * grad_output) w.r.t. parameters and input.
-
-    The parameter gradient is written into `out` (a vector laid out like
-    net.flat; a new one if None) and returned as Gradients.flat.
-    """
+def backward(net: DenseNet, tape: Tape, grad_output: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Exact gradient of sum(output * grad_output) w.r.t. the parameters,
+    laid out like net.flat and written into `out` (a new vector if None)."""
     if tape.net is not net:
         raise UsageError("tape was recorded on a different net")
     if tape.version != net.version:
@@ -211,11 +170,7 @@ def backward(net: DenseNet, tape: Tape, grad_output: np.ndarray, out: np.ndarray
     # its products then see the layout a multiply would have produced
     g = np.array(grad_output, dtype=np.float64)
     acts = tape.acts
-    if tape.single:
-        if g.shape != (net.out_dim,):
-            raise ShapeError(f"grad_output shape {g.shape} does not match out_dim {net.out_dim}")
-        g = g.reshape(1, -1)
-    elif g.shape != acts[-1].shape:
+    if g.shape != acts[-1].shape:
         raise ShapeError(f"grad_output shape {g.shape} does not match output shape {acts[-1].shape}")
     flat = np.empty_like(net.flat) if out is None else out
     views = net._grad_views(flat)
@@ -225,15 +180,13 @@ def backward(net: DenseNet, tape: Tape, grad_output: np.ndarray, out: np.ndarray
             ga = acts[idx + 1] * acts[idx + 1]
             np.subtract(1.0, ga, out=ga)
             np.multiply(g, ga, out=ga)
-        elif layer.activation == "relu":  # out > 0 exactly where the pre-activation is
-            ga = g * (acts[idx + 1] > 0.0)
         else:
             ga = g
         np.matmul(ga.T, acts[idx], out=views[2 * idx])
         np.add.reduce(ga, axis=0, out=views[2 * idx + 1])
         if idx:
             g = ga @ layer.weight
-    return Gradients(flat, tape, ga)
+    return flat
 
 
 def init_dense(
@@ -374,29 +327,21 @@ def policy_mean(weights, bias: float, state: tuple[float, ...]) -> float:
     return w[0] * v[0] + w[1] * v[1] + w[2] * v[2] + bias
 
 
-def gaussian_sample(mean: float, log_std: float, rng) -> tuple[float, float]:
-    """Draw action ~ Normal(mean, exp(log_std)^2) with log_std clamped; returns (action, log_prob).
-
-    The returned action is the raw sample; callers clamp it to the actuation
-    bound themselves, and the log probability refers to the pre-clamp value.
-    rng is any object with a normal() -> N(0, 1) method.
-    """
-    log_std = clamp_log_std(log_std)
-    return _gaussian_draw(mean, log_std, math.exp(log_std), rng)
-
-
-def _gaussian_draw(mean: float, log_std: float, std: float, rng) -> tuple[float, float]:
-    """gaussian_sample with log_std already clamped and std = exp(log_std)."""
-    action = mean + std * rng.normal()
-    return action, gaussian_log_prob(action, mean, log_std)
-
-
 def episode_sampler(mean, log_std_arr: np.ndarray, rng):
-    """state -> gaussian_sample(mean(state), log_std_arr[0], rng), with log_std
-    read, clamped and exponentiated once: a policy is fixed for an episode."""
+    """state -> (action, log_prob), action ~ Normal(mean(state), exp(log_std)^2)
+    with log_std = log_std_arr[0] clamped, read once: a policy is fixed for an
+    episode. The action is the raw sample the log probability refers to;
+    callers clamp it to the actuation bound. rng has a normal() -> N(0, 1).
+    """
     log_std = clamp_log_std(float(log_std_arr[0]))
     std = math.exp(log_std)
-    return lambda state: _gaussian_draw(mean(state), log_std, std, rng)
+
+    def draw(state):
+        m = mean(state)
+        action = m + std * rng.normal()
+        return action, gaussian_log_prob(action, m, log_std)
+
+    return draw
 
 
 class GaussianPolicy:
@@ -407,12 +352,8 @@ class GaussianPolicy:
         """States in the units the mean is defined over: the input of mean_scaled."""
         return states / self._scales
 
-    def mean_batch(self, states: np.ndarray):
-        """(mean actions, tape for mean_grads) of a batch of states."""
-        return self.mean_scaled(self.scale(states))
-
     def sampler(self, rng):
-        """sample(·, rng) as one function of the state, log_std read once."""
+        """The episode's (action, log_prob) draw as one function of the state."""
         return episode_sampler(self.mean, self.log_std_arr, rng)
 
 
@@ -502,6 +443,8 @@ def net_from_dict(data: dict) -> DenseNet:
         raise CheckpointError(f"net checkpoint missing key {exc}") from exc
     if len(flat) != 2 * len(dims):
         raise CheckpointError("net checkpoint parameter count does not match layer dims")
+    if len(acts) != len(dims):
+        raise CheckpointError(f"net checkpoint has {len(acts)} activations for {len(dims)} layers")
     layers = []
     for i, ((out_d, in_d), act) in enumerate(zip(dims, acts)):
         w = np.asarray(flat[2 * i], dtype=np.float64).reshape(out_d, in_d)

@@ -1,6 +1,7 @@
 """Spill quality metrics and reward shaping.
 
-The central figure of merit is the spill duty factor (SDF) of one episode:
+The central figure of merit is the spill duty factor (SDF) of one episode,
+the float sdf() returns:
 
     sdf = 1 / (1 + var(x))
 
@@ -34,19 +35,10 @@ from .errors import InputError
 REWARD_KINDS = ("neg_ema", "neg_sum")
 
 
-@dataclass(frozen=True)
-class SdfReport:
-    """SDF of one trace plus the ingredients it was computed from."""
-
-    sdf: float
-    spill_std: float
-    n_samples: int
-
-
-def sdf(trace: Sequence[float]) -> SdfReport:
+def sdf(trace: Sequence[float]) -> float:
     """Spill duty factor of a corrected spill trace.
 
-    Uses the population standard deviation (ddof=0). Requires at least two
+    Uses the population variance (ddof=0). Requires at least two
     samples; a shorter trace has no meaningful spread.
     """
     n = len(trace)
@@ -55,8 +47,7 @@ def sdf(trace: Sequence[float]) -> SdfReport:
     arr = np.asarray(trace, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise InputError("sdf trace contains non-finite samples")
-    var = float(np.var(arr))
-    return SdfReport(sdf=1.0 / (1.0 + var), spill_std=math.sqrt(var), n_samples=n)
+    return 1.0 / (1.0 + float(np.var(arr)))
 
 
 def _check_alpha(alpha: float) -> None:

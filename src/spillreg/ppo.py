@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -83,7 +84,12 @@ class TrainConfig:
     optimizer: str = "adam"
 
     def __post_init__(self):
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        try:  # operator.index takes any integer type, bool too, so bool is refused first
+            if any(isinstance(s, bool) for s in self.seeds):
+                raise TypeError
+            object.__setattr__(self, "seeds", tuple(map(operator.index, self.seeds)))
+        except TypeError:
+            raise ConfigError(f"seeds must be a list of integers, got {self.seeds!r}") from None
         self.validate()
 
     def validate(self) -> None:
@@ -95,7 +101,7 @@ class TrainConfig:
             raise ConfigError(f"clip_eps must be > 0, got {self.clip_eps}")
         for name, low in (("epochs_per_iter", 1), ("minibatch", 1), ("iterations", 0), ("seed_rotation_period", 1)):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < low:
+            if type(value) is not int or value < low:  # bool is not a count
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value}")
         if not self.lr > 0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
@@ -337,7 +343,7 @@ def evaluate_actor_sdf(env_cfg: EnvConfig, actor, seed: int) -> float:
     _, corrected, _ = closed_loop(
         env_cfg, seed, lambda t, raw, x, applied: actor.mean(tracker.push(raw, x, applied))
     )
-    return metrics.sdf(corrected).sdf
+    return metrics.sdf(corrected)
 
 
 def actor_sdfs(env_cfg: EnvConfig, actor, seeds: tuple[int, ...]) -> list[float]:
@@ -368,7 +374,7 @@ def build_report(
     for seed, sdf_pid, sdf_rl in zip(seeds, pid, rl):
         report.add(SeedResult(
             seed=seed,
-            sdf_noise=metrics.sdf(run_raw_episode(env_cfg, seed)).sdf,
+            sdf_noise=metrics.sdf(run_raw_episode(env_cfg, seed)),
             sdf_pid=sdf_pid,
             sdf_rl=sdf_rl,
         ))
@@ -441,9 +447,9 @@ def train(
             "iter": it,
             "seed": ep_seed,
             "mean_reward": float(rollout.rewards.mean()),
-            "sdf_rl": metrics.sdf(rollout.corrected_trace).sdf,
-            "sdf_pid": metrics.sdf(run_pid_episode(env_cfg, ep_seed, gains)).sdf,
-            "sdf_noise": metrics.sdf(run_raw_episode(env_cfg, ep_seed)).sdf,
+            "sdf_rl": metrics.sdf(rollout.corrected_trace),
+            "sdf_pid": metrics.sdf(run_pid_episode(env_cfg, ep_seed, gains)),
+            "sdf_noise": metrics.sdf(run_raw_episode(env_cfg, ep_seed)),
         }
         curve_rows.append(row)
         if on_iteration is not None:

@@ -83,7 +83,7 @@ class EnvConfig:
         self.validate()
 
     def validate(self) -> None:
-        if not isinstance(self.steps_per_episode, int) or self.steps_per_episode <= 0:
+        if type(self.steps_per_episode) is not int or self.steps_per_episode <= 0:
             raise ConfigError(f"steps_per_episode must be a positive integer, got {self.steps_per_episode}")
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ConfigError(f"dt must be finite and > 0, got {self.dt}")

@@ -12,6 +12,9 @@ None of these is used by the package itself:
 - sequential_tune_pid is controllers.tune_pid as it was before its
   refinement rounds were scored in batches: every probe is scored on its
   own, when the search reaches it;
+- sample is the per-state Gaussian draw the actors' sample() methods made
+  before the once-per-episode sampler was their only one: log_std read,
+  clamped and exponentiated on every call;
 - dense_forward / dense_backward, minibatch_step and ppo_update are
   gradnet.forward / backward, the PPO minibatch gradient (now
   gradnet.surrogate_grads) and ppo.ppo_update as they were before the lean
@@ -177,6 +180,14 @@ def sequential_tune_pid(config: EnvConfig, seeds: list[int], grid: GainGrid = DE
     return PidGains(best[0], best[1], best[2], dt=config.dt)
 
 
+def sample(actor, state, rng) -> tuple[float, float]:
+    """(action, log_prob) of one draw around actor.mean(state), std exp(log_std)."""
+    log_std = gradnet.clamp_log_std(float(actor.log_std_arr[0]))
+    mean = actor.mean(state)
+    action = mean + math.exp(log_std) * rng.normal()
+    return action, gradnet.gaussian_log_prob(action, mean, log_std)
+
+
 # --- the PPO inner loop before its lean rewrite -------------------------------
 
 @dataclass
@@ -184,47 +195,31 @@ class DenseTape:
     inputs: list[np.ndarray]  # input to each layer, shape (n, in)
     pre_acts: list[np.ndarray]  # affine outputs before activation
     outputs: list[np.ndarray]  # post-activation outputs
-    single: bool  # True if forward received a 1-D vector
-
-
-def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    return z
 
 
 def _activation_grad(name: str, z: np.ndarray, out: np.ndarray) -> np.ndarray:
     if name == "tanh":
         return 1.0 - out * out
-    if name == "relu":
-        return (z > 0.0).astype(np.float64)
     return np.ones_like(z)
 
 
 def dense_forward(net: gradnet.DenseNet, x: np.ndarray) -> tuple[np.ndarray, DenseTape]:
-    arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
+    """(output, tape) of an (n, in) batch."""
     inputs, pre_acts, outputs = [], [], []
-    h = arr
+    h = np.asarray(x, dtype=np.float64)
     for layer in net.layers:
         inputs.append(h)
         z = h @ layer.weight.T + layer.bias
-        out = _apply_activation(layer.activation, z)
+        out = np.tanh(z) if layer.activation == "tanh" else z
         pre_acts.append(z)
         outputs.append(out)
         h = out
-    return (h[0] if single else h), DenseTape(inputs, pre_acts, outputs, single)
+    return h, DenseTape(inputs, pre_acts, outputs)
 
 
-def dense_backward(net: gradnet.DenseNet, tape: DenseTape, grad_output: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(flat parameter gradient, input gradient)."""
+def dense_backward(net: gradnet.DenseNet, tape: DenseTape, grad_output: np.ndarray) -> np.ndarray:
+    """The flat parameter gradient."""
     g = np.asarray(grad_output, dtype=np.float64)
-    if tape.single:
-        g = g[None, :]
     flat = np.empty_like(net.flat)
     param_grads = net.unflatten(flat)
     for idx in range(len(net.layers) - 1, -1, -1):
@@ -233,7 +228,7 @@ def dense_backward(net: gradnet.DenseNet, tape: DenseTape, grad_output: np.ndarr
         param_grads[2 * idx][...] = ga.T @ tape.inputs[idx]
         param_grads[2 * idx + 1][...] = ga.sum(axis=0)
         g = ga @ layer.weight
-    return flat, (g[0] if tape.single else g)
+    return flat
 
 
 def _mean_batch(actor, states):
@@ -247,7 +242,7 @@ def _mean_batch(actor, states):
 def _mean_grads(actor, tape, dmu):
     if isinstance(actor, LinearActor):
         return np.append(tape.T @ dmu, dmu.sum())
-    return dense_backward(actor.net, tape, dmu[:, None])[0]
+    return dense_backward(actor.net, tape, dmu[:, None])
 
 
 def minibatch_step(actor, critic, states, actions, logp_old, advantages, returns, cfg, steps, horizon):
@@ -289,7 +284,7 @@ def minibatch_step(actor, critic, states, actions, logp_old, advantages, returns
     actor_grads = np.append(_mean_grads(actor, tape, dmu), dlogstd)
 
     dv = cfg.value_coef * (2.0 / n) * v_err
-    critic_grads = dense_backward(critic, v_tape, dv[:, None])[0]
+    critic_grads = dense_backward(critic, v_tape, dv[:, None])
 
     return LossReport(actor_loss, value_loss, entropy, clip_fraction), actor_grads, critic_grads
 

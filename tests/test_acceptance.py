@@ -114,7 +114,7 @@ def fd_check_net(net, in_dim, rng, coords=12, h=1e-5):
     x = rng.normal(size=(6, in_dim))
     probe = rng.normal(size=(6, net.out_dim))
     _, tape = forward(net, x)
-    grads = net.unflatten(backward(net, tape, probe).flat)
+    grads = net.unflatten(backward(net, tape, probe))
 
     def loss():
         out, _ = forward(net, x)
@@ -142,11 +142,11 @@ def fd_check_net(net, in_dim, rng, coords=12, h=1e-5):
 def fd_check_linear_actor(actor, rng, h=1e-5):
     states = rng.normal(size=(6, 4)) * np.array([0.5, 5.0, 3000.0, 0.5])
     probe = rng.normal(size=6)
-    _, tape = actor.mean_batch(states)
+    _, tape = actor.mean_scaled(actor.scale(states))
     grads = actor.mean_grads(tape, probe)
 
     def loss():
-        mu, _ = actor.mean_batch(states)
+        mu, _ = actor.mean_scaled(actor.scale(states))
         return float(np.dot(mu, probe))
 
     worst = 0.0
@@ -165,11 +165,11 @@ def fd_check_linear_actor(actor, rng, h=1e-5):
 def fd_check_nn_actor(actor, rng, coords=12, h=1e-5):
     states = rng.normal(size=(6, 4)) * np.array([0.5, 5.0, 3000.0, 0.5])
     probe = rng.normal(size=6)
-    _, tape = actor.mean_batch(states)
+    _, tape = actor.mean_scaled(actor.scale(states))
     grads = actor.mean_grads(tape, probe)
 
     def loss():
-        mu, _ = actor.mean_batch(states)
+        mu, _ = actor.mean_scaled(actor.scale(states))
         return float(np.dot(mu, probe))
 
     worst = 0.0
@@ -305,10 +305,10 @@ def test_criterion_4_embedding_equivalence(passline, tmp_path, env_cfg, tuned_ga
 # --- criterion 5 ----------------------------------------------------------------
 
 def test_criterion_5_sdf_unit_anchors(passline):
-    flat = sdf([1.0] * 430).sdf
+    flat = sdf([1.0] * 430)
     assert flat == 1.0
     a = math.sqrt(2.0 / 3.0)
-    anchored = sdf([1.0 + a, 1.0 - a]).sdf
+    anchored = sdf([1.0 + a, 1.0 - a])
     assert abs(anchored - 0.6) < 1e-12
     passline(5, f"constant trace SDF = {flat}, variance-2/3 trace SDF = {anchored!r}")
 
@@ -319,8 +319,8 @@ def test_criterion_6_baseline_ordering(passline, env_cfg):
     """Tuned PID beats the unregulated signal everywhere and clears SDF 0.6."""
     t0 = time.perf_counter()
     gains = tune_pid(env_cfg, list(SEEDS))
-    raw_sdf = [sdf(run_raw_episode(env_cfg, s)).sdf for s in SEEDS]
-    pid_sdf = [sdf(run_pid_episode(env_cfg, s, gains)).sdf for s in SEEDS]
+    raw_sdf = [sdf(run_raw_episode(env_cfg, s)) for s in SEEDS]
+    pid_sdf = [sdf(run_pid_episode(env_cfg, s, gains)) for s in SEEDS]
     elapsed = time.perf_counter() - t0
     for s, (r, p) in enumerate(zip(raw_sdf, pid_sdf)):
         assert p > r, f"seed {s}: pid {p} <= raw {r}"

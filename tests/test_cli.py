@@ -274,6 +274,28 @@ def test_float_count_in_config_is_config_error(tmp_path, gains_file, capsys, fie
     assert not (tmp_path / "o" / "checkpoint.json").exists()
 
 
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"train": {"seeds": [1.5]}}, "seeds"),
+        ({"train": {"seeds": [0, "2"]}}, "seeds"),
+        ({"train": {"seeds": [True]}}, "seeds"),
+        ({"train": {"iterations": True}}, "iterations"),
+        ({"env": {"steps_per_episode": True}}, "steps_per_episode"),
+        ({"env": {"steps_per_episode": 40.0}}, "steps_per_episode"),
+        ({"master_seed": 1.5}, "master_seed"),
+        ({"master_seed": False}, "master_seed"),
+    ],
+)
+def test_non_integer_in_config_is_config_error(tmp_path, capsys, payload, field):
+    cfg = write_config(tmp_path, payload)
+    assert run("tune-pid", "--config", cfg, "--out", tmp_path / "o") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "gains.json").exists()
+
+
 def test_nonfinite_action_exits_diverged_without_traceback(tmp_path, capsys):
     # ki*I and kd*D overflow to opposite infinities: the PID action is NaN
     gains = write_config(tmp_path, {"format_version": 1, "kp": 0, "ki": 1e308, "kd": -1e308, "dt": 1e-4},

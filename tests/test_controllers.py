@@ -103,8 +103,8 @@ def test_pid_gains_validation():
 
 
 def test_pid_beats_unregulated_on_default_config(env_cfg, tuned_gains):
-    raw = sdf(run_raw_episode(env_cfg, 0)).sdf
-    closed = sdf(run_pid_episode(env_cfg, 0, tuned_gains)).sdf
+    raw = sdf(run_raw_episode(env_cfg, 0))
+    closed = sdf(run_pid_episode(env_cfg, 0, tuned_gains))
     assert closed > raw
 
 
@@ -127,14 +127,14 @@ def test_tune_pid_is_exhaustive_on_its_grid():
     grid = GainGrid(kp=(0.0, 0.5, 1.0), ki=(0.0, 0.3), kd=(0.0, 1e-5))
     best = tune_pid(cfg, [0, 1], grid=grid)
     best_score = np.mean(
-        [sdf(run_pid_episode(cfg, s, best)).sdf for s in (0, 1)]
+        [sdf(run_pid_episode(cfg, s, best)) for s in (0, 1)]
     )
     for kp in grid.kp:
         for ki in grid.ki:
             for kd in grid.kd:
                 cand = PidGains(kp=kp, ki=ki, kd=kd, dt=cfg.dt)
                 score = np.mean(
-                    [sdf(run_pid_episode(cfg, s, cand)).sdf for s in (0, 1)]
+                    [sdf(run_pid_episode(cfg, s, cand)) for s in (0, 1)]
                 )
                 assert best_score >= score - 1e-12
 
@@ -162,7 +162,7 @@ def test_gain_grid_rejects_nonfinite_values(bad):
 
 def scalar_sdfs(cfg, seeds, points):
     return [
-        [sdf(run_pid_episode(cfg, s, PidGains(*p, dt=cfg.dt))).sdf for s in seeds]
+        [sdf(run_pid_episode(cfg, s, PidGains(*p, dt=cfg.dt))) for s in seeds]
         for p in points
     ]
 
@@ -636,7 +636,7 @@ def test_policy_sample_log_prob_consistency():
     actor = LinearActor("pid_act", (0.4, -0.2, 1e-5, 0.3), bias=0.05, log_std=-0.5)
     sv = (0.5, -2.0, 800.0, 0.7)
     rng = Xoshiro256StarStar(3)
-    action, logp = actor.sample(sv, rng)
+    action, logp = actor.sampler(rng)(sv)
     mean = actor.mean(sv)
     assert logp == pytest.approx(gaussian_log_prob(action, mean, -0.5), abs=1e-12)
     # exploration actually perturbs the mean
@@ -650,7 +650,7 @@ def test_episode_sampler_draws_what_sample_draws(kind):
     states = [(0.5, -2.0, 800.0, 0.7), (-0.1, 3.0, -50.0, 0.2), (0.0, 0.0, 0.0, 0.0)]
     rng_a, rng_b = Xoshiro256StarStar(4), Xoshiro256StarStar(4)
     sample = actor.sampler(rng_a)
-    assert [sample(s) for s in states] == [actor.sample(s, rng_b) for s in states]
+    assert [sample(s) for s in states] == [oracles.sample(actor, s, rng_b) for s in states]
 
 
 def test_pid_episode_memo_returns_fresh_equal_lists(env_cfg, tuned_gains):
@@ -709,7 +709,7 @@ def test_linear_actor_mean_is_exact_dot_product():
 def test_linear_actor_batch_matches_scalar(tuned_gains):
     actor = make_actor("pid", "pid_act", tuned_gains, Xoshiro256StarStar(0))
     states = np.array([[0.3, -1.0, 500.0, 0.2], [0.0, 2.0, -100.0, -0.5]])
-    mus, _ = actor.mean_batch(states)
+    mus, _ = actor.mean_scaled(actor.scale(states))
     singles = [actor.mean(tuple(row)) for row in states]
     assert mus == pytest.approx(singles, abs=1e-15)
 
@@ -781,8 +781,8 @@ def test_linear_actor_pid3_ignores_action_weight():
 def test_linear_actor_sample_stream_is_deterministic():
     actor = make_actor("pid", "pid_act", HAND_GAINS, Xoshiro256StarStar(0))
     sv = (0.4, -3.0, 1200.0, 0.9)
-    a1, l1 = actor.sample(sv, Xoshiro256StarStar(5))
-    a2, l2 = actor.sample(sv, Xoshiro256StarStar(5))
+    a1, l1 = actor.sampler(Xoshiro256StarStar(5))(sv)
+    a2, l2 = actor.sampler(Xoshiro256StarStar(5))(sv)
     assert (a1, l1) == (a2, l2)
 
 
@@ -798,7 +798,7 @@ def test_nn_actor_round_trip_preserves_function():
 def test_nn_actor_batch_matches_scalar():
     actor = NnActor.fresh("pid_act", Xoshiro256StarStar(4))
     states = np.array([[0.3, -1.0, 500.0, 0.2], [0.0, 2.0, -100.0, -0.5]])
-    mus, _ = actor.mean_batch(states)
+    mus, _ = actor.mean_scaled(actor.scale(states))
     singles = [actor.mean(tuple(row)) for row in states]
     assert mus == pytest.approx(singles, abs=1e-12)
 
@@ -834,7 +834,7 @@ def test_actor_parameters_are_views_of_one_vector(kind, variant):
 
 @pytest.mark.parametrize("kind", ["pid", "nn"])
 def test_writes_through_views_change_the_next_action(kind):
-    """mean/sample read the live vector: no cached copy goes stale."""
+    """mean and a new sampler read the live vector: no cached copy goes stale."""
     actor = make_actor(kind, "pid_act", HAND_GAINS, Xoshiro256StarStar(0))
     sv = (0.4, -3.0, 1200.0, 0.9)
     before = actor.mean(sv)
@@ -846,7 +846,7 @@ def test_writes_through_views_change_the_next_action(kind):
     assert actor.mean(sv) != pytest.approx(before + 0.25, abs=1e-9)
     mean = actor.mean(sv)
     actor.parameters()[-1][0] = -2.0  # log_std, written through parameters()
-    action, logp = actor.sample(sv, Xoshiro256StarStar(5))
+    action, logp = actor.sampler(Xoshiro256StarStar(5))(sv)
     assert logp == pytest.approx(gaussian_log_prob(action, mean, -2.0), abs=1e-12)
     if kind == "pid":
         assert actor.params["bias"] == 0.25

@@ -39,8 +39,8 @@ def test_forward_shapes():
     net = small_net()
     out, _ = forward(net, np.zeros((7, 3)))
     assert out.shape == (7, 2)
-    single, _ = forward(net, np.zeros(3))
-    assert single.shape == (2,)
+    row, _ = forward(net, np.zeros((1, 3)))
+    assert row.shape == (1, 2)
 
 
 def test_identity_layer_is_affine():
@@ -51,22 +51,21 @@ def test_identity_layer_is_affine():
     assert np.allclose(out, x @ w.T + b, atol=0.0)
 
 
-def test_tanh_and_relu_activations():
-    for act, fn in (("tanh", np.tanh), ("relu", lambda v: np.maximum(v, 0.0))):
-        net = init_dense([3, 3], [act], Xoshiro256StarStar(2))
-        w, b = net.parameters()
-        w[:] = np.eye(3)
-        b[:] = 0.0
-        net.bump_version()
-        x = np.array([[-1.0, 0.0, 2.0]])
-        out, _ = forward(net, x)
-        assert np.allclose(out, fn(x))
+def test_tanh_activation():
+    net = init_dense([3, 3], ["tanh"], Xoshiro256StarStar(2))
+    w, b = net.parameters()
+    w[:] = np.eye(3)
+    b[:] = 0.0
+    net.bump_version()
+    x = np.array([[-1.0, 0.0, 2.0]])
+    out, _ = forward(net, x)
+    assert np.allclose(out, np.tanh(x))
 
 
 def test_param_count():
     net = small_net()
-    assert net.param_count == sum(p.size for p in net.parameters())
-    assert net.param_count == 3 * 5 + 5 + 5 * 2 + 2
+    assert net.flat.size == sum(p.size for p in net.parameters())
+    assert net.flat.size == 3 * 5 + 5 + 5 * 2 + 2
 
 
 def scalar_loss(net, x, probe):
@@ -82,7 +81,7 @@ def test_backward_matches_finite_differences():
     loss, tape = scalar_loss(net, x, probe)
     grads = backward(net, tape, probe)
     h = 1e-6
-    for p, g in zip(net.parameters(), net.unflatten(grads.flat)):
+    for p, g in zip(net.parameters(), net.unflatten(grads)):
         flat_p = p.reshape(-1)
         flat_g = g.reshape(-1)
         for idx in range(flat_p.size):
@@ -99,32 +98,14 @@ def test_backward_matches_finite_differences():
             assert flat_g[idx] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
-def test_backward_input_gradient_matches_finite_differences():
-    net = small_net(seed=4)
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=(3, 3))
-    probe = rng.normal(size=(3, 2))
-    _, tape = forward(net, x)
-    grads = backward(net, tape, probe)
-    h = 1e-6
-    for i in range(x.shape[0]):
-        for j in range(x.shape[1]):
-            bumped = x.copy()
-            bumped[i, j] += h
-            up, _ = scalar_loss(net, bumped, probe)
-            bumped[i, j] -= 2 * h
-            down, _ = scalar_loss(net, bumped, probe)
-            fd = (up - down) / (2 * h)
-            assert grads.input[i, j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
-
-
 def test_stale_tape_rejected():
     net = small_net()
     out, tape = forward(net, np.ones((2, 3)))
     net.bump_version()
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="stale tape"):
         backward(net, tape, np.ones_like(out))
-
+    with pytest.raises(UsageError, match="different net"):  # same shapes, another net
+        backward(small_net(), forward(net, np.ones((2, 3)))[1], np.ones_like(out))
 
 def test_shape_validation():
     net = small_net()
@@ -132,6 +113,8 @@ def test_shape_validation():
         forward(net, np.ones((2, 5)))
     with pytest.raises(ShapeError):
         forward(net, np.ones((2, 2, 3)))
+    with pytest.raises(ShapeError):  # one input is a (1, in) row, not a vector
+        forward(net, np.ones(3))
     out, tape = forward(net, np.ones((2, 3)))
     with pytest.raises(ShapeError):
         backward(net, tape, np.ones((3, 2)))
@@ -143,7 +126,9 @@ def test_init_dense_validation():
         init_dense([3, 5], ["tanh", "identity"], rng)
     with pytest.raises(ShapeError):
         init_dense([3, 5], ["softplus"], rng)
-    assert set(ACTIVATIONS) == {"tanh", "relu", "identity"}
+    with pytest.raises(ShapeError):
+        init_dense([3, 5], ["relu"], rng)
+    assert set(ACTIVATIONS) == {"tanh", "identity"}
 
 
 def test_init_output_layer_is_quiet():
@@ -189,6 +174,13 @@ def test_net_round_trip_is_exact():
     out_a, _ = forward(net, x)
     out_b, _ = forward(again, x)
     assert np.array_equal(out_a, out_b)
+
+
+@pytest.mark.parametrize("activations", [["tanh", "tanh"], ["tanh", "tanh", "identity", "identity"]])
+def test_net_from_dict_refuses_an_activation_count_unlike_the_layer_count(activations):
+    data = net_to_dict(small_net(dims=(3, 4, 4, 2), acts=("tanh", "tanh", "identity")))
+    with pytest.raises(CheckpointError, match="activations"):
+        net_from_dict(dict(data, activations=activations))
 
 
 def test_sgd_step_exact():
@@ -261,7 +253,7 @@ def test_net_parameters_are_views_of_flat():
     for p, layer_array in zip(params, [a for l in net.layers for a in (l.weight, l.bias)]):
         assert np.shares_memory(p, net.flat) and np.shares_memory(layer_array, net.flat)
     # storage passed in is used, not copied
-    storage = np.zeros(net.param_count + 3)
+    storage = np.zeros(net.flat.size + 3)
     placed = gradnet.DenseNet(net.layers, storage[1:-2])
     assert placed.flat.base is storage and np.array_equal(storage[1:-2], net.flat)
     with pytest.raises(ShapeError):
@@ -270,15 +262,15 @@ def test_net_parameters_are_views_of_flat():
 
 def test_writes_through_parameters_change_forward():
     net = small_net(seed=3)
-    x = np.array([0.3, -0.2, 0.9])
+    x = np.array([[0.3, -0.2, 0.9]])
     before, _ = forward(net, x)
     net.parameters()[-1][0] += 0.5  # output bias
     after, _ = forward(net, x)
-    assert after[0] == pytest.approx(before[0] + 0.5, abs=1e-12)
-    assert after[1] == before[1]
+    assert after[0, 0] == pytest.approx(before[0, 0] + 0.5, abs=1e-12)
+    assert after[0, 1] == before[0, 1]
     net.flat[:] = 0.0
     zero, _ = forward(net, x)
-    assert np.array_equal(zero, np.zeros(2))
+    assert np.array_equal(zero, np.zeros((1, 2)))
 
 
 def test_backward_flat_is_laid_out_like_the_parameters():
@@ -286,11 +278,11 @@ def test_backward_flat_is_laid_out_like_the_parameters():
     x = np.random.default_rng(4).normal(size=(3, 3))
     _, tape = forward(net, x)
     grads = backward(net, tape, np.ones((3, 2)))
-    assert grads.flat.shape == net.flat.shape
-    w0, b0, w1, b1 = net.unflatten(grads.flat)
+    assert grads.shape == net.flat.shape
+    w0, b0, w1, b1 = net.unflatten(grads)
     # output layer is identity: dL/db1 = sum over the batch of ones, dL/dW1 = sum of hidden outputs
     assert b1.tolist() == [3.0, 3.0]
-    assert np.allclose(w1, np.tile(tape.outputs[0].sum(axis=0), (2, 1)), rtol=1e-12, atol=0.0)
+    assert np.allclose(w1, np.tile(tape.acts[1].sum(axis=0), (2, 1)), rtol=1e-12, atol=0.0)
 
 
 # --- bit identity with the tape-and-multiply pass it replaced ---------------------
@@ -301,39 +293,28 @@ def test_backward_flat_is_laid_out_like_the_parameters():
     hidden=st.lists(st.integers(1, 64), min_size=0, max_size=2),
     out_dim=st.integers(1, 3),
     acts=st.lists(st.sampled_from(ACTIVATIONS), min_size=3, max_size=3),
-    rows=st.sampled_from([None, 1, 64]),
+    rows=st.sampled_from([1, 64]),
     seed=st.integers(0, 2**16),
 )
 def test_forward_backward_match_the_reference_bit_for_bit(in_dim, hidden, out_dim, acts, rows, seed):
     dims = [in_dim, *hidden, out_dim]
     net = init_dense(dims, acts[: len(dims) - 1], Xoshiro256StarStar(seed))
     rng = np.random.default_rng(seed)
-    net.flat[net.param_count - out_dim:] = rng.normal(size=out_dim)  # nonzero output bias
-    shape = (in_dim,) if rows is None else (rows, in_dim)
-    x = rng.normal(size=shape) * 2.0
-    probe = rng.normal(size=(out_dim,) if rows is None else (rows, out_dim))
+    net.flat[net.flat.size - out_dim:] = rng.normal(size=out_dim)  # nonzero output bias
+    x = rng.normal(size=(rows, in_dim)) * 2.0
+    probe = rng.normal(size=(rows, out_dim))
 
     out, tape = forward(net, x)
     ref_out, ref_tape = oracles.dense_forward(net, x)
     assert out.tobytes() == ref_out.tobytes() and out.shape == ref_out.shape
     grads = backward(net, tape, probe)
-    ref_flat, ref_input = oracles.dense_backward(net, ref_tape, probe)
-    assert grads.flat.tobytes() == ref_flat.tobytes()
-    assert grads.input.tobytes() == ref_input.tobytes() and grads.input.shape == ref_input.shape
+    ref_flat = oracles.dense_backward(net, ref_tape, probe)
+    assert grads.tobytes() == ref_flat.tobytes()
     # a reused gradient buffer gets the same bytes
     buffer = np.full_like(net.flat, np.nan)
     for _ in range(2):
-        assert backward(net, tape, probe, buffer).flat is buffer
+        assert backward(net, tape, probe, buffer) is buffer
         assert buffer.tobytes() == ref_flat.tobytes()
-
-
-def test_input_gradient_of_stale_gradients_is_refused():
-    net = small_net()
-    out, tape = forward(net, np.ones((2, 3)))
-    grads = backward(net, tape, np.ones_like(out))
-    net.bump_version()
-    with pytest.raises(UsageError):
-        grads.input
 
 
 # --- flat optimizers against the per-array reference ------------------------------

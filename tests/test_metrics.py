@@ -29,28 +29,22 @@ finite_traces = st.lists(
 
 
 def test_sdf_constant_trace_is_one():
-    assert sdf([1.0] * 10).sdf == 1.0
-    assert sdf([0.3, 0.3, 0.3]).sdf == 1.0
+    assert sdf([1.0] * 10) == 1.0
+    assert sdf([0.3, 0.3, 0.3]) == 1.0
 
 
 def test_sdf_known_variances():
     # population variance 2/3 gives 1/(1 + 2/3) = 0.6
     a = math.sqrt(2.0 / 3.0)
-    assert sdf([1.0 + a, 1.0 - a]).sdf == pytest.approx(0.6, abs=1e-12)
+    assert sdf([1.0 + a, 1.0 - a]) == pytest.approx(0.6, abs=1e-12)
     # [1,1,1,3] has variance 0.75
-    assert sdf([1.0, 1.0, 1.0, 3.0]).sdf == pytest.approx(1.0 / 1.75, abs=1e-12)
-
-
-def test_sdf_report_fields():
-    rep = sdf([1.0, 1.0, 1.0, 3.0])
-    assert rep.n_samples == 4
-    assert rep.spill_std == pytest.approx(math.sqrt(0.75))
+    assert sdf([1.0, 1.0, 1.0, 3.0]) == pytest.approx(1.0 / 1.75, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(trace=finite_traces)
 def test_sdf_in_unit_interval(trace):
-    value = sdf(trace).sdf
+    value = sdf(trace)
     assert 0.0 < value <= 1.0
 
 
@@ -58,8 +52,8 @@ def test_sdf_in_unit_interval(trace):
 @given(trace=finite_traces, shift=st.floats(min_value=-10, max_value=10))
 def test_sdf_shift_invariant(trace, shift):
     # depends on the spread only, not on the operating point
-    base = sdf(trace).sdf
-    moved = sdf([x + shift for x in trace]).sdf
+    base = sdf(trace)
+    moved = sdf([x + shift for x in trace])
     assert moved == pytest.approx(base, rel=1e-9, abs=1e-12)
 
 

@@ -208,7 +208,7 @@ def test_deterministic_rollout_of_initial_actor_reproduces_pid(env_cfg, tuned_ga
     _, pid_corrected, pid_applied = pid_episode_records(env_cfg, 3, tuned_gains)
     assert applied == pid_applied
     assert corrected == pid_corrected
-    assert evaluate_actor_sdf(env_cfg, actor, 3) == metrics.sdf(pid_corrected).sdf
+    assert evaluate_actor_sdf(env_cfg, actor, 3) == metrics.sdf(pid_corrected)
 
 
 # --- GAE -------------------------------------------------------------------------
@@ -273,7 +273,7 @@ def test_identical_policy_gives_unit_ratio():
     critic = fresh_critic()
     states, actions, advantages, returns = random_batch()
     log_std = float(actor.log_std_arr[0])
-    mu, _ = actor.mean_batch(states)
+    mu, _ = actor.mean_scaled(actor.scale(states))
     z = (actions - mu) / math.exp(log_std)
     logp = -0.5 * z * z - log_std - 0.5 * math.log(2.0 * math.pi)
     report = surrogate_losses(
@@ -335,10 +335,10 @@ def test_minibatch_gradients_match_finite_differences():
     n = 16
     rng = np.random.default_rng(11)
     states = rng.normal(size=(n, 4)) * np.array([0.5, 5.0, 3000.0, 0.5])
-    actions, _ = actor.mean_batch(states)
+    actions, _ = actor.mean_scaled(actor.scale(states))
     actions = actions + rng.normal(size=n) * 0.05
     log_std = float(actor.log_std_arr[0])
-    mu, _ = actor.mean_batch(states)
+    mu, _ = actor.mean_scaled(actor.scale(states))
     z = (actions - mu) / math.exp(log_std)
     logp_exact = -0.5 * z * z - log_std - 0.5 * math.log(2 * math.pi)
     # small offset keeps every ratio strictly inside the clip band
@@ -468,7 +468,7 @@ def random_update_inputs(seed, actor, n=430):
     rng = np.random.default_rng(seed)
     magnitudes = np.array([0.5, 5.0, 3000.0, 0.5])[: actor.state_dim]
     states = rng.normal(size=(n, actor.state_dim)) * magnitudes
-    mu, _ = actor.mean_batch(states)
+    mu, _ = actor.mean_scaled(actor.scale(states))
     log_std = float(actor.log_std_arr[0])
     actions = mu + rng.normal(size=n) * math.exp(log_std)
     z = (actions - mu) / math.exp(log_std)
