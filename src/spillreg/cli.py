@@ -33,7 +33,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 from . import __version__, metrics, ppo
-from .controllers import STATE_LABELS, PidGains, pid_episode_records, pid_seed_sdfs, tune_pid
+from .controllers import STATE_LABELS, PidGains, pid_episode_records, tune_pid
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -43,6 +43,7 @@ from .errors import (
     SpillRegError,
     UsageError,
 )
+from .rng import check_seed
 from .spillsim import EnvConfig, run_raw_episode, write_trace_csv
 
 # CPython's built-in SHA-256. hashlib would load OpenSSL's libcrypto, about
@@ -171,10 +172,12 @@ def resolve_run(args) -> ResolvedRun:
 
         if getattr(args, "seed", None) is not None:
             master_seed = args.seed
+            check_seed(master_seed, "--seed")
         else:
             master_seed = file_cfg.get("master_seed", 0)
             if type(master_seed) is not int:  # neither a float nor a bool
                 raise ConfigError(f"master_seed must be an integer, got {master_seed!r}")
+            check_seed(master_seed, "master_seed")
 
         gains = None
         gains_path = getattr(args, "gains", None)
@@ -233,6 +236,8 @@ def parse_seed_list(text: str) -> tuple[int, ...]:
         raise ConfigError(f"--seeds expects comma-separated integers, got {text!r}")
     if not seeds:
         raise ConfigError("--seeds must name at least one seed")
+    for seed in seeds:
+        check_seed(seed, "--seeds entry")
     return seeds
 
 
@@ -263,12 +268,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tune_pid(args) -> int:
+    """Tune PID gains; gains.json's mean_sdf is the score tune_pid chose them by."""
     run = resolve_run(args)
     out_dir = ensure_out_dir(args)
     seeds = parse_seed_list(args.seeds) if args.seeds else run.train_cfg.seeds
-    gains = tune_pid(run.env_cfg, list(seeds))
-    scores = pid_seed_sdfs(run.env_cfg, seeds, gains)
-    mean_sdf = metrics.ordered_mean(scores)
+    gains, mean_sdf = tune_pid(run.env_cfg, list(seeds))
     payload = run.config_payload()
     payload["gains"] = gains.to_dict()
     gains_out = dict(gains.to_dict(), manifest=MANIFEST_NAME, mean_sdf=mean_sdf, seeds=list(seeds))
@@ -284,7 +288,7 @@ def cmd_train(args) -> int:
     run = resolve_run(args)
     out_dir = ensure_out_dir(args)
     if run.gains is None:
-        run.gains = tune_pid(run.env_cfg, list(run.train_cfg.seeds))
+        run.gains, _ = tune_pid(run.env_cfg, list(run.train_cfg.seeds))
     try:
         result = ppo.train(
             run.train_cfg,
@@ -403,7 +407,7 @@ def cmd_ablate(args) -> int:
             raise ConfigError(f"unknown ablation row(s) {unknown}; choose from {sorted(VARIANTS)}")
     if run.gains is None:
         # one shared PID baseline for every row keeps the comparison honest
-        run.gains = tune_pid(run.env_cfg, list(run.train_cfg.seeds))
+        run.gains, _ = tune_pid(run.env_cfg, list(run.train_cfg.seeds))
 
     rows = []
     row_errors = {}

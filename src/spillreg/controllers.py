@@ -240,8 +240,11 @@ def pid_seed_sdfs(config: EnvConfig, seeds: list[int] | tuple[int, ...], gains: 
     return pid_sdfs(config, seeds, [(gains.kp, gains.ki, gains.kd)])[0].tolist()
 
 
-def tune_pid(config: EnvConfig, seeds: list[int], grid: GainGrid = DEFAULT_GAIN_GRID) -> PidGains:
+def tune_pid(config: EnvConfig, seeds: list[int], grid: GainGrid = DEFAULT_GAIN_GRID) -> tuple[PidGains, float]:
     """Grid search maximizing mean SDF over seeds, plus coordinate refinement.
+
+    Returns the best gains and their mean SDF over seeds, the ordered_mean
+    of the point's per-seed SDFs that the search compared.
 
     After the exhaustive grid pass the best point is polished by one
     coordinate-descent pass: 3 rounds over the axes, probing +-step with the
@@ -250,7 +253,9 @@ def tune_pid(config: EnvConfig, seeds: list[int], grid: GainGrid = DEFAULT_GAIN_
     pass is one pid_sdfs call. Before each round, pidbatch.score_round scores
     every point the round could probe, under any outcome of its decisions,
     in one batched call; the probes then run in order on that cache, and a
-    probe it could not vouch for runs on its own as before.
+    probe it could not vouch for runs on its own as before. The default grid
+    on nine seeds takes 5 kernel passes: 38 + 37 grid points, then rounds of
+    26, 35 and 26.
     """
     if not seeds:
         raise ConfigError("tune_pid needs a non-empty seed list")
@@ -292,7 +297,7 @@ def tune_pid(config: EnvConfig, seeds: list[int], grid: GainGrid = DEFAULT_GAIN_
                 score = mean_sdf(point)
                 if score > best_score or (score == best_score and magnitude(point) < magnitude(best)):
                     best, best_score = point, score
-    return PidGains(*best, dt=config.dt)
+    return PidGains(*best, dt=config.dt), best_score
 
 
 # --- state features ---------------------------------------------------------

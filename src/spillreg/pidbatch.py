@@ -6,9 +6,13 @@ float64 numpy operations, and reduces each row's variance as metrics.sdf
 does. A controller is a PID point (controllers.pid_sdfs, in the order of
 spillsim.closed_loop, controllers.ErrorTracker and controllers.pid_update)
 or the coefficients of a linear policy head over the P, I, D features
-(ppo.actor_sdfs, in the order of controllers.StateTracker and
-gradnet.policy_mean). Every row it marks exact equals the scalar path
-bit for bit; the callers recompute the other rows with the scalar path.
+(ppo.build_report, in the order of controllers.StateTracker and
+gradnet.policy_mean; the report's PID row runs there too, with zero w_Act
+and bias). Every row it marks exact equals the scalar path bit for bit;
+the callers recompute the other rows with the scalar path. A call splits
+its rows into as few near-equal blocks as the byte budget PID_KERNEL_BYTES
+allows (at most 38 rows at the default 430 steps and 9 seeds), one kernel
+pass each. A row's result does not depend on its block.
 
 score_round scores a whole tune_pid refinement round in one batch_sdfs call.
 
@@ -28,12 +32,14 @@ from . import metrics
 from .errors import ConfigError
 from .spillsim import EnvConfig, run_raw_episode
 
-# Bytes of trace one pass keeps live: the rows of a call run in blocks of as
-# many (row, seed) episodes as fit (33 rows at the default 430 steps and 9
-# seeds), which bounds the kernel's memory for any grid. A pass costs about
-# the same for 9 episodes as for 300 (430 steps of a dozen ufunc calls), so
-# fewer, fuller blocks are faster.
-PID_KERNEL_BYTES = 1 << 20
+# Bytes of trace one pass keeps live, which bounds the kernel's memory for
+# any grid: a call runs its rows in the fewest blocks of at most as many
+# (row, seed) episodes as fit (38 rows at the default 430 steps and 9 seeds),
+# split near-equally, so 75 rows run as 38 + 37. A pass costs about the same
+# for 9 episodes as for 300 (430 steps of a dozen ufunc calls), so fewer
+# passes are faster; 38 rows let tune_pid's 35-point second round on the
+# default grid run in one.
+PID_KERNEL_BYTES = (1 << 20) + (1 << 17)
 
 
 def batch_sdfs(config: EnvConfig, seeds, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -63,15 +69,17 @@ def batch_sdfs(config: EnvConfig, seeds, rows) -> tuple[np.ndarray, np.ndarray]:
     exact = np.zeros(sdfs.shape, dtype=bool)
     # with finite samples, |D| stays below 2 * (clamp_hi - clamp_lo) / dt plus rounding
     d_bound = 4.0 * (config.clamp_hi - config.clamp_lo) / config.dt
-    if len(seeds) == 0 or steps < 2 or not math.isfinite(d_bound):
+    if len(seeds) == 0 or len(rows) == 0 or steps < 2 or not math.isfinite(d_bound):
         return sdfs, exact
     raw = np.empty((steps, len(seeds)))
     for j, seed in enumerate(seeds):
         raw[:, j] = run_raw_episode(config, seed)
     block = max(1, PID_KERNEL_BYTES // (8 * steps * len(seeds)))
-    for start in range(0, len(rows), block):
-        stop = start + block
-        sdfs[start:stop], exact[start:stop] = _block_sdfs(config, raw, rows[start:stop])
+    start = 0
+    for part in np.array_split(rows, -(-len(rows) // block)):  # ceil(n / block) blocks
+        stop = start + len(part)
+        sdfs[start:stop], exact[start:stop] = _block_sdfs(config, raw, part)
+        start = stop
     return sdfs, exact
 
 

@@ -46,17 +46,17 @@ from .controllers import (
     NnActor,
     PidGains,
     StateTracker,
+    _check_dt,
     actor_from_dict,
     feature_scales,
     make_actor,
-    pid_seed_sdfs,
     run_pid_episode,
     tune_pid,
 )
 from .errors import CheckpointError, ConfigError, DivergenceError, SpillRegError
 from .gradnet import LossReport
 from .metrics import ImprovementReport, SeedResult
-from .rng import Xoshiro256StarStar, derive_seed
+from .rng import Xoshiro256StarStar, check_seed, derive_seed
 from .spillsim import EnvConfig, closed_loop, run_raw_episode
 
 # named sub-streams of the master seed
@@ -109,6 +109,8 @@ class TrainConfig:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
+        for seed in self.seeds:
+            check_seed(seed, "seeds entry")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if not 0.0 <= self.value_coef:
@@ -346,31 +348,37 @@ def evaluate_actor_sdf(env_cfg: EnvConfig, actor, seed: int) -> float:
     return metrics.sdf(corrected)
 
 
-def actor_sdfs(env_cfg: EnvConfig, actor, seeds: tuple[int, ...]) -> list[float]:
-    """Mean-action SDF of actor on each seed, in seed order.
-
-    A finite LinearActor over P, I, D (pid_act, pid3) runs every seed in one
-    pass of the batched kernel (pidbatch.batch_sdfs). Seeds that pass cannot
-    vouch for, and any other actor, run evaluate_actor_sdf, which raises the
-    scalar path's errors.
-    """
-    sdfs, exact = [0.0] * len(seeds), [False] * len(seeds)
-    linear = isinstance(actor, LinearActor) and actor.variant != VARIANT_CD_OVER
-    if linear and np.isfinite(actor.flat[:-1]).all():
-        rows, ok = pidbatch.batch_sdfs(env_cfg, seeds, [actor.coefs()])
-        sdfs, exact = rows[0].tolist(), ok[0]
-    return [s if e else evaluate_actor_sdf(env_cfg, actor, seed) for seed, s, e in zip(seeds, sdfs, exact)]
-
-
 def build_report(
     env_cfg: EnvConfig,
     gains: PidGains,
     actor,
     seeds: tuple[int, ...],
 ) -> ImprovementReport:
-    """Per-seed noise/PID/RL SDF comparison, in seed order."""
+    """Per-seed noise/PID/RL SDF comparison, in seed order.
+
+    The PID baseline and the mean action of a finite LinearActor over P, I,
+    D (pid_act, pid3) run every seed in one pass of the batched kernel
+    (pidbatch.batch_sdfs). There the PID point is a policy row whose w_Act
+    and bias are zero: adding 0 * Act and 0 leaves every nonzero value of
+    the loop as it is and can only flip the sign of a zero, which no SDF
+    sees. Seeds that pass cannot vouch for, and every seed of any other
+    actor, run the scalar path, the PID ones first, so the report raises
+    the scalar episodes' errors in the order their separate passes did.
+    """
+    _check_dt(env_cfg, gains)
+    rows = [[gains.kp, gains.ki, gains.kd]]
+    linear = isinstance(actor, LinearActor) and actor.variant != VARIANT_CD_OVER
+    if linear and np.isfinite(actor.flat[:-1]).all():
+        coefs = actor.coefs()
+        rows = [rows[0] + [0.0] * (len(coefs) - 3), coefs]
+    sdfs, exact = pidbatch.batch_sdfs(env_cfg, seeds, rows)
+    # a policy the kernel did not run is inexact on every seed
+    sdfs, exact = sdfs.tolist(), exact.tolist() + [[False] * len(seeds)]
+    pid = [s if ok else metrics.sdf(run_pid_episode(env_cfg, seed, gains))
+           for seed, s, ok in zip(seeds, sdfs[0], exact[0])]
+    rl = [s if ok else evaluate_actor_sdf(env_cfg, actor, seed)
+          for seed, s, ok in zip(seeds, sdfs[-1], exact[1])]
     report = ImprovementReport()
-    pid, rl = pid_seed_sdfs(env_cfg, seeds, gains), actor_sdfs(env_cfg, actor, seeds)
     for seed, sdf_pid, sdf_rl in zip(seeds, pid, rl):
         report.add(SeedResult(
             seed=seed,
@@ -412,7 +420,7 @@ def train(
     if reward_cfg is None:
         reward_cfg = RewardConfig(kind="neg_ema", alpha=train_cfg.alpha)
     if gains is None:
-        gains = tune_pid(env_cfg, list(train_cfg.seeds))
+        gains, _ = tune_pid(env_cfg, list(train_cfg.seeds))
 
     init_rng = Xoshiro256StarStar(derive_seed(master_seed, STREAM_INIT))
     actor = make_actor(policy_variant, state_variant, gains, init_rng)

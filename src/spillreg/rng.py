@@ -18,6 +18,8 @@ import math
 
 import numpy as np
 
+from .errors import ConfigError
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _TWO_PI = 2.0 * math.pi
@@ -28,6 +30,16 @@ def _finalize(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+def check_seed(seed: int, name: str) -> None:
+    """Raise a ConfigError naming seed unless it lies in [0, 2**64).
+
+    The generators reduce a seed mod 2**64, so a seed outside that range
+    would silently run as another one (-1 as 2**64 - 1, 2**64 as 0).
+    """
+    if not 0 <= seed <= _MASK64:
+        raise ConfigError(f"{name} must lie in [0, 2**64), got {seed}")
 
 
 def splitmix64(state: int) -> tuple[int, int]:

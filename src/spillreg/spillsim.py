@@ -35,9 +35,9 @@ so its traces equal a reset()/step() loop bit for bit. Single episodes
 mean-action evaluation the kernel below cannot take) run through it.
 pidbatch.batch_sdfs replays the same memo for many PID or linear-policy
 episodes at once with elementwise numpy float64 operations in
-closed_loop's order; tune_pid, the per-seed PID SDFs of tune-pid and of
-the report, and the report's SDFs of a linear policy over P, I, D use that
-batched kernel.
+closed_loop's order; tune_pid (whose scores give tune-pid's mean_sdf)
+and the report use that batched kernel, the report in one pass for its
+PID baseline and a linear policy over P, I, D.
 
 Note on defaults: ou_sigma was calibrated upward (see its field comment) so
 that the unregulated signal starts below the operational SDF target of 0.6,

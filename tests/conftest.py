@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from spillreg import pidbatch
 from spillreg.controllers import tune_pid
 from spillreg.spillsim import EnvConfig
 
@@ -23,4 +24,19 @@ def short_cfg() -> EnvConfig:
 
 @pytest.fixture(scope="session")
 def tuned_gains(env_cfg):
-    return tune_pid(env_cfg, list(TRAIN_SEEDS))
+    gains, _ = tune_pid(env_cfg, list(TRAIN_SEEDS))
+    return gains
+
+
+@pytest.fixture()
+def kernel_passes(monkeypatch):
+    """Row counts of the batched-kernel passes the test runs, one entry a pass."""
+    passes = []
+    real_block = pidbatch._block_sdfs
+
+    def counting_block(config, raw, rows):
+        passes.append(len(rows))
+        return real_block(config, raw, rows)
+
+    monkeypatch.setattr(pidbatch, "_block_sdfs", counting_block)
+    return passes

@@ -26,6 +26,9 @@ None of these is used by the package itself:
   per-step dones column.
 - init_dense_weights draws gradnet.init_dense's weights as it did before
   its bulk draw: one rng.uniform call per weight, row by row.
+- two_call_build_report is ppo.build_report as it was before the PID
+  baseline and a linear policy shared one kernel pass: the baseline's own
+  pass (pid_seed_sdfs), then the policy's (kernel_actor_sdfs).
 """
 
 from __future__ import annotations
@@ -36,9 +39,10 @@ from typing import Sequence
 
 import numpy as np
 
-from spillreg import gradnet, metrics
+from spillreg import gradnet, metrics, pidbatch
 from spillreg.controllers import (
     DEFAULT_GAIN_GRID,
+    VARIANT_CD_OVER,
     GainGrid,
     PidGains,
     _axis_step,
@@ -46,11 +50,11 @@ from spillreg.controllers import (
     pid_seed_sdfs,
 )
 from spillreg.errors import ConfigError, DivergenceError, InputError
-from spillreg.metrics import _check_alpha
+from spillreg.metrics import ImprovementReport, SeedResult, _check_alpha
 from spillreg.controllers import LinearActor
 from spillreg.gradnet import LossReport, surrogate_grads
-from spillreg.ppo import critic_inputs
-from spillreg.spillsim import EnvConfig
+from spillreg.ppo import critic_inputs, evaluate_actor_sdf
+from spillreg.spillsim import EnvConfig, run_raw_episode
 
 
 def ema_reward(errors: Sequence[float], alpha: float) -> list[float]:
@@ -129,8 +133,12 @@ def surrogate_losses(
     return surrogate_grads(actor, critic, actor.scale(states), critic_x, *arrays, cfg, grads)
 
 
-def sequential_tune_pid(config: EnvConfig, seeds: list[int], grid: GainGrid = DEFAULT_GAIN_GRID) -> PidGains:
+def sequential_tune_pid(
+    config: EnvConfig, seeds: list[int], grid: GainGrid = DEFAULT_GAIN_GRID
+) -> tuple[PidGains, float]:
     """Grid search maximizing mean SDF over seeds, plus coordinate refinement.
+
+    Returns the best gains and the mean SDF the search scored them by.
 
     After the exhaustive grid pass the best point is polished by one
     coordinate-descent pass: 3 rounds over the axes, probing +-step with the
@@ -177,7 +185,7 @@ def sequential_tune_pid(config: EnvConfig, seeds: list[int], grid: GainGrid = DE
                 score = mean_sdf(point)
                 if score > best_score or (score == best_score and magnitude(point) < magnitude(best)):
                     best, best_score = point, score
-    return PidGains(best[0], best[1], best[2], dt=config.dt)
+    return PidGains(best[0], best[1], best[2], dt=config.dt), best_score
 
 
 def sample(actor, state, rng) -> tuple[float, float]:
@@ -336,3 +344,40 @@ def init_dense_weights(layer_dims, activations, rng, hidden_gain=math.sqrt(2.0),
                 w[r, c] = rng.uniform(-limit, limit)
         weights.append(w)
     return weights
+
+
+# --- the report before its PID and policy rows shared a kernel pass -----------
+
+def kernel_actor_sdfs(env_cfg: EnvConfig, actor, seeds: tuple[int, ...]) -> list[float]:
+    """Mean-action SDF of actor on each seed, in seed order.
+
+    A finite LinearActor over P, I, D (pid_act, pid3) runs every seed in one
+    pass of the batched kernel (pidbatch.batch_sdfs). Seeds that pass cannot
+    vouch for, and any other actor, run evaluate_actor_sdf, which raises the
+    scalar path's errors.
+    """
+    sdfs, exact = [0.0] * len(seeds), [False] * len(seeds)
+    linear = isinstance(actor, LinearActor) and actor.variant != VARIANT_CD_OVER
+    if linear and np.isfinite(actor.flat[:-1]).all():
+        rows, ok = pidbatch.batch_sdfs(env_cfg, seeds, [actor.coefs()])
+        sdfs, exact = rows[0].tolist(), ok[0]
+    return [s if e else evaluate_actor_sdf(env_cfg, actor, seed) for seed, s, e in zip(seeds, sdfs, exact)]
+
+
+def two_call_build_report(
+    env_cfg: EnvConfig,
+    gains: PidGains,
+    actor,
+    seeds: tuple[int, ...],
+) -> ImprovementReport:
+    """Per-seed noise/PID/RL SDF comparison, in seed order."""
+    report = ImprovementReport()
+    pid, rl = pid_seed_sdfs(env_cfg, seeds, gains), kernel_actor_sdfs(env_cfg, actor, seeds)
+    for seed, sdf_pid, sdf_rl in zip(seeds, pid, rl):
+        report.add(SeedResult(
+            seed=seed,
+            sdf_noise=metrics.sdf(run_raw_episode(env_cfg, seed)),
+            sdf_pid=sdf_pid,
+            sdf_rl=sdf_rl,
+        ))
+    return report

@@ -318,7 +318,7 @@ def test_criterion_5_sdf_unit_anchors(passline):
 def test_criterion_6_baseline_ordering(passline, env_cfg):
     """Tuned PID beats the unregulated signal everywhere and clears SDF 0.6."""
     t0 = time.perf_counter()
-    gains = tune_pid(env_cfg, list(SEEDS))
+    gains, _ = tune_pid(env_cfg, list(SEEDS))
     raw_sdf = [sdf(run_raw_episode(env_cfg, s)) for s in SEEDS]
     pid_sdf = [sdf(run_pid_episode(env_cfg, s, gains)) for s in SEEDS]
     elapsed = time.perf_counter() - t0

@@ -296,6 +296,43 @@ def test_non_integer_in_config_is_config_error(tmp_path, capsys, payload, field)
     assert not (tmp_path / "o" / "gains.json").exists()
 
 
+# every entry point of a seed: the generators would reduce it mod 2**64
+@pytest.mark.parametrize("argv, payload, text", [
+    (["simulate", "--seed=-1"], None, "--seed must lie in [0, 2**64), got -1"),
+    (["simulate", f"--seed={2**64}"], None, f"--seed must lie in [0, 2**64), got {2**64}"),
+    (["tune-pid", "--seeds=0,-1"], None, "--seeds entry must lie in [0, 2**64), got -1"),
+    (["simulate"], {"master_seed": 2**64}, f"master_seed must lie in [0, 2**64), got {2**64}"),
+    (["tune-pid"], {"master_seed": -1}, "master_seed must lie in [0, 2**64), got -1"),
+    (["tune-pid"], {"train": {"seeds": [0, 2**64 + 3]}}, f"seeds entry must lie in [0, 2**64), got {2**64 + 3}"),
+])
+def test_seed_outside_64_bits_is_config_error(tmp_path, capsys, argv, payload, text):
+    if payload is not None:
+        argv = argv + ["--config", str(write_config(tmp_path, payload))]
+    assert run(*argv, "--out", tmp_path / "o") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert text in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / MANIFEST_NAME).exists()
+
+
+def test_largest_seed_is_accepted(tmp_path):
+    assert run("simulate", f"--seed={2**64 - 1}", "--out", tmp_path) == EXIT_OK
+    assert read_json(tmp_path / MANIFEST_NAME)["master_seed"] == 2**64 - 1
+
+
+def test_tune_pid_command_takes_five_kernel_passes(tmp_path, kernel_passes):
+    assert run("tune-pid", "--seeds", "0,1,2,3,4,5,6,7,8", "--out", tmp_path) == EXIT_OK
+    # the grid as 38 + 37, then the three refinement rounds; mean_sdf is not scored again
+    assert kernel_passes == [38, 37, 26, 35, 26]
+
+
+def test_evaluate_of_a_linear_policy_takes_one_kernel_pass(tmp_path, kernel_passes):
+    checkpoint = write_config(tmp_path, LINEAR_CHECKPOINT, name="checkpoint.json")
+    assert run("evaluate", "--checkpoint", checkpoint, "--out", tmp_path / "e") == EXIT_OK
+    # the PID baseline and the policy, each on all nine seeds
+    assert kernel_passes == [2]
+
+
 def test_nonfinite_action_exits_diverged_without_traceback(tmp_path, capsys):
     # ki*I and kd*D overflow to opposite infinities: the PID action is NaN
     gains = write_config(tmp_path, {"format_version": 1, "kp": 0, "ki": 1e308, "kd": -1e308, "dt": 1e-4},

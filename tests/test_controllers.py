@@ -125,7 +125,7 @@ def test_pid_episode_records_are_consistent(env_cfg, tuned_gains):
 def test_tune_pid_is_exhaustive_on_its_grid():
     cfg = EnvConfig(steps_per_episode=60)
     grid = GainGrid(kp=(0.0, 0.5, 1.0), ki=(0.0, 0.3), kd=(0.0, 1e-5))
-    best = tune_pid(cfg, [0, 1], grid=grid)
+    best, _ = tune_pid(cfg, [0, 1], grid=grid)
     best_score = np.mean(
         [sdf(run_pid_episode(cfg, s, best)) for s in (0, 1)]
     )
@@ -141,7 +141,7 @@ def test_tune_pid_is_exhaustive_on_its_grid():
 
 def test_tune_pid_carries_config_dt():
     cfg = EnvConfig(steps_per_episode=40, dt=2e-4)
-    gains = tune_pid(cfg, [0], grid=GainGrid(kp=(0.5,), ki=(0.0,), kd=(0.0,)))
+    gains, _ = tune_pid(cfg, [0], grid=GainGrid(kp=(0.5,), ki=(0.0,), kd=(0.0,)))
     assert gains.dt == cfg.dt
 
 
@@ -212,17 +212,20 @@ def test_pid_sdfs_match_scalar_episodes_when_both_clamps_saturate():
     assert pid_sdfs(cfg, [1, 2], points).tolist() == scalar_sdfs(cfg, [1, 2], points)
 
 
-def test_pid_sdfs_row_does_not_depend_on_its_block(env_cfg):
+def test_pid_sdfs_row_does_not_depend_on_its_block(env_cfg, kernel_passes):
     seeds = list(range(9))
     block = PID_KERNEL_BYTES // (8 * env_cfg.steps_per_episode * len(seeds))
     target = (0.34375, 0.6, -8.75e-06)
     others = [(0.1 * k, 0.05 * k, 1e-6 * k) for k in range(2 * block + 3)]
     points = others[: block + 2] + [target] + others[block + 2 :]
-    assert len(points) > 2 * block
     alone = pid_sdfs(env_cfg, seeds, [target])
     batched = pid_sdfs(env_cfg, seeds, points)
+    # three near-equal blocks; the target sits inside the middle one
+    sizes = kernel_passes[1:]
+    assert len(sizes) == 3 and max(sizes) - min(sizes) <= 1 and sizes[0] < block + 2 < sizes[0] + sizes[1]
     assert batched[block + 2].tolist() == alone[0].tolist() == scalar_sdfs(env_cfg, seeds, [target])[0]
     assert batched[3].tolist() == scalar_sdfs(env_cfg, seeds, [points[3]])[0]
+    assert batched[-1].tolist() == scalar_sdfs(env_cfg, seeds, [points[-1]])[0]
 
 
 def test_pid_sdfs_nan_action_raises_like_the_scalar_loop(env_cfg):
@@ -287,6 +290,9 @@ def test_tune_pid_matches_the_sequential_search(cfg, seeds, grid):
     # every probe the search makes was scored by its round's batch
     with mock.patch.object(controllers, "pid_seed_sdfs", side_effect=AssertionError("probe outside its round")):
         assert tune_pid(cfg, seeds, grid) == expected
+    # the mean returned is the one scoring the tuned gains again gives
+    gains, mean = expected
+    assert mean == ordered_mean(oracles.pid_seed_sdfs(cfg, seeds, gains))
 
 
 def outcome_points(best, hs):
@@ -394,26 +400,21 @@ def test_tune_pid_raises_like_the_sequential_search():
             tune_pid(cfg, [0], grid)
 
 
-def test_tune_pid_default_grid_takes_seven_kernel_passes(monkeypatch):
-    passes, calls = [], []
-    real_block, real_batch = pidbatch._block_sdfs, pidbatch.batch_sdfs
-
-    def counting_block(config, raw, rows):
-        passes.append(len(rows))
-        return real_block(config, raw, rows)
+def test_tune_pid_default_grid_takes_five_kernel_passes(monkeypatch, kernel_passes):
+    calls = []
+    real_batch = pidbatch.batch_sdfs
 
     def counting_batch(config, seeds, rows):
         calls.append(len(rows))
         return real_batch(config, seeds, rows)
 
-    monkeypatch.setattr(pidbatch, "_block_sdfs", counting_block)
     monkeypatch.setattr(pidbatch, "batch_sdfs", counting_batch)
     monkeypatch.setattr(controllers, "pid_seed_sdfs", mock.Mock(side_effect=AssertionError("probe outside its round")))
-    gains = tune_pid(EnvConfig(), list(range(9)))
+    gains, _ = tune_pid(EnvConfig(), list(range(9)))
     assert (gains.kp, gains.ki, gains.kd) == (0.34375, 0.6, -8.750000000000001e-06)
-    # the grid, then one call per round
-    assert len(calls) == 4 and calls[0] == 75
-    assert len(passes) <= 7
+    # the grid, then one call per round; 75 grid points split evenly, 35 in one block
+    assert calls == [75, 26, 35, 26]
+    assert kernel_passes == [38, 37, 26, 35, 26]
 
 
 # --- linear policy head in the kernel against the scalar path ---------------
@@ -437,6 +438,12 @@ def scalar_actor_sdfs(cfg, actor, seeds):
     return out
 
 
+def report_rl(cfg, actor, seeds):
+    """build_report's sdf_rl per seed, beside a PID baseline of zero gains."""
+    report = ppo.build_report(cfg, PidGains(0.0, 0.0, 0.0, dt=cfg.dt), actor, tuple(seeds))
+    return [row.sdf_rl for row in report.seeds]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     cfg=small_configs(),
@@ -458,10 +465,10 @@ def test_linear_head_kernel_matches_evaluate_actor_sdf(cfg, seeds, variant, coef
         if ok:
             assert got == want
     if all(isinstance(v, float) for v in expected):
-        assert ppo.actor_sdfs(cfg, actor, seeds) == expected
+        assert report_rl(cfg, actor, seeds) == expected
     else:
         with pytest.raises(next(v for v in expected if isinstance(v, type))):
-            ppo.actor_sdfs(cfg, actor, seeds)
+            report_rl(cfg, actor, seeds)
 
 
 def test_linear_head_kernel_matches_when_both_clamps_saturate():
@@ -488,8 +495,6 @@ def test_linear_head_nan_weights_raise_like_the_scalar_path(variant):
     with pytest.raises(InvalidActionError):
         evaluate_actor_sdf(cfg, actor, 0)
     with pytest.raises(InvalidActionError):
-        ppo.actor_sdfs(cfg, actor, (0, 1))
-    with pytest.raises(InvalidActionError):
         ppo.build_report(cfg, PidGains(0.5, 0.1, 0.0, dt=cfg.dt), actor, (0, 1))
 
 
@@ -500,7 +505,7 @@ def test_linear_head_nonfinite_features_raise_like_the_scalar_path():
     with pytest.raises(InputError):
         evaluate_actor_sdf(cfg, actor, 0)
     with pytest.raises(InputError):
-        ppo.actor_sdfs(cfg, actor, (0,))
+        report_rl(cfg, actor, (0,))
 
 
 @pytest.mark.parametrize("kind, variant", [("pid", "cd_over"), ("nn", "pid_act")])
@@ -508,8 +513,88 @@ def test_other_actors_keep_the_scalar_path(monkeypatch, kind, variant):
     cfg = EnvConfig(steps_per_episode=40)
     actor = make_actor(kind, variant, HAND_GAINS, Xoshiro256StarStar(0))
     expected = [evaluate_actor_sdf(cfg, actor, s) for s in (0, 1)]
-    monkeypatch.setattr(pidbatch, "batch_sdfs", mock.Mock(side_effect=AssertionError("kernel used")))
-    assert ppo.actor_sdfs(cfg, actor, (0, 1)) == expected
+    real_batch = pidbatch.batch_sdfs
+
+    def pid_only_batch(config, seeds, rows):
+        assert len(rows) == 1 and len(rows[0]) == 3, "kernel ran the policy"
+        return real_batch(config, seeds, rows)
+
+    monkeypatch.setattr(pidbatch, "batch_sdfs", pid_only_batch)
+    assert report_rl(cfg, actor, (0, 1)) == expected
+
+
+# --- one kernel pass for the report's PID and policy rows --------------------
+
+# signed zeros, gains that saturate the clamps, and ones that overflow: to an
+# infinite or NaN term, or (beyond 4e304 for w_D) a policy weight whose
+# scaled form is infinite, which keeps the policy off the kernel
+EDGE_VALUES = st.sampled_from([0.0, -0.0, 4e304, -4e304, 1e308, -1e308])
+MERGE_GAINS = st.one_of(GAIN_VALUES, EDGE_VALUES)
+MERGE_KD = st.one_of(KD_VALUES, EDGE_VALUES)
+
+
+def report_outcome(build, cfg, gains, actor, seeds):
+    """Every per-seed SDF's bits, or the type and message of the error raised."""
+    try:
+        report = build(cfg, gains, actor, seeds)
+    except SpillRegError as exc:
+        return type(exc), str(exc)
+    return [(r.seed, r.sdf_noise.hex(), r.sdf_pid.hex(), r.sdf_rl.hex()) for r in report.seeds]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cfg=small_configs(),
+    seeds=st.lists(st.integers(min_value=0, max_value=2**32), min_size=1, max_size=3),
+    variant=st.sampled_from(["pid_act", "pid3"]),
+    pid=st.tuples(MERGE_GAINS, MERGE_GAINS, MERGE_KD),
+    coefs=st.tuples(MERGE_GAINS, MERGE_GAINS, MERGE_KD, st.one_of(ACT_WEIGHTS, EDGE_VALUES),
+                    st.one_of(BIASES, EDGE_VALUES)),
+)
+@example(cfg=EnvConfig(), seeds=list(range(9)), variant="pid_act",
+         pid=(0.34375, 0.6, -8.750000000000001e-06), coefs=(0.5, 0.45, -6e-06, 0.25, 0.015))
+@example(cfg=EnvConfig(), seeds=list(range(9)), variant="pid3",
+         pid=(0.34375, 0.6, -8.750000000000001e-06), coefs=(0.85, 0.6, -8.75e-06, 0.0, -0.02))
+# a NaN PID action and a NaN policy action: the PID error comes first
+@example(cfg=EnvConfig(steps_per_episode=40), seeds=[0, 1], variant="pid_act",
+         pid=(0.0, 1e308, -1e308), coefs=(0.0, 1e308, -1e308, 0.0, 0.0))
+# a policy the kernel runs but cannot vouch for on seed 0 (w_D*D + w_Act*Act is NaN)
+@example(cfg=EnvConfig(steps_per_episode=40, action_bound=3.0), seeds=[1, 0], variant="pid_act",
+         pid=(0.5, 0.1, 0.0), coefs=(0.0, 0.0, 4e304, 1e308, 0.0))
+# D overflows: both rows leave the kernel, and the PID row raises first
+@example(cfg=EnvConfig(steps_per_episode=40, dt=1e-310), seeds=[0], variant="pid_act",
+         pid=(0.5, 0.1, 0.0), coefs=(0.5, 0.1, 0.0, 0.25, 0.01))
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_merged_report_equals_the_two_call_report(cfg, seeds, variant, pid, coefs):
+    gains = PidGains(*pid, dt=cfg.dt)
+    actor = linear_actor(variant, *coefs)
+    expected = report_outcome(oracles.two_call_build_report, cfg, gains, actor, seeds)
+    assert report_outcome(ppo.build_report, cfg, gains, actor, seeds) == expected
+
+
+def test_report_refuses_gains_of_another_dt():
+    cfg = EnvConfig(steps_per_episode=40)
+    for actor in (linear_actor("pid_act", 0.5, 0.1, 0.0, 0.25, 0.0),
+                  make_actor("nn", "pid_act", HAND_GAINS, Xoshiro256StarStar(0))):
+        with pytest.raises(ConfigError, match="does not match config.dt"):
+            ppo.build_report(cfg, PidGains(0.5, 0.1, 0.0, dt=2 * cfg.dt), actor, (0,))
+
+
+def test_batch_sdfs_does_not_depend_on_the_block_size(monkeypatch, kernel_passes):
+    cfg, seeds = EnvConfig(), list(range(9))
+    pid_rows = [(kp, ki, kd) for kp in DEFAULT_GAIN_GRID.kp for ki in DEFAULT_GAIN_GRID.ki
+                for kd in DEFAULT_GAIN_GRID.kd]
+    head_rows = [(0.5, 0.45, -6e-06, 0.25, 0.015), (40.0, 1e4, 0.5, -40.0, 5.0),
+                 (0.34375, 0.6, -8.75e-06, 0.0, 0.0), (0.0, 1e308, -1e308, 0.0, 0.0)]
+    default = [pidbatch.batch_sdfs(cfg, seeds, rows) for rows in (pid_rows, head_rows)]
+    assert kernel_passes == [38, 37, 4]
+    kernel_passes.clear()
+    monkeypatch.setattr(pidbatch, "PID_KERNEL_BYTES", 1)
+    for rows, (sdfs, exact) in zip((pid_rows, head_rows), default):
+        one_by_one = pidbatch.batch_sdfs(cfg, seeds, rows)
+        assert one_by_one[0].tobytes() == sdfs.tobytes()
+        assert one_by_one[1].tobytes() == exact.tobytes()
+    assert kernel_passes == [1] * (len(pid_rows) + len(head_rows))
 
 
 # --- policy state construction -------------------------------------------
