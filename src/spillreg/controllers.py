@@ -20,9 +20,9 @@ replaces the linear map with a small tanh network over the same features.
 During an episode StateTracker.push returns each step's features as a plain
 tuple of floats; the actors act on those tuples. Each actor keeps all its
 trainable parameters in one float64 vector, `flat`, whose trailing entry is
-log_std; mean_params(), parameters() and log_std_arr are views into it, and
-mean() reads it live. A rollout, in which the policy does not change, reads
-it once per episode through sampler().
+log_std; parameters() and log_std_arr are views into it, and mean() reads
+it live. A rollout, in which the policy does not change, reads it once per
+episode through sampler().
 
 Exploration is a Gaussian over the mean action with a learnable log_std,
 clamped to [-5, 2]. The sampler returns the pre-clamp action and its log
@@ -347,12 +347,12 @@ class LinearActor(gradnet.GaussianPolicy):
     weights holds one coefficient per feature of variant, in feature units.
     The parameters live in one vector, flat = [w_0 .. w_{n-1}, bias, log_std],
     where w are those weights times FEATURE_SCALES (the trainable
-    coordinates). mean_params(), log_std_arr and parameters() are views into
-    flat, so writing through them changes the policy. mean() reads the live
-    vector on every call, unscales it exactly (power-of-two scales) and
-    evaluates policy_mean on plain floats, where exactness matters;
-    sampler() reads it once, for an episode in which the policy does not
-    change. params is the checkpoint record of the live coefficients.
+    coordinates). log_std_arr and parameters() are views into flat, so
+    writing through them changes the policy. mean() reads the live vector
+    on every call, unscales it exactly (power-of-two scales) and evaluates
+    policy_mean on plain floats, where exactness matters; sampler() reads
+    it once, for an episode in which the policy does not change. params is
+    the checkpoint record of the live coefficients.
     """
 
     kind = "pid"
@@ -364,13 +364,14 @@ class LinearActor(gradnet.GaussianPolicy):
         values = [*map(float, weights), float(bias), float(log_std)]
         if len(values) != dim + 2:
             raise ShapeError(f"variant {variant!r} takes {dim} weights, got {len(values) - 2}")
-        if not all(map(math.isfinite, values)):
-            raise InputError("policy parameters must be finite")
-        values[-1] = clamp_log_std(values[-1])
         # flat[:-1] / _unscale is (weights, bias) exactly
         self._unscale = np.append(self._scales, 1.0)
         self.flat = np.asarray(values, dtype=np.float64)
-        self.flat[:dim] *= self._scales
+        with np.errstate(over="ignore"):
+            self.flat[:dim] *= self._scales
+        if not np.isfinite(self.flat).all():  # a scaled weight may overflow
+            raise InputError("policy parameters must be finite")
+        self.flat[-1] = clamp_log_std(values[-1])
         self._w, self._bias, self.log_std_arr = gradnet.split(self.flat, [(dim,), (1,), (1,)])
 
     @classmethod
@@ -414,9 +415,6 @@ class LinearActor(gradnet.GaussianPolicy):
         return gradnet.episode_sampler(functools.partial(policy_mean, w, bias), self.log_std_arr, rng)
 
     # training interface
-    def mean_params(self) -> list[np.ndarray]:
-        return [self._w, self._bias]
-
     def parameters(self) -> list[np.ndarray]:
         """Views of flat in order: [w, bias, log_std]."""
         return [self._w, self._bias, self.log_std_arr]
@@ -499,9 +497,6 @@ class NnActor(gradnet.GaussianPolicy):
         return float(out[0, 0])
 
     # training interface
-    def mean_params(self) -> list[np.ndarray]:
-        return self.net.parameters()
-
     def parameters(self) -> list[np.ndarray]:
         """Views of flat in order: [W0, b0, W1, b1, W2, b2, log_std]."""
         return [*self.net.parameters(), self.log_std_arr]

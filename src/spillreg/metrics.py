@@ -154,49 +154,26 @@ class ImprovementReport:
     def add(self, result: SeedResult) -> None:
         self.seeds.append(result)
 
-    @property
-    def mean_sdf_noise(self) -> float:
-        return float(np.mean([s.sdf_noise for s in self.seeds]))
-
-    @property
-    def mean_sdf_pid(self) -> float:
-        return float(np.mean([s.sdf_pid for s in self.seeds]))
-
-    @property
-    def mean_sdf_rl(self) -> float:
-        return float(np.mean([s.sdf_rl for s in self.seeds]))
-
-    @property
-    def vs_pid_pct_mean_of_ratios(self) -> float:
-        return float(np.mean([s.vs_pid_pct for s in self.seeds]))
-
-    @property
-    def vs_noise_pct_mean_of_ratios(self) -> float:
-        return float(np.mean([s.vs_noise_pct for s in self.seeds]))
-
-    @property
-    def vs_pid_pct_of_means(self) -> float:
-        return improvement(self.mean_sdf_rl, self.mean_sdf_pid)
-
-    @property
-    def vs_noise_pct_of_means(self) -> float:
-        return improvement(self.mean_sdf_rl, self.mean_sdf_noise)
-
     def to_dict(self) -> dict:
         if not self.seeds:
             raise InputError("report has no per-seed results")
+        noise = float(np.mean([s.sdf_noise for s in self.seeds]))
+        pid = float(np.mean([s.sdf_pid for s in self.seeds]))
+        rl = float(np.mean([s.sdf_rl for s in self.seeds]))
+        # primary aggregates: the mean of the per-seed ratios
+        vs_pid = float(np.mean([s.vs_pid_pct for s in self.seeds]))
+        vs_noise = float(np.mean([s.vs_noise_pct for s in self.seeds]))
         return {
             "per_seed": [s.to_dict() for s in self.seeds],
             "aggregate": {
-                "mean_sdf_noise": self.mean_sdf_noise,
-                "mean_sdf_pid": self.mean_sdf_pid,
-                "mean_sdf_rl": self.mean_sdf_rl,
-                # primary aggregates (mean of per-seed ratios)
-                "vs_pid_pct": self.vs_pid_pct_mean_of_ratios,
-                "vs_noise_pct": self.vs_noise_pct_mean_of_ratios,
-                "vs_pid_pct_mean_of_ratios": self.vs_pid_pct_mean_of_ratios,
-                "vs_noise_pct_mean_of_ratios": self.vs_noise_pct_mean_of_ratios,
-                "vs_pid_pct_of_means": self.vs_pid_pct_of_means,
-                "vs_noise_pct_of_means": self.vs_noise_pct_of_means,
+                "mean_sdf_noise": noise,
+                "mean_sdf_pid": pid,
+                "mean_sdf_rl": rl,
+                "vs_pid_pct": vs_pid,
+                "vs_noise_pct": vs_noise,
+                "vs_pid_pct_mean_of_ratios": vs_pid,
+                "vs_noise_pct_mean_of_ratios": vs_noise,
+                "vs_pid_pct_of_means": improvement(rl, pid),
+                "vs_noise_pct_of_means": improvement(rl, noise),
             },
         }

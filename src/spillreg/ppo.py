@@ -57,7 +57,7 @@ from .errors import CheckpointError, ConfigError, DivergenceError, SpillRegError
 from .gradnet import LossReport
 from .metrics import ImprovementReport, SeedResult
 from .rng import Xoshiro256StarStar, check_seed, derive_seed
-from .spillsim import EnvConfig, closed_loop, run_raw_episode
+from .spillsim import ConfigRecord, EnvConfig, closed_loop, run_raw_episode
 
 # named sub-streams of the master seed
 STREAM_INIT = 1
@@ -68,7 +68,9 @@ CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(ConfigRecord):
+    section = "train"
+
     gamma: float = 0.99
     gae_lambda: float = 0.95
     clip_eps: float = 0.2
@@ -118,34 +120,11 @@ class TrainConfig:
         if not math.isfinite(self.entropy_coef):
             raise ConfigError(f"entropy_coef must be finite, got {self.entropy_coef}")
 
-    def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "gae_lambda": self.gae_lambda,
-            "clip_eps": self.clip_eps,
-            "epochs_per_iter": self.epochs_per_iter,
-            "minibatch": self.minibatch,
-            "value_coef": self.value_coef,
-            "entropy_coef": self.entropy_coef,
-            "lr": self.lr,
-            "iterations": self.iterations,
-            "alpha": self.alpha,
-            "seed_rotation_period": self.seed_rotation_period,
-            "seeds": list(self.seeds),
-            "optimizer": self.optimizer,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown train config field(s): {sorted(unknown)}")
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class RewardConfig:
+class RewardConfig(ConfigRecord):
+    section = "reward"
+
     kind: str = "neg_ema"
     alpha: float = 0.5
 
@@ -154,17 +133,6 @@ class RewardConfig:
             raise ConfigError(f"reward kind must be one of {metrics.REWARD_KINDS}, got {self.kind!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"reward alpha must lie in [0, 1], got {self.alpha}")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "alpha": self.alpha}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RewardConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown reward config field(s): {sorted(unknown)}")
-        return cls(**data)
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, fields
+from typing import Callable, ClassVar
 
 from .errors import ConfigError, EpisodeExhausted, InvalidActionError
 from .rng import Xoshiro256StarStar
@@ -60,9 +60,32 @@ _TWO_PI = 2.0 * math.pi
 RAW_MEMO_SIZE = 64
 
 
+class ConfigRecord:
+    """JSON form of a frozen config dataclass; section names it in errors.
+
+    to_dict holds every field, tuples as lists. from_dict refuses a key
+    that names no field and leaves the rest to the constructor's checks.
+    """
+
+    section: ClassVar[str]  # "env", "train" or "reward"
+
+    def to_dict(self) -> dict:
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in data.items()}
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown {cls.section} config field(s): {sorted(unknown)}")
+        return cls(**data)
+
+
 @dataclass(frozen=True)
-class EnvConfig:
+class EnvConfig(ConfigRecord):
     """Parameters of the surrogate spill process."""
+
+    section = "env"
 
     steps_per_episode: int = 430  # 10 samples per ms over a 43 ms spill
     dt: float = 1e-4
@@ -110,28 +133,6 @@ class EnvConfig:
             )
         if not (self.action_bound > 0 and math.isfinite(self.action_bound)):
             raise ConfigError(f"action_bound must be finite and > 0, got {self.action_bound}")
-
-    def to_dict(self) -> dict:
-        return {
-            "steps_per_episode": self.steps_per_episode,
-            "dt": self.dt,
-            "reference": self.reference,
-            "ripple_amps": list(self.ripple_amps),
-            "ripple_freqs": list(self.ripple_freqs),
-            "ou_rho": self.ou_rho,
-            "ou_sigma": self.ou_sigma,
-            "clamp_lo": self.clamp_lo,
-            "clamp_hi": self.clamp_hi,
-            "action_bound": self.action_bound,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EnvConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown env config field(s): {sorted(unknown)}")
-        return cls(**data)
 
 
 @dataclass

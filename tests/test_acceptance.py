@@ -173,7 +173,7 @@ def fd_check_nn_actor(actor, rng, coords=12, h=1e-5):
         return float(np.dot(mu, probe))
 
     worst = 0.0
-    for p, g in zip(actor.mean_params(), actor.net.unflatten(grads)):
+    for p, g in zip(actor.parameters()[:-1], actor.net.unflatten(grads)):
         fp, fg = p.reshape(-1), g.reshape(-1)
         n_take = min(coords, fp.size)
         idxs = rng.choice(fp.size, n_take, replace=False)
@@ -204,8 +204,8 @@ def test_criterion_2_gradient_checks(passline):
             dt=1e-4,
         )
         actor = make_actor("pid", "pid_act", gains, Xoshiro256StarStar(draw))
-        actor.mean_params()[0][:] += rng.normal(size=4) * 0.1
-        actor.mean_params()[1][:] += rng.normal(size=1) * 0.1
+        actor.parameters()[0][:] += rng.normal(size=4) * 0.1
+        actor.parameters()[1][:] += rng.normal(size=1) * 0.1
         worst["linear"] = max(worst["linear"], fd_check_linear_actor(actor, rng))
 
         critic = make_critic(4, Xoshiro256StarStar(1000 + draw))

@@ -245,6 +245,12 @@ def test_unknown_env_field_rejected(tmp_path):
     assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == EXIT_CONFIG
 
 
+def test_unknown_reward_field_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"reward": {"kind": "neg_ema", "alfa": 0.5}})
+    assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == EXIT_CONFIG
+    assert "unknown reward config field(s): ['alfa']" in capsys.readouterr().err
+
+
 def test_unknown_variant_rejected(tmp_path):
     # argparse enforces the variant choices and exits with the config code
     with pytest.raises(SystemExit) as exc:
@@ -350,6 +356,17 @@ def test_nonfinite_env_value_is_config_error(tmp_path, capsys):
     assert "dt must be finite" in capsys.readouterr().err
 
 
+# finite weights whose trainable form (times the feature scales 8 and 4096) overflows
+@pytest.mark.parametrize("weights", [[0.0, 0.0, 1e308], [0.0, 3e307, 0.0]])
+def test_evaluate_refuses_a_policy_whose_scaled_weights_overflow(tmp_path, capsys, weights):
+    actor = dict(LINEAR_CHECKPOINT["actor"], pid_weights=weights, action_weight=0.0)
+    path = write_config(tmp_path, dict(LINEAR_CHECKPOINT, actor=actor), name="checkpoint.json")
+    assert run("evaluate", "--checkpoint", path, "--out", tmp_path / "o") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "policy parameters must be finite" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command,flag,text", [
     ("evaluate", "--checkpoint", "{bad"),
     ("evaluate", "--checkpoint", "[1,2]"),
@@ -367,6 +384,7 @@ def test_malformed_file_is_config_error(tmp_path, capsys, command, flag, text):
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_train_divergence_keeps_the_initial_checkpoint(tmp_path, capsys):
     # lr 1e300 overflows the first Adam step of iteration 0, so the last good
     # checkpoint is the initial state: its bytes involve no BLAS product

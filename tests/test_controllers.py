@@ -491,7 +491,7 @@ def test_linear_head_kernel_matches_when_both_clamps_saturate():
 def test_linear_head_nan_weights_raise_like_the_scalar_path(variant):
     cfg = EnvConfig(steps_per_episode=40)
     actor = linear_actor(variant, 0.5, 0.1, 0.0, 0.25, 0.0)
-    actor.mean_params()[0][1] = math.nan
+    actor.parameters()[0][1] = math.nan
     with pytest.raises(InvalidActionError):
         evaluate_actor_sdf(cfg, actor, 0)
     with pytest.raises(InvalidActionError):
@@ -527,7 +527,7 @@ def test_other_actors_keep_the_scalar_path(monkeypatch, kind, variant):
 
 # signed zeros, gains that saturate the clamps, and ones that overflow: to an
 # infinite or NaN term, or (beyond 4e304 for w_D) a policy weight whose
-# scaled form is infinite, which keeps the policy off the kernel
+# scaled form is infinite, which no LinearActor accepts
 EDGE_VALUES = st.sampled_from([0.0, -0.0, 4e304, -4e304, 1e308, -1e308])
 MERGE_GAINS = st.one_of(GAIN_VALUES, EDGE_VALUES)
 MERGE_KD = st.one_of(KD_VALUES, EDGE_VALUES)
@@ -555,18 +555,21 @@ def report_outcome(build, cfg, gains, actor, seeds):
          pid=(0.34375, 0.6, -8.750000000000001e-06), coefs=(0.5, 0.45, -6e-06, 0.25, 0.015))
 @example(cfg=EnvConfig(), seeds=list(range(9)), variant="pid3",
          pid=(0.34375, 0.6, -8.750000000000001e-06), coefs=(0.85, 0.6, -8.75e-06, 0.0, -0.02))
-# a NaN PID action and a NaN policy action: the PID error comes first
+# a NaN PID action and a NaN policy action on seed 1: the PID error comes first
 @example(cfg=EnvConfig(steps_per_episode=40), seeds=[0, 1], variant="pid_act",
-         pid=(0.0, 1e308, -1e308), coefs=(0.0, 1e308, -1e308, 0.0, 0.0))
+         pid=(0.0, 1e308, -1e308), coefs=(1e308, 2e307, -4e304, 0.0, 0.0))
 # a policy the kernel runs but cannot vouch for on seed 0 (w_D*D + w_Act*Act is NaN)
 @example(cfg=EnvConfig(steps_per_episode=40, action_bound=3.0), seeds=[1, 0], variant="pid_act",
          pid=(0.5, 0.1, 0.0), coefs=(0.0, 0.0, 4e304, 1e308, 0.0))
 # D overflows: both rows leave the kernel, and the PID row raises first
 @example(cfg=EnvConfig(steps_per_episode=40, dt=1e-310), seeds=[0], variant="pid_act",
          pid=(0.5, 0.1, 0.0), coefs=(0.5, 0.1, 0.0, 0.25, 0.01))
-@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
 def test_merged_report_equals_the_two_call_report(cfg, seeds, variant, pid, coefs):
     gains = PidGains(*pid, dt=cfg.dt)
+    if not all(math.isfinite(c * s) for c, s in zip(coefs, FEATURE_SCALES[variant])):
+        with pytest.raises(InputError, match="^policy parameters must be finite$"):
+            linear_actor(variant, *coefs)
+        return
     actor = linear_actor(variant, *coefs)
     expected = report_outcome(oracles.two_call_build_report, cfg, gains, actor, seeds)
     assert report_outcome(ppo.build_report, cfg, gains, actor, seeds) == expected
@@ -681,6 +684,9 @@ def test_initial_params_rejects_unknown_variant():
     ("pid3", (0.5, math.nan, 0.01), 0.0, -1.0, InputError),
     ("pid_act", (0.5, 0.1, 0.01, 0.0), math.inf, -1.0, InputError),
     ("cd_over", (0.0, 0.0, 0.5, 0.0), 0.0, math.nan, InputError),
+    # finite weights whose trainable form (times the scales 4096 and 8) overflows
+    ("pid_act", (0.0, 0.0, 1e308, 0.0), 0.0, -1.0, InputError),
+    ("pid_act", (0.0, 3e307, 0.0, 0.0), 0.0, -1.0, InputError),
 ])
 def test_linear_actor_constructor_checks(variant, weights, bias, log_std, error):
     with pytest.raises(error):
@@ -913,7 +919,7 @@ def test_actor_parameters_are_views_of_one_vector(kind, variant):
     params = actor.parameters()
     assert params[-1] is actor.log_std_arr
     assert np.array_equal(np.concatenate([p.ravel() for p in params]), actor.flat)
-    for p in [*params, *actor.mean_params()]:
+    for p in params:
         assert np.shares_memory(p, actor.flat)
 
 
@@ -923,7 +929,7 @@ def test_writes_through_views_change_the_next_action(kind):
     actor = make_actor(kind, "pid_act", HAND_GAINS, Xoshiro256StarStar(0))
     sv = (0.4, -3.0, 1200.0, 0.9)
     before = actor.mean(sv)
-    actor.mean_params()[-1][0] += 0.25  # the bias of the (last) output layer
+    actor.parameters()[-2][0] += 0.25  # the bias of the (last) output layer
     if kind == "nn":
         actor.net.bump_version()
     assert actor.mean(sv) == pytest.approx(before + 0.25, abs=1e-12)

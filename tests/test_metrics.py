@@ -135,27 +135,30 @@ def test_improvement_percent():
 
 
 def test_improvement_report_dict_shape():
-    report = ImprovementReport(
-        seeds=[
-            SeedResult(seed=0, sdf_noise=0.5, sdf_pid=0.75, sdf_rl=0.8),
-            SeedResult(seed=1, sdf_noise=0.4, sdf_pid=0.8, sdf_rl=0.7),
-        ]
-    )
+    rows = [(0.5, 0.75, 0.8), (0.4, 0.8, 0.7)]  # (noise, pid, rl) per seed
+    report = ImprovementReport(seeds=[SeedResult(i, *row) for i, row in enumerate(rows)])
     data = report.to_dict()
     assert [row["seed"] for row in data["per_seed"]] == [0, 1]
-    row = data["per_seed"][0]
-    assert row["vs_pid_pct"] == pytest.approx(improvement(0.8, 0.75))
-    assert row["vs_noise_pct"] == pytest.approx(improvement(0.8, 0.5))
-    agg = data["aggregate"]
-    assert agg["mean_sdf_rl"] == pytest.approx(0.75)
-    # the primary aggregate is the mean of per-seed ratios
-    per_seed_vs_pid = [improvement(0.8, 0.75), improvement(0.7, 0.8)]
-    assert agg["vs_pid_pct"] == pytest.approx(sum(per_seed_vs_pid) / 2)
-    assert agg["vs_pid_pct"] == agg["vs_pid_pct_mean_of_ratios"]
+    for out, (noise, pid, rl) in zip(data["per_seed"], rows):
+        assert out["vs_pid_pct"] == improvement(rl, pid)
+        assert out["vs_noise_pct"] == improvement(rl, noise)
+    noise, pid, rl = (float(np.mean(column)) for column in zip(*rows))
+    # the primary aggregates are the means of the per-seed ratios
+    vs_pid = float(np.mean([improvement(r, p) for _, p, r in rows]))
+    vs_noise = float(np.mean([improvement(r, n) for n, _, r in rows]))
+    assert data["aggregate"] == {
+        "mean_sdf_noise": noise,
+        "mean_sdf_pid": pid,
+        "mean_sdf_rl": rl,
+        "vs_pid_pct": vs_pid,
+        "vs_noise_pct": vs_noise,
+        "vs_pid_pct_mean_of_ratios": vs_pid,
+        "vs_noise_pct_mean_of_ratios": vs_noise,
+        "vs_pid_pct_of_means": improvement(rl, pid),
+        "vs_noise_pct_of_means": improvement(rl, noise),
+    }
     # ratio of means differs from mean of ratios on heterogeneous seeds
-    assert agg["vs_pid_pct_of_means"] == pytest.approx(
-        improvement(0.75, (0.75 + 0.8) / 2)
-    )
+    assert improvement(rl, pid) != pytest.approx(vs_pid)
 
 
 def test_reward_kinds_registry():

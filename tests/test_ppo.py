@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -122,6 +123,23 @@ def test_reward_config_validation_and_round_trip():
         RewardConfig(kind="neg_ema", alpha=-0.5)
 
 
+@pytest.mark.parametrize("section, record", [
+    ("env", spillsim.EnvConfig(ripple_amps=(0.2,), ripple_freqs=(50.0,), ou_sigma=0.3)),
+    ("train", TrainConfig(iterations=12, seeds=(3, 4), lr=3e-4)),
+    ("reward", RewardConfig(kind="neg_sum", alpha=0.3)),
+])
+def test_config_records_share_one_json_codec(section, record):
+    cls, data = type(record), record.to_dict()
+    assert set(data) == {f.name for f in dataclasses.fields(record)}
+    for name, value in data.items():
+        field = getattr(record, name)
+        assert value == (list(field) if isinstance(field, tuple) else field)
+        assert type(value) is (list if isinstance(field, tuple) else type(field))
+    assert cls.from_dict(data) == record
+    with pytest.raises(ConfigError, match=rf"^unknown {section} config field\(s\): \['bogus'\]$"):
+        cls.from_dict(dict(data, bogus=1))
+
+
 # --- rollout collection ---------------------------------------------------------
 
 def make_rollout(env_cfg, seed=0, kind="pid", reward=None):
@@ -186,12 +204,10 @@ def test_rollout_step_error_names_its_step():
 
 def test_nonfinite_transition_raises_divergence(env_cfg):
     """An overflowing action stops the rollout at its step, with the transition in diagnostics."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        # the weights overflow to inf once scaled to trainable coordinates
-        actor = LinearActor("pid_act", [1e308, 1e308, 0.0, 0.0])
-        with pytest.raises(DivergenceError, match=r"^non-finite transition at step 0$") as info:
-            collect_rollout(env_cfg, 0, actor, fresh_critic(), RewardConfig(), Xoshiro256StarStar(99))
+    # seed 0 starts with P = -0.885, so the mean 0.885e308 + 1e308 overflows to inf
+    actor = LinearActor("pid_act", [-1e308, 0.0, 0.0, 0.0], bias=1e308)
+    with pytest.raises(DivergenceError, match=r"^non-finite transition at step 0$") as info:
+        collect_rollout(env_cfg, 0, actor, fresh_critic(), RewardConfig(), Xoshiro256StarStar(99))
     diagnostics = info.value.diagnostics
     assert set(diagnostics) == {"action", "log_prob", "reward"}
     assert not math.isfinite(diagnostics["action"])
@@ -424,9 +440,9 @@ def test_zero_advantages_leave_actor_untouched(env_cfg):
     rollout, adv, ret = collected_update_inputs(env_cfg, actor, critic)
     cfg = TrainConfig(epochs_per_iter=2)
     a_opt, c_opt = opt_pair(actor, critic, cfg)
-    before = [p.copy() for p in actor.mean_params()] + [actor.log_std_arr.copy()]
+    before = [p.copy() for p in actor.parameters()]
     ppo_update(actor, critic, rollout, np.zeros_like(adv), ret, cfg, Xoshiro256StarStar(0), a_opt, c_opt)
-    after = [*actor.mean_params(), actor.log_std_arr]
+    after = actor.parameters()
     for b, a in zip(before, after):
         assert np.array_equal(b, a)
 
@@ -442,7 +458,7 @@ def test_ppo_update_is_deterministic(env_cfg):
         reports.append(
             ppo_update(actor, critic, *inputs, cfg, Xoshiro256StarStar(7), a_opt, c_opt)
         )
-        finals.append([p.copy() for p in actor.mean_params()])
+        finals.append([p.copy() for p in actor.parameters()[:-1]])
     assert reports[0] == reports[1]
     for a, b in zip(*finals):
         assert np.array_equal(a, b)
