@@ -44,7 +44,7 @@ from .errors import (
     UsageError,
 )
 from .rng import check_seed
-from .spillsim import EnvConfig, run_raw_episode, write_trace_csv
+from .spillsim import EnvConfig, format_trace_csv, run_raw_episode
 
 # CPython's built-in SHA-256. hashlib would load OpenSSL's libcrypto, about
 # 3.5 MB resident, to hash one small manifest payload per command.
@@ -110,6 +110,18 @@ def reading(path, error=ConfigError):
 def load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def write_output(out_dir: str, name: str, data: str | dict, indent: int | None = 2) -> str:
+    """The one writer of output files: text as it is, a dict streamed as sorted-key JSON plus a newline."""
+    path = os.path.join(out_dir, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        if isinstance(data, str):
+            fh.write(data)
+        else:
+            json.dump(data, fh, indent=indent, sort_keys=True)
+            fh.write("\n")
+    return path
 
 
 def load_config_file(path: str) -> dict:
@@ -189,10 +201,6 @@ def resolve_run(args) -> ResolvedRun:
     return ResolvedRun(env_cfg, train_cfg, reward_cfg, variant, master_seed, gains)
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def payload_digest(data: bytes) -> str:
     """Hex SHA-256 of data, as hashlib.sha256(data).hexdigest() gives it."""
     return _sha256(data).hexdigest()
@@ -205,22 +213,11 @@ def write_manifest(out_dir: str, command: str, config_payload: dict, master_seed
     manifest["tool_version"] = __version__
     manifest["created_utc"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     manifest["outputs"] = outputs
-    manifest["payload_sha256"] = payload_digest(canonical_json(payload).encode("utf-8"))
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    manifest["payload_sha256"] = payload_digest(canonical.encode("utf-8"))
     if extra:
         manifest.update(extra)
-    path = os.path.join(out_dir, MANIFEST_NAME)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def write_json_output(out_dir: str, name: str, data: dict) -> str:
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return write_output(out_dir, MANIFEST_NAME, manifest)
 
 
 def ensure_out_dir(args) -> str:
@@ -253,8 +250,7 @@ def cmd_simulate(args) -> int:
         raw = run_raw_episode(run.env_cfg, seed)
         corrected = list(raw)
         actions = [0.0] * len(raw)
-    trace_path = os.path.join(out_dir, "trace.csv")
-    write_trace_csv(trace_path, raw, corrected, actions)
+    trace_path = write_output(out_dir, "trace.csv", format_trace_csv(raw, corrected, actions))
     sdf_raw = metrics.sdf(raw)
     sdf_corr = metrics.sdf(corrected)
     write_manifest(
@@ -276,7 +272,7 @@ def cmd_tune_pid(args) -> int:
     payload = run.config_payload()
     payload["gains"] = gains.to_dict()
     gains_out = dict(gains.to_dict(), manifest=MANIFEST_NAME, mean_sdf=mean_sdf, seeds=list(seeds))
-    write_json_output(out_dir, "gains.json", gains_out)
+    write_output(out_dir, "gains.json", gains_out)
     write_manifest(out_dir, "tune-pid", payload, run.master_seed,
                    outputs={"gains_json": "gains.json"})
     print(f"tuned gains: kp={gains.kp} ki={gains.ki} kd={gains.kd} (dt={gains.dt})")
@@ -302,8 +298,7 @@ def cmd_train(args) -> int:
     except DivergenceError as exc:
         last_good = exc.diagnostics.get("last_good")
         if last_good is not None:
-            last_good = dict(last_good, manifest=MANIFEST_NAME)
-            ppo.save_checkpoint(os.path.join(out_dir, "checkpoint.json"), last_good)
+            write_output(out_dir, "checkpoint.json", dict(last_good, manifest=MANIFEST_NAME), indent=None)
             write_manifest(out_dir, "train", run.config_payload(), run.master_seed,
                            outputs={"checkpoint": "checkpoint.json"},
                            extra={"status": "diverged", "diverged_at": exc.diagnostics.get("iteration")})
@@ -311,19 +306,15 @@ def cmd_train(args) -> int:
                   f"last good checkpoint retained in {out_dir}", file=sys.stderr)
         raise
 
-    curve_path = os.path.join(out_dir, "curve.csv")
-    with open(curve_path, "w", encoding="utf-8") as fh:
-        fh.write(ppo.format_curve_csv(result.curve_rows))
-    checkpoint = dict(result.checkpoint, manifest=MANIFEST_NAME)
-    ppo.save_checkpoint(os.path.join(out_dir, "checkpoint.json"), checkpoint)
-    report = dict(result.report.to_dict(), manifest=MANIFEST_NAME)
-    write_json_output(out_dir, "report.json", report)
+    write_output(out_dir, "curve.csv", ppo.format_curve_csv(result.curve_rows))
+    write_output(out_dir, "checkpoint.json", dict(result.checkpoint, manifest=MANIFEST_NAME), indent=None)
+    write_output(out_dir, "report.json", dict(result.report, manifest=MANIFEST_NAME))
 
     payload = run.config_payload()  # gains resolved above, so reruns skip tuning
     write_manifest(out_dir, "train", payload, run.master_seed,
                    outputs={"curve_csv": "curve.csv", "checkpoint": "checkpoint.json",
                             "report_json": "report.json"})
-    agg = report["aggregate"]
+    agg = result.report["aggregate"]
     print(f"trained variant {run.variant.name!r} for {run.train_cfg.iterations} iterations")
     print(
         "mean SDF: rl={rl:.4f} pid={pid:.4f} noise={noise:.4f} "
@@ -339,12 +330,12 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     out_dir = ensure_out_dir(args)
     with reading(args.checkpoint, CheckpointError):
-        data = ppo.load_checkpoint(args.checkpoint)
+        data = load_json(args.checkpoint)
         actor, _critic, env_cfg, gains, train_cfg, _reward_cfg = ppo.restore_from_checkpoint(data)
     seeds = parse_seed_list(args.seeds) if args.seeds else train_cfg.seeds
     report = ppo.build_report(env_cfg, gains, actor, seeds)
-    report_out = dict(report.to_dict(), manifest=MANIFEST_NAME, checkpoint=os.fspath(args.checkpoint))
-    write_json_output(out_dir, "report.json", report_out)
+    report_out = dict(report, manifest=MANIFEST_NAME, checkpoint=os.fspath(args.checkpoint))
+    write_output(out_dir, "report.json", report_out)
     payload = {
         "env": env_cfg.to_dict(),
         "train": train_cfg.to_dict(),
@@ -402,6 +393,8 @@ def cmd_ablate(args) -> int:
     row_names = list(ABLATION_ROWS)
     if args.rows:
         row_names = [name.strip() for name in args.rows.split(",") if name.strip()]
+        if not row_names:
+            raise ConfigError("--rows must name at least one row")
         unknown = [name for name in row_names if name not in VARIANTS]
         if unknown:
             raise ConfigError(f"unknown ablation row(s) {unknown}; choose from {sorted(VARIANTS)}")
@@ -438,7 +431,7 @@ def cmd_ablate(args) -> int:
             row_errors[name] = row["error"]
             print(f"row {name!r} failed: {row['error']}", file=sys.stderr)
         else:
-            agg = result.report.to_dict()["aggregate"]
+            agg = result.report["aggregate"]
             row["vs_pid"] = agg["vs_pid_pct"]
             row["vs_noise"] = agg["vs_noise_pct"]
             print(
@@ -446,9 +439,7 @@ def cmd_ablate(args) -> int:
             )
         rows.append(row)
 
-    csv_path = os.path.join(out_dir, "ablation.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(format_ablation_csv(rows))
+    csv_path = write_output(out_dir, "ablation.csv", format_ablation_csv(rows))
     payload = run.config_payload()
     payload["rows"] = row_names
     write_manifest(
@@ -492,9 +483,7 @@ plot outdir . "/trace.csv" using 1:2 with lines title "raw", \\
 
 def cmd_plot_script(args) -> int:
     out_dir = ensure_out_dir(args)
-    path = os.path.join(out_dir, "plot.gp")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(PLOT_SCRIPT)
+    path = write_output(out_dir, "plot.gp", PLOT_SCRIPT)
     print(f"wrote {path}")
     return EXIT_OK
 

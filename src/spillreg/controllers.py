@@ -46,7 +46,7 @@ from . import gradnet, metrics, pidbatch
 from .errors import ConfigError, DivergenceError, InputError, ShapeError
 from .gradnet import clamp_log_std, policy_mean
 from .rng import Xoshiro256StarStar
-from .spillsim import RAW_MEMO_SIZE, EnvConfig, closed_loop
+from .spillsim import RAW_MEMO_SIZE, EnvConfig, check_number, closed_loop
 
 VARIANT_PID_ACT = "pid_act"  # [P, I, D, Act]
 VARIANT_PID3 = "pid3"  # [P, I, D]
@@ -101,7 +101,7 @@ class PidGains:
     def from_dict(cls, data: dict) -> "PidGains":
         if data.get("format_version") != 1:
             raise ConfigError(f"unsupported gains format_version {data.get('format_version')!r}")
-        return cls(kp=float(data["kp"]), ki=float(data["ki"]), kd=float(data["kd"]), dt=float(data["dt"]))
+        return cls(**{k: float(check_number(k, data[k])) for k in ("kp", "ki", "kd", "dt")})
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,10 @@ class ConfigError(SpillRegError):
     """A configuration value is invalid. The message names the field."""
 
 
+class NumberError(ConfigError, TypeError):
+    """A field that takes a number got a bool or a string; a file's reader names the file."""
+
+
 class InputError(SpillRegError):
     """A data argument is malformed (wrong length, non-finite, bad range)."""
 

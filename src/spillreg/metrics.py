@@ -20,12 +20,14 @@ The recursive EMA has the closed form sum_{tau<=t} alpha*(1-alpha)^(t-tau)*e_tau
 RewardAccumulator computes the rewards step by step while an episode runs;
 the tests check it against offline series, among them that closed form
 evaluated by direct summation.
+
+report_dict turns the per-seed SDFs of ppo.build_report into report.json's
+data: the learned controller's improvement over noise and PID, per seed and mean.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -112,68 +114,36 @@ def improvement(sdf_new: float, sdf_ref: float) -> float:
     return 100.0 * (sdf_new - sdf_ref) / sdf_ref
 
 
-@dataclass
-class SeedResult:
-    """Per-seed comparison of unregulated, PID, and learned control."""
-
-    seed: int
-    sdf_noise: float
-    sdf_pid: float
-    sdf_rl: float
-
-    @property
-    def vs_pid_pct(self) -> float:
-        return improvement(self.sdf_rl, self.sdf_pid)
-
-    @property
-    def vs_noise_pct(self) -> float:
-        return improvement(self.sdf_rl, self.sdf_noise)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "sdf_noise": self.sdf_noise,
-            "sdf_pid": self.sdf_pid,
-            "sdf_rl": self.sdf_rl,
-            "vs_pid_pct": self.vs_pid_pct,
-            "vs_noise_pct": self.vs_noise_pct,
-        }
-
-
-@dataclass
-class ImprovementReport:
-    """Per-seed results plus aggregates.
+def report_dict(seeds: Sequence[int], noise: Sequence[float], pid: Sequence[float],
+                rl: Sequence[float]) -> dict:
+    """report.json's data: per-seed noise/PID/RL SDFs and improvements, plus aggregates.
 
     Two aggregate styles are reported side by side: the mean of the per-seed
     improvement ratios (primary) and the improvement of the mean SDFs. They
     answer slightly different questions, so both are kept.
     """
-
-    seeds: list[SeedResult] = field(default_factory=list)
-
-    def add(self, result: SeedResult) -> None:
-        self.seeds.append(result)
-
-    def to_dict(self) -> dict:
-        if not self.seeds:
-            raise InputError("report has no per-seed results")
-        noise = float(np.mean([s.sdf_noise for s in self.seeds]))
-        pid = float(np.mean([s.sdf_pid for s in self.seeds]))
-        rl = float(np.mean([s.sdf_rl for s in self.seeds]))
-        # primary aggregates: the mean of the per-seed ratios
-        vs_pid = float(np.mean([s.vs_pid_pct for s in self.seeds]))
-        vs_noise = float(np.mean([s.vs_noise_pct for s in self.seeds]))
-        return {
-            "per_seed": [s.to_dict() for s in self.seeds],
-            "aggregate": {
-                "mean_sdf_noise": noise,
-                "mean_sdf_pid": pid,
-                "mean_sdf_rl": rl,
-                "vs_pid_pct": vs_pid,
-                "vs_noise_pct": vs_noise,
-                "vs_pid_pct_mean_of_ratios": vs_pid,
-                "vs_noise_pct_mean_of_ratios": vs_noise,
-                "vs_pid_pct_of_means": improvement(rl, pid),
-                "vs_noise_pct_of_means": improvement(rl, noise),
-            },
-        }
+    if not seeds:
+        raise InputError("report has no per-seed results")
+    per_seed = [
+        {"seed": seed, "sdf_noise": n, "sdf_pid": p, "sdf_rl": r,
+         "vs_pid_pct": improvement(r, p), "vs_noise_pct": improvement(r, n)}
+        for seed, n, p, r in zip(seeds, noise, pid, rl)
+    ]
+    mean_noise, mean_pid, mean_rl = (float(np.mean(column)) for column in (noise, pid, rl))
+    # primary aggregates: the mean of the per-seed ratios
+    vs_pid = float(np.mean([row["vs_pid_pct"] for row in per_seed]))
+    vs_noise = float(np.mean([row["vs_noise_pct"] for row in per_seed]))
+    return {
+        "per_seed": per_seed,
+        "aggregate": {
+            "mean_sdf_noise": mean_noise,
+            "mean_sdf_pid": mean_pid,
+            "mean_sdf_rl": mean_rl,
+            "vs_pid_pct": vs_pid,
+            "vs_noise_pct": vs_noise,
+            "vs_pid_pct_mean_of_ratios": vs_pid,
+            "vs_noise_pct_mean_of_ratios": vs_noise,
+            "vs_pid_pct_of_means": improvement(mean_rl, mean_pid),
+            "vs_noise_pct_of_means": improvement(mean_rl, mean_noise),
+        },
+    }

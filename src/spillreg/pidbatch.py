@@ -6,8 +6,8 @@ float64 numpy operations, and reduces each row's variance as metrics.sdf
 does. A controller is a PID point (controllers.pid_sdfs, in the order of
 spillsim.closed_loop, controllers.ErrorTracker and controllers.pid_update)
 or the coefficients of a linear policy head over the P, I, D features
-(ppo.build_report, in the order of controllers.StateTracker and
-gradnet.policy_mean; the report's PID row runs there too, with zero w_Act
+(ppo.build_report, for report.json's sdf_pid and sdf_rl, in the order of
+controllers.StateTracker and gradnet.policy_mean; the PID row has zero w_Act
 and bias). Every row it marks exact equals the scalar path bit for bit;
 the callers recompute the other rows with the scalar path. A call splits
 its rows into as few near-equal blocks as the byte budget PID_KERNEL_BYTES
@@ -18,8 +18,8 @@ score_round scores a whole tune_pid refinement round in one batch_sdfs call.
 
 This code is a module of its own because every process that runs without
 cached bytecode compiles the package from source, and the compile memory of
-the largest module (controllers) sets such a process's peak RSS. With the
-kernel inside controllers a tune-pid process peaked about 0.2 MB higher.
+the largest modules (controllers and cli, about 1.43 MB each) sets its peak
+RSS: with the kernel inside controllers, a tune-pid process peaked 0.2 MB higher.
 """
 
 from __future__ import annotations

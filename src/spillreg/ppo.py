@@ -26,11 +26,14 @@ env seed derived from the rotation slot's base seed plus the episode index.
 Evaluation-grade episodes (baselines, reports) use the raw seeds directly so
 they are comparable across runs and tools. Fixed master seed means
 bit-identical parameters, curves, and checkpoints.
+
+Checkpoints and reports are plain data that cli writes: checkpoint_dict is
+a run's state, restore_from_checkpoint rebuilds the run from it (cli reads
+the file), and build_report returns metrics.report_dict's data.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -55,7 +58,6 @@ from .controllers import (
 )
 from .errors import CheckpointError, ConfigError, DivergenceError, SpillRegError
 from .gradnet import LossReport
-from .metrics import ImprovementReport, SeedResult
 from .rng import Xoshiro256StarStar, check_seed, derive_seed
 from .spillsim import ConfigRecord, EnvConfig, closed_loop, run_raw_episode
 
@@ -86,6 +88,7 @@ class TrainConfig(ConfigRecord):
     optimizer: str = "adam"
 
     def __post_init__(self):
+        self.check_numbers()
         try:  # operator.index takes any integer type, bool too, so bool is refused first
             if any(isinstance(s, bool) for s in self.seeds):
                 raise TypeError
@@ -129,6 +132,7 @@ class RewardConfig(ConfigRecord):
     alpha: float = 0.5
 
     def __post_init__(self):
+        self.check_numbers()
         if self.kind not in metrics.REWARD_KINDS:
             raise ConfigError(f"reward kind must be one of {metrics.REWARD_KINDS}, got {self.kind!r}")
         if not 0.0 <= self.alpha <= 1.0:
@@ -321,8 +325,8 @@ def build_report(
     gains: PidGains,
     actor,
     seeds: tuple[int, ...],
-) -> ImprovementReport:
-    """Per-seed noise/PID/RL SDF comparison, in seed order.
+) -> dict:
+    """Per-seed noise/PID/RL SDF comparison, in seed order (metrics.report_dict).
 
     The PID baseline and the mean action of a finite LinearActor over P, I,
     D (pid_act, pid3) run every seed in one pass of the batched kernel
@@ -346,24 +350,15 @@ def build_report(
            for seed, s, ok in zip(seeds, sdfs[0], exact[0])]
     rl = [s if ok else evaluate_actor_sdf(env_cfg, actor, seed)
           for seed, s, ok in zip(seeds, sdfs[-1], exact[1])]
-    report = ImprovementReport()
-    for seed, sdf_pid, sdf_rl in zip(seeds, pid, rl):
-        report.add(SeedResult(
-            seed=seed,
-            sdf_noise=metrics.sdf(run_raw_episode(env_cfg, seed)),
-            sdf_pid=sdf_pid,
-            sdf_rl=sdf_rl,
-        ))
-    return report
+    noise = [metrics.sdf(run_raw_episode(env_cfg, seed)) for seed in seeds]
+    return metrics.report_dict(seeds, noise, pid, rl)
 
 
 @dataclass
 class TrainResult:
     actor: LinearActor | NnActor
-    critic: gradnet.DenseNet
-    report: ImprovementReport
+    report: dict  # metrics.report_dict
     curve_rows: list[dict] = field(default_factory=list)
-    gains: PidGains | None = None
     checkpoint: dict | None = None
 
 
@@ -434,14 +429,7 @@ def train(
         last_good = snapshot(it + 1)
 
     report = build_report(env_cfg, gains, actor, train_cfg.seeds)
-    return TrainResult(
-        actor=actor,
-        critic=critic,
-        report=report,
-        curve_rows=curve_rows,
-        gains=gains,
-        checkpoint=last_good,
-    )
+    return TrainResult(actor=actor, report=report, curve_rows=curve_rows, checkpoint=last_good)
 
 
 def format_curve_csv(rows: list[dict]) -> str:
@@ -483,30 +471,18 @@ def checkpoint_dict(
     }
 
 
-def save_checkpoint(path, data: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True)
-        fh.write("\n")
+def restore_from_checkpoint(data: dict):
+    """Rebuild (actor, critic, env_cfg, gains, train_cfg, reward_cfg) from a checkpoint dict.
 
-
-def load_checkpoint(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    Raises CheckpointError on another format_version or when its parts disagree:
+    the actor's kind or state variant is not the checkpoint's, or the critic
+    does not map the state variant's features plus episode time to one value.
+    """
     version = data.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint format_version {version!r} unsupported (expected {CHECKPOINT_VERSION})"
         )
-    return data
-
-
-def restore_from_checkpoint(data: dict):
-    """Rebuild (actor, critic, env_cfg, gains, train_cfg, reward_cfg) from a checkpoint dict.
-
-    Raises CheckpointError when its parts disagree: the actor's kind or state
-    variant is not the checkpoint's, or the critic does not map the state
-    variant's features plus episode time to one value.
-    """
     actor = actor_from_dict(data["actor"])
     critic = gradnet.net_from_dict(data["critic"])
     policy_variant, state_variant = data.get("policy_variant"), data.get("state_variant")

@@ -51,13 +51,20 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, ClassVar
 
-from .errors import ConfigError, EpisodeExhausted, InvalidActionError
+from .errors import ConfigError, EpisodeExhausted, InvalidActionError, NumberError
 from .rng import Xoshiro256StarStar
 
 _TWO_PI = 2.0 * math.pi
 
 # Raw traces kept by run_raw_episode(); the default config touches 9 seeds.
 RAW_MEMO_SIZE = 64
+
+
+def check_number(name: str, value):
+    """Return value, refusing the bool or string a JSON file can hold where a float belongs."""
+    if isinstance(value, (bool, str)):
+        raise NumberError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 class ConfigRecord:
@@ -80,6 +87,12 @@ class ConfigRecord:
             raise ConfigError(f"unknown {cls.section} config field(s): {sorted(unknown)}")
         return cls(**data)
 
+    def check_numbers(self) -> None:
+        """Refuse a bool or a string in a float field; an integer is kept as it is."""
+        for f in fields(self):
+            if f.type in ("float", float):
+                check_number(f.name, getattr(self, f.name))
+
 
 @dataclass(frozen=True)
 class EnvConfig(ConfigRecord):
@@ -101,8 +114,10 @@ class EnvConfig(ConfigRecord):
     action_bound: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "ripple_amps", tuple(float(a) for a in self.ripple_amps))
-        object.__setattr__(self, "ripple_freqs", tuple(float(f) for f in self.ripple_freqs))
+        self.check_numbers()
+        for name in ("ripple_amps", "ripple_freqs"):
+            values = check_number(name, getattr(self, name))
+            object.__setattr__(self, name, tuple(float(check_number(f"{name} entry", v)) for v in values))
         self.validate()
 
     def validate(self) -> None:
@@ -258,8 +273,3 @@ def format_trace_csv(
     for t, (r, c, a) in enumerate(zip(raw, corrected, actions)):
         lines.append(f"{t},{r:.9g},{c:.9g},{a:.9g}")
     return "\n".join(lines) + "\n"
-
-
-def write_trace_csv(path, raw, corrected, actions) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_trace_csv(raw, corrected, actions))

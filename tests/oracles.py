@@ -50,7 +50,7 @@ from spillreg.controllers import (
     pid_seed_sdfs,
 )
 from spillreg.errors import ConfigError, DivergenceError, InputError
-from spillreg.metrics import ImprovementReport, SeedResult, _check_alpha
+from spillreg.metrics import _check_alpha, report_dict
 from spillreg.controllers import LinearActor
 from spillreg.gradnet import LossReport, surrogate_grads
 from spillreg.ppo import critic_inputs, evaluate_actor_sdf
@@ -369,15 +369,8 @@ def two_call_build_report(
     gains: PidGains,
     actor,
     seeds: tuple[int, ...],
-) -> ImprovementReport:
+) -> dict:
     """Per-seed noise/PID/RL SDF comparison, in seed order."""
-    report = ImprovementReport()
     pid, rl = pid_seed_sdfs(env_cfg, seeds, gains), kernel_actor_sdfs(env_cfg, actor, seeds)
-    for seed, sdf_pid, sdf_rl in zip(seeds, pid, rl):
-        report.add(SeedResult(
-            seed=seed,
-            sdf_noise=metrics.sdf(run_raw_episode(env_cfg, seed)),
-            sdf_pid=sdf_pid,
-            sdf_rl=sdf_rl,
-        ))
-    return report
+    noise = [metrics.sdf(run_raw_episode(env_cfg, seed)) for seed in seeds]
+    return report_dict(seeds, noise, pid, rl)

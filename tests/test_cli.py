@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from test_fingerprints import LINEAR_CHECKPOINT
 import spillreg
+from spillreg import cli, ppo
 from spillreg.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, MANIFEST_NAME, main, payload_digest
 
 
@@ -218,6 +219,34 @@ def test_ablate_rejects_unknown_row(tmp_path):
     assert run("ablate", "--out", tmp_path / "x", "--rows", "main,sac") == EXIT_CONFIG
 
 
+def test_ablate_rejects_an_empty_row_list_before_tuning(tmp_path, capsys, monkeypatch):
+    def no_tuning(*args, **kwargs):
+        raise AssertionError("tune_pid called")
+
+    monkeypatch.setattr(cli, "tune_pid", no_tuning)
+    assert run("ablate", "--out", tmp_path / "x", "--rows", ",") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--rows must name at least one row" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x" / "ablation.csv").exists()
+
+
+def test_train_and_ablate_call_ppo_train_through_the_module(tmp_path, gains_file, monkeypatch):
+    # the benchmark worker times iterations by replacing ppo.train
+    calls = []
+    real_train = ppo.train
+
+    def recording_train(*args, **kwargs):
+        calls.append(kwargs["policy_variant"])
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(ppo, "train", recording_train)
+    assert run("train", "--iterations", "0", "--gains", gains_file, "--out", tmp_path / "t") == EXIT_OK
+    assert run("ablate", "--rows", "main,nn", "--iterations", "0", "--gains", gains_file,
+               "--out", tmp_path / "a") == EXIT_OK
+    assert calls == ["pid", "pid", "nn"]
+
+
 def test_plot_script_written(tmp_path):
     out = tmp_path / "p"
     assert run("plot-script", "--out", out) == EXIT_OK
@@ -300,6 +329,37 @@ def test_non_integer_in_config_is_config_error(tmp_path, capsys, payload, field)
     assert field in err
     assert "Traceback" not in err
     assert not (tmp_path / "o" / "gains.json").exists()
+
+
+# a JSON bool or string where a float belongs; float() would have taken both
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"env": {"ou_sigma": True}}, "ou_sigma"),
+        ({"env": {"ripple_amps": ["0.1", True]}}, "ripple_amps"),
+        ({"env": {"ripple_amps": "01"}}, "ripple_amps"),
+        ({"reward": {"alpha": True}}, "alpha"),
+        ({"train": {"lr": "1e-4"}}, "lr"),
+        ({"train": {"lr": True}}, "lr"),
+        ({"gains": {"format_version": 1, "kp": 0.34375, "ki": True, "kd": 0.0, "dt": 1e-4}}, "ki"),
+        ({"gains": {"format_version": 1, "kp": "0.34375", "ki": 0.6, "kd": 0.0, "dt": 1e-4}}, "kp"),
+    ],
+)
+def test_non_number_in_float_field_is_config_error(tmp_path, capsys, payload, field):
+    cfg = write_config(tmp_path, payload)
+    assert run("tune-pid", "--config", cfg, "--out", tmp_path / "o") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{field} " in err and "must be a number" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "gains.json").exists()
+
+
+def test_json_integers_in_float_fields_keep_their_bytes(tmp_path):
+    cfg = write_config(tmp_path, {"env": {"ou_sigma": 0, "ripple_amps": [0, 1]}})
+    assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == EXIT_OK
+    text = (tmp_path / "o" / MANIFEST_NAME).read_text(encoding="utf-8")
+    assert '"ou_sigma": 0,' in text
+    assert read_json(tmp_path / "o" / MANIFEST_NAME)["config"]["env"]["ripple_amps"] == [0.0, 1.0]
 
 
 # every entry point of a seed: the generators would reduce it mod 2**64
@@ -410,6 +470,7 @@ def test_train_divergence_keeps_the_initial_checkpoint(tmp_path, capsys):
      "critic maps 2 -> 1"),
     ({"critic": {"layer_dims": [[2, 5]], "activations": ["identity"], "params": [[0.0] * 10, [0.0, 0.0]]}},
      "critic maps 5 -> 2"),
+    ({"format_version": 99}, "format_version 99 unsupported"),
 ])
 def test_evaluate_refuses_a_checkpoint_whose_parts_disagree(tmp_path, capsys, change, text):
     path = write_config(tmp_path, dict(LINEAR_CHECKPOINT, **change), name="checkpoint.json")

@@ -441,7 +441,7 @@ def scalar_actor_sdfs(cfg, actor, seeds):
 def report_rl(cfg, actor, seeds):
     """build_report's sdf_rl per seed, beside a PID baseline of zero gains."""
     report = ppo.build_report(cfg, PidGains(0.0, 0.0, 0.0, dt=cfg.dt), actor, tuple(seeds))
-    return [row.sdf_rl for row in report.seeds]
+    return [row["sdf_rl"] for row in report["per_seed"]]
 
 
 @settings(max_examples=150, deadline=None)
@@ -539,7 +539,7 @@ def report_outcome(build, cfg, gains, actor, seeds):
         report = build(cfg, gains, actor, seeds)
     except SpillRegError as exc:
         return type(exc), str(exc)
-    return [(r.seed, r.sdf_noise.hex(), r.sdf_pid.hex(), r.sdf_rl.hex()) for r in report.seeds]
+    return [(r["seed"], r["sdf_noise"].hex(), r["sdf_pid"].hex(), r["sdf_rl"].hex()) for r in report["per_seed"]]
 
 
 @settings(max_examples=200, deadline=None)

@@ -13,11 +13,10 @@ from oracles import ema_direct_oracle, ema_direct_series, ema_reward, neg_sum_se
 from spillreg import metrics
 from spillreg.errors import InputError
 from spillreg.metrics import (
-    ImprovementReport,
     RewardAccumulator,
-    SeedResult,
     improvement,
     ordered_mean,
+    report_dict,
     sdf,
 )
 
@@ -136,8 +135,7 @@ def test_improvement_percent():
 
 def test_improvement_report_dict_shape():
     rows = [(0.5, 0.75, 0.8), (0.4, 0.8, 0.7)]  # (noise, pid, rl) per seed
-    report = ImprovementReport(seeds=[SeedResult(i, *row) for i, row in enumerate(rows)])
-    data = report.to_dict()
+    data = report_dict([0, 1], *(list(column) for column in zip(*rows)))
     assert [row["seed"] for row in data["per_seed"]] == [0, 1]
     for out, (noise, pid, rl) in zip(data["per_seed"], rows):
         assert out["vs_pid_pct"] == improvement(rl, pid)

@@ -37,14 +37,13 @@ from spillreg.ppo import (
     critic_inputs,
     evaluate_actor_sdf,
     format_curve_csv,
-    load_checkpoint,
     make_critic,
     normalize_advantages,
     ppo_update,
     restore_from_checkpoint,
-    save_checkpoint,
     train,
 )
+from spillreg.cli import load_json, write_output
 from spillreg.rng import Xoshiro256StarStar
 from spillreg import spillsim
 from spillreg.spillsim import clamp_action, closed_loop
@@ -586,7 +585,7 @@ def test_make_critic_widths():
 def test_train_zero_iterations_is_pid_parity(env_cfg, tuned_gains):
     cfg = TrainConfig(iterations=0, seeds=(0, 1))
     result = train(cfg, env_cfg, master_seed=0, gains=tuned_gains)
-    for row in result.report.to_dict()["per_seed"]:
+    for row in result.report["per_seed"]:
         assert row["sdf_rl"] == row["sdf_pid"]
     assert result.curve_rows == []
 
@@ -605,9 +604,8 @@ def test_train_smoke_and_checkpoint_round_trip(tmp_path, env_cfg, tuned_gains):
     for row in result.curve_rows:
         assert set(row) == {"iter", "seed", "mean_reward", "sdf_rl", "sdf_pid", "sdf_noise"}
 
-    path = tmp_path / "ck.json"
-    save_checkpoint(path, result.checkpoint)
-    data = load_checkpoint(path)
+    path = write_output(tmp_path, "ck.json", result.checkpoint, indent=None)
+    data = load_json(path)
     actor, critic, env2, gains2, cfg2, reward2 = restore_from_checkpoint(data)
     assert env2 == env_cfg
     assert gains2 == tuned_gains
@@ -622,10 +620,9 @@ def test_checkpoint_version_guard(tmp_path, env_cfg, tuned_gains):
     cfg = TrainConfig(iterations=0, seeds=(0,))
     result = train(cfg, env_cfg, master_seed=0, gains=tuned_gains)
     bad = dict(result.checkpoint, format_version=99)
-    path = tmp_path / "bad.json"
-    save_checkpoint(path, bad)
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path)
+    path = write_output(tmp_path, "bad.json", bad, indent=None)
+    with pytest.raises(CheckpointError, match="format_version 99 unsupported"):
+        restore_from_checkpoint(load_json(path))
 
 
 def test_train_reward_defaults_to_config_alpha(env_cfg, tuned_gains):
