@@ -14,7 +14,10 @@ Outputs that depend on BLAS kernels (checkpoint.json, report.json and
 ablation.csv after a PPO update, and anything an NN policy computes) are not
 pinned here: their last bits can differ between CPU kernels of one OpenBLAS
 build. evaluate of a linear policy never calls its critic, so the reports of
-hand-written linear checkpoints, one per state variant, are pinned.
+hand-written linear checkpoints, one per state variant, are pinned. A fresh
+net's record is pinned too: init_dense only scales the stream's uniforms,
+elementwise, so the critic's and the NN actor's initial JSON are BLAS-free,
+and so are their round trips through net_from_dict and actor_from_dict.
 """
 
 from __future__ import annotations
@@ -24,7 +27,10 @@ import json
 
 import pytest
 
+from spillreg import gradnet, ppo
 from spillreg.cli import EXIT_OK, MANIFEST_NAME, main
+from spillreg.controllers import NnActor, actor_from_dict
+from spillreg.rng import Xoshiro256StarStar
 
 # tune_pid on seeds 0-8 with the default config
 PINNED_GAINS = {"format_version": 1, "kp": 0.34375, "ki": 0.6, "kd": -8.750000000000001e-06, "dt": 1e-4}
@@ -128,3 +134,27 @@ def test_output_fingerprint(tmp_path, monkeypatch, command):
     assert hashlib.sha256((out / data_file).read_bytes()).hexdigest() == data_sha
     manifest = json.loads((out / MANIFEST_NAME).read_text(encoding="utf-8"))
     assert manifest["payload_sha256"] == payload_sha
+
+
+# seed -> sha256 of the sorted-key JSON of (critic record, NN actor record)
+NET_RECORDS = {
+    0: ("536f6360ee24375698e0cea60178cee2f25be573ad60eefde9b8c3d92db62640",
+        "90c5588536fca49a798b20b1fa968a20e78414b2cdbaad9e467aa7ae2d6c5e5b"),
+    7: ("7fde6c35e593dc3fa119450e4ea569c1f3be6427ce1d6f1b24d0160568a7a13a",
+        "20db621e9a35dbd9fb687fbef7eb98ae8764d60cf069321e44aeacbeb3c0e4d5"),
+}
+
+
+def record_sha(data: dict) -> str:
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(NET_RECORDS))
+def test_fresh_net_record_fingerprint(seed):
+    critic_sha, actor_sha = NET_RECORDS[seed]
+    critic = gradnet.net_to_dict(ppo.make_critic(4, Xoshiro256StarStar(seed)))
+    actor = NnActor.fresh("pid_act", Xoshiro256StarStar(seed)).to_dict()
+    assert record_sha(critic) == critic_sha
+    assert record_sha(actor) == actor_sha
+    assert record_sha(gradnet.net_to_dict(gradnet.net_from_dict(critic))) == critic_sha
+    assert record_sha(actor_from_dict(actor).to_dict()) == actor_sha
