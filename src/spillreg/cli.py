@@ -267,7 +267,7 @@ def cmd_tune_pid(args) -> int:
     """Tune PID gains; gains.json's mean_sdf is the score tune_pid chose them by."""
     run = resolve_run(args)
     out_dir = ensure_out_dir(args)
-    seeds = parse_seed_list(args.seeds) if args.seeds else run.train_cfg.seeds
+    seeds = parse_seed_list(args.seeds) if args.seeds is not None else run.train_cfg.seeds
     gains, mean_sdf = tune_pid(run.env_cfg, list(seeds))
     payload = run.config_payload()
     payload["gains"] = gains.to_dict()
@@ -332,7 +332,7 @@ def cmd_evaluate(args) -> int:
     with reading(args.checkpoint, CheckpointError):
         data = load_json(args.checkpoint)
         actor, _critic, env_cfg, gains, train_cfg, _reward_cfg = ppo.restore_from_checkpoint(data)
-    seeds = parse_seed_list(args.seeds) if args.seeds else train_cfg.seeds
+    seeds = parse_seed_list(args.seeds) if args.seeds is not None else train_cfg.seeds
     report = ppo.build_report(env_cfg, gains, actor, seeds)
     report_out = dict(report, manifest=MANIFEST_NAME, checkpoint=os.fspath(args.checkpoint))
     write_output(out_dir, "report.json", report_out)
@@ -391,7 +391,7 @@ def cmd_ablate(args) -> int:
     run = resolve_run(args)
     out_dir = ensure_out_dir(args)
     row_names = list(ABLATION_ROWS)
-    if args.rows:
+    if args.rows is not None:
         row_names = [name.strip() for name in args.rows.split(",") if name.strip()]
         if not row_names:
             raise ConfigError("--rows must name at least one row")
@@ -402,8 +402,7 @@ def cmd_ablate(args) -> int:
         # one shared PID baseline for every row keeps the comparison honest
         run.gains, _ = tune_pid(run.env_cfg, list(run.train_cfg.seeds))
 
-    rows = []
-    row_errors = {}
+    rows, row_errors, failures = [], {}, []
     for name in row_names:
         spec = VARIANTS[name]
         row = {
@@ -427,6 +426,7 @@ def cmd_ablate(args) -> int:
                 gains=run.gains,
             )
         except (SpillRegError, FloatingPointError) as exc:
+            failures.append(exc)
             row["error"] = f"{type(exc).__name__}: {exc}"
             row_errors[name] = row["error"]
             print(f"row {name!r} failed: {row['error']}", file=sys.stderr)
@@ -452,6 +452,8 @@ def cmd_ablate(args) -> int:
         },
     )
     print(f"wrote {csv_path}")
+    if len(failures) == len(rows):
+        raise failures[0]  # no row trained: exit as the first row's error would
     return EXIT_OK
 
 

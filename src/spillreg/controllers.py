@@ -478,7 +478,8 @@ class NnActor(gradnet.GaussianPolicy):
         # log_std_arr are views into it
         n = net.flat.size
         self.flat = np.empty(n + 1, dtype=np.float64)
-        self.net = gradnet.DenseNet(net.layers, self.flat[:n])
+        self.flat[:n] = net.flat
+        self.net = gradnet.DenseNet([w.shape for w in net.weights], net.activations, self.flat[:n])
         self.log_std_arr = self.flat[n:]
         self.log_std_arr[0] = clamp_log_std(log_std)
         # the net is defined over features/scale; scales are part of the

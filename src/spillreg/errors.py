@@ -14,7 +14,7 @@ class ConfigError(SpillRegError):
 
 
 class NumberError(ConfigError, TypeError):
-    """A field that takes a number got a bool or a string; a file's reader names the file."""
+    """A field that takes a number got a bool, a string, null, a list or an object; a file's reader names the file."""
 
 
 class InputError(SpillRegError):

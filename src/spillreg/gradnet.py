@@ -13,12 +13,12 @@ operand shapes and layouts: h @ W.T + b forward (bias added in place),
 g.T @ inputs and g @ W backward. The tape keeps no pre-activations (tanh'
 is 1 - out^2), and an identity layer passes g on without a multiply by ones.
 
-Parameter layout: a DenseNet keeps all its parameters in one contiguous
-float64 vector, `flat` = [W0, b0, W1, b1, ...] row-major, and its layers'
-weight/bias arrays are views into it; backward returns the parameter
-gradient in the same layout, written into a caller's buffer if given (cut
-into per-array views once per buffer). Writing through a view changes the
-net.
+Parameter layout: a DenseNet is its layers' (out, in) shapes, their
+activations and one contiguous float64 vector, `flat` = [W0, b0, W1, b1,
+...] row-major. weights[i] and biases[i] are views into flat, so writing
+through them changes the net. backward returns the parameter gradient in
+the same layout, written into a caller's buffer if given (cut into
+per-array views once per buffer).
 
 Policy heads and the PPO objective: the Gaussian exploration math shared by
 controllers' LinearActor and NnActor (log_std clamp, log probability, and
@@ -39,28 +39,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DivergenceError, ShapeError, UsageError
+from .errors import CheckpointError, DivergenceError, ShapeError, UsageError
 
 ACTIVATIONS = ("tanh", "identity")
-
-
-@dataclass
-class Layer:
-    weight: np.ndarray  # (out, in)
-    bias: np.ndarray  # (out,)
-    activation: str
-
-    def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weight.ndim != 2:
-            raise ShapeError(f"layer weight must be 2-D, got shape {self.weight.shape}")
-        if self.bias.shape != (self.weight.shape[0],):
-            raise ShapeError(
-                f"bias shape {self.bias.shape} does not match weight rows {self.weight.shape[0]}"
-            )
-        if self.activation not in ACTIVATIONS:
-            raise ShapeError(f"unknown activation {self.activation!r}, expected one of {ACTIVATIONS}")
 
 
 def split(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -76,45 +57,43 @@ def split(flat: np.ndarray, shapes) -> list[np.ndarray]:
 class DenseNet:
     """A chain of affine layers with elementwise activations.
 
-    The parameters live in one vector, `flat` (pass `flat` to place them in
-    storage the caller owns, e.g. a slice of an actor's vector); the given
-    layers' values are copied in and the net's layers hold views into it.
+    Layer i has the (out, in) shape dims[i] and the activation
+    activations[i]. Its weight and bias are weights[i] and biases[i], views
+    into flat: zeros, unless the caller passes storage it owns (e.g. a slice
+    of an actor's vector).
     """
 
-    def __init__(self, layers: list[Layer], flat: np.ndarray | None = None):
-        if not layers:
-            raise ShapeError("DenseNet needs at least one layer")
-        for prev, nxt in zip(layers, layers[1:]):
-            if nxt.weight.shape[1] != prev.weight.shape[0]:
-                raise ShapeError(
-                    f"layer dims do not chain: {prev.weight.shape} -> {nxt.weight.shape}"
-                )
-        self._shapes = [a.shape for layer in layers for a in (layer.weight, layer.bias)]
+    def __init__(self, dims, activations, flat: np.ndarray | None = None):
+        if not dims or len(activations) != len(dims):
+            raise ShapeError(f"need one or more layers, one activation each: got {len(activations)} for {len(dims)}")
+        for act in activations:
+            if act not in ACTIVATIONS:
+                raise ShapeError(f"unknown activation {act!r}, expected one of {ACTIVATIONS}")
+        for (_, n_in), (n_out, _) in zip(dims[1:], dims):
+            if n_in != n_out:
+                raise ShapeError(f"layer dims do not chain: {list(dims)}")
+        self._shapes = [shape for n_out, n_in in dims for shape in ((n_out, n_in), (n_out,))]
         size = sum(math.prod(shape) for shape in self._shapes)
         if flat is None:
-            flat = np.empty(size, dtype=np.float64)
+            flat = np.zeros(size)
         elif flat.shape != (size,):
             raise ShapeError(f"flat storage shape {flat.shape} does not hold {size} parameters")
         self.flat = flat
         views = self.unflatten(flat)
-        self.layers = []
-        for layer, w, b in zip(layers, views[::2], views[1::2]):
-            w[...] = layer.weight
-            b[...] = layer.bias
-            self.layers.append(Layer(weight=w, bias=b, activation=layer.activation))
+        self.weights, self.biases, self.activations = views[::2], views[1::2], tuple(activations)
         self.version = 0  # bumped by whoever mutates the parameters
         # what forward reads per layer, and backward's views of its last `out`
-        self._plan = [(layer.weight.T, layer.bias, layer.activation) for layer in self.layers]
+        self._plan = list(zip([w.T for w in self.weights], self.biases, self.activations))
         self._grad_flat: np.ndarray | None = None
         self._grad_split: list[np.ndarray] = []
 
     @property
     def in_dim(self) -> int:
-        return self.layers[0].weight.shape[1]
+        return self.weights[0].shape[1]
 
     @property
     def out_dim(self) -> int:
-        return self.layers[-1].weight.shape[0]
+        return self.weights[-1].shape[0]
 
     def unflatten(self, vec: np.ndarray) -> list[np.ndarray]:
         """Views of a vector laid out like flat: [W0, b0, W1, b1, ...]."""
@@ -174,9 +153,8 @@ def backward(net: DenseNet, tape: Tape, grad_output: np.ndarray, out: np.ndarray
         raise ShapeError(f"grad_output shape {g.shape} does not match output shape {acts[-1].shape}")
     flat = np.empty_like(net.flat) if out is None else out
     views = net._grad_views(flat)
-    for idx in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[idx]
-        if layer.activation == "tanh":  # d tanh = 1 - out^2
+    for idx in range(len(net.weights) - 1, -1, -1):
+        if net.activations[idx] == "tanh":  # d tanh = 1 - out^2
             ga = acts[idx + 1] * acts[idx + 1]
             np.subtract(1.0, ga, out=ga)
             np.multiply(g, ga, out=ga)
@@ -185,7 +163,7 @@ def backward(net: DenseNet, tape: Tape, grad_output: np.ndarray, out: np.ndarray
         np.matmul(ga.T, acts[idx], out=views[2 * idx])
         np.add.reduce(ga, axis=0, out=views[2 * idx + 1])
         if idx:
-            g = ga @ layer.weight
+            g = ga @ net.weights[idx]
     return flat
 
 
@@ -206,22 +184,15 @@ def init_dense(
     fan_out * fan_in of them in row-major order, and each weight is
     low + (high - low) * u, the two IEEE operations of rng.uniform(low, high).
     """
-    if len(layer_dims) < 2:
-        raise ShapeError("layer_dims needs at least input and output sizes")
-    if len(activations) != len(layer_dims) - 1:
-        raise ShapeError(
-            f"need {len(layer_dims) - 1} activations for {len(layer_dims)} dims, got {len(activations)}"
-        )
-    layers = []
-    for i, act in enumerate(activations):
-        fan_in, fan_out = layer_dims[i], layer_dims[i + 1]
-        gain = out_gain if i == len(activations) - 1 else hidden_gain
+    net = DenseNet(list(zip(layer_dims[1:], layer_dims)), activations)
+    for i, w in enumerate(net.weights):
+        fan_out, fan_in = w.shape
+        gain = out_gain if i == len(net.weights) - 1 else hidden_gain
         limit = gain * math.sqrt(3.0 / fan_in)
         low, high = -limit, limit
         u = np.array(rng.randoms(fan_out * fan_in), dtype=np.float64).reshape(fan_out, fan_in)
-        w = low + (high - low) * u
-        layers.append(Layer(weight=w, bias=np.zeros(fan_out), activation=act))
-    return DenseNet(layers)
+        w[...] = low + (high - low) * u
+    return net
 
 
 @dataclass
@@ -426,31 +397,25 @@ def surrogate_grads(actor, critic: DenseNet, actor_x, critic_x, actions, logp_ol
 
 def net_to_dict(net: DenseNet) -> dict:
     return {
-        "layer_dims": [[l.weight.shape[0], l.weight.shape[1]] for l in net.layers],
-        "activations": [l.activation for l in net.layers],
+        "layer_dims": [list(w.shape) for w in net.weights],
+        "activations": list(net.activations),
         "params": [p.ravel().tolist() for p in net.parameters()],
     }
 
 
 def net_from_dict(data: dict) -> DenseNet:
-    from .errors import CheckpointError
-
     try:
-        dims = data["layer_dims"]
-        acts = data["activations"]
-        flat = data["params"]
+        dims, acts, params = data["layer_dims"], data["activations"], data["params"]
     except KeyError as exc:
         raise CheckpointError(f"net checkpoint missing key {exc}") from exc
-    if len(flat) != 2 * len(dims):
+    if len(params) != 2 * len(dims):
         raise CheckpointError("net checkpoint parameter count does not match layer dims")
     if len(acts) != len(dims):
         raise CheckpointError(f"net checkpoint has {len(acts)} activations for {len(dims)} layers")
-    layers = []
-    for i, ((out_d, in_d), act) in enumerate(zip(dims, acts)):
-        w = np.asarray(flat[2 * i], dtype=np.float64).reshape(out_d, in_d)
-        b = np.asarray(flat[2 * i + 1], dtype=np.float64).reshape(out_d)
-        layers.append(Layer(weight=w, bias=b, activation=act))
-    return DenseNet(layers)
+    net = DenseNet(dims, acts)
+    for view, values in zip(net.parameters(), params):
+        view[...] = np.asarray(values, dtype=np.float64).reshape(view.shape)
+    return net
 
 
 def adam_to_dict(opt: AdamState, params: list[np.ndarray]) -> dict:
@@ -470,8 +435,6 @@ def adam_to_dict(opt: AdamState, params: list[np.ndarray]) -> dict:
 
 def adam_from_dict(data: dict, params: list[np.ndarray]) -> AdamState:
     """Inverse of adam_to_dict for the same parameter arrays."""
-    from .errors import CheckpointError
-
     if data.get("kind") != "adam":
         raise CheckpointError(f"expected adam optimizer state, got {data.get('kind')!r}")
 

@@ -53,7 +53,7 @@ def sdf(trace: Sequence[float]) -> float:
 
 
 def _check_alpha(alpha: float) -> None:
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha)):
+    if isinstance(alpha, bool) or not (isinstance(alpha, (int, float)) and math.isfinite(alpha)):
         raise InputError("alpha must be a finite number")
     if not 0.0 <= alpha <= 1.0:
         raise InputError(f"alpha must lie in [0, 1], got {alpha}")

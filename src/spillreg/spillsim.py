@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Callable, ClassVar
 
@@ -61,8 +62,8 @@ RAW_MEMO_SIZE = 64
 
 
 def check_number(name: str, value):
-    """Return value, refusing the bool or string a JSON file can hold where a float belongs."""
-    if isinstance(value, (bool, str)):
+    """Return value, refusing what a JSON file can hold where a float belongs: a bool, string, null, list or object."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise NumberError(f"{name} must be a number, got {value!r}")
     return value
 
@@ -116,7 +117,9 @@ class EnvConfig(ConfigRecord):
     def __post_init__(self):
         self.check_numbers()
         for name in ("ripple_amps", "ripple_freqs"):
-            values = check_number(name, getattr(self, name))
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise NumberError(f"{name} must be a list; each entry must be a number, got {values!r}")
             object.__setattr__(self, name, tuple(float(check_number(f"{name} entry", v)) for v in values))
         self.validate()
 

@@ -215,10 +215,10 @@ def dense_forward(net: gradnet.DenseNet, x: np.ndarray) -> tuple[np.ndarray, Den
     """(output, tape) of an (n, in) batch."""
     inputs, pre_acts, outputs = [], [], []
     h = np.asarray(x, dtype=np.float64)
-    for layer in net.layers:
+    for weight, bias, activation in zip(net.weights, net.biases, net.activations):
         inputs.append(h)
-        z = h @ layer.weight.T + layer.bias
-        out = np.tanh(z) if layer.activation == "tanh" else z
+        z = h @ weight.T + bias
+        out = np.tanh(z) if activation == "tanh" else z
         pre_acts.append(z)
         outputs.append(out)
         h = out
@@ -230,12 +230,11 @@ def dense_backward(net: gradnet.DenseNet, tape: DenseTape, grad_output: np.ndarr
     g = np.asarray(grad_output, dtype=np.float64)
     flat = np.empty_like(net.flat)
     param_grads = net.unflatten(flat)
-    for idx in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[idx]
-        ga = g * _activation_grad(layer.activation, tape.pre_acts[idx], tape.outputs[idx])
+    for idx in range(len(net.weights) - 1, -1, -1):
+        ga = g * _activation_grad(net.activations[idx], tape.pre_acts[idx], tape.outputs[idx])
         param_grads[2 * idx][...] = ga.T @ tape.inputs[idx]
         param_grads[2 * idx + 1][...] = ga.sum(axis=0)
-        g = ga @ layer.weight
+        g = ga @ net.weights[idx]
     return flat
 
 

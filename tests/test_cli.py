@@ -224,11 +224,59 @@ def test_ablate_rejects_an_empty_row_list_before_tuning(tmp_path, capsys, monkey
         raise AssertionError("tune_pid called")
 
     monkeypatch.setattr(cli, "tune_pid", no_tuning)
-    assert run("ablate", "--out", tmp_path / "x", "--rows", ",") == EXIT_CONFIG
+    for rows in (",", ""):  # an empty --rows is a flag given, not a flag left out
+        assert run("ablate", "--out", tmp_path / "x", "--rows", rows) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--rows must name at least one row" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x" / "ablation.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["tune-pid", "evaluate"])
+def test_an_empty_seed_list_is_config_error(tmp_path, capsys, monkeypatch, command):
+    def no_tuning(*args, **kwargs):
+        raise AssertionError("tune_pid called")
+
+    monkeypatch.setattr(cli, "tune_pid", no_tuning)
+    checkpoint = write_config(tmp_path, LINEAR_CHECKPOINT, name="checkpoint.json")
+    argv = [command, "--seeds", ""] + (["--checkpoint", checkpoint] if command == "evaluate" else [])
+    assert run(*argv, "--out", tmp_path / "o") == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "--rows must name at least one row" in err
+    assert "--seeds must name at least one seed" in err
     assert "Traceback" not in err
-    assert not (tmp_path / "x" / "ablation.csv").exists()
+    assert not (tmp_path / "o" / MANIFEST_NAME).exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("train, code, text", [
+    ({"minibatch": 1000}, EXIT_CONFIG, "config error: "),
+    ({"lr": 1e300}, EXIT_DIVERGED, "divergence: non-finite loss in ppo update"),
+])
+def test_ablate_exits_with_the_first_row_error_when_no_row_trains(tmp_path, gains_file, capsys, train, code, text):
+    cfg = write_config(tmp_path, {"train": train})
+    out = tmp_path / "o"
+    argv = ("ablate", "--rows", "main,sum", "--iterations", "1", "--gains", gains_file, "--config", cfg)
+    assert run(*argv, "--out", out) == code
+    err = capsys.readouterr().err
+    assert err.count("failed: ") == 2 and text in err
+    assert "Traceback" not in err
+    assert (out / "ablation.csv").exists()
+    assert sorted(read_json(out / MANIFEST_NAME)["row_errors"]) == ["main", "sum"]
+
+
+def test_ablate_exits_ok_when_some_row_trains(tmp_path, gains_file, capsys, monkeypatch):
+    real_train = ppo.train
+
+    def nn_fails(*args, **kwargs):
+        if kwargs["policy_variant"] == "nn":
+            raise cli.ConfigError("no nn today")
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(ppo, "train", nn_fails)
+    out = tmp_path / "o"
+    assert run("ablate", "--rows", "nn,main", "--iterations", "0", "--gains", gains_file, "--out", out) == EXIT_OK
+    assert "row 'nn' failed: ConfigError: no nn today" in capsys.readouterr().err
+    assert read_json(out / MANIFEST_NAME)["row_errors"] == {"nn": "ConfigError: no nn today"}
 
 
 def test_train_and_ablate_call_ppo_train_through_the_module(tmp_path, gains_file, monkeypatch):
@@ -343,6 +391,13 @@ def test_non_integer_in_config_is_config_error(tmp_path, capsys, payload, field)
         ({"train": {"lr": True}}, "lr"),
         ({"gains": {"format_version": 1, "kp": 0.34375, "ki": True, "kd": 0.0, "dt": 1e-4}}, "ki"),
         ({"gains": {"format_version": 1, "kp": "0.34375", "ki": 0.6, "kd": 0.0, "dt": 1e-4}}, "kp"),
+        # null, a list and an object: no number either
+        ({"env": {"ou_sigma": None}}, "ou_sigma"),
+        ({"env": {"ripple_amps": None}}, "ripple_amps"),
+        ({"env": {"ripple_freqs": [60.0, None]}}, "ripple_freqs"),
+        ({"reward": {"alpha": {}}}, "alpha"),
+        ({"train": {"lr": [1e-4]}}, "lr"),
+        ({"gains": {"format_version": 1, "kp": 0.34375, "ki": 0.6, "kd": None, "dt": 1e-4}}, "kd"),
     ],
 )
 def test_non_number_in_float_field_is_config_error(tmp_path, capsys, payload, field):

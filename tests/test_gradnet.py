@@ -159,10 +159,10 @@ def test_init_dense_bulk_draw_matches_per_weight_uniform(seed, dims, gains):
     rng, ref_rng = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
     net = init_dense(list(dims), acts, rng, **gains)
     expected = oracles.init_dense_weights(list(dims), acts, ref_rng, **gains)
-    assert len(net.layers) == len(expected)
-    for layer, w in zip(net.layers, expected):
-        assert layer.weight.tobytes() == w.tobytes()
-        assert not layer.bias.any()
+    assert len(net.weights) == len(expected)
+    for weight, bias, w in zip(net.weights, net.biases, expected):
+        assert weight.tobytes() == w.tobytes()
+        assert not bias.any()
     assert rng.state == ref_rng.state
     assert rng.random() == ref_rng.random()
 
@@ -181,6 +181,20 @@ def test_net_from_dict_refuses_an_activation_count_unlike_the_layer_count(activa
     data = net_to_dict(small_net(dims=(3, 4, 4, 2), acts=("tanh", "tanh", "identity")))
     with pytest.raises(CheckpointError, match="activations"):
         net_from_dict(dict(data, activations=activations))
+
+
+def test_net_from_dict_refuses_malformed_records():
+    data = net_to_dict(small_net(dims=(3, 4, 2), acts=("tanh", "identity")))
+    with pytest.raises(CheckpointError, match="missing key"):
+        net_from_dict({k: v for k, v in data.items() if k != "params"})
+    with pytest.raises(CheckpointError, match="parameter count"):
+        net_from_dict(dict(data, params=data["params"][:-1]))
+    with pytest.raises(ShapeError, match="unknown activation"):
+        net_from_dict(dict(data, activations=["tanh", "relu"]))
+    with pytest.raises(ShapeError, match="do not chain"):
+        net_from_dict(dict(data, layer_dims=[[4, 3], [2, 5]], params=[*data["params"][:2], [0.0] * 10, [0.0] * 2]))
+    with pytest.raises(ValueError):  # the first weight list is one entry short
+        net_from_dict(dict(data, params=[data["params"][0][:-1], *data["params"][1:]]))
 
 
 def test_sgd_step_exact():
@@ -250,14 +264,19 @@ def test_net_parameters_are_views_of_flat():
     net = small_net(seed=2)
     params = net.parameters()
     assert np.array_equal(np.concatenate([p.ravel() for p in params]), net.flat)
-    for p, layer_array in zip(params, [a for l in net.layers for a in (l.weight, l.bias)]):
+    for p, layer_array in zip(params, [a for pair in zip(net.weights, net.biases) for a in pair]):
         assert np.shares_memory(p, net.flat) and np.shares_memory(layer_array, net.flat)
-    # storage passed in is used, not copied
+    # storage passed in is used as it is: not copied, not cleared
+    dims = [w.shape for w in net.weights]
     storage = np.zeros(net.flat.size + 3)
-    placed = gradnet.DenseNet(net.layers, storage[1:-2])
-    assert placed.flat.base is storage and np.array_equal(storage[1:-2], net.flat)
+    storage[1:-2] = net.flat
+    placed = gradnet.DenseNet(dims, net.activations, storage[1:-2])
+    assert placed.flat.base is storage and np.array_equal(placed.flat, net.flat)
+    placed.biases[-1][-1] = 7.0  # the last parameter of the net
+    assert storage[-3] == 7.0
+    assert not gradnet.DenseNet(dims, net.activations).flat.any()
     with pytest.raises(ShapeError):
-        gradnet.DenseNet(net.layers, storage)
+        gradnet.DenseNet(dims, net.activations, storage)
 
 
 def test_writes_through_parameters_change_forward():

@@ -74,10 +74,12 @@ def test_ema_reward_alpha_edges():
     assert ema_reward(errors, 0.0) == pytest.approx([0.0, 0.0, 0.0], abs=0.0)
 
 
-@pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
+@pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan"), True, False])
 def test_ema_reward_rejects_bad_alpha(alpha):
     with pytest.raises(InputError):
         ema_reward([0.1], alpha)
+    with pytest.raises(InputError):
+        RewardAccumulator("neg_ema", alpha, 10)
 
 
 @settings(max_examples=80, deadline=None)
