@@ -30,7 +30,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import __version__, metrics, ppo
 from .controllers import STATE_LABELS, PidGains, pid_episode_records, tune_pid
@@ -137,29 +137,22 @@ def load_config_file(path: str) -> dict:
     return data
 
 
-@dataclass
-class ResolvedRun:
-    env_cfg: EnvConfig
-    train_cfg: ppo.TrainConfig
-    reward_cfg: ppo.RewardConfig
-    variant: VariantSpec
-    master_seed: int
-    gains: PidGains | None
-
-    def config_payload(self) -> dict:
-        payload = {
-            "env": self.env_cfg.to_dict(),
-            "train": self.train_cfg.to_dict(),
-            "reward": self.reward_cfg.to_dict(),
-            "variant": self.variant.name,
-            "master_seed": self.master_seed,
-        }
-        if self.gains is not None:
-            payload["gains"] = self.gains.to_dict()
-        return payload
+def config_payload(run: ppo.Run, variant: VariantSpec) -> dict:
+    """The resolved config a manifest records: rerunning it gives the same run."""
+    payload = {
+        "env": run.env.to_dict(),
+        "train": run.train.to_dict(),
+        "reward": run.reward.to_dict(),
+        "variant": variant.name,
+        "master_seed": run.master_seed,
+    }
+    if run.gains is not None:
+        payload["gains"] = run.gains.to_dict()
+    return payload
 
 
-def resolve_run(args) -> ResolvedRun:
+def resolve_run(args) -> tuple[ppo.Run, VariantSpec]:
+    """The run that flags, config file and defaults describe (gains None if none given), and its variant."""
     config_path = getattr(args, "config", None)
     with reading(config_path) if config_path else nullcontext():
         file_cfg = load_config_file(config_path) if config_path else {}
@@ -170,10 +163,8 @@ def resolve_run(args) -> ResolvedRun:
 
         env_cfg = EnvConfig.from_dict(file_cfg.get("env", {}))
 
-        if "reward" in file_cfg:
-            reward_cfg = ppo.RewardConfig.from_dict(file_cfg["reward"])
-        else:
-            reward_cfg = ppo.RewardConfig(kind=variant.reward_kind, alpha=variant.alpha)
+        reward_cfg = (ppo.RewardConfig.from_dict(file_cfg["reward"]) if "reward" in file_cfg
+                      else ppo.RewardConfig(kind=variant.reward_kind, alpha=variant.alpha))
 
         train_over = dict(file_cfg.get("train", {}))
         iterations = getattr(args, "iterations", None)
@@ -181,6 +172,10 @@ def resolve_run(args) -> ResolvedRun:
             train_over["iterations"] = iterations
         train_over.setdefault("alpha", reward_cfg.alpha)
         train_cfg = ppo.TrainConfig.from_dict(train_over)
+        if train_cfg.alpha != reward_cfg.alpha:  # training reads the reward's alpha only
+            raise ConfigError(
+                f"train.alpha {train_cfg.alpha} differs from the reward alpha {reward_cfg.alpha}; "
+                "set the alpha in the reward section or choose a variant")
 
         if getattr(args, "seed", None) is not None:
             master_seed = args.seed
@@ -198,7 +193,7 @@ def resolve_run(args) -> ResolvedRun:
                 gains = PidGains.from_dict(load_json(gains_path))
         elif "gains" in file_cfg:
             gains = PidGains.from_dict(file_cfg["gains"])
-    return ResolvedRun(env_cfg, train_cfg, reward_cfg, variant, master_seed, gains)
+    return ppo.Run(env_cfg, train_cfg, gains, reward_cfg, variant.policy, variant.state, master_seed), variant
 
 
 def payload_digest(data: bytes) -> str:
@@ -241,20 +236,20 @@ def parse_seed_list(text: str) -> tuple[int, ...]:
 # --- subcommands -------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    run = resolve_run(args)
+    run, variant = resolve_run(args)
     out_dir = ensure_out_dir(args)
     seed = run.master_seed
     if run.gains is not None:
-        raw, corrected, actions = pid_episode_records(run.env_cfg, seed, run.gains)
+        raw, corrected, actions = pid_episode_records(run.env, seed, run.gains)
     else:
-        raw = run_raw_episode(run.env_cfg, seed)
+        raw = run_raw_episode(run.env, seed)
         corrected = list(raw)
         actions = [0.0] * len(raw)
     trace_path = write_output(out_dir, "trace.csv", format_trace_csv(raw, corrected, actions))
     sdf_raw = metrics.sdf(raw)
     sdf_corr = metrics.sdf(corrected)
     write_manifest(
-        out_dir, "simulate", run.config_payload(), seed,
+        out_dir, "simulate", config_payload(run, variant), seed,
         outputs={"trace_csv": "trace.csv"},
         extra={"sdf_raw": sdf_raw, "sdf_corrected": sdf_corr},
     )
@@ -265,12 +260,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_tune_pid(args) -> int:
     """Tune PID gains; gains.json's mean_sdf is the score tune_pid chose them by."""
-    run = resolve_run(args)
+    run, variant = resolve_run(args)
     out_dir = ensure_out_dir(args)
-    seeds = parse_seed_list(args.seeds) if args.seeds is not None else run.train_cfg.seeds
-    gains, mean_sdf = tune_pid(run.env_cfg, list(seeds))
-    payload = run.config_payload()
-    payload["gains"] = gains.to_dict()
+    seeds = parse_seed_list(args.seeds) if args.seeds is not None else run.train.seeds
+    gains, mean_sdf = tune_pid(run.env, list(seeds))
+    payload = config_payload(replace(run, gains=gains), variant)
     gains_out = dict(gains.to_dict(), manifest=MANIFEST_NAME, mean_sdf=mean_sdf, seeds=list(seeds))
     write_output(out_dir, "gains.json", gains_out)
     write_manifest(out_dir, "tune-pid", payload, run.master_seed,
@@ -281,25 +275,17 @@ def cmd_tune_pid(args) -> int:
 
 
 def cmd_train(args) -> int:
-    run = resolve_run(args)
+    run, variant = resolve_run(args)
     out_dir = ensure_out_dir(args)
     if run.gains is None:
-        run.gains, _ = tune_pid(run.env_cfg, list(run.train_cfg.seeds))
+        run = replace(run, gains=tune_pid(run.env, list(run.train.seeds))[0])
     try:
-        result = ppo.train(
-            run.train_cfg,
-            run.env_cfg,
-            reward_cfg=run.reward_cfg,
-            policy_variant=run.variant.policy,
-            state_variant=run.variant.state,
-            master_seed=run.master_seed,
-            gains=run.gains,
-        )
+        result = ppo.train(run)
     except DivergenceError as exc:
         last_good = exc.diagnostics.get("last_good")
         if last_good is not None:
             write_output(out_dir, "checkpoint.json", dict(last_good, manifest=MANIFEST_NAME), indent=None)
-            write_manifest(out_dir, "train", run.config_payload(), run.master_seed,
+            write_manifest(out_dir, "train", config_payload(run, variant), run.master_seed,
                            outputs={"checkpoint": "checkpoint.json"},
                            extra={"status": "diverged", "diverged_at": exc.diagnostics.get("iteration")})
             print(f"divergence at iteration {exc.diagnostics.get('iteration')}; "
@@ -310,12 +296,12 @@ def cmd_train(args) -> int:
     write_output(out_dir, "checkpoint.json", dict(result.checkpoint, manifest=MANIFEST_NAME), indent=None)
     write_output(out_dir, "report.json", dict(result.report, manifest=MANIFEST_NAME))
 
-    payload = run.config_payload()  # gains resolved above, so reruns skip tuning
+    payload = config_payload(run, variant)  # gains resolved above, so reruns skip tuning
     write_manifest(out_dir, "train", payload, run.master_seed,
                    outputs={"curve_csv": "curve.csv", "checkpoint": "checkpoint.json",
                             "report_json": "report.json"})
     agg = result.report["aggregate"]
-    print(f"trained variant {run.variant.name!r} for {run.train_cfg.iterations} iterations")
+    print(f"trained variant {variant.name!r} for {run.train.iterations} iterations")
     print(
         "mean SDF: rl={rl:.4f} pid={pid:.4f} noise={noise:.4f} "
         "(vs_pid {vp:+.2f}% vs_noise {vn:+.2f}%)".format(
@@ -331,19 +317,19 @@ def cmd_evaluate(args) -> int:
     out_dir = ensure_out_dir(args)
     with reading(args.checkpoint, CheckpointError):
         data = load_json(args.checkpoint)
-        actor, _critic, env_cfg, gains, train_cfg, _reward_cfg = ppo.restore_from_checkpoint(data)
-    seeds = parse_seed_list(args.seeds) if args.seeds is not None else train_cfg.seeds
-    report = ppo.build_report(env_cfg, gains, actor, seeds)
+        run, actor, _critic = ppo.restore_from_checkpoint(data)
+    seeds = parse_seed_list(args.seeds) if args.seeds is not None else run.train.seeds
+    report = ppo.build_report(run.env, run.gains, actor, seeds)
     report_out = dict(report, manifest=MANIFEST_NAME, checkpoint=os.fspath(args.checkpoint))
     write_output(out_dir, "report.json", report_out)
     payload = {
-        "env": env_cfg.to_dict(),
-        "train": train_cfg.to_dict(),
-        "gains": gains.to_dict(),
+        "env": run.env.to_dict(),
+        "train": run.train.to_dict(),
+        "gains": run.gains.to_dict(),
         "seeds": list(seeds),
         "checkpoint": os.fspath(args.checkpoint),
     }
-    write_manifest(out_dir, "evaluate", payload, data.get("master_seed", 0),
+    write_manifest(out_dir, "evaluate", payload, run.master_seed,
                    outputs={"report_json": "report.json"})
     for row in report_out["per_seed"]:
         print(
@@ -388,7 +374,7 @@ def format_ablation_csv(rows: list[dict]) -> str:
 
 
 def cmd_ablate(args) -> int:
-    run = resolve_run(args)
+    run, variant = resolve_run(args)
     out_dir = ensure_out_dir(args)
     row_names = list(ABLATION_ROWS)
     if args.rows is not None:
@@ -400,7 +386,7 @@ def cmd_ablate(args) -> int:
             raise ConfigError(f"unknown ablation row(s) {unknown}; choose from {sorted(VARIANTS)}")
     if run.gains is None:
         # one shared PID baseline for every row keeps the comparison honest
-        run.gains, _ = tune_pid(run.env_cfg, list(run.train_cfg.seeds))
+        run = replace(run, gains=tune_pid(run.env, list(run.train.seeds))[0])
 
     rows, row_errors, failures = [], {}, []
     for name in row_names:
@@ -416,15 +402,8 @@ def cmd_ablate(args) -> int:
             "error": None,
         }
         try:
-            result = ppo.train(
-                run.train_cfg,
-                run.env_cfg,
-                reward_cfg=ppo.RewardConfig(kind=spec.reward_kind, alpha=spec.alpha),
-                policy_variant=spec.policy,
-                state_variant=spec.state,
-                master_seed=run.master_seed,
-                gains=run.gains,
-            )
+            result = ppo.train(replace(run, reward=ppo.RewardConfig(kind=spec.reward_kind, alpha=spec.alpha),
+                                       policy_variant=spec.policy, state_variant=spec.state))
         except (SpillRegError, FloatingPointError) as exc:
             failures.append(exc)
             row["error"] = f"{type(exc).__name__}: {exc}"
@@ -440,13 +419,13 @@ def cmd_ablate(args) -> int:
         rows.append(row)
 
     csv_path = write_output(out_dir, "ablation.csv", format_ablation_csv(rows))
-    payload = run.config_payload()
+    payload = config_payload(run, variant)
     payload["rows"] = row_names
     write_manifest(
         out_dir, "ablate", payload, run.master_seed,
         outputs={"ablation_csv": "ablation.csv"},
         extra={
-            "seed_schedule": list(run.train_cfg.seeds),
+            "seed_schedule": list(run.train.seeds),
             "shared_seed_schedule": True,
             "row_errors": row_errors,
         },

@@ -57,7 +57,7 @@ def split(flat: np.ndarray, shapes) -> list[np.ndarray]:
 class DenseNet:
     """A chain of affine layers with elementwise activations.
 
-    Layer i has the (out, in) shape dims[i] and the activation
+    Layer i has the (out, in) shape dims[i], both >= 1, and the activation
     activations[i]. Its weight and bias are weights[i] and biases[i], views
     into flat: zeros, unless the caller passes storage it owns (e.g. a slice
     of an actor's vector).
@@ -69,6 +69,8 @@ class DenseNet:
         for act in activations:
             if act not in ACTIVATIONS:
                 raise ShapeError(f"unknown activation {act!r}, expected one of {ACTIVATIONS}")
+        if any(n < 1 for shape in dims for n in shape):
+            raise ShapeError(f"every layer dim must be >= 1: {list(dims)}")
         for (_, n_in), (n_out, _) in zip(dims[1:], dims):
             if n_in != n_out:
                 raise ShapeError(f"layer dims do not chain: {list(dims)}")

@@ -27,9 +27,10 @@ Evaluation-grade episodes (baselines, reports) use the raw seeds directly so
 they are comparable across runs and tools. Fixed master seed means
 bit-identical parameters, curves, and checkpoints.
 
-Checkpoints and reports are plain data that cli writes: checkpoint_dict is
-a run's state, restore_from_checkpoint rebuilds the run from it (cli reads
-the file), and build_report returns metrics.report_dict's data.
+A Run (configs, gains, variants, master seed) is what train takes. Checkpoints
+and reports are plain data that cli writes: checkpoint_dict records a Run
+and its learners' state, restore_from_checkpoint rebuilds both from it (cli
+reads the file), and build_report returns metrics.report_dict's data.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .controllers import (
     feature_scales,
     make_actor,
     run_pid_episode,
-    tune_pid,
 )
 from .errors import CheckpointError, ConfigError, DivergenceError, SpillRegError
 from .gradnet import LossReport
@@ -137,6 +137,26 @@ class RewardConfig(ConfigRecord):
             raise ConfigError(f"reward kind must be one of {metrics.REWARD_KINDS}, got {self.kind!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"reward alpha must lie in [0, 1], got {self.alpha}")
+
+
+@dataclass(frozen=True)
+class Run:
+    """What train needs and a checkpoint records; train refuses gains of None.
+
+    A reward of None becomes the neg_ema reward at train.alpha.
+    """
+
+    env: EnvConfig
+    train: TrainConfig
+    gains: PidGains | None
+    reward: RewardConfig | None = None
+    policy_variant: str = "pid"
+    state_variant: str = "pid_act"
+    master_seed: int = 0
+
+    def __post_init__(self):
+        if self.reward is None:
+            object.__setattr__(self, "reward", RewardConfig("neg_ema", self.train.alpha))
 
 
 @dataclass(frozen=True)
@@ -362,51 +382,37 @@ class TrainResult:
     checkpoint: dict | None = None
 
 
-def train(
-    train_cfg: TrainConfig,
-    env_cfg: EnvConfig,
-    reward_cfg: RewardConfig | None = None,
-    policy_variant: str = "pid",
-    state_variant: str = "pid_act",
-    master_seed: int = 0,
-    gains: PidGains | None = None,
-    on_iteration: Callable[[int, dict], None] | None = None,
-) -> TrainResult:
-    """Full training run: tune (if needed), iterate collect/GAE/update, evaluate.
+def train(run: Run, on_iteration: Callable[[int, dict], None] | None = None) -> TrainResult:
+    """Full training run: iterate collect/GAE/update from the Run's master seed, then evaluate.
 
-    The env seed rotates through train_cfg.seeds every seed_rotation_period
+    The env seed rotates through run.train.seeds every seed_rotation_period
     episodes, so within one rotation slot every episode replays the same
     noise realization; the stochastic policy still sees different corrected
-    traces through its own exploration. On divergence the exception carries
-    the last good checkpoint in its .diagnostics["last_good"] entry.
+    traces through its own exploration. on_iteration(it, row) sees each
+    curve row. On divergence the exception carries the last good checkpoint
+    in its .diagnostics["last_good"] entry. A Run without gains raises
+    ConfigError.
     """
-    if reward_cfg is None:
-        reward_cfg = RewardConfig(kind="neg_ema", alpha=train_cfg.alpha)
-    if gains is None:
-        gains, _ = tune_pid(env_cfg, list(train_cfg.seeds))
+    if run.gains is None:
+        raise ConfigError("train needs PID gains; tune them first (controllers.tune_pid)")
+    env_cfg, train_cfg, gains = run.env, run.train, run.gains
 
-    init_rng = Xoshiro256StarStar(derive_seed(master_seed, STREAM_INIT))
-    actor = make_actor(policy_variant, state_variant, gains, init_rng)
-    critic = make_critic(STATE_DIMS[state_variant], init_rng)
-    sample_rng = Xoshiro256StarStar(derive_seed(master_seed, STREAM_SAMPLE))
-    shuffle_rng = Xoshiro256StarStar(derive_seed(master_seed, STREAM_SHUFFLE))
+    init_rng = Xoshiro256StarStar(derive_seed(run.master_seed, STREAM_INIT))
+    actor = make_actor(run.policy_variant, run.state_variant, gains, init_rng)
+    critic = make_critic(STATE_DIMS[run.state_variant], init_rng)
+    sample_rng = Xoshiro256StarStar(derive_seed(run.master_seed, STREAM_SAMPLE))
+    shuffle_rng = Xoshiro256StarStar(derive_seed(run.master_seed, STREAM_SHUFFLE))
 
     actor_opt = gradnet.optimizer_for(train_cfg.optimizer, actor.flat, train_cfg.lr)
     critic_opt = gradnet.optimizer_for(train_cfg.optimizer, critic.flat, train_cfg.lr)
 
-    def snapshot(iterations_done: int) -> dict:
-        return checkpoint_dict(
-            actor, critic, actor_opt, critic_opt, train_cfg, env_cfg, reward_cfg,
-            gains, policy_variant, state_variant, master_seed, iterations_done,
-        )
-
     curve_rows: list[dict] = []
-    last_good = snapshot(0)
+    last_good = checkpoint_dict(run, actor, critic, actor_opt, critic_opt, 0)
     for it in range(train_cfg.iterations):
         slot = (it // train_cfg.seed_rotation_period) % len(train_cfg.seeds)
         ep_seed = train_cfg.seeds[slot]
         try:
-            rollout = collect_rollout(env_cfg, ep_seed, actor, critic, reward_cfg, sample_rng)
+            rollout = collect_rollout(env_cfg, ep_seed, actor, critic, run.reward, sample_rng)
             advantages, returns = compute_gae(rollout.rewards, rollout.values, train_cfg.gamma, train_cfg.gae_lambda)
             ppo_update(actor, critic, rollout, normalize_advantages(advantages), returns, train_cfg,
                        shuffle_rng, actor_opt, critic_opt)
@@ -426,7 +432,7 @@ def train(
         if on_iteration is not None:
             on_iteration(it, row)
         last_good = None  # so that only one snapshot is alive at a time
-        last_good = snapshot(it + 1)
+        last_good = checkpoint_dict(run, actor, critic, actor_opt, critic_opt, it + 1)
 
     report = build_report(env_cfg, gains, actor, train_cfg.seeds)
     return TrainResult(actor=actor, report=report, curve_rows=curve_rows, checkpoint=last_good)
@@ -449,30 +455,27 @@ def _optimizer_to_dict(opt, learner) -> dict:
     return {"kind": "sgd", "lr": opt.lr, "step": opt.step}
 
 
-def checkpoint_dict(
-    actor, critic, actor_opt, critic_opt, train_cfg, env_cfg, reward_cfg,
-    gains, policy_variant, state_variant, master_seed, iterations_done,
-) -> dict:
+def checkpoint_dict(run: Run, actor, critic, actor_opt, critic_opt, iterations_done: int) -> dict:
     return {
         "format_version": CHECKPOINT_VERSION,
-        "policy_variant": policy_variant,
-        "state_variant": state_variant,
-        "master_seed": master_seed,
+        "policy_variant": run.policy_variant,
+        "state_variant": run.state_variant,
+        "master_seed": run.master_seed,
         "iterations_done": iterations_done,
         "actor": actor.to_dict(),
         "critic": gradnet.net_to_dict(critic),
-        "critic_feature_scales": [float(s) for s in feature_scales(state_variant)],
+        "critic_feature_scales": [float(s) for s in feature_scales(run.state_variant)],
         "actor_opt": _optimizer_to_dict(actor_opt, actor),
         "critic_opt": _optimizer_to_dict(critic_opt, critic),
-        "gains": gains.to_dict(),
-        "env": env_cfg.to_dict(),
-        "train": train_cfg.to_dict(),
-        "reward": reward_cfg.to_dict(),
+        "gains": run.gains.to_dict(),
+        "env": run.env.to_dict(),
+        "train": run.train.to_dict(),
+        "reward": run.reward.to_dict(),
     }
 
 
-def restore_from_checkpoint(data: dict):
-    """Rebuild (actor, critic, env_cfg, gains, train_cfg, reward_cfg) from a checkpoint dict.
+def restore_from_checkpoint(data: dict) -> tuple[Run, LinearActor | NnActor, gradnet.DenseNet]:
+    """Rebuild (run, actor, critic) from a checkpoint dict; master_seed defaults to 0.
 
     Raises CheckpointError on another format_version or when its parts disagree:
     the actor's kind or state variant is not the checkpoint's, or the critic
@@ -495,8 +498,9 @@ def restore_from_checkpoint(data: dict):
             f"critic maps {critic.in_dim} -> {critic.out_dim} values; state variant {state_variant!r} "
             f"needs {actor.state_dim + 1} -> 1"
         )
-    env_cfg = EnvConfig.from_dict(data["env"])
-    gains = PidGains.from_dict(data["gains"])
-    train_cfg = TrainConfig.from_dict(data["train"])
-    reward_cfg = RewardConfig.from_dict(data["reward"])
-    return actor, critic, env_cfg, gains, train_cfg, reward_cfg
+    run = Run(  # keywords keep the sections' check order: env, gains, train, reward
+        env=EnvConfig.from_dict(data["env"]), gains=PidGains.from_dict(data["gains"]),
+        train=TrainConfig.from_dict(data["train"]), reward=RewardConfig.from_dict(data["reward"]),
+        policy_variant=policy_variant, state_variant=state_variant, master_seed=data.get("master_seed", 0),
+    )
+    return run, actor, critic

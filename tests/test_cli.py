@@ -155,6 +155,27 @@ def test_train_iterations_flag_overrides_config(tmp_path, gains_file):
     assert len(rows) == 1 + 3
 
 
+# training reads the reward's alpha, so a train.alpha that differs would be
+# recorded in the manifest and checkpoint without being used
+@pytest.mark.parametrize("payload, argv, text", [
+    ({"train": {"alpha": 0.9}}, ["train", "--iterations", "0"], "train.alpha 0.9 differs from the reward alpha 0.5"),
+    ({"train": {"alpha": 0.9}, "variant": "ema01"}, ["simulate"], "train.alpha 0.9 differs from the reward alpha 0.1"),
+    ({"train": {"alpha": 0.9}, "reward": {"alpha": 0.3}}, ["ablate", "--iterations", "0", "--rows", "main"],
+     "train.alpha 0.9 differs from the reward alpha 0.3"),
+])
+def test_train_alpha_that_differs_from_the_reward_alpha_is_config_error(tmp_path, gains_file, capsys,
+                                                                         payload, argv, text):
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    assert run(*argv, "--config", cfg, "--gains", gains_file, "--out", out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert text in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    agreeing = write_config(tmp_path, {"train": {"alpha": 0.9}, "variant": "ema09"}, name="agreeing.json")
+    assert run("simulate", "--config", agreeing, "--out", out) == EXIT_OK
+
+
 def test_train_variant_selects_reward(tmp_path, gains_file):
     out = tmp_path / "t"
     assert run(
@@ -268,7 +289,7 @@ def test_ablate_exits_ok_when_some_row_trains(tmp_path, gains_file, capsys, monk
     real_train = ppo.train
 
     def nn_fails(*args, **kwargs):
-        if kwargs["policy_variant"] == "nn":
+        if args[0].policy_variant == "nn":
             raise cli.ConfigError("no nn today")
         return real_train(*args, **kwargs)
 
@@ -285,7 +306,7 @@ def test_train_and_ablate_call_ppo_train_through_the_module(tmp_path, gains_file
     real_train = ppo.train
 
     def recording_train(*args, **kwargs):
-        calls.append(kwargs["policy_variant"])
+        calls.append(args[0].policy_variant)
         return real_train(*args, **kwargs)
 
     monkeypatch.setattr(ppo, "train", recording_train)
@@ -526,6 +547,9 @@ def test_train_divergence_keeps_the_initial_checkpoint(tmp_path, capsys):
     ({"critic": {"layer_dims": [[2, 5]], "activations": ["identity"], "params": [[0.0] * 10, [0.0, 0.0]]}},
      "critic maps 5 -> 2"),
     ({"format_version": 99}, "format_version 99 unsupported"),
+    # a zero-width hidden layer would make a 5 -> 1 critic that outputs its bias
+    ({"critic": {"layer_dims": [[0, 5], [1, 0]], "activations": ["tanh", "identity"], "params": [[], [], [], [0.0]]}},
+     "every layer dim must be >= 1"),
 ])
 def test_evaluate_refuses_a_checkpoint_whose_parts_disagree(tmp_path, capsys, change, text):
     path = write_config(tmp_path, dict(LINEAR_CHECKPOINT, **change), name="checkpoint.json")

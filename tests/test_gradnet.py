@@ -195,6 +195,9 @@ def test_net_from_dict_refuses_malformed_records():
         net_from_dict(dict(data, layer_dims=[[4, 3], [2, 5]], params=[*data["params"][:2], [0.0] * 10, [0.0] * 2]))
     with pytest.raises(ValueError):  # the first weight list is one entry short
         net_from_dict(dict(data, params=[data["params"][0][:-1], *data["params"][1:]]))
+    for dims, params in (([[0, 3]], [[], []]), ([[0, 5], [1, 0]], [[], [], [], [0.0]])):
+        with pytest.raises(ShapeError, match="every layer dim must be >= 1"):
+            net_from_dict({"layer_dims": dims, "activations": ["identity"] * len(dims), "params": params})
 
 
 def test_sgd_step_exact():

@@ -31,6 +31,7 @@ from spillreg.errors import (
 from spillreg.ppo import (
     RewardConfig,
     Rollout,
+    Run,
     TrainConfig,
     collect_rollout,
     compute_gae,
@@ -584,7 +585,7 @@ def test_make_critic_widths():
 
 def test_train_zero_iterations_is_pid_parity(env_cfg, tuned_gains):
     cfg = TrainConfig(iterations=0, seeds=(0, 1))
-    result = train(cfg, env_cfg, master_seed=0, gains=tuned_gains)
+    result = train(Run(env_cfg, cfg, tuned_gains))
     for row in result.report["per_seed"]:
         assert row["sdf_rl"] == row["sdf_pid"]
     assert result.curve_rows == []
@@ -594,7 +595,7 @@ def test_train_smoke_and_checkpoint_round_trip(tmp_path, env_cfg, tuned_gains):
     cfg = TrainConfig(iterations=3, seeds=(0, 1), seed_rotation_period=2)
     seen = []
     result = train(
-        cfg, env_cfg, master_seed=5, gains=tuned_gains,
+        Run(env_cfg, cfg, tuned_gains, master_seed=5),
         on_iteration=lambda it, row: seen.append((it, row["seed"])),
     )
     assert [it for it, _ in seen] == [0, 1, 2]
@@ -606,19 +607,19 @@ def test_train_smoke_and_checkpoint_round_trip(tmp_path, env_cfg, tuned_gains):
 
     path = write_output(tmp_path, "ck.json", result.checkpoint, indent=None)
     data = load_json(path)
-    actor, critic, env2, gains2, cfg2, reward2 = restore_from_checkpoint(data)
-    assert env2 == env_cfg
-    assert gains2 == tuned_gains
-    assert cfg2 == cfg
+    run, actor, critic = restore_from_checkpoint(data)
+    assert run.env == env_cfg
+    assert run.gains == tuned_gains
+    assert run.train == cfg
     for seed in (0, 1):
-        assert evaluate_actor_sdf(env2, actor, seed) == evaluate_actor_sdf(
+        assert evaluate_actor_sdf(run.env, actor, seed) == evaluate_actor_sdf(
             env_cfg, result.actor, seed
         )
 
 
 def test_checkpoint_version_guard(tmp_path, env_cfg, tuned_gains):
     cfg = TrainConfig(iterations=0, seeds=(0,))
-    result = train(cfg, env_cfg, master_seed=0, gains=tuned_gains)
+    result = train(Run(env_cfg, cfg, tuned_gains))
     bad = dict(result.checkpoint, format_version=99)
     path = write_output(tmp_path, "bad.json", bad, indent=None)
     with pytest.raises(CheckpointError, match="format_version 99 unsupported"):
@@ -627,8 +628,32 @@ def test_checkpoint_version_guard(tmp_path, env_cfg, tuned_gains):
 
 def test_train_reward_defaults_to_config_alpha(env_cfg, tuned_gains):
     cfg = TrainConfig(iterations=1, seeds=(0,), alpha=0.9)
-    result = train(cfg, env_cfg, master_seed=0, gains=tuned_gains)
+    result = train(Run(env_cfg, cfg, tuned_gains))
     assert result.checkpoint["reward"] == {"kind": "neg_ema", "alpha": 0.9}
+
+
+@pytest.mark.parametrize("policy, state", [("pid", "pid3"), ("nn", "cd_over")])
+def test_checkpoint_round_trips_every_field_of_the_run(tmp_path, policy, state):
+    # no field at its default, so a field the checkpoint drops cannot come back by accident
+    run = Run(
+        spillsim.EnvConfig(steps_per_episode=120, ou_rho=0.8), TrainConfig(iterations=1, seeds=(3,), alpha=0.25),
+        GAINS, RewardConfig("neg_sum", 0.75), policy_variant=policy, state_variant=state, master_seed=2**64 - 1,
+    )
+    result = train(run)
+    data = load_json(write_output(tmp_path, "ck.json", result.checkpoint, indent=None))
+    restored, actor, critic = restore_from_checkpoint(data)
+    assert dataclasses.asdict(restored) == dataclasses.asdict(run)
+    assert restored == run
+    assert actor.to_dict() == result.actor.to_dict()
+    assert (actor.kind, actor.variant, critic.in_dim) == (policy, state, STATE_DIMS[state] + 1)
+    del data["master_seed"]  # a checkpoint without one was trained from master seed 0
+    assert restore_from_checkpoint(data)[0] == dataclasses.replace(run, master_seed=0)
+
+
+def test_train_refuses_a_run_without_gains(env_cfg):
+    run = Run(env_cfg, TrainConfig(iterations=1, seeds=(0,)), None)
+    with pytest.raises(ConfigError, match="train needs PID gains"):
+        train(run)
 
 
 def test_curve_csv_round_trips_exactly():
