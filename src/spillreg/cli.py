@@ -182,8 +182,6 @@ def resolve_run(args) -> tuple[ppo.Run, VariantSpec]:
             check_seed(master_seed, "--seed")
         else:
             master_seed = file_cfg.get("master_seed", 0)
-            if type(master_seed) is not int:  # neither a float nor a bool
-                raise ConfigError(f"master_seed must be an integer, got {master_seed!r}")
             check_seed(master_seed, "master_seed")
 
         gains = None

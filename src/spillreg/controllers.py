@@ -21,7 +21,8 @@ During an episode StateTracker.push returns each step's features as a plain
 tuple of floats; the actors act on those tuples. Each actor keeps all its
 trainable parameters in one float64 vector, `flat`, whose trailing entry is
 log_std; parameters() and log_std_arr are views into it, and mean() reads
-it live. A rollout, in which the policy does not change, reads it once per
+it live. move_to places that vector in a slice of a larger one (the PPO
+trainer's vector of actor and critic parameters). A rollout, in which the policy does not change, reads it once per
 episode through sampler().
 
 Exploration is a Gaussian over the mean action with a learnable log_std,
@@ -366,13 +367,17 @@ class LinearActor(gradnet.GaussianPolicy):
             raise ShapeError(f"variant {variant!r} takes {dim} weights, got {len(values) - 2}")
         # flat[:-1] / _unscale is (weights, bias) exactly
         self._unscale = np.append(self._scales, 1.0)
-        self.flat = np.asarray(values, dtype=np.float64)
+        flat = np.asarray(values, dtype=np.float64)
         with np.errstate(over="ignore"):
-            self.flat[:dim] *= self._scales
-        if not np.isfinite(self.flat).all():  # a scaled weight may overflow
+            flat[:dim] *= self._scales
+        if not np.isfinite(flat).all():  # a scaled weight may overflow
             raise InputError("policy parameters must be finite")
-        self.flat[-1] = clamp_log_std(values[-1])
-        self._w, self._bias, self.log_std_arr = gradnet.split(self.flat, [(dim,), (1,), (1,)])
+        flat[-1] = clamp_log_std(values[-1])
+        self._view(flat)
+
+    def _view(self, flat: np.ndarray) -> None:
+        self.flat = flat
+        self._w, self._bias, self.log_std_arr = gradnet.split(flat, [(self.state_dim,), (1,), (1,)])
 
     @classmethod
     def from_gains(cls, gains: PidGains, variant: str) -> "LinearActor":
@@ -474,17 +479,17 @@ class NnActor(gradnet.GaussianPolicy):
             )
         self.variant = variant
         self.state_dim = STATE_DIMS[variant]
-        # one vector flat = [net parameters, log_std]; the net's arrays and
-        # log_std_arr are views into it
-        n = net.flat.size
-        self.flat = np.empty(n + 1, dtype=np.float64)
-        self.flat[:n] = net.flat
-        self.net = gradnet.DenseNet([w.shape for w in net.weights], net.activations, self.flat[:n])
-        self.log_std_arr = self.flat[n:]
-        self.log_std_arr[0] = clamp_log_std(log_std)
+        # one vector flat = [net parameters, log_std]; _view puts a net of
+        # net's layout over it, and log_std_arr is a view into it
+        self.net = net
+        self._view(np.append(net.flat, clamp_log_std(log_std)))
         # the net is defined over features/scale; scales are part of the
         # serialized function, not just a training detail
         self._scales = feature_scales(variant) if scales is None else np.asarray(scales, dtype=np.float64)
+
+    def _view(self, flat: np.ndarray) -> None:
+        self.flat, self.log_std_arr = flat, flat[-1:]
+        self.net = gradnet.DenseNet([w.shape for w in self.net.weights], self.net.activations, flat[:-1])
 
     @classmethod
     def fresh(cls, variant: str, rng: Xoshiro256StarStar, log_std: float = -1.0) -> "NnActor":

@@ -8,17 +8,22 @@ sum(output * grad_output) with respect to every parameter, summed over the
 batch, so per-sample loss weights belong in grad_output. All math is
 float64 numpy.
 
-The pass is lean but keeps every product of the textbook one, with the same
-operand shapes and layouts: h @ W.T + b forward (bias added in place),
-g.T @ inputs and g @ W backward. The tape keeps no pre-activations (tanh'
-is 1 - out^2), and an identity layer passes g on without a multiply by ones.
+The pass is lean but keeps every result of the textbook one bit for bit:
+h @ W.T + b forward (bias added in place), g.T @ inputs and g @ W backward,
+with the same operand shapes and layouts. The tape keeps no pre-activations
+(tanh' is 1 - out^2), and an identity layer passes g on without a multiply
+by ones. Through a one-output layer (the critic's and the NN actor's last),
+g @ W has inner dimension 1, which numpy computes as 0 + g*W per element in
+a loop of its own; backward computes that sum elementwise instead.
 
 Parameter layout: a DenseNet is its layers' (out, in) shapes, their
 activations and one contiguous float64 vector, `flat` = [W0, b0, W1, b1,
 ...] row-major. weights[i] and biases[i] are views into flat, so writing
 through them changes the net. backward returns the parameter gradient in
 the same layout, written into a caller's buffer if given (cut into
-per-array views once per buffer).
+per-array views once per buffer). A net and the policy heads are
+FlatParameters: move_to places one in a slice of a larger vector, so that
+the PPO trainer holds the actor and the critic in one vector.
 
 Policy heads and the PPO objective: the Gaussian exploration math shared by
 controllers' LinearActor and NnActor (log_std clamp, log probability, and
@@ -28,7 +33,10 @@ minibatch.
 
 Optimizers: bias-corrected Adam (the default throughout the package) and
 plain SGD. Each keeps its state over one flat parameter vector and updates
-that vector in place from one flat gradient of the same shape.
+that vector in place from one flat gradient of the same shape. Both are
+elementwise, so one state over two learners' joined vectors steps each
+learner exactly as a state of its own would at the same step count; a PPO
+run keeps one parameter vector and one optimizer state.
 """
 
 from __future__ import annotations
@@ -54,7 +62,27 @@ def split(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
-class DenseNet:
+class FlatParameters:
+    """A learner whose parameters are views into one float64 vector, flat.
+
+    _view(flat) makes those views; move_to lets a caller place several
+    learners in one vector that one optimizer state steps.
+    """
+
+    flat: np.ndarray
+
+    def _view(self, flat: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def move_to(self, flat: np.ndarray) -> None:
+        """Copy the parameters into flat, a vector shaped like self.flat, and view them there from now on."""
+        if flat.shape != self.flat.shape:
+            raise ShapeError(f"storage shape {flat.shape} does not hold {self.flat.size} parameters")
+        flat[...] = self.flat
+        self._view(flat)
+
+
+class DenseNet(FlatParameters):
     """A chain of affine layers with elementwise activations.
 
     Layer i has the (out, in) shape dims[i], both >= 1, and the activation
@@ -80,14 +108,19 @@ class DenseNet:
             flat = np.zeros(size)
         elif flat.shape != (size,):
             raise ShapeError(f"flat storage shape {flat.shape} does not hold {size} parameters")
-        self.flat = flat
-        views = self.unflatten(flat)
-        self.weights, self.biases, self.activations = views[::2], views[1::2], tuple(activations)
+        self.activations = tuple(activations)
         self.version = 0  # bumped by whoever mutates the parameters
-        # what forward reads per layer, and backward's views of its last `out`
-        self._plan = list(zip([w.T for w in self.weights], self.biases, self.activations))
+        self._view(flat)
+        # backward's views of the last `out` it was given
         self._grad_flat: np.ndarray | None = None
         self._grad_split: list[np.ndarray] = []
+
+    def _view(self, flat: np.ndarray) -> None:
+        self.flat = flat
+        views = self.unflatten(flat)
+        self.weights, self.biases = views[::2], views[1::2]
+        # what forward reads per layer
+        self._plan = list(zip([w.T for w in self.weights], self.biases, self.activations))
 
     @property
     def in_dim(self) -> int:
@@ -164,8 +197,16 @@ def backward(net: DenseNet, tape: Tape, grad_output: np.ndarray, out: np.ndarray
             ga = g
         np.matmul(ga.T, acts[idx], out=views[2 * idx])
         np.add.reduce(ga, axis=0, out=views[2 * idx + 1])
-        if idx:
-            g = ga @ net.weights[idx]
+        if not idx:
+            break
+        weight = net.weights[idx]
+        if weight.shape[0] == 1:
+            # numpy runs a product of inner dimension 1 through its own loop,
+            # 0 + a*b per element; this is that sum, without the loop's cost
+            g = ga * weight
+            g += 0.0
+        else:
+            g = ga @ weight
     return flat
 
 
@@ -258,14 +299,16 @@ def optimizer_step(opt: AdamState | SgdState, params: np.ndarray, grads: np.ndar
         sgd_step(opt, params, grads)
 
 
+def nonfinite_gradient(coord: int, step: int) -> DivergenceError:
+    """The error of a gradient whose first non-finite entry is at coord, before update step+1."""
+    return DivergenceError(f"non-finite gradient at coordinate {coord}", step=step, diagnostics={"coordinate": coord})
+
+
 def _check_grads(params: np.ndarray, grads: np.ndarray, step: int) -> None:
     if params.shape != np.shape(grads):
         raise ShapeError(f"gradient shape {np.shape(grads)} does not match parameter shape {params.shape}")
     if not np.isfinite(grads).all():
-        coord = int(np.flatnonzero(~np.isfinite(grads))[0])
-        raise DivergenceError(
-            f"non-finite gradient at coordinate {coord}", step=step, diagnostics={"coordinate": coord}
-        )
+        raise nonfinite_gradient(int(np.flatnonzero(~np.isfinite(grads))[0]), step)
 
 
 # --- Gaussian policy heads and the PPO objective ---------------------------
@@ -317,7 +360,7 @@ def episode_sampler(mean, log_std_arr: np.ndarray, rng):
     return draw
 
 
-class GaussianPolicy:
+class GaussianPolicy(FlatParameters):
     """What the policy heads share: a mean over scaled states (states /
     self._scales) and Gaussian exploration around it, std exp(log_std_arr[0])."""
 
@@ -358,7 +401,7 @@ def surrogate_grads(actor, critic: DenseNet, actor_x, critic_x, actions, logp_ol
     logp_new = -0.5 * z * z - log_std - _HALF_LOG_TWO_PI
     ratio = np.exp(logp_new - logp_old)
     surr1 = ratio * advantages
-    clipped_ratio = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
+    clipped_ratio = np.minimum(np.maximum(ratio, 1.0 - cfg.clip_eps), 1.0 + cfg.clip_eps)
     surr2 = clipped_ratio * advantages
     per_sample = np.minimum(surr1, surr2)
     # float(a.mean()) is float(np.add.reduce(a)) / n, bit for bit

@@ -7,16 +7,20 @@ gradients come from gradnet; no autograd framework is involved, so the
 gradient of the Gaussian log-probability and of the clipped ratio objective
 are written out explicitly in gradnet.surrogate_grads.
 
-Each learner (the actor and the critic) keeps its parameters in one flat
-vector, `flat`, and one optimizer state (gradnet.optimizer_for) steps that
-vector in place. The rollout reads the policy once per episode
+A run keeps the parameters of both learners in one float64 vector,
+params = [actor.flat | critic.flat] (join_parameters), and one optimizer
+state (gradnet.optimizer_for) steps all of it in place, once per minibatch.
+Adam and SGD are elementwise and both learners share lr, betas, eps and the
+step count, so this steps each learner exactly as a state of its own would.
+Checkpoints still record one optimizer state per learner, cut from the one.
+The rollout reads the policy once per episode
 (actor.sampler), collects each step's feature tuple, action, log probability
 and reward in lists and returns them as one immutable Rollout, with the
 critic's inputs and values of its states. ppo_update builds the actor's
 scaled features once per update, reuses the rollout's critic inputs, and
-writes every minibatch's gradient into one buffer per learner. Each epoch
-draws its shuffle keys in bulk (Xoshiro256StarStar.randoms), gathers the
-rows once in the shuffled order, and takes each minibatch as a slice of
+writes every minibatch's gradient into one buffer laid out like params. Each
+epoch draws its shuffle keys in bulk (Xoshiro256StarStar.randoms), gathers
+the rows once in the shuffled order, and takes each minibatch as a slice of
 contiguous rows, so its products see the layouts the per-minibatch gather
 gave them.
 
@@ -102,14 +106,14 @@ class TrainConfig(ConfigRecord):
             raise ConfigError(f"gamma must lie in (0, 1], got {self.gamma}")
         if not 0.0 <= self.gae_lambda <= 1.0:
             raise ConfigError(f"gae_lambda must lie in [0, 1], got {self.gae_lambda}")
-        if not self.clip_eps > 0:
-            raise ConfigError(f"clip_eps must be > 0, got {self.clip_eps}")
+        if not (self.clip_eps > 0 and math.isfinite(self.clip_eps)):
+            raise ConfigError(f"clip_eps must be finite and > 0, got {self.clip_eps}")
         for name, low in (("epochs_per_iter", 1), ("minibatch", 1), ("iterations", 0), ("seed_rotation_period", 1)):
             value = getattr(self, name)
             if type(value) is not int or value < low:  # bool is not a count
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value}")
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not self.seeds:
@@ -118,8 +122,8 @@ class TrainConfig(ConfigRecord):
             check_seed(seed, "seeds entry")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
-        if not 0.0 <= self.value_coef:
-            raise ConfigError(f"value_coef must be >= 0, got {self.value_coef}")
+        if not (0.0 <= self.value_coef and math.isfinite(self.value_coef)):
+            raise ConfigError(f"value_coef must be finite and >= 0, got {self.value_coef}")
         if not math.isfinite(self.entropy_coef):
             raise ConfigError(f"entropy_coef must be finite, got {self.entropy_coef}")
 
@@ -279,6 +283,15 @@ def normalize_advantages(advantages: np.ndarray) -> np.ndarray:
     return (adv - adv.mean()) / (adv.std() + 1e-8)
 
 
+def join_parameters(actor, critic: gradnet.DenseNet) -> np.ndarray:
+    """Move both learners into one new vector, [actor.flat | critic.flat], and return it."""
+    split = actor.flat.size
+    params = np.empty(split + critic.flat.size)
+    actor.move_to(params[:split])
+    critic.move_to(params[split:])
+    return params
+
+
 def ppo_update(
     actor,
     critic: gradnet.DenseNet,
@@ -287,16 +300,26 @@ def ppo_update(
     returns: np.ndarray,
     cfg: TrainConfig,
     rng: Xoshiro256StarStar,
-    actor_opt: gradnet.AdamState | gradnet.SgdState,
-    critic_opt: gradnet.AdamState | gradnet.SgdState,
+    params: np.ndarray,
+    opt: gradnet.AdamState | gradnet.SgdState,
 ) -> LossReport:
     """Clipped-surrogate update: epochs_per_iter passes of shuffled minibatches.
 
-    actor_opt and critic_opt hold the optimizer state of actor.flat and
-    critic.flat (gradnet.optimizer_for). The actor's inputs are built once per
-    update and the critic's are rollout.critic_x; each epoch gathers the rows
-    once in its shuffled order, so a minibatch is a slice of contiguous rows.
-    One gradient buffer per learner takes every minibatch's gradient.
+    params is join_parameters(actor, critic) and opt its optimizer state
+    (gradnet.optimizer_for). The actor's inputs are built once per update
+    and the critic's are rollout.critic_x; each epoch gathers the rows once
+    in its shuffled order, so a minibatch is a slice of contiguous rows. One
+    gradient buffer laid out like params takes every minibatch's gradient,
+    and one optimizer step updates both learners.
+
+    Errors are those of one optimizer state per learner, actor first: a
+    non-finite gradient names its coordinate within its own learner. One
+    case differs. If the actor's parameters overflow in a minibatch whose
+    critic gradient is non-finite, the error names the critic gradient,
+    because the one check precedes the one step; a step per learner
+    stepped the actor first and named its parameters. After a
+    DivergenceError the learners and opt are partly updated, in another way
+    than with a state per learner; train reports its last good checkpoint.
     """
     n = rollout.actions.size
     if cfg.minibatch > n:
@@ -304,11 +327,12 @@ def ppo_update(
     columns = (
         actor.scale(rollout.states), rollout.critic_x, rollout.actions, rollout.log_probs, advantages, returns,
     )
-    actor_grads, critic_grads = np.empty_like(actor.flat), np.empty_like(critic.flat)
-    # the mean part is one view for the whole update: backward cuts a buffer
+    split = actor.flat.size
+    grads = np.empty_like(params)
+    # the views stay the same for the whole update: backward cuts a buffer
     # into per-array views only the first time it is given that buffer
-    grads = (actor_grads, actor_grads[:-1], critic_grads)
-    sums = np.zeros(4)
+    parts = (grads[:split], grads[:split - 1], grads[split:])
+    sums = (0.0, 0.0, 0.0, 0.0)
     batches = 0
     for _ in range(cfg.epochs_per_iter):
         # argsort of iid uniforms is a uniform random permutation
@@ -316,14 +340,19 @@ def ppo_update(
         rows = [column[perm] for column in columns]
         for start in range(0, n, cfg.minibatch):
             stop = start + cfg.minibatch
-            components = gradnet.surrogate_grads(actor, critic, *[r[start:stop] for r in rows], cfg, grads)
-            gradnet.optimizer_step(actor_opt, actor.flat, actor_grads)
+            components = gradnet.surrogate_grads(actor, critic, *[r[start:stop] for r in rows], cfg, parts)
+            try:
+                gradnet.optimizer_step(opt, params, grads)
+            except DivergenceError as exc:
+                coord = exc.diagnostics.get("coordinate", -1)
+                if coord < split:
+                    raise
+                raise gradnet.nonfinite_gradient(coord - split, exc.step) from None
             actor.finalize_update()
-            gradnet.optimizer_step(critic_opt, critic.flat, critic_grads)
             critic.bump_version()
-            sums += components
+            sums = tuple(map(operator.add, sums, components))
             batches += 1
-    return LossReport(*(float(m) for m in sums / batches))
+    return LossReport(*(s / batches for s in sums))
 
 
 def make_critic(state_dim: int, rng: Xoshiro256StarStar) -> gradnet.DenseNet:
@@ -403,11 +432,11 @@ def train(run: Run, on_iteration: Callable[[int, dict], None] | None = None) -> 
     sample_rng = Xoshiro256StarStar(derive_seed(run.master_seed, STREAM_SAMPLE))
     shuffle_rng = Xoshiro256StarStar(derive_seed(run.master_seed, STREAM_SHUFFLE))
 
-    actor_opt = gradnet.optimizer_for(train_cfg.optimizer, actor.flat, train_cfg.lr)
-    critic_opt = gradnet.optimizer_for(train_cfg.optimizer, critic.flat, train_cfg.lr)
+    params = join_parameters(actor, critic)
+    opt = gradnet.optimizer_for(train_cfg.optimizer, params, train_cfg.lr)
 
     curve_rows: list[dict] = []
-    last_good = checkpoint_dict(run, actor, critic, actor_opt, critic_opt, 0)
+    last_good = checkpoint_dict(run, actor, critic, opt, 0)
     for it in range(train_cfg.iterations):
         slot = (it // train_cfg.seed_rotation_period) % len(train_cfg.seeds)
         ep_seed = train_cfg.seeds[slot]
@@ -415,7 +444,7 @@ def train(run: Run, on_iteration: Callable[[int, dict], None] | None = None) -> 
             rollout = collect_rollout(env_cfg, ep_seed, actor, critic, run.reward, sample_rng)
             advantages, returns = compute_gae(rollout.rewards, rollout.values, train_cfg.gamma, train_cfg.gae_lambda)
             ppo_update(actor, critic, rollout, normalize_advantages(advantages), returns, train_cfg,
-                       shuffle_rng, actor_opt, critic_opt)
+                       shuffle_rng, params, opt)
         except DivergenceError as exc:
             exc.diagnostics["iteration"] = it
             exc.diagnostics["last_good"] = last_good
@@ -432,7 +461,7 @@ def train(run: Run, on_iteration: Callable[[int, dict], None] | None = None) -> 
         if on_iteration is not None:
             on_iteration(it, row)
         last_good = None  # so that only one snapshot is alive at a time
-        last_good = checkpoint_dict(run, actor, critic, actor_opt, critic_opt, it + 1)
+        last_good = checkpoint_dict(run, actor, critic, opt, it + 1)
 
     report = build_report(env_cfg, gains, actor, train_cfg.seeds)
     return TrainResult(actor=actor, report=report, curve_rows=curve_rows, checkpoint=last_good)
@@ -449,13 +478,20 @@ def format_curve_csv(rows: list[dict]) -> str:
 
 # --- checkpoints ------------------------------------------------------------
 
-def _optimizer_to_dict(opt, learner) -> dict:
+def _optimizer_records(opt, actor, critic) -> tuple[dict, dict]:
+    """The one state over [actor.flat | critic.flat] as one record per learner."""
     if isinstance(opt, gradnet.AdamState):
-        return gradnet.adam_to_dict(opt, learner.parameters())
-    return {"kind": "sgd", "lr": opt.lr, "step": opt.step}
+        actor_params = actor.parameters()
+        record = gradnet.adam_to_dict(opt, [*actor_params, *critic.parameters()])
+        k = len(actor_params)
+        return (dict(record, m=record["m"][:k], v=record["v"][:k]),
+                dict(record, m=record["m"][k:], v=record["v"][k:]))
+    record = {"kind": "sgd", "lr": opt.lr, "step": opt.step}
+    return record, dict(record)
 
 
-def checkpoint_dict(run: Run, actor, critic, actor_opt, critic_opt, iterations_done: int) -> dict:
+def checkpoint_dict(run: Run, actor, critic, opt, iterations_done: int) -> dict:
+    actor_opt, critic_opt = _optimizer_records(opt, actor, critic)
     return {
         "format_version": CHECKPOINT_VERSION,
         "policy_variant": run.policy_variant,
@@ -465,8 +501,8 @@ def checkpoint_dict(run: Run, actor, critic, actor_opt, critic_opt, iterations_d
         "actor": actor.to_dict(),
         "critic": gradnet.net_to_dict(critic),
         "critic_feature_scales": [float(s) for s in feature_scales(run.state_variant)],
-        "actor_opt": _optimizer_to_dict(actor_opt, actor),
-        "critic_opt": _optimizer_to_dict(critic_opt, critic),
+        "actor_opt": actor_opt,
+        "critic_opt": critic_opt,
         "gains": run.gains.to_dict(),
         "env": run.env.to_dict(),
         "train": run.train.to_dict(),
@@ -477,9 +513,10 @@ def checkpoint_dict(run: Run, actor, critic, actor_opt, critic_opt, iterations_d
 def restore_from_checkpoint(data: dict) -> tuple[Run, LinearActor | NnActor, gradnet.DenseNet]:
     """Rebuild (run, actor, critic) from a checkpoint dict; master_seed defaults to 0.
 
-    Raises CheckpointError on another format_version or when its parts disagree:
-    the actor's kind or state variant is not the checkpoint's, or the critic
-    does not map the state variant's features plus episode time to one value.
+    Raises CheckpointError on another format_version, on a master_seed that
+    is not an integer in [0, 2**64), or when its parts disagree: the actor's
+    kind or state variant is not the checkpoint's, or the critic does not
+    map the state variant's features plus episode time to one value.
     """
     version = data.get("format_version")
     if version != CHECKPOINT_VERSION:
@@ -498,9 +535,11 @@ def restore_from_checkpoint(data: dict) -> tuple[Run, LinearActor | NnActor, gra
             f"critic maps {critic.in_dim} -> {critic.out_dim} values; state variant {state_variant!r} "
             f"needs {actor.state_dim + 1} -> 1"
         )
+    master_seed = data.get("master_seed", 0)
+    check_seed(master_seed, "checkpoint master_seed", CheckpointError)
     run = Run(  # keywords keep the sections' check order: env, gains, train, reward
         env=EnvConfig.from_dict(data["env"]), gains=PidGains.from_dict(data["gains"]),
         train=TrainConfig.from_dict(data["train"]), reward=RewardConfig.from_dict(data["reward"]),
-        policy_variant=policy_variant, state_variant=state_variant, master_seed=data.get("master_seed", 0),
+        policy_variant=policy_variant, state_variant=state_variant, master_seed=master_seed,
     )
     return run, actor, critic

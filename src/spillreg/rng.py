@@ -32,14 +32,16 @@ def _finalize(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def check_seed(seed: int, name: str) -> None:
-    """Raise a ConfigError naming seed unless it lies in [0, 2**64).
+def check_seed(seed: int, name: str, error: type[Exception] = ConfigError) -> None:
+    """Raise error, naming seed, unless it is an int (not a bool) in [0, 2**64).
 
     The generators reduce a seed mod 2**64, so a seed outside that range
     would silently run as another one (-1 as 2**64 - 1, 2**64 as 0).
     """
+    if type(seed) is not int:  # neither a float, a string nor a bool
+        raise error(f"{name} must be an integer, got {seed!r}")
     if not 0 <= seed <= _MASK64:
-        raise ConfigError(f"{name} must lie in [0, 2**64), got {seed}")
+        raise error(f"{name} must lie in [0, 2**64), got {seed}")
 
 
 def splitmix64(state: int) -> tuple[int, int]:

@@ -20,8 +20,10 @@ None of these is used by the package itself:
   gradnet.surrogate_grads) and ppo.ppo_update as they were before the lean
   inner loop: a tape of pre-activations, a multiply by
   the activation derivative on every layer (ones for identity), the critic
-  inputs, shuffle keys and gradients rebuilt per minibatch. The package's
-  versions must match them bit for bit;
+  inputs, shuffle keys and gradients rebuilt per minibatch, and an
+  optimizer state per learner where ppo.ppo_update now steps one state over
+  both learners' joined parameters. The package's versions must match them
+  bit for bit;
 - compute_gae is ppo.compute_gae as it was, on numpy scalars, with its
   per-step dones column.
 - init_dense_weights draws gradnet.init_dense's weights as it did before

@@ -492,6 +492,35 @@ def test_nonfinite_env_value_is_config_error(tmp_path, capsys):
     assert "dt must be finite" in capsys.readouterr().err
 
 
+# JSON's 1e400 parses to inf; before this check, lr inf diverged in iteration 0 (exit 3)
+@pytest.mark.parametrize("field", ["lr", "value_coef", "clip_eps"])
+def test_nonfinite_train_value_is_config_error(tmp_path, gains_file, capsys, field):
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"train": {"%s": 1e400}}' % field, encoding="utf-8")
+    argv = ("train", "--gains", gains_file, "--config", cfg, "--iterations", "1", "--out", tmp_path / "o")
+    assert run(*argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{field} must be finite" in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not (tmp_path / "o" / MANIFEST_NAME).exists()
+
+
+@pytest.mark.parametrize("seed, text", [
+    ("x", "must be an integer, got 'x'"),
+    (1.5, "must be an integer, got 1.5"),
+    (True, "must be an integer, got True"),
+    (-1, "must lie in [0, 2**64), got -1"),
+    (2**64, f"must lie in [0, 2**64), got {2**64}"),
+])
+def test_evaluate_refuses_a_checkpoint_master_seed_outside_64_bits(tmp_path, capsys, seed, text):
+    path = write_config(tmp_path, dict(LINEAR_CHECKPOINT, master_seed=seed), name="checkpoint.json")
+    assert run("evaluate", "--checkpoint", path, "--out", tmp_path / "o") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"checkpoint master_seed {text}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / MANIFEST_NAME).exists()
+
+
 # finite weights whose trainable form (times the feature scales 8 and 4096) overflows
 @pytest.mark.parametrize("weights", [[0.0, 0.0, 1e308], [0.0, 3e307, 0.0]])
 def test_evaluate_refuses_a_policy_whose_scaled_weights_overflow(tmp_path, capsys, weights):

@@ -337,6 +337,24 @@ def test_forward_backward_match_the_reference_bit_for_bit(in_dim, hidden, out_di
     for _ in range(2):
         assert backward(net, tape, probe, buffer) is buffer
         assert buffer.tobytes() == ref_flat.tobytes()
+    # a zero gradient row: through a one-output layer its products with
+    # negative weights are -0.0, which g @ W's 0 + g*W turns into +0.0
+    probe[0] = 0.0
+    assert backward(net, tape, probe).tobytes() == oracles.dense_backward(net, ref_tape, probe).tobytes()
+
+
+def test_one_output_product_is_the_elementwise_sum_bit_for_bit():
+    """g @ W of inner dimension 1 is 0 + g*W per element, as backward computes it: -0.0 products become +0.0.
+
+    Every later sum in backward starts from +0.0, so the sign of such a zero
+    never reaches a gradient; this pins the product itself.
+    """
+    g = np.array([[0.0], [-0.0], [1.5], [-2.0], [1e-200]])
+    weight = np.array([[-1.0, 2.0, -0.0, 0.0, 1e-200, -3.0]])
+    product = g * weight
+    assert product.tobytes() != (g @ weight).tobytes()  # bare products keep their -0.0
+    product += 0.0
+    assert product.tobytes() == (g @ weight).tobytes()
 
 
 # --- flat optimizers against the per-array reference ------------------------------

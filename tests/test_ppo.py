@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -98,6 +99,11 @@ def test_train_config_defaults():
         {"minibatch": 64.0},
         {"epochs_per_iter": 2.5},
         {"seed_rotation_period": 1.5},
+        # JSON's 1e400 reads as inf
+        {"lr": math.inf},
+        {"lr": math.nan},
+        {"value_coef": math.inf},
+        {"clip_eps": math.inf},
     ],
 )
 def test_train_config_validation(kwargs):
@@ -420,31 +426,51 @@ def collected_update_inputs(env_cfg, actor, critic, seed=0):
     return rollout, normalize_advantages(adv), ret
 
 
-def opt_pair(actor, critic, cfg):
-    actor_opt = gradnet.optimizer_for(cfg.optimizer, actor.flat, cfg.lr)
-    critic_opt = gradnet.optimizer_for(cfg.optimizer, critic.flat, cfg.lr)
-    return actor_opt, critic_opt
+def joint_opt(actor, critic, cfg):
+    """(params, opt): both learners in one vector, as train holds them, and its optimizer state."""
+    params = ppo.join_parameters(actor, critic)
+    return params, gradnet.optimizer_for(cfg.optimizer, params, cfg.lr)
+
+
+def forward_bytes(net, x):
+    return gradnet.forward(net, x)[0].tobytes()
+
+
+def test_join_parameters_keeps_both_learners_as_views():
+    for kind in ("pid", "nn"):
+        actor, critic = fresh_actor(kind=kind), fresh_critic()
+        x = np.random.default_rng(0).normal(size=(3, 5))
+        before = [actor.flat.copy(), critic.flat.copy(), forward_bytes(critic, x), actor.to_dict()]
+        params = ppo.join_parameters(actor, critic)
+        assert params.tobytes() == before[0].tobytes() + before[1].tobytes()
+        assert [forward_bytes(critic, x), actor.to_dict()] == before[2:]
+        params[:] = 0.5  # every parameter array of both learners now reads the vector
+        views = [*actor.parameters(), *critic.parameters(), actor.log_std_arr]
+        if kind == "nn":
+            views += [*actor.net.weights, *actor.net.biases]
+        assert all((view == 0.5).all() for view in views)
 
 
 def test_ppo_update_rejects_oversized_minibatch(env_cfg):
     actor, critic = fresh_actor(), fresh_critic()
     inputs = collected_update_inputs(env_cfg, actor, critic)
     cfg = TrainConfig(minibatch=env_cfg.steps_per_episode + 1)
-    a_opt, c_opt = opt_pair(actor, critic, cfg)
     with pytest.raises(ConfigError):
-        ppo_update(actor, critic, *inputs, cfg, Xoshiro256StarStar(0), a_opt, c_opt)
+        ppo_update(actor, critic, *inputs, cfg, Xoshiro256StarStar(0), *joint_opt(actor, critic, cfg))
 
 
 def test_zero_advantages_leave_actor_untouched(env_cfg):
     actor, critic = fresh_actor(), fresh_critic()
     rollout, adv, ret = collected_update_inputs(env_cfg, actor, critic)
     cfg = TrainConfig(epochs_per_iter=2)
-    a_opt, c_opt = opt_pair(actor, critic, cfg)
+    params, opt = joint_opt(actor, critic, cfg)
     before = [p.copy() for p in actor.parameters()]
-    ppo_update(actor, critic, rollout, np.zeros_like(adv), ret, cfg, Xoshiro256StarStar(0), a_opt, c_opt)
+    critic_before = critic.flat.copy()
+    ppo_update(actor, critic, rollout, np.zeros_like(adv), ret, cfg, Xoshiro256StarStar(0), params, opt)
     after = actor.parameters()
     for b, a in zip(before, after):
         assert np.array_equal(b, a)
+    assert not np.array_equal(critic.flat, critic_before)  # the one step still moved the critic
 
 
 def test_ppo_update_is_deterministic(env_cfg):
@@ -454,9 +480,8 @@ def test_ppo_update_is_deterministic(env_cfg):
         actor, critic = fresh_actor(), fresh_critic()
         inputs = collected_update_inputs(env_cfg, actor, critic)
         cfg = TrainConfig(epochs_per_iter=2)
-        a_opt, c_opt = opt_pair(actor, critic, cfg)
         reports.append(
-            ppo_update(actor, critic, *inputs, cfg, Xoshiro256StarStar(7), a_opt, c_opt)
+            ppo_update(actor, critic, *inputs, cfg, Xoshiro256StarStar(7), *joint_opt(actor, critic, cfg))
         )
         finals.append([p.copy() for p in actor.parameters()[:-1]])
     assert reports[0] == reports[1]
@@ -468,12 +493,12 @@ def test_repeated_updates_reduce_value_loss(env_cfg):
     actor, critic = fresh_actor(), fresh_critic()
     inputs = collected_update_inputs(env_cfg, actor, critic)
     cfg = TrainConfig(epochs_per_iter=10)
-    a_opt, c_opt = opt_pair(actor, critic, cfg)
+    params, opt = joint_opt(actor, critic, cfg)
     rng = Xoshiro256StarStar(3)
-    first = ppo_update(actor, critic, *inputs, cfg, rng, a_opt, c_opt)
+    first = ppo_update(actor, critic, *inputs, cfg, rng, params, opt)
     last = None
     for _ in range(4):
-        last = ppo_update(actor, critic, *inputs, cfg, rng, a_opt, c_opt)
+        last = ppo_update(actor, critic, *inputs, cfg, rng, params, opt)
     assert last.value_loss < first.value_loss
 
 
@@ -498,26 +523,49 @@ def random_update_inputs(seed, actor, n=430):
     return rollout, normalize_advantages(rng.normal(size=n)), rng.normal(size=n) * 0.2
 
 
-def opt_bytes(opt):
+def opt_bytes(opt, part=slice(None)):
     if isinstance(opt, gradnet.AdamState):
-        return opt.m.tobytes(), opt.v.tobytes(), opt.step
+        return opt.m[part].tobytes(), opt.v[part].tobytes(), opt.step
     return (opt.step,)
 
 
-def update_runs(update, kind, variant, cfg, seed, updates=2):
+def update_runs(reference, kind, variant, cfg, seed, updates=2, edit=None):
+    """Per update: the report or error, both learners' bytes, each learner's optimizer bytes, the rng state.
+
+    The package steps one state over join_parameters(actor, critic), cut
+    here at the actor's end; the reference (oracles.ppo_update) steps a
+    state per learner. edit(rollout, advantages, returns) may change the inputs.
+    """
     actor = fresh_actor(seed, kind, variant)
     critic = fresh_critic(seed + 1, STATE_DIMS[variant])
     inputs = random_update_inputs(seed, actor)
-    a_opt, c_opt = opt_pair(actor, critic, cfg)
+    if edit is not None:
+        inputs = edit(*inputs)
     rng = Xoshiro256StarStar(seed)
+    if reference:
+        opts = [gradnet.optimizer_for(cfg.optimizer, p, cfg.lr) for p in (actor.flat, critic.flat)]
+
+        def update():
+            return oracles.ppo_update(actor, critic, *inputs, cfg, rng, *opts)
+
+        def opt_states():
+            return [opt_bytes(opt) for opt in opts]
+    else:
+        params, opt = joint_opt(actor, critic, cfg)
+        split = actor.flat.size
+
+        def update():
+            return ppo_update(actor, critic, *inputs, cfg, rng, params, opt)
+
+        def opt_states():
+            return [opt_bytes(opt, slice(None, split)), opt_bytes(opt, slice(split, None))]
     states = []
     for _ in range(updates):
         try:
-            report = np.array(update(actor, critic, *inputs, cfg, rng, a_opt, c_opt)).tobytes()
+            report = np.array(update()).tobytes()
         except DivergenceError as exc:
-            report = (str(exc), repr(exc.diagnostics))
-        states.append((report, actor.flat.tobytes(), critic.flat.tobytes(), opt_bytes(a_opt), opt_bytes(c_opt),
-                       rng.state))
+            report = (type(exc), str(exc), exc.step, repr(exc.diagnostics))
+        states.append((report, actor.flat.tobytes(), critic.flat.tobytes(), *opt_states(), rng.state))
     return states
 
 
@@ -533,8 +581,7 @@ def test_ppo_update_matches_the_reference_bit_for_bit(kind, variant, optimizer, 
     cfg = TrainConfig(epochs_per_iter=2, optimizer=optimizer, lr=1e-3, entropy_coef=0.01)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert update_runs(ppo_update, kind, variant, cfg, seed) == update_runs(
-            oracles.ppo_update, kind, variant, cfg, seed)
+        assert update_runs(False, kind, variant, cfg, seed) == update_runs(True, kind, variant, cfg, seed)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -558,10 +605,80 @@ def test_ppo_update_diverges_where_the_reference_does(kind):
     cfg = TrainConfig(epochs_per_iter=2, lr=1e300)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ours = update_runs(ppo_update, kind, "pid_act", cfg, 5, updates=1)
-        reference = update_runs(oracles.ppo_update, kind, "pid_act", cfg, 5, updates=1)
+        ours = update_runs(False, kind, "pid_act", cfg, 5, updates=1)
+        reference = update_runs(True, kind, "pid_act", cfg, 5, updates=1)
     assert ours == reference
-    assert "non-finite" in ours[0][0][0]
+    assert "non-finite" in ours[0][0][1]
+
+
+def far_action(rollout, advantages, returns):
+    """Row 0's action so far from its mean that z * z overflows: a NaN log_std gradient, a finite loss."""
+    actions = rollout.actions.copy()
+    actions[0] = 1e200
+    return dataclasses.replace(rollout, actions=actions), advantages, returns
+
+
+def far_returns(rollout, advantages, returns):
+    return rollout, advantages, returns * 30.0
+
+
+def large_advantages(rollout, advantages, returns):
+    return rollout, advantages * 1e2, returns
+
+
+def both(rollout, advantages, returns):
+    return far_returns(*large_advantages(rollout, advantages, returns))
+
+
+# gradient-side divergences: (config, input edit, the error's message)
+GRADIENT_DIVERGENCES = {
+    # value_coef * (2 / n) * v_err overflows a sum of the critic's output layer (W2 starts at 4544)
+    "critic gradient": (TrainConfig(value_coef=1e308), far_returns, r"non-finite gradient at coordinate 4578"),
+    "actor gradient": (TrainConfig(), far_action, None),
+    # lr * gradient overflows the actor's weights in the first SGD step
+    "actor parameters": (TrainConfig(optimizer="sgd", lr=1e308), large_advantages,
+                         r"(linear|NN) actor parameters became non-finite"),
+}
+
+
+@pytest.mark.parametrize("kind", ["pid", "nn"])
+@pytest.mark.parametrize("case", sorted(GRADIENT_DIVERGENCES))
+def test_gradient_divergence_raises_the_reference_error(kind, case):
+    """Type, message, step and diagnostics as the reference's per-learner steps raise them."""
+    cfg, edit, message = GRADIENT_DIVERGENCES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ours = update_runs(False, kind, "pid_act", cfg, 5, updates=1, edit=edit)
+        reference = update_runs(True, kind, "pid_act", cfg, 5, updates=1, edit=edit)
+    error_type, text, _, _ = ours[0][0]
+    assert error_type is DivergenceError
+    assert ours[0][0] == reference[0][0]
+    if message is None:  # the log_std coordinate, the actor's last
+        message = f"non-finite gradient at coordinate {fresh_actor(5, kind).flat.size - 1}"
+    assert re.fullmatch(message, text)
+    if case == "actor gradient":  # raised before either learner stepped, so the states agree too
+        assert ours == reference
+
+
+@pytest.mark.parametrize("kind", ["pid", "nn"])
+def test_actor_overflow_beside_a_critic_gradient_reports_the_gradient(kind):
+    """The one case where the one step raises another error than the per-learner steps did."""
+    cfg = TrainConfig(optimizer="sgd", lr=1e308, value_coef=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ours = update_runs(False, kind, "pid_act", cfg, 5, updates=1, edit=both)
+        reference = update_runs(True, kind, "pid_act", cfg, 5, updates=1, edit=both)
+    assert ours[0][0][1] == "non-finite gradient at coordinate 4578"
+    assert re.fullmatch(r"(linear|NN) actor parameters became non-finite", reference[0][0][1])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_train_counts_a_critic_gradient_coordinate_within_the_critic(env_cfg, tuned_gains):
+    cfg = TrainConfig(iterations=1, seeds=(0,), value_coef=1e308)
+    with pytest.raises(DivergenceError, match=r"^non-finite gradient at coordinate 4544$") as info:
+        train(Run(env_cfg, cfg, tuned_gains))
+    assert info.value.step == 0
+    assert info.value.diagnostics["coordinate"] == 4544
 
 
 # --- critic features -------------------------------------------------------------
