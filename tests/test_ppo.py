@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import re
 import warnings
@@ -582,6 +583,37 @@ def test_ppo_update_matches_the_reference_bit_for_bit(kind, variant, optimizer, 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert update_runs(False, kind, variant, cfg, seed) == update_runs(True, kind, variant, cfg, seed)
+
+
+def learner_record(opt, learner):
+    """The checkpoint record of a learner's own optimizer state, as checkpoints wrote it before the one state."""
+    if isinstance(opt, gradnet.AdamState):
+        return gradnet.adam_to_dict(opt, learner.parameters())
+    return {"kind": "sgd", "lr": opt.lr, "step": opt.step}
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("kind", ["pid", "nn"])
+def test_checkpoint_cuts_the_one_state_into_the_per_learner_records(kind, optimizer):
+    """checkpoint_dict's actor_opt and critic_opt equal the records of the reference's two states."""
+    cfg = TrainConfig(epochs_per_iter=1, optimizer=optimizer, lr=1e-3)
+    records = []
+    for reference in (False, True):
+        actor, critic = fresh_actor(3, kind), fresh_critic(4)
+        inputs = random_update_inputs(3, actor)
+        if reference:
+            opts = [gradnet.optimizer_for(optimizer, p, cfg.lr) for p in (actor.flat, critic.flat)]
+            oracles.ppo_update(actor, critic, *inputs, cfg, Xoshiro256StarStar(3), *opts)
+            records.append([learner_record(opts[0], actor), learner_record(opts[1], critic)])
+        else:
+            params, opt = joint_opt(actor, critic, cfg)
+            ppo_update(actor, critic, *inputs, cfg, Xoshiro256StarStar(3), params, opt)
+            data = ppo.checkpoint_dict(Run(spillsim.EnvConfig(), cfg, GAINS, policy_variant=kind), actor, critic, opt, 1)
+            records.append([data["actor_opt"], data["critic_opt"]])
+    # float reprs, so that -0.0 and 0.0 differ; a bool, so that a failure renders no diff of the lists
+    same = json.dumps(records[0]) == json.dumps(records[1])
+    assert same
+    assert records[0][0]["step"] == records[0][1]["step"] == 7
 
 
 @pytest.mark.parametrize("seed", [0, 1])
