@@ -14,6 +14,17 @@ its rows into as few near-equal blocks as the byte budget PID_KERNEL_BYTES
 allows (at most 38 rows at the default 430 steps and 9 seeds), one kernel
 pass each. A row's result does not depend on its block.
 
+A pass is mostly numpy call overhead, not arithmetic: 430 steps of about 14
+ufunc calls over arrays of 9 to 342 elements. On a 2-core x86-64 host
+(Python 3.11, numpy 2.4), with seeds 0-8 at the default config, a pass of
+1, 26 and 38 rows took 5.4, 6.8 and 7.5 ms when every call looked its ufunc
+up on np and passed out by keyword, and the variances were reduced one row
+per np.var call; the step loop of _block_traces and the 4-row variance calls
+bring that to 4.7, 5.7 and 6.2 ms (medians of 41 interleaved runs), and
+tune_pid on seeds 0-8 from 38 to 31 ms, with every output bit the same. The
+host's speed varied up to twofold between sessions; the saving stayed at
+12-22%.
+
 score_round scores a whole tune_pid refinement round in one batch_sdfs call.
 
 This code is a module of its own because every process that runs without
@@ -29,17 +40,20 @@ import math
 import numpy as np
 
 from . import metrics
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .spillsim import EnvConfig, run_raw_episode
 
 # Bytes of trace one pass keeps live, which bounds the kernel's memory for
 # any grid: a call runs its rows in the fewest blocks of at most as many
 # (row, seed) episodes as fit (38 rows at the default 430 steps and 9 seeds),
-# split near-equally, so 75 rows run as 38 + 37. A pass costs about the same
-# for 9 episodes as for 300 (430 steps of a dozen ufunc calls), so fewer
-# passes are faster; 38 rows let tune_pid's 35-point second round on the
-# default grid run in one.
+# split near-equally, so 75 rows run as 38 + 37. A 1-row pass costs about
+# 70% of a 38-row one (timings in the module docstring), so fewer passes are
+# faster; 38 rows let tune_pid's 35-point second round on the default grid
+# run in one.
 PID_KERNEL_BYTES = (1 << 20) + (1 << 17)
+
+# Rows whose traces one np.var call reduces (see _block_sdfs).
+VAR_ROWS = 4
 
 
 def batch_sdfs(config: EnvConfig, seeds, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -50,7 +64,8 @@ def batch_sdfs(config: EnvConfig, seeds, rows) -> tuple[np.ndarray, np.ndarray]:
     policy head's coefficients as LinearActor.coefs() gives them, over the
     pid3 features (w_P, w_I, w_D, bias) or the pid_act features (w_P, w_I,
     w_D, w_Act, bias); its decision is policy_mean's left-to-right sum, Act
-    being the action applied to the current sample. Non-finite rows raise
+    being the action applied to the current sample. rows of another shape
+    raise ShapeError (an empty list is no rows), non-finite rows
     ConfigError.
 
     sdfs and exact have shape (n, len(seeds)). exact[i, j] is False where
@@ -60,8 +75,10 @@ def batch_sdfs(config: EnvConfig, seeds, rows) -> tuple[np.ndarray, np.ndarray]:
     is shorter than two steps.
     """
     rows = np.array(rows, dtype=np.float64)
-    if rows.ndim == 1:  # no rows, or one flat PID point
-        rows = rows.reshape(-1, 3)
+    if rows.shape == (0,):  # no rows: score_round passes an empty list
+        rows = rows.reshape(0, 3)
+    if rows.ndim != 2 or rows.shape[1] not in (3, 4, 5):
+        raise ShapeError(f"rows must have shape (n, 3), (n, 4) or (n, 5), got {rows.shape}")
     if not np.isfinite(rows).all():
         raise ConfigError("gain points and policy coefficients must be finite")
     steps = config.steps_per_episode
@@ -86,15 +103,42 @@ def batch_sdfs(config: EnvConfig, seeds, rows) -> tuple[np.ndarray, np.ndarray]:
 def _block_sdfs(config: EnvConfig, raw: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """SDFs of the episodes of every (row, seed) pair; returns (sdfs, exact).
 
-    raw is the (steps, n_seeds) array of raw traces and rows the batch_sdfs
-    rows. exact[i, j] is False where the trace or the error sum went
-    non-finite; sdfs[i, j] means nothing there. Inside, row b * n_seeds + j
-    is row b on seed j, and every operand is a full-length array, because
-    at these sizes a ufunc call with a broadcast or Python float operand
-    costs about twice one over equal-shape arrays. Only linear-head rows pay
-    for the w_Act*Act and bias terms.
+    raw and rows are as in _block_traces; this is one kernel pass.
+    exact[i, j] is False where the trace or the error sum went non-finite;
+    sdfs[i, j] means nothing there.
     """
-    steps, n_seeds = raw.shape
+    trace, err_sum = _block_traces(config, raw, rows)
+    n_seeds = raw.shape[1]
+    # metrics.sdf's reduction: np.var over each episode's trace, laid out
+    # contiguously so that each row of the copy reduces with the pairwise sum
+    # of one 1-D trace; VAR_ROWS rows' seeds per call, so the copies stay
+    # small (124 KB at the default 430 steps and 9 seeds). A non-finite
+    # sample makes the episode's variance NaN.
+    chunk = VAR_ROWS * n_seeds
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = np.concatenate([np.var(np.ascontiguousarray(trace[:, i:i + chunk].T), axis=1)
+                              for i in range(0, trace.shape[1], chunk)])
+    exact = np.isfinite(var) & np.isfinite(err_sum)
+    shape = (len(rows), n_seeds)
+    return (1.0 / (1.0 + var)).reshape(shape), exact.reshape(shape)
+
+
+def _block_traces(config: EnvConfig, raw: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Corrected traces and final error sums of every (row, seed) episode.
+
+    raw is the (steps, n_seeds) array of raw traces and rows the batch_sdfs
+    rows. Returns (trace, err_sum): column b * n_seeds + j of the (steps,
+    len(rows) * n_seeds) trace, and entry b * n_seeds + j of err_sum, belong
+    to row b on seed j. Every operand is a full-length array, because at
+    these sizes a ufunc call with a broadcast or Python float operand costs
+    about twice one over equal-shape arrays. Only linear-head rows pay for
+    the w_Act*Act and bias terms. The loop calls the ufuncs through local
+    names, and the arithmetic ones take out positionally, which skips the
+    keyword parsing; both save a fraction of a microsecond on every one of
+    the pass's ~6000 calls. np.maximum and np.minimum take out by keyword,
+    because numpy 2.4 deprecates their positional out.
+    """
+    n_seeds = raw.shape[1]
     n = len(rows) * n_seeds
     coefs = [np.repeat(rows[:, k], n_seeds) for k in range(rows.shape[1])]
     kp, ki, kd = coefs[:3]
@@ -110,44 +154,36 @@ def _block_sdfs(config: EnvConfig, raw: np.ndarray, rows: np.ndarray) -> tuple[n
     err, prev_err, err_sum = np.empty(n), np.empty(n), np.zeros(n)
     diff_rate = np.zeros(n)  # 0 at t = 0
     term, act_term = np.empty(n), np.empty(n)
+    subtract, add, multiply, divide, maximum, minimum = (
+        np.subtract, np.add, np.multiply, np.divide, np.maximum, np.minimum)
     # overflow and NaN stay silent, as in Python floats; such rows go to the scalar path
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(steps):
-            x = trace[t]
-            np.subtract(x, action, out=x)
-            np.maximum(x, lo, out=x)
-            np.minimum(x, hi, out=x)
-            np.subtract(x, ref, out=err)
-            np.add(err_sum, err, out=err_sum)
+        for t, x in enumerate(trace):
+            subtract(x, action, x)
+            maximum(x, lo, out=x)
+            minimum(x, hi, out=x)
+            subtract(x, ref, err)
+            add(err_sum, err, err_sum)
             if t:
-                np.subtract(err, prev_err, out=diff_rate)
-                np.divide(diff_rate, dt, out=diff_rate)
+                subtract(err, prev_err, diff_rate)
+                divide(diff_rate, dt, diff_rate)
             if act_w is not None:  # Act is the action applied to x, before it is replaced
-                np.multiply(act_w, action, out=act_term)
+                multiply(act_w, action, act_term)
             # kp*P + ki*I + kd*D (+ w_Act*Act) (+ bias), summed left to right
             # as pid_update and policy_mean do
-            np.multiply(kp, err, out=action)
-            np.multiply(ki, err_sum, out=term)
-            np.add(action, term, out=action)
-            np.multiply(kd, diff_rate, out=term)
-            np.add(action, term, out=action)
+            multiply(kp, err, action)
+            multiply(ki, err_sum, term)
+            add(action, term, action)
+            multiply(kd, diff_rate, term)
+            add(action, term, action)
             if act_w is not None:
-                np.add(action, act_term, out=action)
+                add(action, act_term, action)
             if bias is not None:
-                np.add(action, bias, out=action)
-            np.maximum(action, neg_bound, out=action)
-            np.minimum(action, bound, out=action)
+                add(action, bias, action)
+            maximum(action, neg_bound, out=action)
+            minimum(action, bound, out=action)
             err, prev_err = prev_err, err
-        # metrics.sdf's reduction: np.var over each episode's trace, laid out
-        # contiguously so that it reduces with the pairwise sum of one 1-D
-        # trace; one row's seeds at a time, so the copies stay small. A
-        # non-finite sample makes the episode's variance NaN.
-        var = np.concatenate([
-            np.var(np.ascontiguousarray(trace[:, i:i + n_seeds].T), axis=1) for i in range(0, n, n_seeds)
-        ])
-    exact = np.isfinite(var) & np.isfinite(err_sum)
-    shape = (len(rows), n_seeds)
-    return (1.0 / (1.0 + var)).reshape(shape), exact.reshape(shape)
+    return trace, err_sum
 
 
 def score_round(config: EnvConfig, seeds, best, hs, cache: dict) -> None:

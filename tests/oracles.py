@@ -31,6 +31,10 @@ None of these is used by the package itself:
 - two_call_build_report is ppo.build_report as it was before the PID
   baseline and a linear policy shared one kernel pass: the baseline's own
   pass (pid_seed_sdfs), then the policy's (kernel_actor_sdfs).
+
+first_difference is not a reference but the comparison the bit-for-bit
+tests assert through: it names the first differing entry, so that a
+failure reports an index instead of pytest's diff of two large lists.
 """
 
 from __future__ import annotations
@@ -57,6 +61,25 @@ from spillreg.controllers import LinearActor
 from spillreg.gradnet import LossReport, surrogate_grads
 from spillreg.ppo import critic_inputs, evaluate_actor_sdf
 from spillreg.spillsim import EnvConfig, run_raw_episode
+
+
+def first_difference(ours: Sequence, reference: Sequence):
+    """Where two lists of records first differ, or None where ours == reference.
+
+    A record is a tuple, a list or a single value; records and their fields
+    compare with ==, as list equality compares them. Returns (i, j) for
+    field j of record i, (i, None) where record i differs as a whole (its
+    length or its type), and (n, None) where one list ends at n.
+    """
+    if ours == reference:
+        return None
+    for i, (a, b) in enumerate(zip(ours, reference)):
+        if [a] == [b]:
+            continue
+        if isinstance(a, (tuple, list)) and type(a) is type(b) and len(a) == len(b):
+            return i, next(j for j, (x, y) in enumerate(zip(a, b)) if [x] != [y])
+        return i, None
+    return min(len(ours), len(reference)), None
 
 
 def ema_reward(errors: Sequence[float], alpha: float) -> list[float]:

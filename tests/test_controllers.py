@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import sequential_tune_pid
+from oracles import first_difference, sequential_tune_pid
 from spillreg import controllers, pidbatch, ppo
 from spillreg.controllers import (
     DEFAULT_GAIN_GRID,
@@ -199,7 +200,7 @@ KD_VALUES = st.one_of(st.floats(-1e-4, 1e-4), st.sampled_from([0.0, 0.5, -0.5]))
 def test_pid_sdfs_match_scalar_episodes_bit_for_bit(cfg, seeds, points):
     got = pid_sdfs(cfg, seeds, points)
     assert got.shape == (len(points), len(seeds))
-    assert got.tolist() == scalar_sdfs(cfg, seeds, points)
+    assert first_difference(got.tolist(), scalar_sdfs(cfg, seeds, points)) is None
 
 
 def test_pid_sdfs_match_scalar_episodes_when_both_clamps_saturate():
@@ -209,7 +210,7 @@ def test_pid_sdfs_match_scalar_episodes_when_both_clamps_saturate():
         _, corrected, applied = pid_episode_records(cfg, 1, PidGains(*point, dt=cfg.dt))
         assert {cfg.clamp_lo, cfg.clamp_hi} <= set(corrected)
         assert {cfg.action_bound, -cfg.action_bound} <= set(applied)
-    assert pid_sdfs(cfg, [1, 2], points).tolist() == scalar_sdfs(cfg, [1, 2], points)
+    assert first_difference(pid_sdfs(cfg, [1, 2], points).tolist(), scalar_sdfs(cfg, [1, 2], points)) is None
 
 
 def test_pid_sdfs_row_does_not_depend_on_its_block(env_cfg, kernel_passes):
@@ -598,6 +599,117 @@ def test_batch_sdfs_does_not_depend_on_the_block_size(monkeypatch, kernel_passes
         assert one_by_one[0].tobytes() == sdfs.tobytes()
         assert one_by_one[1].tobytes() == exact.tobytes()
     assert kernel_passes == [1] * (len(pid_rows) + len(head_rows))
+
+
+@pytest.mark.parametrize("rows, shape", [
+    ([[0.5, 0.1, 0.0, 0.25, 0.0, 0.01]], (1, 6)),  # one coefficient too many
+    ([0.5, 0.1, 0.0, 0.3, 0.2, 0.0], (6,)),  # flat: not two PID points
+    ([[0.5, 0.1]], (1, 2)),
+    ([0.5, 0.1, 0.0, 0.25, 0.0], (5,)),  # flat: not one policy head
+])
+def test_batch_sdfs_refuses_rows_of_another_shape(rows, shape):
+    with pytest.raises(ShapeError, match=re.escape(f"got {shape}")):
+        pidbatch.batch_sdfs(EnvConfig(steps_per_episode=40), [0], rows)
+
+
+def test_batch_sdfs_of_no_rows_is_empty():
+    sdfs, exact = pidbatch.batch_sdfs(EnvConfig(steps_per_episode=40), [0, 1], [])
+    assert sdfs.shape == exact.shape == (0, 2)
+
+
+# --- the kernel's traces against the scalar path -----------------------------
+# A one-ulp change of a gain moves corrected samples long before it moves an
+# SDF, so these pins compare every sample and the final error sum.
+
+TUNED_POINT = (0.34375, 0.6, -8.75e-06)  # the tuned gains, kd rounded as the tests write it
+DEFAULT_GRID_POINTS = [(kp, ki, kd) for kp in DEFAULT_GAIN_GRID.kp for ki in DEFAULT_GAIN_GRID.ki
+                       for kd in DEFAULT_GAIN_GRID.kd]
+# pid_act and pid3 heads near the tuned gains, and one near the pattern-search ceiling
+DEFAULT_HEADS = [("pid_act", (0.5, 0.45, -6e-06, 0.25, 0.015)), ("pid3", (0.85, 0.6, -8.75e-06, 0.0, -0.02)),
+                 ("pid_act", (0.85, -0.007, 2.4e-06, 0.9, 0.003))]
+
+
+def kernel_traces(cfg, seeds, rows):
+    """One kernel pass's corrected traces and final error sums, one entry per (row, seed) in row order."""
+    raw = np.column_stack([run_raw_episode(cfg, s) for s in seeds])
+    trace, err_sum = pidbatch._block_traces(cfg, raw, np.array(rows, dtype=np.float64))
+    return trace.T.tolist(), err_sum.tolist()
+
+
+def scalar_traces(cfg, seeds, episodes):
+    """The scalar path's corrected trace and final error sum per (episode, seed), in the kernel's order.
+
+    Both are None where the episode raises.
+    """
+    traces, sums = [], []
+    for episode in episodes:
+        for seed in seeds:
+            try:
+                corrected = episode(seed)
+            except SpillRegError:
+                traces.append(None)
+                sums.append(None)
+                continue
+            tracker = ErrorTracker(cfg.reference, cfg.dt)
+            traces.append(corrected)
+            sums.append([tracker.push(x) for x in corrected][-1].error_sum)
+    return traces, sums
+
+
+def pid_episodes(cfg, points):
+    return [lambda seed, p=p: pid_episode_records(cfg, seed, PidGains(*p, dt=cfg.dt))[1] for p in points]
+
+
+def head_episode(cfg, actor):
+    """A closed_loop episode driven by actor.mean, as evaluate_actor_sdf runs it."""
+    def episode(seed):
+        tracker = StateTracker(cfg, actor.variant)
+        return closed_loop(cfg, seed, lambda t, raw, x, a: actor.mean(tracker.push(raw, x, a)))[1]
+    return episode
+
+
+def assert_traces_match(cfg, seeds, rows, episodes):
+    """The kernel's records equal the scalar path's wherever the scalar path runs."""
+    want_traces, want_sums = scalar_traces(cfg, seeds, episodes)
+    got_traces, got_sums = kernel_traces(cfg, seeds, rows)
+    ran = [i for i, trace in enumerate(want_traces) if trace is not None]
+    assert first_difference([got_traces[i] for i in ran], [want_traces[i] for i in ran]) is None
+    assert first_difference([got_sums[i] for i in ran], [want_sums[i] for i in ran]) is None
+    return len(ran)
+
+
+def test_kernel_traces_match_the_scalar_path_on_the_default_grid(env_cfg):
+    seeds = list(range(9))
+    ran = assert_traces_match(env_cfg, seeds, DEFAULT_GRID_POINTS, pid_episodes(env_cfg, DEFAULT_GRID_POINTS))
+    assert ran == len(DEFAULT_GRID_POINTS) * len(seeds)
+    for variant, coefs in DEFAULT_HEADS:
+        actor = linear_actor(variant, *coefs)
+        assert assert_traces_match(env_cfg, seeds, [actor.coefs()], [head_episode(env_cfg, actor)]) == len(seeds)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cfg=small_configs(),
+    seeds=st.lists(st.integers(min_value=0, max_value=2**32), min_size=1, max_size=3),
+    points=st.lists(st.tuples(GAIN_VALUES, GAIN_VALUES, KD_VALUES), min_size=1, max_size=4),
+    variant=st.sampled_from(["pid_act", "pid3"]),
+    coefs=st.tuples(GAIN_VALUES, GAIN_VALUES, KD_VALUES, ACT_WEIGHTS, BIASES),
+)
+def test_kernel_traces_match_the_scalar_path(cfg, seeds, points, variant, coefs):
+    assert_traces_match(cfg, seeds, points, pid_episodes(cfg, points))
+    actor = linear_actor(variant, *coefs)
+    assert_traces_match(cfg, seeds, [actor.coefs()], [head_episode(cfg, actor)])
+
+
+def test_trace_pin_rejects_a_one_ulp_kp_nudge(env_cfg):
+    """The negative control: a slip that no SDF over seeds 0-8 shows, but the traces do."""
+    seeds = list(range(9))
+    nudged = (math.nextafter(TUNED_POINT[0], math.inf), *TUNED_POINT[1:])
+    want_traces, _ = scalar_traces(env_cfg, seeds, pid_episodes(env_cfg, [TUNED_POINT]))
+    got_traces, _ = kernel_traces(env_cfg, seeds, [nudged])
+    assert first_difference(got_traces, want_traces) is not None
+    assert first_difference(kernel_traces(env_cfg, seeds, [TUNED_POINT])[0], want_traces) is None
+    assert pid_sdfs(env_cfg, seeds, [nudged]).tolist() == pid_sdfs(env_cfg, seeds, [TUNED_POINT]).tolist()
 
 
 # --- policy state construction -------------------------------------------
