@@ -163,8 +163,8 @@ def pid_episode_records(
 
     The control computed after observing x_t is applied to x_{t+1}; the
     first step runs with action 0. This is the scalar path: single episodes
-    (simulate, the per-iteration training curve) and the reference that
-    tests check pid_sdfs against.
+    (simulate, the per-iteration training curve, a point the batched kernel
+    cannot vouch for) and the reference that tests check it against.
     """
     _check_dt(config, gains)
     tracker = ErrorTracker(config.reference, config.dt)
@@ -172,36 +172,13 @@ def pid_episode_records(
 
 
 @functools.lru_cache(maxsize=RAW_MEMO_SIZE)
-def _pid_trace(config, seed, gains):
-    return tuple(pid_episode_records(config, seed, gains)[1])
-
-
-def run_pid_episode(config: EnvConfig, seed: int, gains: PidGains) -> list[float]:
+def run_pid_episode(config: EnvConfig, seed: int, gains: PidGains) -> tuple[float, ...]:
     """Corrected trace of one closed-loop PID episode, memoized per (config, seed, gains).
 
     Like spillsim.run_raw_episode, the first request runs the scalar path and
-    later ones copy the kept tuple; an episode that raises is not kept.
+    later ones return the same immutable tuple; an episode that raises is not kept.
     """
-    return list(_pid_trace(config, seed, gains))
-
-
-def pid_sdfs(config: EnvConfig, seeds: list[int] | tuple[int, ...], points) -> np.ndarray:
-    """SDF of the closed-loop PID episode of every (gain point, seed) pair.
-
-    points holds (kp, ki, kd) rows. Entry [i, j] of the returned
-    (len(points), len(seeds)) array equals
-    metrics.sdf(run_pid_episode(config, seeds[j], PidGains(*points[i], config.dt)))
-    bit for bit. pidbatch.batch_sdfs computes the rows in memory-bounded
-    blocks with elementwise float64 numpy (no BLAS, so platform-independent);
-    the scalar path recomputes, in row order, every row that pass cannot
-    vouch for, and so raises the scalar path's errors (InvalidActionError
-    for an applied NaN action, InputError for a non-finite PID feature).
-    """
-    sdfs, exact = pidbatch.batch_sdfs(config, seeds, points)
-    for i, j in zip(*np.nonzero(~exact)):
-        gains = PidGains(*points[i], dt=config.dt)
-        sdfs[i, j] = metrics.sdf(run_pid_episode(config, seeds[j], gains))
-    return sdfs
+    return tuple(pid_episode_records(config, seed, gains)[1])
 
 
 # --- gain tuning ------------------------------------------------------------
@@ -235,10 +212,26 @@ def _axis_step(axis: tuple[float, ...]) -> float:
     return (max(axis) - min(axis)) / (len(axis) - 1)
 
 
-def pid_seed_sdfs(config: EnvConfig, seeds: list[int] | tuple[int, ...], gains: PidGains) -> list[float]:
-    """Per-seed SDFs of one PID gain set, in seed order (one pid_sdfs call)."""
-    _check_dt(config, gains)
-    return pid_sdfs(config, seeds, [(gains.kp, gains.ki, gains.kd)])[0].tolist()
+def round_points(best, hs) -> list[tuple[float, float, float]]:
+    """Every point a tune_pid refinement round could probe, best first.
+
+    The round probes, axis by axis with h = hs[axis] (skipping h == 0),
+    best[axis] - h and then best[axis] + h, and either probe may become the
+    new best. The points are listed, in first-seen order, for every such
+    outcome with the round's own float ops, so (b - h) + h is a point of its
+    own where it differs from b. Most are never probed, and a coordinate may
+    overflow to infinity.
+    """
+    bests = {best: None}  # every point the round's best could be, in first-seen order
+    for axis, h in enumerate(hs):
+        if h == 0.0:
+            continue
+        for delta in (-h, h):
+            for point in list(bests):
+                cand = list(point)
+                cand[axis] += delta
+                bests.setdefault(tuple(cand))
+    return list(bests)
 
 
 def tune_pid(config: EnvConfig, seeds: list[int], grid: GainGrid = DEFAULT_GAIN_GRID) -> tuple[PidGains, float]:
@@ -250,54 +243,55 @@ def tune_pid(config: EnvConfig, seeds: list[int], grid: GainGrid = DEFAULT_GAIN_
     After the exhaustive grid pass the best point is polished by one
     coordinate-descent pass: 3 rounds over the axes, probing +-step with the
     step halved each round (initial step = half the axis spacing). Ties are
-    broken toward the smallest (|kp|, |ki|, |kd|) lexicographically. The grid
-    pass is one pid_sdfs call. Before each round, pidbatch.score_round scores
-    every point the round could probe, under any outcome of its decisions,
-    in one batched call; the probes then run in order on that cache, and a
-    probe it could not vouch for runs on its own as before. The default grid
-    on nine seeds takes 5 kernel passes: 38 + 37 grid points, then rounds of
-    26, 35 and 26.
+    broken toward the smallest (|kp|, |ki|, |kd|) lexicographically.
+
+    Every score comes from one cache. The grid, and before each round every
+    point round_points says the round could probe, are scored in
+    one pidbatch.batch_sdfs call each, which caches the points exact on
+    every seed. The search then visits the grid points and the probes in
+    order; a visited point left uncached runs all its seeds on the scalar
+    path, which raises its errors (a cell the kernel marks exact runs on it
+    without error). The default grid on nine seeds takes 5 kernel passes:
+    38 + 37 grid points, then rounds of 26, 35 and 26, and no scalar episode.
     """
     if not seeds:
         raise ConfigError("tune_pid needs a non-empty seed list")
     cache: dict[tuple[float, float, float], float] = {}
-
-    def mean_sdf(point: tuple[float, float, float]) -> float:
-        if point not in cache:
-            gains = PidGains(*point, dt=config.dt)
-            cache[point] = metrics.ordered_mean(pid_seed_sdfs(config, seeds, gains))
-        return cache[point]
-
-    def magnitude(point: tuple[float, float, float]) -> tuple[float, float, float]:
-        return (abs(point[0]), abs(point[1]), abs(point[2]))
-
-    grid_points = [(kp, ki, kd) for kp in grid.kp for ki in grid.ki for kd in grid.kd]
-    for point, sdfs in zip(grid_points, pid_sdfs(config, seeds, grid_points).tolist()):
-        cache.setdefault(point, metrics.ordered_mean(sdfs))
-
     best: tuple[float, float, float] | None = None
     best_score = -math.inf
-    for point in grid_points:
+
+    def score_points(points) -> None:
+        todo = [p for p in points if p not in cache and all(map(math.isfinite, p))]
+        sdfs, exact = pidbatch.batch_sdfs(config, seeds, todo)
+        for point, row, ok in zip(todo, sdfs.tolist(), exact.all(axis=1)):
+            if ok:
+                cache[point] = metrics.ordered_mean(row)
+
+    def visit(point: tuple[float, float, float]) -> None:
+        nonlocal best, best_score
+        if point not in cache:
+            gains = PidGains(*point, dt=config.dt)
+            cache[point] = metrics.ordered_mean([metrics.sdf(run_pid_episode(config, s, gains)) for s in seeds])
         score = cache[point]
         if best is None or score > best_score or (
-            score == best_score and magnitude(point) < magnitude(best)
-        ):
+                score == best_score and [abs(v) for v in point] < [abs(v) for v in best]):
             best, best_score = point, score
 
+    grid_points = [(kp, ki, kd) for kp in grid.kp for ki in grid.ki for kd in grid.kd]
+    score_points(grid_points)
+    for point in grid_points:
+        visit(point)
     steps = [_axis_step(grid.kp), _axis_step(grid.ki), _axis_step(grid.kd)]
     for rnd in range(1, 4):
-        pidbatch.score_round(config, seeds, best, [s / (2.0 ** rnd) for s in steps], cache)
-        for axis in range(3):
-            h = steps[axis] / (2.0 ** rnd)
+        hs = [s / (2.0 ** rnd) for s in steps]
+        score_points(round_points(best, hs))
+        for axis, h in enumerate(hs):
             if h == 0.0:
                 continue
             for delta in (-h, h):
                 cand = list(best)
                 cand[axis] += delta
-                point = (cand[0], cand[1], cand[2])
-                score = mean_sdf(point)
-                if score > best_score or (score == best_score and magnitude(point) < magnitude(best)):
-                    best, best_score = point, score
+                visit(tuple(cand))
     return PidGains(*best, dt=config.dt), best_score
 
 
@@ -464,13 +458,7 @@ class NnActor(gradnet.GaussianPolicy):
     kind = "nn"
     HIDDEN = (64, 64)
 
-    def __init__(
-        self,
-        net: gradnet.DenseNet,
-        variant: str,
-        log_std: float = -1.0,
-        scales: np.ndarray | None = None,
-    ):
+    def __init__(self, net: gradnet.DenseNet, variant: str, log_std: float = -1.0):
         if variant not in STATE_DIMS:
             raise ShapeError(f"unknown state variant {variant!r}")
         if net.in_dim != STATE_DIMS[variant] or net.out_dim != 1:
@@ -483,9 +471,8 @@ class NnActor(gradnet.GaussianPolicy):
         # net's layout over it, and log_std_arr is a view into it
         self.net = net
         self._view(np.append(net.flat, clamp_log_std(log_std)))
-        # the net is defined over features/scale; scales are part of the
-        # serialized function, not just a training detail
-        self._scales = feature_scales(variant) if scales is None else np.asarray(scales, dtype=np.float64)
+        # the net is defined over features/scale; the checkpoint records the scales
+        self._scales = feature_scales(variant)
 
     def _view(self, flat: np.ndarray) -> None:
         self.flat, self.log_std_arr = flat, flat[-1:]
@@ -536,13 +523,13 @@ class NnActor(gradnet.GaussianPolicy):
     def from_dict(cls, data: dict) -> "NnActor":
         if data.get("format_version") != 1 or data.get("kind") != "nn":
             raise ConfigError(f"unsupported policy params header: {data.get('format_version')!r}/{data.get('kind')!r}")
-        scales = data.get("feature_scales")
-        return cls(
-            gradnet.net_from_dict(data["net"]),
-            data["variant"],
-            float(data["log_std"]),
-            scales=None if scales is None else np.asarray(scales, dtype=np.float64),
-        )
+        actor = cls(gradnet.net_from_dict(data["net"]), data["variant"], float(data["log_std"]))
+        # the package writes only the variant's scales; an absent key means those
+        want = actor._scales.tolist()
+        scales = data.get("feature_scales", want)
+        if scales != want or any(isinstance(v, bool) for v in scales):  # True == 1.0
+            raise ConfigError(f"feature_scales must be the {actor.variant} variant's {want}, got {scales!r}")
+        return actor
 
 
 def actor_from_dict(data: dict):

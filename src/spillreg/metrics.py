@@ -93,8 +93,8 @@ def ordered_mean(values: Sequence[float]) -> float:
     """Mean of floats added one by one in the given order.
 
     Used for the means of Python lists that reach an output: tune-pid's
-    mean_sdf, the scores tune_pid (and pidbatch.score_round) compares, and
-    the ablation table's MEAN row. builtin sum() compensates rounding from
+    mean_sdf, the scores in tune_pid's one cache, which its search compares,
+    and the ablation table's MEAN row. builtin sum() compensates rounding from
     Python 3.12, so a sum()-based mean would change those bytes with the
     Python version. The numpy means elsewhere (report.json's aggregates via
     np.mean, curve.csv's mean_reward via ndarray.mean) need no such care:

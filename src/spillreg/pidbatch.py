@@ -3,29 +3,22 @@
 batch_sdfs steps blocks of closed-loop episodes, one row per (controller,
 seed) pair, together through the memoized raw traces with elementwise
 float64 numpy operations, and reduces each row's variance as metrics.sdf
-does. A controller is a PID point (controllers.pid_sdfs, in the order of
+does. A controller is a PID point (controllers.tune_pid, in the order of
 spillsim.closed_loop, controllers.ErrorTracker and controllers.pid_update)
 or the coefficients of a linear policy head over the P, I, D features
 (ppo.build_report, for report.json's sdf_pid and sdf_rl, in the order of
 controllers.StateTracker and gradnet.policy_mean; the PID row has zero w_Act
-and bias). Every row it marks exact equals the scalar path bit for bit;
-the callers recompute the other rows with the scalar path. A call splits
-its rows into as few near-equal blocks as the byte budget PID_KERNEL_BYTES
-allows (at most 38 rows at the default 430 steps and 9 seeds), one kernel
-pass each. A row's result does not depend on its block.
+and bias). Every row it marks exact equals the scalar path bit for bit, and
+its scalar episode runs without error; the callers recompute the other rows
+with the scalar path. A call splits its rows into as few near-equal blocks
+as the byte budget PID_KERNEL_BYTES allows (at most 38 rows at the default
+430 steps and 9 seeds), one kernel pass each. A row's result does not depend
+on its block.
 
 A pass is mostly numpy call overhead, not arithmetic: 430 steps of about 14
 ufunc calls over arrays of 9 to 342 elements. On a 2-core x86-64 host
 (Python 3.11, numpy 2.4), with seeds 0-8 at the default config, a pass of
-1, 26 and 38 rows took 5.4, 6.8 and 7.5 ms when every call looked its ufunc
-up on np and passed out by keyword, and the variances were reduced one row
-per np.var call; the step loop of _block_traces and the 4-row variance calls
-bring that to 4.7, 5.7 and 6.2 ms (medians of 41 interleaved runs), and
-tune_pid on seeds 0-8 from 38 to 31 ms, with every output bit the same. The
-host's speed varied up to twofold between sessions; the saving stayed at
-12-22%.
-
-score_round scores a whole tune_pid refinement round in one batch_sdfs call.
+1, 26 and 38 rows took 4.7, 5.7 and 6.2 ms (medians of 41 interleaved runs).
 
 This code is a module of its own because every process that runs without
 cached bytecode compiles the package from source, and the compile memory of
@@ -39,7 +32,6 @@ import math
 
 import numpy as np
 
-from . import metrics
 from .errors import ConfigError, ShapeError
 from .spillsim import EnvConfig, run_raw_episode
 
@@ -75,7 +67,7 @@ def batch_sdfs(config: EnvConfig, seeds, rows) -> tuple[np.ndarray, np.ndarray]:
     is shorter than two steps.
     """
     rows = np.array(rows, dtype=np.float64)
-    if rows.shape == (0,):  # no rows: score_round passes an empty list
+    if rows.shape == (0,):  # no rows: a tune_pid round may have nothing left to score
         rows = rows.reshape(0, 3)
     if rows.ndim != 2 or rows.shape[1] not in (3, 4, 5):
         raise ShapeError(f"rows must have shape (n, 3), (n, 4) or (n, 5), got {rows.shape}")
@@ -184,31 +176,3 @@ def _block_traces(config: EnvConfig, raw: np.ndarray, rows: np.ndarray) -> tuple
             minimum(action, bound, out=action)
             err, prev_err = prev_err, err
     return trace, err_sum
-
-
-def score_round(config: EnvConfig, seeds, best, hs, cache: dict) -> None:
-    """Cache the mean SDF of every point a tune_pid refinement round could probe.
-
-    The round probes, axis by axis with h = hs[axis] (skipping h == 0),
-    best[axis] - h and then best[axis] + h, and either probe may become the
-    new best. The points are listed for every such outcome with the round's
-    own float ops, so (b - h) + h is a point of its own where it differs
-    from b. Those finite and not yet cached are scored in one batch_sdfs
-    call, and the ones exact on every seed are cached (ordered_mean over
-    the seeds). A visited point left uncached takes tune_pid's scalar
-    fallback; an unvisited one is never looked at, so it cannot raise.
-    """
-    bests = {best: None}  # every point the round's best could be, in first-seen order
-    for axis, h in enumerate(hs):
-        if h == 0.0:
-            continue
-        for delta in (-h, h):
-            for point in list(bests):
-                cand = list(point)
-                cand[axis] += delta
-                bests.setdefault(tuple(cand))
-    todo = [p for p in bests if p not in cache and all(map(math.isfinite, p))]
-    sdfs, exact = batch_sdfs(config, seeds, todo)
-    for point, row, ok in zip(todo, sdfs.tolist(), exact.all(axis=1)):
-        if ok:
-            cache[point] = metrics.ordered_mean(row)

@@ -35,9 +35,10 @@ so its traces equal a reset()/step() loop bit for bit. Single episodes
 mean-action evaluation the kernel below cannot take) run through it.
 pidbatch.batch_sdfs replays the same memo for many PID or linear-policy
 episodes at once with elementwise numpy float64 operations in
-closed_loop's order; tune_pid (whose scores give tune-pid's mean_sdf)
-and the report use that batched kernel, the report in one pass for its
-PID baseline and a linear policy over P, I, D.
+closed_loop's order. tune_pid fills its one cache of scores (tune-pid's
+mean_sdf is one) from it, and the report runs its PID baseline and a
+linear policy over P, I, D in one pass of it; both run an episode the
+kernel cannot vouch for on the scalar path.
 
 Note on defaults: ou_sigma was calibrated upward (see its field comment) so
 that the unregulated signal starts below the operational SDF target of 0.6,

@@ -9,9 +9,9 @@ None of these is used by the package itself:
 - neg_sum_series is the offline neg_sum reward series;
 - surrogate_losses returns the PPO loss components through the code path
   ppo_update optimizes;
-- sequential_tune_pid is controllers.tune_pid as it was before its
-  refinement rounds were scored in batches: every probe is scored on its
-  own, when the search reaches it;
+- sequential_tune_pid is controllers.tune_pid without the batched kernel:
+  every point, the grid's included, is scored on the scalar path when the
+  search reaches it;
 - sample is the per-state Gaussian draw the actors' sample() methods made
   before the once-per-episode sampler was their only one: log_std read,
   clamped and exponentiated on every call;
@@ -29,8 +29,8 @@ None of these is used by the package itself:
 - init_dense_weights draws gradnet.init_dense's weights as it did before
   its bulk draw: one rng.uniform call per weight, row by row.
 - two_call_build_report is ppo.build_report as it was before the PID
-  baseline and a linear policy shared one kernel pass: the baseline's own
-  pass (pid_seed_sdfs), then the policy's (kernel_actor_sdfs).
+  baseline and a linear policy shared one kernel pass: the baseline on its
+  own, here on the scalar path, then the policy's pass (kernel_actor_sdfs).
 
 first_difference is not a reference but the comparison the bit-for-bit
 tests assert through: it names the first differing entry, so that a
@@ -52,8 +52,7 @@ from spillreg.controllers import (
     GainGrid,
     PidGains,
     _axis_step,
-    pid_sdfs,
-    pid_seed_sdfs,
+    run_pid_episode,
 )
 from spillreg.errors import ConfigError, DivergenceError, InputError
 from spillreg.metrics import _check_alpha, report_dict
@@ -168,8 +167,8 @@ def sequential_tune_pid(
     After the exhaustive grid pass the best point is polished by one
     coordinate-descent pass: 3 rounds over the axes, probing +-step with the
     step halved each round (initial step = half the axis spacing). Ties are
-    broken toward the smallest (|kp|, |ki|, |kd|) lexicographically. The grid
-    pass is one pid_sdfs call; each probe is one call over the seeds.
+    broken toward the smallest (|kp|, |ki|, |kd|) lexicographically. Each
+    point runs its seeds on the scalar path (run_pid_episode) once.
     """
     if not seeds:
         raise ConfigError("tune_pid needs a non-empty seed list")
@@ -178,20 +177,17 @@ def sequential_tune_pid(
     def mean_sdf(point: tuple[float, float, float]) -> float:
         if point not in cache:
             gains = PidGains(point[0], point[1], point[2], dt=config.dt)
-            cache[point] = metrics.ordered_mean(pid_seed_sdfs(config, seeds, gains))
+            cache[point] = metrics.ordered_mean(scalar_pid_sdfs(config, gains, seeds))
         return cache[point]
 
     def magnitude(point: tuple[float, float, float]) -> tuple[float, float, float]:
         return (abs(point[0]), abs(point[1]), abs(point[2]))
 
     grid_points = [(kp, ki, kd) for kp in grid.kp for ki in grid.ki for kd in grid.kd]
-    for point, sdfs in zip(grid_points, pid_sdfs(config, seeds, grid_points).tolist()):
-        cache.setdefault(point, metrics.ordered_mean(sdfs))
-
     best: tuple[float, float, float] | None = None
     best_score = -math.inf
     for point in grid_points:
-        score = cache[point]
+        score = mean_sdf(point)
         if best is None or score > best_score or (
             score == best_score and magnitude(point) < magnitude(best)
         ):
@@ -211,6 +207,11 @@ def sequential_tune_pid(
                 if score > best_score or (score == best_score and magnitude(point) < magnitude(best)):
                     best, best_score = point, score
     return PidGains(best[0], best[1], best[2], dt=config.dt), best_score
+
+
+def scalar_pid_sdfs(config: EnvConfig, gains: PidGains, seeds) -> list[float]:
+    """SDF of the PID episode on each seed, in seed order, on the scalar path."""
+    return [metrics.sdf(run_pid_episode(config, seed, gains)) for seed in seeds]
 
 
 def sample(actor, state, rng) -> tuple[float, float]:
@@ -395,6 +396,6 @@ def two_call_build_report(
     seeds: tuple[int, ...],
 ) -> dict:
     """Per-seed noise/PID/RL SDF comparison, in seed order."""
-    pid, rl = pid_seed_sdfs(env_cfg, seeds, gains), kernel_actor_sdfs(env_cfg, actor, seeds)
+    pid, rl = scalar_pid_sdfs(env_cfg, gains, seeds), kernel_actor_sdfs(env_cfg, actor, seeds)
     noise = [metrics.sdf(run_raw_episode(env_cfg, seed)) for seed in seeds]
     return report_dict(seeds, noise, pid, rl)

@@ -21,7 +21,7 @@ import pytest
 
 import spillreg
 from spillreg import metrics, ppo
-from spillreg.controllers import PidGains, pid_seed_sdfs
+from spillreg.controllers import LinearActor, PidGains
 from spillreg.spillsim import EnvConfig, run_raw_episode
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks")
@@ -77,4 +77,6 @@ def test_checks_reference_agrees_with_the_package(checks, seed):
     noise, pid = checks.Reference().sdfs(env.to_dict(), seed, pinned)
     gains = PidGains.from_dict(pinned)
     assert math.isclose(noise, metrics.sdf(run_raw_episode(env, seed)), rel_tol=checks.REL_TOL, abs_tol=0.0)
-    assert math.isclose(pid, pid_seed_sdfs(env, [seed], gains)[0], rel_tol=checks.REL_TOL, abs_tol=0.0)
+    # report.json's sdf_pid, the value checks.py verifies
+    report = ppo.build_report(env, gains, LinearActor.from_gains(gains, "pid_act"), (seed,))
+    assert math.isclose(pid, report["per_seed"][0]["sdf_pid"], rel_tol=checks.REL_TOL, abs_tol=0.0)

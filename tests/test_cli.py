@@ -25,6 +25,8 @@ from test_fingerprints import LINEAR_CHECKPOINT
 import spillreg
 from spillreg import cli, ppo
 from spillreg.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, MANIFEST_NAME, main, payload_digest
+from spillreg.controllers import NnActor
+from spillreg.rng import Xoshiro256StarStar
 
 
 def read_json(path):
@@ -530,6 +532,32 @@ def test_evaluate_refuses_a_policy_whose_scaled_weights_overflow(tmp_path, capsy
     err = capsys.readouterr().err
     assert "policy parameters must be finite" in err
     assert "Traceback" not in err
+
+
+def nn_checkpoint(tmp_path, scales):
+    """LINEAR_CHECKPOINT with a fresh pid_act NN actor whose feature_scales entry is scales (None: absent)."""
+    actor = NnActor.fresh("pid_act", Xoshiro256StarStar(0)).to_dict()
+    del actor["feature_scales"]
+    if scales is not None:
+        actor["feature_scales"] = scales
+    return write_config(tmp_path, dict(LINEAR_CHECKPOINT, policy_variant="nn", actor=actor), name="checkpoint.json")
+
+
+# the net is defined over the variant's scales, the only ones the package writes
+@pytest.mark.parametrize("scales", [[1.0, 8.0, 4096.0], [1.0, 0.0, 4096.0, 1.0], [True, 8.0, 4096.0, True]])
+def test_evaluate_refuses_an_nn_checkpoint_with_other_feature_scales(tmp_path, capsys, scales):
+    assert run("evaluate", "--checkpoint", nn_checkpoint(tmp_path, scales), "--out", tmp_path / "o") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "feature_scales must be the pid_act variant's [1.0, 8.0, 4096.0, 1.0]" in err
+    assert "Traceback" not in err
+
+
+def test_evaluate_accepts_an_nn_checkpoint_without_feature_scales(tmp_path):
+    with_scales, without = tmp_path / "a", tmp_path / "b"
+    with_scales.mkdir(), without.mkdir()
+    assert run("evaluate", "--checkpoint", nn_checkpoint(with_scales, [1, 8, 4096, 1]), "--out", with_scales) == EXIT_OK
+    assert run("evaluate", "--checkpoint", nn_checkpoint(without, None), "--out", without) == EXIT_OK
+    assert read_json(with_scales / "report.json")["per_seed"] == read_json(without / "report.json")["per_seed"]
 
 
 @pytest.mark.parametrize("command,flag,text", [

@@ -36,7 +36,6 @@ from spillreg.controllers import (
     feature_scales,
     make_actor,
     pid_episode_records,
-    pid_sdfs,
     pid_update,
     run_pid_episode,
     tune_pid,
@@ -111,7 +110,7 @@ def test_pid_beats_unregulated_on_default_config(env_cfg, tuned_gains):
 
 def test_pid_episode_records_are_consistent(env_cfg, tuned_gains):
     raws, corrected, actions = pid_episode_records(env_cfg, 2, tuned_gains)
-    assert corrected == run_pid_episode(env_cfg, 2, tuned_gains)
+    assert tuple(corrected) == run_pid_episode(env_cfg, 2, tuned_gains)
     assert len(raws) == len(corrected) == len(actions) == env_cfg.steps_per_episode
     # first step runs before any decision exists
     assert actions[0] == 0.0
@@ -198,8 +197,8 @@ KD_VALUES = st.one_of(st.floats(-1e-4, 1e-4), st.sampled_from([0.0, 0.5, -0.5]))
 # full-length episodes at the tuned gains: short ones hide last-bit slips
 @example(cfg=EnvConfig(), seeds=list(range(9)), points=[(0.34375, 0.6, -8.75e-06), (1.0, 0.9, 2e-05)])
 def test_pid_sdfs_match_scalar_episodes_bit_for_bit(cfg, seeds, points):
-    got = pid_sdfs(cfg, seeds, points)
-    assert got.shape == (len(points), len(seeds))
+    got, exact = pidbatch.batch_sdfs(cfg, seeds, points)
+    assert got.shape == (len(points), len(seeds)) and exact.all()
     assert first_difference(got.tolist(), scalar_sdfs(cfg, seeds, points)) is None
 
 
@@ -210,7 +209,8 @@ def test_pid_sdfs_match_scalar_episodes_when_both_clamps_saturate():
         _, corrected, applied = pid_episode_records(cfg, 1, PidGains(*point, dt=cfg.dt))
         assert {cfg.clamp_lo, cfg.clamp_hi} <= set(corrected)
         assert {cfg.action_bound, -cfg.action_bound} <= set(applied)
-    assert first_difference(pid_sdfs(cfg, [1, 2], points).tolist(), scalar_sdfs(cfg, [1, 2], points)) is None
+    got, exact = pidbatch.batch_sdfs(cfg, [1, 2], points)
+    assert exact.all() and first_difference(got.tolist(), scalar_sdfs(cfg, [1, 2], points)) is None
 
 
 def test_pid_sdfs_row_does_not_depend_on_its_block(env_cfg, kernel_passes):
@@ -219,8 +219,9 @@ def test_pid_sdfs_row_does_not_depend_on_its_block(env_cfg, kernel_passes):
     target = (0.34375, 0.6, -8.75e-06)
     others = [(0.1 * k, 0.05 * k, 1e-6 * k) for k in range(2 * block + 3)]
     points = others[: block + 2] + [target] + others[block + 2 :]
-    alone = pid_sdfs(env_cfg, seeds, [target])
-    batched = pid_sdfs(env_cfg, seeds, points)
+    alone, alone_exact = pidbatch.batch_sdfs(env_cfg, seeds, [target])
+    batched, exact = pidbatch.batch_sdfs(env_cfg, seeds, points)
+    assert alone_exact.all() and exact.all()
     # three near-equal blocks; the target sits inside the middle one
     sizes = kernel_passes[1:]
     assert len(sizes) == 3 and max(sizes) - min(sizes) <= 1 and sizes[0] < block + 2 < sizes[0] + sizes[1]
@@ -229,27 +230,36 @@ def test_pid_sdfs_row_does_not_depend_on_its_block(env_cfg, kernel_passes):
     assert batched[-1].tolist() == scalar_sdfs(env_cfg, seeds, [points[-1]])[0]
 
 
+def one_point_callers(cfg, seeds, point):
+    """tune_pid on a one-point grid and the report's PID column, each left to raise."""
+    yield lambda: tune_pid(cfg, seeds, GainGrid(*([v] for v in point)))
+    yield lambda: ppo.build_report(cfg, PidGains(*point, dt=cfg.dt), LinearActor("pid3", [0.5, 0.1, 0.0]), seeds)
+
+
 def test_pid_sdfs_nan_action_raises_like_the_scalar_loop(env_cfg):
     overflowing = (0.0, 1e308, -1e308)  # ki*I and kd*D overflow to opposite infinities
     with pytest.raises(InvalidActionError):
         pid_episode_records(env_cfg, 0, PidGains(*overflowing, dt=env_cfg.dt))
-    with pytest.raises(InvalidActionError):
-        pid_sdfs(env_cfg, [0], [overflowing])
-    with pytest.raises(InvalidActionError):
-        pid_sdfs(env_cfg, [1, 0], [(0.5, 0.1, 0.0), overflowing, (0.0, 0.0, 0.0)])
+    _, exact = pidbatch.batch_sdfs(env_cfg, [1, 0], [(0.5, 0.1, 0.0), overflowing, (0.0, 0.0, 0.0)])
+    assert exact.tolist() == [[True, True], [False, False], [True, True]]
+    for seeds in ([0], [1, 0]):
+        for call in one_point_callers(env_cfg, seeds, overflowing):
+            with pytest.raises(InvalidActionError):
+                call()
 
 
 def test_pid_sdfs_rejects_nonfinite_points(env_cfg):
     with pytest.raises(ConfigError):
-        pid_sdfs(env_cfg, [0], [(0.5, math.inf, 0.0)])
+        pidbatch.batch_sdfs(env_cfg, [0], [(0.5, math.inf, 0.0)])
 
 
 def test_pid_sdfs_short_episode_raises_like_sdf():
     cfg = EnvConfig(steps_per_episode=1)
     with pytest.raises(InputError):
         sdf(run_pid_episode(cfg, 0, PidGains(0.5, 0.1, 0.0, dt=cfg.dt)))
-    with pytest.raises(InputError):
-        pid_sdfs(cfg, [0], [(0.5, 0.1, 0.0)])
+    for call in one_point_callers(cfg, [0], (0.5, 0.1, 0.0)):
+        with pytest.raises(InputError):
+            call()
 
 
 # --- batched refinement rounds against the sequential search ----------------
@@ -288,12 +298,12 @@ FLAT_CONFIGS = st.builds(
 )
 def test_tune_pid_matches_the_sequential_search(cfg, seeds, grid):
     expected = sequential_tune_pid(cfg, seeds, grid)
-    # every probe the search makes was scored by its round's batch
-    with mock.patch.object(controllers, "pid_seed_sdfs", side_effect=AssertionError("probe outside its round")):
+    # every point the search visits was scored by the grid's or its round's batch
+    with mock.patch.object(controllers, "run_pid_episode", side_effect=AssertionError("probe outside its round")):
         assert tune_pid(cfg, seeds, grid) == expected
     # the mean returned is the one scoring the tuned gains again gives
     gains, mean = expected
-    assert mean == ordered_mean(oracles.pid_seed_sdfs(cfg, seeds, gains))
+    assert mean == ordered_mean(scalar_sdfs(cfg, seeds, [(gains.kp, gains.ki, gains.kd)])[0])
 
 
 def outcome_points(best, hs):
@@ -317,23 +327,29 @@ def outcome_points(best, hs):
     ((0.1, 0.3, 1e-05), (0.0, 0.05625, 0.0)),
     ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
 ])
-def test_score_round_scores_every_point_the_round_can_probe(best, hs):
-    cfg = EnvConfig(steps_per_episode=20)
-    cache = {best: 0.5}
-    pidbatch.score_round(cfg, [0, 3], best, hs, cache)
-    assert outcome_points(best, hs) <= set(cache)
-    assert cache[best] == 0.5
-    for point in set(cache) - {best}:
-        assert cache[point] == ordered_mean(scalar_sdfs(cfg, [0, 3], [point])[0])
+def test_round_points_lists_every_point_the_round_can_probe(best, hs):
+    points = controllers.round_points(best, hs)
+    assert points[0] == best and len(set(points)) == len(points)
+    assert set(points) == outcome_points(best, hs) | {best}
 
 
-def test_score_round_skips_nonfinite_points():
-    cfg = EnvConfig(steps_per_episode=20)
-    best, hs = (1.7e308, 0.5, 0.0), (1e308, 0.25, 0.0)
-    cache = {}
-    pidbatch.score_round(cfg, [0], best, hs, cache)  # best + h overflows: no ConfigError
-    assert all(math.isfinite(v) for point in cache for v in point)
-    assert (1.7e308 - 1e308, 0.5, 0.0) in cache
+def test_tune_pid_skips_an_unvisited_overflowing_point(monkeypatch):
+    # every large kp drives the action to +-action_bound: a tie, so round 1's
+    # first probe 0.85e308 takes over on its smaller |kp|, and the round never
+    # visits 1.7e308 + 0.85e308, which overflows
+    cfg = EnvConfig(steps_per_episode=20, action_bound=0.02)
+    grid = GainGrid(kp=(0.0, 1.7e308), ki=(0.0,), kd=(0.0,))
+    assert (math.inf, 0.0, 0.0) in controllers.round_points((1.7e308, 0.0, 0.0), (0.85e308, 0.0, 0.0))
+    scored = []
+    real_batch = pidbatch.batch_sdfs
+
+    def recording_batch(config, seeds, rows):
+        scored.extend(rows)
+        return real_batch(config, seeds, rows)
+
+    monkeypatch.setattr(pidbatch, "batch_sdfs", recording_batch)
+    assert tune_pid(cfg, [0], grid) == sequential_tune_pid(cfg, [0], grid)  # no ConfigError
+    assert (0.85e308, 0.0, 0.0) in scored and all(math.isfinite(v) for point in scored for v in point)
 
 
 def test_tune_pid_reruns_a_visited_inexact_point_and_ignores_an_unvisited_one(monkeypatch):
@@ -341,13 +357,13 @@ def test_tune_pid_reruns_a_visited_inexact_point_and_ignores_an_unvisited_one(mo
     grid_points = {(kp, ki, kd) for kp in DEFAULT_GAIN_GRID.kp for ki in DEFAULT_GAIN_GRID.ki
                    for kd in DEFAULT_GAIN_GRID.kd}
     visited = set()
-    reference_seed_sdfs = oracles.pid_seed_sdfs
+    reference_episode = oracles.run_pid_episode
 
-    def recording_seed_sdfs(config, seeds_, gains):
+    def recording_episode(config, seed, gains):
         visited.add((gains.kp, gains.ki, gains.kd))
-        return reference_seed_sdfs(config, seeds_, gains)
+        return reference_episode(config, seed, gains)
 
-    monkeypatch.setattr(oracles, "pid_seed_sdfs", recording_seed_sdfs)
+    monkeypatch.setattr(oracles, "run_pid_episode", recording_episode)
     expected = sequential_tune_pid(cfg, seeds)
 
     scored = []
@@ -410,7 +426,7 @@ def test_tune_pid_default_grid_takes_five_kernel_passes(monkeypatch, kernel_pass
         return real_batch(config, seeds, rows)
 
     monkeypatch.setattr(pidbatch, "batch_sdfs", counting_batch)
-    monkeypatch.setattr(controllers, "pid_seed_sdfs", mock.Mock(side_effect=AssertionError("probe outside its round")))
+    monkeypatch.setattr(controllers, "run_pid_episode", mock.Mock(side_effect=AssertionError("probe outside its round")))
     gains, _ = tune_pid(EnvConfig(), list(range(9)))
     assert (gains.kp, gains.ki, gains.kd) == (0.34375, 0.6, -8.750000000000001e-06)
     # the grid, then one call per round; 75 grid points split evenly, 35 in one block
@@ -709,7 +725,7 @@ def test_trace_pin_rejects_a_one_ulp_kp_nudge(env_cfg):
     got_traces, _ = kernel_traces(env_cfg, seeds, [nudged])
     assert first_difference(got_traces, want_traces) is not None
     assert first_difference(kernel_traces(env_cfg, seeds, [TUNED_POINT])[0], want_traces) is None
-    assert pid_sdfs(env_cfg, seeds, [nudged]).tolist() == pid_sdfs(env_cfg, seeds, [TUNED_POINT]).tolist()
+    assert pidbatch.batch_sdfs(env_cfg, seeds, [nudged])[0].tolist() == scalar_sdfs(env_cfg, seeds, [TUNED_POINT])
 
 
 # --- policy state construction -------------------------------------------
@@ -856,12 +872,14 @@ def test_episode_sampler_draws_what_sample_draws(kind):
     assert [sample(s) for s in states] == [oracles.sample(actor, s, rng_b) for s in states]
 
 
-def test_pid_episode_memo_returns_fresh_equal_lists(env_cfg, tuned_gains):
+def test_pid_episode_memo_returns_the_same_immutable_tuple(env_cfg, tuned_gains):
     first = run_pid_episode(env_cfg, 4, tuned_gains)
-    first[0] = math.nan  # a caller's edit must not reach the memo
+    assert run_pid_episode(env_cfg, 4, tuned_gains) is first
+    with pytest.raises(TypeError):
+        first[0] = math.nan  # a caller cannot edit the memo
+    run_pid_episode.cache_clear()
     again = run_pid_episode(env_cfg, 4, tuned_gains)
-    assert again == pid_episode_records(env_cfg, 4, tuned_gains)[1]
-    assert again is not run_pid_episode(env_cfg, 4, tuned_gains)
+    assert again is not first and again == first == tuple(pid_episode_records(env_cfg, 4, tuned_gains)[1])
 
 
 def test_clamp_action_bound():
