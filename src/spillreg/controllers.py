@@ -18,12 +18,11 @@ difference and an over-reference counter), plus an NN policy variant that
 replaces the linear map with a small tanh network over the same features.
 
 During an episode StateTracker.push returns each step's features as a plain
-tuple of floats; the actors act on those tuples. Each actor keeps all its
-trainable parameters in one float64 vector, `flat`, whose trailing entry is
-log_std; parameters() and log_std_arr are views into it, and mean() reads
-it live. move_to places that vector in a slice of a larger one (the PPO
-trainer's vector of actor and critic parameters). A rollout, in which the policy does not change, reads it once per
-episode through sampler().
+tuple of floats; the actors act on those tuples. Both heads keep a
+gradnet.DenseNet mean over the scaled features (the linear one a single
+identity layer) and log_std in one float64 vector, `flat`
+(gradnet.GaussianPolicy). mean() reads it live; a rollout, in which the
+policy does not change, reads it once per episode through sampler().
 
 Exploration is a Gaussian over the mean action with a learnable log_std,
 clamped to [-5, 2]. The sampler returns the pre-clamp action and its log
@@ -44,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gradnet, metrics, pidbatch
-from .errors import ConfigError, DivergenceError, InputError, ShapeError
-from .gradnet import clamp_log_std, policy_mean
+from .errors import ConfigError, InputError, ShapeError
+from .gradnet import policy_mean
 from .rng import Xoshiro256StarStar
 from .spillsim import RAW_MEMO_SIZE, EnvConfig, check_number, closed_loop
 
@@ -340,38 +339,34 @@ class LinearActor(gradnet.GaussianPolicy):
     """The neuralized-PID policy head: a linear map over the state features.
 
     weights holds one coefficient per feature of variant, in feature units.
-    The parameters live in one vector, flat = [w_0 .. w_{n-1}, bias, log_std],
-    where w are those weights times FEATURE_SCALES (the trainable
-    coordinates). log_std_arr and parameters() are views into flat, so
-    writing through them changes the policy. mean() reads the live vector
-    on every call, unscales it exactly (power-of-two scales) and evaluates
-    policy_mean on plain floats, where exactness matters; sampler() reads
-    it once, for an episode in which the policy does not change. params is
-    the checkpoint record of the live coefficients.
+    For training the map is a one-layer identity DenseNet over the scaled
+    features: its (1, n) weight holds those weights times FEATURE_SCALES (the
+    trainable coordinates) and its (1,) bias the bias, so flat = [w_0 ..
+    w_{n-1}, bias, log_std]. mean() reads the live vector on every call,
+    unscales it exactly (power-of-two scales) and evaluates policy_mean on
+    plain floats, where exactness matters; sampler() reads it once, for an
+    episode in which the policy does not change. params is the checkpoint
+    record of the live coefficients.
     """
 
     kind = "pid"
+    label = "linear actor"
 
     def __init__(self, variant: str, weights, bias: float = 0.0, log_std: float = -1.0):
-        self._scales = feature_scales(variant)  # ShapeError for an unknown variant
+        scales = feature_scales(variant)  # ShapeError for an unknown variant
         self.variant = variant
-        self.state_dim = dim = len(self._scales)
+        self.state_dim = dim = len(scales)
         values = [*map(float, weights), float(bias), float(log_std)]
         if len(values) != dim + 2:
             raise ShapeError(f"variant {variant!r} takes {dim} weights, got {len(values) - 2}")
         # flat[:-1] / _unscale is (weights, bias) exactly
-        self._unscale = np.append(self._scales, 1.0)
-        flat = np.asarray(values, dtype=np.float64)
+        self._unscale = np.append(scales, 1.0)
+        coefs = np.asarray(values, dtype=np.float64)
         with np.errstate(over="ignore"):
-            flat[:dim] *= self._scales
-        if not np.isfinite(flat).all():  # a scaled weight may overflow
+            coefs[:dim] *= scales
+        if not np.isfinite(coefs).all():  # a scaled weight may overflow
             raise InputError("policy parameters must be finite")
-        flat[-1] = clamp_log_std(values[-1])
-        self._view(flat)
-
-    def _view(self, flat: np.ndarray) -> None:
-        self.flat = flat
-        self._w, self._bias, self.log_std_arr = gradnet.split(flat, [(self.state_dim,), (1,), (1,)])
+        super().__init__(gradnet.DenseNet([(1, dim)], ["identity"], coefs[:-1]), scales, values[-1])
 
     @classmethod
     def from_gains(cls, gains: PidGains, variant: str) -> "LinearActor":
@@ -413,28 +408,6 @@ class LinearActor(gradnet.GaussianPolicy):
         *w, bias = self.coefs()
         return gradnet.episode_sampler(functools.partial(policy_mean, w, bias), self.log_std_arr, rng)
 
-    # training interface
-    def parameters(self) -> list[np.ndarray]:
-        """Views of flat in order: [w, bias, log_std]."""
-        return [self._w, self._bias, self.log_std_arr]
-
-    def mean_scaled(self, scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(mean actions, tape for mean_grads) of scaled states."""
-        return scaled @ self._w + self._bias[0], scaled
-
-    def mean_grads(self, tape: np.ndarray, dmu: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Gradient of sum(mean * dmu) w.r.t. flat[:-1] (everything but log_std), written into out."""
-        if out is None:
-            out = np.empty(self.state_dim + 1)
-        np.matmul(tape.T, dmu, out=out[:-1])
-        out[-1] = np.add.reduce(dmu)
-        return out
-
-    def finalize_update(self) -> None:
-        self.log_std_arr[0] = clamp_log_std(float(self.log_std_arr[0]))
-        if not np.isfinite(self.flat).all():
-            raise DivergenceError("linear actor parameters became non-finite")
-
     def to_dict(self) -> dict:
         return dict(self.params, variant=self.variant)
 
@@ -456,6 +429,7 @@ class NnActor(gradnet.GaussianPolicy):
     """NN-policy ablation: a 64x64 tanh network emits the mean action."""
 
     kind = "nn"
+    label = "NN actor"
     HIDDEN = (64, 64)
 
     def __init__(self, net: gradnet.DenseNet, variant: str, log_std: float = -1.0):
@@ -467,16 +441,8 @@ class NnActor(gradnet.GaussianPolicy):
             )
         self.variant = variant
         self.state_dim = STATE_DIMS[variant]
-        # one vector flat = [net parameters, log_std]; _view puts a net of
-        # net's layout over it, and log_std_arr is a view into it
-        self.net = net
-        self._view(np.append(net.flat, clamp_log_std(log_std)))
         # the net is defined over features/scale; the checkpoint records the scales
-        self._scales = feature_scales(variant)
-
-    def _view(self, flat: np.ndarray) -> None:
-        self.flat, self.log_std_arr = flat, flat[-1:]
-        self.net = gradnet.DenseNet([w.shape for w in self.net.weights], self.net.activations, flat[:-1])
+        super().__init__(net, feature_scales(variant), log_std)
 
     @classmethod
     def fresh(cls, variant: str, rng: Xoshiro256StarStar, log_std: float = -1.0) -> "NnActor":
@@ -488,26 +454,6 @@ class NnActor(gradnet.GaussianPolicy):
         scaled = np.asarray(state, dtype=np.float64) / self._scales
         out, _ = gradnet.forward(self.net, scaled[None, :])
         return float(out[0, 0])
-
-    # training interface
-    def parameters(self) -> list[np.ndarray]:
-        """Views of flat in order: [W0, b0, W1, b1, W2, b2, log_std]."""
-        return [*self.net.parameters(), self.log_std_arr]
-
-    def mean_scaled(self, scaled: np.ndarray) -> tuple[np.ndarray, gradnet.Tape]:
-        """(mean actions, tape for mean_grads) of scaled states."""
-        out, tape = gradnet.forward(self.net, scaled)
-        return out[:, 0], tape
-
-    def mean_grads(self, tape: gradnet.Tape, dmu: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Gradient of sum(mean * dmu) w.r.t. flat[:-1] (the net's parameters), written into out."""
-        return gradnet.backward(self.net, tape, dmu.reshape(-1, 1), out)
-
-    def finalize_update(self) -> None:
-        self.log_std_arr[0] = clamp_log_std(float(self.log_std_arr[0]))
-        self.net.bump_version()
-        if not np.isfinite(self.flat).all():
-            raise DivergenceError("NN actor parameters became non-finite")
 
     def to_dict(self) -> dict:
         return {

@@ -1,12 +1,12 @@
 """Minimal dense-network toolkit with exact reverse-mode gradients.
 
 Sized for exactly what the training loop needs: the critic and the NN
-actor, tanh nets with an identity output layer, run on batches of (n, in)
-rows. forward returns the output and a tape of each layer's input and
-output; backward replays it into the exact gradient of
-sum(output * grad_output) with respect to every parameter, summed over the
-batch, so per-sample loss weights belong in grad_output. All math is
-float64 numpy.
+actor, tanh nets with an identity output layer, and the linear policy head,
+one identity layer, all run on batches of (n, in) rows. forward returns the
+output and a tape of each layer's input and output; backward replays it
+into the exact gradient of sum(output * grad_output) with respect to every
+parameter, summed over the batch, so per-sample loss weights belong in
+grad_output. All math is float64 numpy.
 
 The pass is lean but keeps every result of the textbook one bit for bit:
 h @ W.T + b forward (bias added in place), g.T @ inputs and g @ W backward,
@@ -25,11 +25,11 @@ per-array views once per buffer). A net and the policy heads are
 FlatParameters: move_to places one in a slice of a larger vector, so that
 the PPO trainer holds the actor and the critic in one vector.
 
-Policy heads and the PPO objective: the Gaussian exploration math shared by
-controllers' LinearActor and NnActor (log_std clamp, log probability, and
-the once-per-episode sampler), the linear head's mean, and surrogate_grads,
-the loss components and exact gradients of PPO's clipped objective on one
-minibatch.
+Policy heads and the PPO objective: GaussianPolicy, the DenseNet mean,
+log_std and exploration that controllers' LinearActor and NnActor share;
+the Gaussian log probability; the linear head's plain-float mean; and
+surrogate_grads, the loss components and exact gradients of PPO's clipped
+objective on one minibatch.
 
 Optimizers: bias-corrected Adam (the default throughout the package) and
 plain SGD. Each keeps its state over one flat parameter vector and updates
@@ -361,8 +361,25 @@ def episode_sampler(mean, log_std_arr: np.ndarray, rng):
 
 
 class GaussianPolicy(FlatParameters):
-    """What the policy heads share: a mean over scaled states (states /
-    self._scales) and Gaussian exploration around it, std exp(log_std_arr[0])."""
+    """What the policy heads share: flat = [net.flat | log_std], a one-output
+    DenseNet mean over scaled states (states / scales) and Gaussian
+    exploration around it, std exp(log_std_arr[0]). The net, parameters()
+    and log_std_arr are views into flat. A subclass defines mean (of one
+    state tuple) and label (its name in a divergence error)."""
+
+    label: str
+
+    def __init__(self, net: DenseNet, scales: np.ndarray, log_std: float):
+        self.net, self._scales = net, scales
+        self._view(np.append(net.flat, clamp_log_std(log_std)))
+
+    def _view(self, flat: np.ndarray) -> None:
+        self.flat, self.log_std_arr = flat, flat[-1:]
+        self.net = DenseNet([w.shape for w in self.net.weights], self.net.activations, flat[:-1])
+
+    def parameters(self) -> list[np.ndarray]:
+        """Views of flat in order: [W0, b0, ..., log_std]."""
+        return [*self.net.parameters(), self.log_std_arr]
 
     def scale(self, states: np.ndarray) -> np.ndarray:
         """States in the units the mean is defined over: the input of mean_scaled."""
@@ -371,6 +388,22 @@ class GaussianPolicy(FlatParameters):
     def sampler(self, rng):
         """The episode's (action, log_prob) draw as one function of the state."""
         return episode_sampler(self.mean, self.log_std_arr, rng)
+
+    def mean_scaled(self, scaled: np.ndarray) -> tuple[np.ndarray, Tape]:
+        """(mean actions, tape for mean_grads) of scaled states."""
+        out, tape = forward(self.net, scaled)
+        return out[:, 0], tape
+
+    def mean_grads(self, tape: Tape, dmu: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Gradient of sum(mean * dmu) w.r.t. flat[:-1] (the net's parameters), written into out."""
+        return backward(self.net, tape, dmu.reshape(-1, 1), out)
+
+    def finalize_update(self) -> None:
+        """After an optimizer step: clamp log_std, invalidate tapes, refuse non-finite parameters."""
+        self.log_std_arr[0] = clamp_log_std(float(self.log_std_arr[0]))
+        self.net.bump_version()
+        if not np.isfinite(self.flat).all():
+            raise DivergenceError(f"{self.label} parameters became non-finite")
 
 
 class LossReport(NamedTuple):

@@ -139,6 +139,10 @@ class EnvConfig(ConfigRecord):
             raise ConfigError("ripple_amps must be finite")
         if any(not math.isfinite(f) or f < 0 for f in self.ripple_freqs):
             raise ConfigError("ripple_freqs must be finite and >= 0")
+        # raw_next's sine argument at the last step, in its order (rounding is monotone)
+        t_last = (self.steps_per_episode - 1) * self.dt
+        if any(not math.isfinite(_TWO_PI * f * t_last) for f in self.ripple_freqs):
+            raise ConfigError(f"ripple_freqs {list(self.ripple_freqs)} with dt {self.dt} overflow the ripple phase")
         if not 0.0 <= self.ou_rho < 1.0:
             raise ConfigError(f"ou_rho must lie in [0, 1), got {self.ou_rho}")
         if not (self.ou_sigma >= 0.0 and math.isfinite(self.ou_sigma)):

@@ -24,6 +24,11 @@ None of these is used by the package itself:
   optimizer state per learner where ppo.ppo_update now steps one state over
   both learners' joined parameters. The package's versions must match them
   bit for bit;
+- _mean_batch / _mean_grads are the policy head's minibatch mean and its
+  gradient as the heads computed them apart: the linear head as the matvec
+  scaled @ w + bias and its transpose (tape.T @ dmu, dmu.sum()), which
+  the package now runs through a one-layer identity DenseNet, and the NN
+  head through dense_forward / dense_backward;
 - compute_gae is ppo.compute_gae as it was, on numpy scalars, with its
   per-step dones column.
 - init_dense_weights draws gradnet.init_dense's weights as it did before
@@ -267,7 +272,7 @@ def dense_backward(net: gradnet.DenseNet, tape: DenseTape, grad_output: np.ndarr
 def _mean_batch(actor, states):
     if isinstance(actor, LinearActor):
         scaled = states / actor._scales
-        return scaled @ actor._w + actor._bias[0], scaled
+        return scaled @ actor.net.weights[0][0] + actor.net.biases[0][0], scaled
     out, tape = dense_forward(actor.net, states / actor._scales)
     return out[:, 0], tape
 

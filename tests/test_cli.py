@@ -459,6 +459,17 @@ def test_seed_outside_64_bits_is_config_error(tmp_path, capsys, argv, payload, t
     assert not (tmp_path / "o" / MANIFEST_NAME).exists()
 
 
+@pytest.mark.parametrize("env", [{"dt": 1e306}, {"ripple_freqs": [1e308, 180.0]}])
+@pytest.mark.parametrize("command", ["simulate", "tune-pid", "train"])
+def test_overflowing_ripple_phase_is_config_error(tmp_path, capsys, command, env):
+    cfg = write_config(tmp_path, {"env": env, "train": {"iterations": 1}})
+    assert run(command, "--config", cfg, "--out", tmp_path / "o") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "ripple_freqs" in err and "with dt" in err and "overflow the ripple phase" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / MANIFEST_NAME).exists()
+
+
 def test_largest_seed_is_accepted(tmp_path):
     assert run("simulate", f"--seed={2**64 - 1}", "--out", tmp_path) == EXIT_OK
     assert read_json(tmp_path / MANIFEST_NAME)["master_seed"] == 2**64 - 1

@@ -213,6 +213,7 @@ def test_pid_sdfs_match_scalar_episodes_when_both_clamps_saturate():
     assert exact.all() and first_difference(got.tolist(), scalar_sdfs(cfg, [1, 2], points)) is None
 
 
+@pytest.mark.scalar_loops
 def test_pid_sdfs_row_does_not_depend_on_its_block(env_cfg, kernel_passes):
     seeds = list(range(9))
     block = PID_KERNEL_BYTES // (8 * env_cfg.steps_per_episode * len(seeds))
@@ -508,7 +509,7 @@ def test_linear_head_kernel_matches_when_both_clamps_saturate():
 def test_linear_head_nan_weights_raise_like_the_scalar_path(variant):
     cfg = EnvConfig(steps_per_episode=40)
     actor = linear_actor(variant, 0.5, 0.1, 0.0, 0.25, 0.0)
-    actor.parameters()[0][1] = math.nan
+    actor.parameters()[0][0, 1] = math.nan
     with pytest.raises(InvalidActionError):
         evaluate_actor_sdf(cfg, actor, 0)
     with pytest.raises(InvalidActionError):
@@ -559,6 +560,7 @@ def report_outcome(build, cfg, gains, actor, seeds):
     return [(r["seed"], r["sdf_noise"].hex(), r["sdf_pid"].hex(), r["sdf_rl"].hex()) for r in report["per_seed"]]
 
 
+@pytest.mark.scalar_loops
 @settings(max_examples=200, deadline=None)
 @given(
     cfg=small_configs(),
@@ -600,6 +602,7 @@ def test_report_refuses_gains_of_another_dt():
             ppo.build_report(cfg, PidGains(0.5, 0.1, 0.0, dt=2 * cfg.dt), actor, (0,))
 
 
+@pytest.mark.scalar_loops
 def test_batch_sdfs_does_not_depend_on_the_block_size(monkeypatch, kernel_passes):
     cfg, seeds = EnvConfig(), list(range(9))
     pid_rows = [(kp, ki, kd) for kp in DEFAULT_GAIN_GRID.kp for ki in DEFAULT_GAIN_GRID.ki
@@ -694,6 +697,7 @@ def assert_traces_match(cfg, seeds, rows, episodes):
     return len(ran)
 
 
+@pytest.mark.scalar_loops
 def test_kernel_traces_match_the_scalar_path_on_the_default_grid(env_cfg):
     seeds = list(range(9))
     ran = assert_traces_match(env_cfg, seeds, DEFAULT_GRID_POINTS, pid_episodes(env_cfg, DEFAULT_GRID_POINTS))
@@ -703,6 +707,7 @@ def test_kernel_traces_match_the_scalar_path_on_the_default_grid(env_cfg):
         assert assert_traces_match(env_cfg, seeds, [actor.coefs()], [head_episode(env_cfg, actor)]) == len(seeds)
 
 
+@pytest.mark.scalar_loops
 @settings(max_examples=100, deadline=None)
 @given(
     cfg=small_configs(),
@@ -717,6 +722,7 @@ def test_kernel_traces_match_the_scalar_path(cfg, seeds, points, variant, coefs)
     assert_traces_match(cfg, seeds, [actor.coefs()], [head_episode(cfg, actor)])
 
 
+@pytest.mark.scalar_loops
 def test_trace_pin_rejects_a_one_ulp_kp_nudge(env_cfg):
     """The negative control: a slip that no SDF over seeds 0-8 shows, but the traces do."""
     seeds = list(range(9))
@@ -933,6 +939,48 @@ def test_linear_actor_batch_matches_scalar(tuned_gains):
     mus, _ = actor.mean_scaled(actor.scale(states))
     singles = [actor.mean(tuple(row)) for row in states]
     assert mus == pytest.approx(singles, abs=1e-15)
+
+
+def linear_head_difference(actor, reference, states, dmu):
+    """first_difference of actor's mean_scaled and mean_grads, run through its
+    one-layer net, against the matvec oracles on reference's parameters, as
+    float.hex strings, so that a zero of the other sign differs too."""
+    mu, tape = actor.mean_scaled(actor.scale(states))
+    want_mu, want_tape = oracles._mean_batch(reference, states)
+    got = [mu, actor.mean_grads(tape, dmu)]
+    want = [want_mu, oracles._mean_grads(reference, want_tape, dmu)]
+    return first_difference([[x.hex() for x in a.tolist()] for a in got],
+                            [[x.hex() for x in a.tolist()] for a in want])
+
+
+def linear_head_cases(variant, count=50):
+    """(weights, bias, states, dmu) draws: a 64-row minibatch and the 46-row tail of a 430-step rollout."""
+    rng = np.random.default_rng(23)
+    scales = feature_scales(variant)
+    for _ in range(count):
+        # every term of the mean about as large as the others, in scaled units
+        weights, bias = (rng.normal(size=scales.size) / scales).tolist(), float(rng.normal())
+        for n in (64, 46):
+            yield weights, bias, rng.normal(size=(n, scales.size)) * scales, rng.normal(size=n)
+
+
+@pytest.mark.scalar_loops
+@pytest.mark.parametrize("variant", ["pid_act", "pid3", "cd_over"])
+def test_linear_head_through_the_net_matches_the_matvec_bit_for_bit(variant):
+    for weights, bias, states, dmu in linear_head_cases(variant):
+        actor = LinearActor(variant, weights, bias)
+        assert linear_head_difference(actor, actor, states, dmu) is None
+
+
+@pytest.mark.scalar_loops
+@pytest.mark.parametrize("variant", ["pid_act", "pid3", "cd_over"])
+def test_linear_head_pin_rejects_a_one_ulp_weight_nudge(variant):
+    for weights, bias, states, dmu in linear_head_cases(variant, count=1):
+        reference, nudged = LinearActor(variant, weights, bias), LinearActor(variant, weights, bias)
+        w = nudged.net.weights[0]
+        w[0, 0] = np.nextafter(w[0, 0], math.inf)
+        assert linear_head_difference(nudged, reference, states, dmu) is not None
+        assert linear_head_difference(reference, reference, states, dmu) is None
 
 
 def test_linear_actor_round_trip_preserves_function():

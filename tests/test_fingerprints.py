@@ -32,6 +32,9 @@ from spillreg.cli import EXIT_OK, MANIFEST_NAME, main
 from spillreg.controllers import NnActor, actor_from_dict
 from spillreg.rng import Xoshiro256StarStar
 
+# every test here runs again on numpy's scalar loops (see scalar_loops in pyproject.toml)
+pytestmark = pytest.mark.scalar_loops
+
 # tune_pid on seeds 0-8 with the default config
 PINNED_GAINS = {"format_version": 1, "kp": 0.34375, "ki": 0.6, "kd": -8.750000000000001e-06, "dt": 1e-4}
 

@@ -309,6 +309,7 @@ def test_backward_flat_is_laid_out_like_the_parameters():
 
 # --- bit identity with the tape-and-multiply pass it replaced ---------------------
 
+@pytest.mark.scalar_loops
 @settings(max_examples=80, deadline=None)
 @given(
     in_dim=st.integers(1, 6),
@@ -343,6 +344,7 @@ def test_forward_backward_match_the_reference_bit_for_bit(in_dim, hidden, out_di
     assert backward(net, tape, probe).tobytes() == oracles.dense_backward(net, ref_tape, probe).tobytes()
 
 
+@pytest.mark.scalar_loops
 def test_one_output_product_is_the_elementwise_sum_bit_for_bit():
     """g @ W of inner dimension 1 is 0 + g*W per element, as backward computes it: -0.0 products become +0.0.
 

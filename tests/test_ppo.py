@@ -570,6 +570,7 @@ def update_runs(reference, kind, variant, cfg, seed, updates=2, edit=None):
     return states
 
 
+@pytest.mark.scalar_loops
 @settings(max_examples=16, deadline=None)
 @given(
     kind=st.sampled_from(["pid", "nn"]),

@@ -148,6 +148,19 @@ def test_config_rejects_nonfinite_values(field, value):
         EnvConfig(**{field: value})
 
 
+# math.sin raises on an infinite argument: raw_next's 2*pi*f*t*dt must stay finite
+@pytest.mark.parametrize("kwargs", [{"dt": 1e306}, {"ripple_freqs": (1e308, 180.0)}])
+def test_config_refuses_a_ripple_phase_that_overflows(kwargs):
+    with pytest.raises(ConfigError, match=r"^ripple_freqs \[.*\] with dt .* overflow the ripple phase$"):
+        EnvConfig(**kwargs)
+
+
+def test_config_keeps_a_huge_ripple_phase_that_stays_finite():
+    # 2*pi*1e306 times the last step's 0.0429 s is about 2.7e305
+    cfg = EnvConfig(ripple_freqs=(1e306, 180.0))
+    assert all(map(math.isfinite, run_raw_episode(cfg, 0)))
+
+
 def test_config_round_trip(env_cfg):
     again = EnvConfig.from_dict(env_cfg.to_dict())
     assert again == env_cfg
