@@ -32,6 +32,8 @@ import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import __version__, metrics, ppo
 from .controllers import STATE_LABELS, PidGains, pid_episode_records, tune_pid
 from .errors import (
@@ -112,14 +114,29 @@ def load_json(path: str):
         return json.load(fh)
 
 
+def json_default(obj) -> list:
+    """json's hook for what it cannot encode: a numpy array as its list, anything else a TypeError.
+
+    Checkpoint records hold their parameter and optimizer blocks as float64
+    arrays (gradnet.net_to_dict, gradnet.adam_to_dict); tolist() gives the
+    Python floats their list form held, so the bytes written are the same.
+    """
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def write_output(out_dir: str, name: str, data: str | dict, indent: int | None = 2) -> str:
-    """The one writer of output files: text as it is, a dict streamed as sorted-key JSON plus a newline."""
+    """The one writer of output files: text as it is, a dict streamed as sorted-key JSON plus a newline.
+
+    Numpy arrays in a dict are written as JSON lists (json_default).
+    """
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8") as fh:
         if isinstance(data, str):
             fh.write(data)
         else:
-            json.dump(data, fh, indent=indent, sort_keys=True)
+            json.dump(data, fh, indent=indent, sort_keys=True, default=json_default)
             fh.write("\n")
     return path
 
@@ -243,9 +260,9 @@ def cmd_simulate(args) -> int:
         raw = run_raw_episode(run.env, seed)
         corrected = list(raw)
         actions = [0.0] * len(raw)
-    trace_path = write_output(out_dir, "trace.csv", format_trace_csv(raw, corrected, actions))
-    sdf_raw = metrics.sdf(raw)
+    sdf_raw = metrics.sdf(raw)  # before any file is written: a trace can fail to score
     sdf_corr = metrics.sdf(corrected)
+    trace_path = write_output(out_dir, "trace.csv", format_trace_csv(raw, corrected, actions))
     write_manifest(
         out_dir, "simulate", config_payload(run, variant), seed,
         outputs={"trace_csv": "trace.csv"},
@@ -400,15 +417,15 @@ def cmd_ablate(args) -> int:
             "error": None,
         }
         try:
-            result = ppo.train(replace(run, reward=ppo.RewardConfig(kind=spec.reward_kind, alpha=spec.alpha),
-                                       policy_variant=spec.policy, state_variant=spec.state))
+            # keep only the row's aggregate: its TrainResult is let go before the next row trains
+            agg = ppo.train(replace(run, reward=ppo.RewardConfig(kind=spec.reward_kind, alpha=spec.alpha),
+                                    policy_variant=spec.policy, state_variant=spec.state)).report["aggregate"]
         except (SpillRegError, FloatingPointError) as exc:
             failures.append(exc)
             row["error"] = f"{type(exc).__name__}: {exc}"
             row_errors[name] = row["error"]
             print(f"row {name!r} failed: {row['error']}", file=sys.stderr)
         else:
-            agg = result.report["aggregate"]
             row["vs_pid"] = agg["vs_pid_pct"]
             row["vs_noise"] = agg["vs_noise_pct"]
             print(

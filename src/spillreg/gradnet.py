@@ -474,10 +474,15 @@ def surrogate_grads(actor, critic: DenseNet, actor_x, critic_x, actions, logp_ol
 # --- checkpoint pieces ----------------------------------------------------
 
 def net_to_dict(net: DenseNet) -> dict:
+    """The net's record: layer dims, activations and one 1-D float64 copy per parameter array.
+
+    The copies are the net's values now, not views: they stay as they are
+    while training steps the net. cli.write_output writes them as JSON lists.
+    """
     return {
         "layer_dims": [list(w.shape) for w in net.weights],
         "activations": list(net.activations),
-        "params": [p.ravel().tolist() for p in net.parameters()],
+        "params": [p.flatten() for p in net.parameters()],
     }
 
 
@@ -497,7 +502,10 @@ def net_from_dict(data: dict) -> DenseNet:
 
 
 def adam_to_dict(opt: AdamState, params: list[np.ndarray]) -> dict:
-    """Adam state with m and v cut into one list per parameter array of the flat vector."""
+    """Adam state with m and v cut into one 1-D float64 copy per parameter array of the flat vector.
+
+    Copies, as net_to_dict's are: the record keeps the state of the step it was taken at.
+    """
     shapes = [p.shape for p in params]
     return {
         "kind": "adam",
@@ -506,8 +514,8 @@ def adam_to_dict(opt: AdamState, params: list[np.ndarray]) -> dict:
         "beta2": opt.beta2,
         "eps": opt.eps,
         "step": opt.step,
-        "m": [m.ravel().tolist() for m in split(opt.m, shapes)],
-        "v": [v.ravel().tolist() for v in split(opt.v, shapes)],
+        "m": [m.flatten() for m in split(opt.m, shapes)],
+        "v": [v.flatten() for v in split(opt.v, shapes)],
     }
 
 

@@ -41,7 +41,9 @@ def sdf(trace: Sequence[float]) -> float:
     """Spill duty factor of a corrected spill trace.
 
     Uses the population variance (ddof=0). Requires at least two
-    samples; a shorter trace has no meaningful spread.
+    samples; a shorter trace has no meaningful spread. Finite samples can
+    still overflow the variance (near 1e308 their sum does); a non-finite
+    variance raises InputError, as a non-finite sample does.
     """
     n = len(trace)
     if n < 2:
@@ -49,7 +51,11 @@ def sdf(trace: Sequence[float]) -> float:
     arr = np.asarray(trace, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise InputError("sdf trace contains non-finite samples")
-    return 1.0 / (1.0 + float(np.var(arr)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = float(np.var(arr))
+    if not math.isfinite(var):
+        raise InputError(f"sdf trace variance is non-finite ({var}): the samples overflow float64")
+    return 1.0 / (1.0 + var)
 
 
 def _check_alpha(alpha: float) -> None:

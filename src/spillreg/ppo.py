@@ -32,9 +32,14 @@ they are comparable across runs and tools. Fixed master seed means
 bit-identical parameters, curves, and checkpoints.
 
 A Run (configs, gains, variants, master seed) is what train takes. Checkpoints
-and reports are plain data that cli writes: checkpoint_dict records a Run
-and its learners' state, restore_from_checkpoint rebuilds both from it (cli
-reads the file), and build_report returns metrics.report_dict's data.
+and reports are data that cli writes: checkpoint_dict records a Run and its
+learners' state, restore_from_checkpoint rebuilds both from it (cli reads
+the file), and build_report returns metrics.report_dict's data. A checkpoint
+holds its parameter and Adam blocks as 1-D float64 array copies
+(gradnet.net_to_dict, gradnet.adam_to_dict), everything else as plain
+Python values; cli.write_output writes the arrays as JSON lists. train takes
+one checkpoint per iteration as its last good state, and the copies keep it
+as it was while params and the optimizer state are stepped in place.
 """
 
 from __future__ import annotations

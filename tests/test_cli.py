@@ -11,12 +11,15 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import time
+import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,7 +43,7 @@ def run(*argv):
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    path.write_text(json.dumps(payload, default=cli.json_default), encoding="utf-8")
     return path
 
 
@@ -90,6 +93,37 @@ def test_manifest_created_utc_is_the_current_utc_second(tmp_path):
 @given(data=st.binary(max_size=300))
 def test_manifest_digest_matches_hashlib(data):
     assert payload_digest(data) == hashlib.sha256(data).hexdigest()
+
+
+# signed zeros, the smallest subnormal and normal, the largest finite, NaN, infinities, inexact decimals
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+               math.nan, math.inf, -math.inf, 0.1, 1.0 / 3.0, -8.750000000000001e-06]
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+def test_write_output_writes_arrays_as_their_lists(tmp_path, indent):
+    """A record that holds float64 arrays is written byte for byte as the same record holding lists."""
+    values = np.array(EDGE_FLOATS)
+    as_arrays = {"params": [values, values[2:5].copy(), values[:0]], "nested": {"m": [values[::-1].copy()]},
+                 "lr": 1e-4, "step": 7}
+    as_lists = {"params": [values.tolist(), values[2:5].tolist(), []], "nested": {"m": [values[::-1].tolist()]},
+                "lr": 1e-4, "step": 7}
+    written = cli.write_output(tmp_path, "arrays.json", as_arrays, indent=indent)
+    expected = cli.write_output(tmp_path, "lists.json", as_lists, indent=indent)
+    with open(written, "rb") as a, open(expected, "rb") as b:
+        data = a.read()
+        assert data == b.read()
+    for text in (b"-0.0", b"5e-324", b"2.2250738585072014e-308", b"1e+308", b"-1.7976931348623157e+308",
+                 b"NaN", b"-Infinity", b"0.3333333333333333"):
+        assert text in data
+    # the text reads back as the array's bits
+    assert np.array(json.loads(data)["params"][0]).tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("value", [object(), {1.0}, b"bytes", 1j, np.int64(3), np.float32(0.5), np.bool_(True)])
+def test_write_output_refuses_objects_json_cannot_write(tmp_path, value):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        cli.write_output(tmp_path, "x.json", {"params": [np.zeros(2), value]}, indent=None)
 
 
 def test_commands_load_no_openssl(tmp_path):
@@ -302,6 +336,24 @@ def test_ablate_exits_ok_when_some_row_trains(tmp_path, gains_file, capsys, monk
     assert read_json(out / MANIFEST_NAME)["row_errors"] == {"nn": "ConfigError: no nn today"}
 
 
+def test_ablate_lets_go_of_a_row_result_before_the_next_row_trains(tmp_path, gains_file, monkeypatch):
+    # the nn row's TrainResult (actor, report, curve, checkpoint) is dead when the cd_over row starts
+    real_train = ppo.train
+    results, alive_at_start = [], []
+
+    def tracking_train(*args, **kwargs):
+        alive_at_start.append([ref() is not None for ref in results])
+        result = real_train(*args, **kwargs)
+        results.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(ppo, "train", tracking_train)
+    out = tmp_path / "o"
+    assert run("ablate", "--rows", "nn,cd_over", "--iterations", "1", "--gains", gains_file, "--out", out) == EXIT_OK
+    assert alive_at_start == [[], [False]]
+    assert results[1]() is None
+
+
 def test_train_and_ablate_call_ppo_train_through_the_module(tmp_path, gains_file, monkeypatch):
     # the benchmark worker times iterations by replacing ppo.train
     calls = []
@@ -468,6 +520,19 @@ def test_overflowing_ripple_phase_is_config_error(tmp_path, capsys, command, env
     assert "ripple_freqs" in err and "with dt" in err and "overflow the ripple phase" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o" / MANIFEST_NAME).exists()
+
+
+# finite ripple samples whose variance overflows float64: their SDF would be NaN
+@pytest.mark.parametrize("command", ["simulate", "train"])
+def test_a_trace_whose_variance_overflows_is_config_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, {"env": {"ripple_amps": [1e308, 1e308]}, "train": {"iterations": 1}})
+    out = tmp_path / "o"
+    assert run(command, "--config", cfg, "--out", out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "sdf trace variance is non-finite (nan)" in err
+    assert "Traceback" not in err
+    assert not any("NaN" in path.read_text() for path in out.iterdir())
+    assert not (out / "trace.csv").exists() and not (out / MANIFEST_NAME).exists()
 
 
 def test_largest_seed_is_accepted(tmp_path):

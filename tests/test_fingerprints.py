@@ -28,7 +28,7 @@ import json
 import pytest
 
 from spillreg import gradnet, ppo
-from spillreg.cli import EXIT_OK, MANIFEST_NAME, main
+from spillreg.cli import EXIT_OK, MANIFEST_NAME, json_default, main
 from spillreg.controllers import NnActor, actor_from_dict
 from spillreg.rng import Xoshiro256StarStar
 
@@ -148,8 +148,13 @@ NET_RECORDS = {
 }
 
 
+def record_text(data: dict) -> str:
+    """A record's sorted-key JSON in cli.write_output's encoding: numpy arrays as lists."""
+    return json.dumps(data, sort_keys=True, default=json_default)
+
+
 def record_sha(data: dict) -> str:
-    return hashlib.sha256(json.dumps(data, sort_keys=True).encode("utf-8")).hexdigest()
+    return hashlib.sha256(record_text(data).encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("seed", sorted(NET_RECORDS))

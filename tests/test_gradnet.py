@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from spillreg import gradnet
+from spillreg.cli import json_default
 from spillreg.errors import CheckpointError, DivergenceError, ShapeError, UsageError
 from spillreg.gradnet import (
     ACTIVATIONS,
@@ -435,13 +436,13 @@ def test_adam_dict_round_trip_keeps_per_array_lists():
         adam_step(opt, net.flat, rng.normal(size=net.flat.shape))
     data = adam_to_dict(opt, net.parameters())
     assert set(data) == {"kind", "lr", "beta1", "beta2", "eps", "step", "m", "v"}
-    # one flat list per parameter array, as [W0, b0, W1, b1] of the net
-    assert [len(block) for block in data["m"]] == [15, 5, 10, 2]
-    assert [len(block) for block in data["v"]] == [15, 5, 10, 2]
-    assert data["m"][0] == opt.m[:15].tolist() and data["v"][3] == opt.v[-2:].tolist()
-    text = json.dumps(data, sort_keys=True)
+    # one flat block per parameter array, as [W0, b0, W1, b1] of the net, written as one list each
+    assert [block.shape for block in data["m"]] == [(15,), (5,), (10,), (2,)]
+    assert [block.shape for block in data["v"]] == [(15,), (5,), (10,), (2,)]
+    assert data["m"][0].tolist() == opt.m[:15].tolist() and data["v"][3].tolist() == opt.v[-2:].tolist()
+    text = json.dumps(data, sort_keys=True, default=json_default)
     restored = adam_from_dict(json.loads(text), net.parameters())
-    assert json.dumps(adam_to_dict(restored, net.parameters()), sort_keys=True) == text
+    assert json.dumps(adam_to_dict(restored, net.parameters()), sort_keys=True, default=json_default) == text
     assert restored.m.tobytes() == opt.m.tobytes() and restored.v.tobytes() == opt.v.tobytes()
     with pytest.raises(CheckpointError):
         adam_from_dict(data, net.parameters()[:-1])

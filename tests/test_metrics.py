@@ -62,6 +62,15 @@ def test_sdf_rejects_bad_traces(bad):
         sdf(bad)
 
 
+# finite samples whose squared deviations overflow (inf), or whose partial sums
+# overflow to both infinities, so that their mean is NaN (nan)
+@pytest.mark.parametrize("trace, var", [([1e308, -1e308], "inf"), (([1e308] * 4 + [-1e308] * 4) * 2, "nan")])
+def test_sdf_refuses_a_variance_that_overflows(trace, var):
+    # pytest turns a RuntimeWarning into an error, so this also checks that numpy warns of nothing
+    with pytest.raises(InputError, match=rf"sdf trace variance is non-finite \({var}\)"):
+        sdf(trace)
+
+
 def test_ema_reward_hand_values():
     # alpha 0.5, errors [0.2, 0.1]:
     #   EMA_0 = 0.5*0.2 = 0.1, EMA_1 = 0.5*0.1 + 0.5*0.1 = 0.1

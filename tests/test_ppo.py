@@ -15,6 +15,7 @@ import oracles
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import ema_reward, neg_sum_series, surrogate_losses
+from test_fingerprints import record_text
 from spillreg import gradnet, metrics, ppo
 from spillreg.controllers import (
     STATE_DIMS,
@@ -46,7 +47,7 @@ from spillreg.ppo import (
     restore_from_checkpoint,
     train,
 )
-from spillreg.cli import load_json, write_output
+from spillreg.cli import json_default, load_json, write_output
 from spillreg.rng import Xoshiro256StarStar
 from spillreg import spillsim
 from spillreg.spillsim import clamp_action, closed_loop
@@ -441,10 +442,10 @@ def test_join_parameters_keeps_both_learners_as_views():
     for kind in ("pid", "nn"):
         actor, critic = fresh_actor(kind=kind), fresh_critic()
         x = np.random.default_rng(0).normal(size=(3, 5))
-        before = [actor.flat.copy(), critic.flat.copy(), forward_bytes(critic, x), actor.to_dict()]
+        before = [actor.flat.copy(), critic.flat.copy(), forward_bytes(critic, x), record_text(actor.to_dict())]
         params = ppo.join_parameters(actor, critic)
         assert params.tobytes() == before[0].tobytes() + before[1].tobytes()
-        assert [forward_bytes(critic, x), actor.to_dict()] == before[2:]
+        assert [forward_bytes(critic, x), record_text(actor.to_dict())] == before[2:]
         params[:] = 0.5  # every parameter array of both learners now reads the vector
         views = [*actor.parameters(), *critic.parameters(), actor.log_std_arr]
         if kind == "nn":
@@ -615,9 +616,30 @@ def test_checkpoint_cuts_the_one_state_into_the_per_learner_records(kind, optimi
             data = ppo.checkpoint_dict(Run(spillsim.EnvConfig(), cfg, GAINS, policy_variant=kind), actor, critic, opt, 1)
             records.append([data["actor_opt"], data["critic_opt"]])
     # float reprs, so that -0.0 and 0.0 differ; a bool, so that a failure renders no diff of the lists
-    same = json.dumps(records[0]) == json.dumps(records[1])
+    same = json.dumps(records[0], default=json_default) == json.dumps(records[1], default=json_default)
     assert same
     assert records[0][0]["step"] == records[0][1]["step"] == 7
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("kind", ["pid", "nn"])
+def test_checkpoint_snapshot_is_not_changed_by_later_updates(tmp_path, kind, optimizer):
+    """checkpoint_dict copies the arrays it records: the run steps params, opt.m and opt.v in place."""
+    cfg = TrainConfig(epochs_per_iter=1, optimizer=optimizer, lr=1e-3)
+    run = Run(spillsim.EnvConfig(), cfg, GAINS, policy_variant=kind)
+    actor, critic = fresh_actor(3, kind), fresh_critic(4)
+    params, opt = joint_opt(actor, critic, cfg)
+    inputs = random_update_inputs(3, actor)
+    ppo_update(actor, critic, *inputs, cfg, Xoshiro256StarStar(3), params, opt)  # nonzero m and v
+    snapshot = ppo.checkpoint_dict(run, actor, critic, opt, 1)
+    with open(write_output(tmp_path, "before.json", snapshot, indent=None), "rb") as fh:
+        before = fh.read()
+    stepped = params.copy()
+    ppo_update(actor, critic, *inputs, cfg, Xoshiro256StarStar(4), params, opt)
+    assert not np.array_equal(params, stepped)
+    assert record_text(ppo.checkpoint_dict(run, actor, critic, opt, 1)) != record_text(snapshot)
+    with open(write_output(tmp_path, "after.json", snapshot, indent=None), "rb") as fh:
+        assert fh.read() == before
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -797,7 +819,7 @@ def test_checkpoint_round_trips_every_field_of_the_run(tmp_path, policy, state):
     restored, actor, critic = restore_from_checkpoint(data)
     assert dataclasses.asdict(restored) == dataclasses.asdict(run)
     assert restored == run
-    assert actor.to_dict() == result.actor.to_dict()
+    assert record_text(actor.to_dict()) == record_text(result.actor.to_dict())
     assert (actor.kind, actor.variant, critic.in_dim) == (policy, state, STATE_DIMS[state] + 1)
     del data["master_seed"]  # a checkpoint without one was trained from master seed 0
     assert restore_from_checkpoint(data)[0] == dataclasses.replace(run, master_seed=0)
