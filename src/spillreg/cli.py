@@ -12,7 +12,7 @@ Config file schema (JSON, all sections optional):
     {
       "env":    { ...spillsim.EnvConfig fields... },
       "train":  { ...ppo.TrainConfig fields... },
-      "reward": { "kind": "neg_ema" | "neg_sum", "alpha": 0.5 },
+      "reward": { "kind": one of metrics.REWARD_KINDS, "alpha": 0.5 },
       "variant": "main",
       "master_seed": 0,
       "gains":  { "format_version": 1, "kp": ..., "ki": ..., "kd": ..., "dt": ... }
@@ -45,6 +45,7 @@ from .errors import (
     SpillRegError,
     UsageError,
 )
+from .metrics import RewardConfig
 from .rng import check_seed
 from .spillsim import EnvConfig, format_trace_csv, run_raw_episode
 
@@ -73,20 +74,19 @@ class VariantSpec:
     name: str
     policy: str  # "pid" | "nn"
     state: str  # "pid_act" | "pid3" | "cd_over"
-    reward_kind: str
-    alpha: float
+    reward: RewardConfig
 
 
 VARIANTS: dict[str, VariantSpec] = {
     v.name: v
     for v in (
-        VariantSpec("main", "pid", "pid_act", "neg_ema", 0.5),
-        VariantSpec("ema01", "pid", "pid_act", "neg_ema", 0.1),
-        VariantSpec("ema09", "pid", "pid_act", "neg_ema", 0.9),
-        VariantSpec("sum", "pid", "pid_act", "neg_sum", 0.5),
-        VariantSpec("nn", "nn", "pid_act", "neg_ema", 0.5),
-        VariantSpec("pid3", "pid", "pid3", "neg_ema", 0.5),
-        VariantSpec("cd_over", "pid", "cd_over", "neg_ema", 0.5),
+        VariantSpec("main", "pid", "pid_act", RewardConfig("neg_ema", 0.5)),
+        VariantSpec("ema01", "pid", "pid_act", RewardConfig("neg_ema", 0.1)),
+        VariantSpec("ema09", "pid", "pid_act", RewardConfig("neg_ema", 0.9)),
+        VariantSpec("sum", "pid", "pid_act", RewardConfig("neg_sum", 0.5)),
+        VariantSpec("nn", "nn", "pid_act", RewardConfig("neg_ema", 0.5)),
+        VariantSpec("pid3", "pid", "pid3", RewardConfig("neg_ema", 0.5)),
+        VariantSpec("cd_over", "pid", "cd_over", RewardConfig("neg_ema", 0.5)),
     )
 }
 
@@ -180,8 +180,7 @@ def resolve_run(args) -> tuple[ppo.Run, VariantSpec]:
 
         env_cfg = EnvConfig.from_dict(file_cfg.get("env", {}))
 
-        reward_cfg = (ppo.RewardConfig.from_dict(file_cfg["reward"]) if "reward" in file_cfg
-                      else ppo.RewardConfig(kind=variant.reward_kind, alpha=variant.alpha))
+        reward_cfg = RewardConfig.from_dict(file_cfg["reward"]) if "reward" in file_cfg else variant.reward
 
         train_over = dict(file_cfg.get("train", {}))
         iterations = getattr(args, "iterations", None)
@@ -403,13 +402,13 @@ def cmd_ablate(args) -> int:
         # one shared PID baseline for every row keeps the comparison honest
         run = replace(run, gains=tune_pid(run.env, list(run.train.seeds))[0])
 
-    rows, row_errors, failures = [], {}, []
+    rows, first_error = [], None
     for name in row_names:
         spec = VARIANTS[name]
         row = {
             "name": name,
             "policy": spec.policy.upper(),
-            "reward": "-SUM" if spec.reward_kind == "neg_sum" else f"EMA a={spec.alpha}",
+            "reward": spec.reward.label,
             "algo": "PPO",
             "state": STATE_LABELS[spec.state],
             "vs_pid": None,
@@ -418,12 +417,15 @@ def cmd_ablate(args) -> int:
         }
         try:
             # keep only the row's aggregate: its TrainResult is let go before the next row trains
-            agg = ppo.train(replace(run, reward=ppo.RewardConfig(kind=spec.reward_kind, alpha=spec.alpha),
-                                    policy_variant=spec.policy, state_variant=spec.state)).report["aggregate"]
-        except (SpillRegError, FloatingPointError) as exc:
-            failures.append(exc)
+            agg = ppo.train(replace(run, reward=spec.reward, policy_variant=spec.policy,
+                                    state_variant=spec.state)).report["aggregate"]
+        except SpillRegError as exc:
+            if first_error is None:  # a traceback down its chain would keep the row's learners alive
+                first_error = link = exc
+                while link is not None:
+                    link.__traceback__ = None
+                    link = link.__cause__ or link.__context__
             row["error"] = f"{type(exc).__name__}: {exc}"
-            row_errors[name] = row["error"]
             print(f"row {name!r} failed: {row['error']}", file=sys.stderr)
         else:
             row["vs_pid"] = agg["vs_pid_pct"]
@@ -442,12 +444,12 @@ def cmd_ablate(args) -> int:
         extra={
             "seed_schedule": list(run.train.seeds),
             "shared_seed_schedule": True,
-            "row_errors": row_errors,
+            "row_errors": {row["name"]: row["error"] for row in rows if row["error"] is not None},
         },
     )
     print(f"wrote {csv_path}")
-    if len(failures) == len(rows):
-        raise failures[0]  # no row trained: exit as the first row's error would
+    if all(row["error"] is not None for row in rows):
+        raise first_error  # no row trained: exit as the first row's error would
     return EXIT_OK
 
 

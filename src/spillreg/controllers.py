@@ -37,6 +37,7 @@ so the per-iteration training curve recomputes no PID episode.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -216,21 +217,14 @@ def round_points(best, hs) -> list[tuple[float, float, float]]:
 
     The round probes, axis by axis with h = hs[axis] (skipping h == 0),
     best[axis] - h and then best[axis] + h, and either probe may become the
-    new best. The points are listed, in first-seen order, for every such
-    outcome with the round's own float ops, so (b - h) + h is a point of its
-    own where it differs from b. Most are never probed, and a coordinate may
-    overflow to infinity.
+    new best. The coordinates move independently, so an axis can end at b,
+    b - h, b + h or (b - h) + h, computed with the round's own float ops
+    ((b - h) + h is a value of its own where it differs from b), and the
+    points are every combination of those. Most are never probed, and a
+    coordinate may overflow to infinity.
     """
-    bests = {best: None}  # every point the round's best could be, in first-seen order
-    for axis, h in enumerate(hs):
-        if h == 0.0:
-            continue
-        for delta in (-h, h):
-            for point in list(bests):
-                cand = list(point)
-                cand[axis] += delta
-                bests.setdefault(tuple(cand))
-    return list(bests)
+    axes = [dict.fromkeys((b, b - h, b + h, (b - h) + h) if h else (b,)) for b, h in zip(best, hs)]
+    return list(itertools.product(*axes))
 
 
 def tune_pid(config: EnvConfig, seeds: list[int], grid: GainGrid = DEFAULT_GAIN_GRID) -> tuple[PidGains, float]:

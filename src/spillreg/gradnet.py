@@ -21,9 +21,10 @@ activations and one contiguous float64 vector, `flat` = [W0, b0, W1, b1,
 ...] row-major. weights[i] and biases[i] are views into flat, so writing
 through them changes the net. backward returns the parameter gradient in
 the same layout, written into a caller's buffer if given (cut into
-per-array views once per buffer). A net and the policy heads are
-FlatParameters: move_to places one in a slice of a larger vector, so that
-the PPO trainer holds the actor and the critic in one vector.
+per-array views once per buffer). use(flat) makes a net, or a policy
+head, view other storage of its size as its parameters, without a copy:
+the PPO trainer copies both learners into one vector and points each at
+its slice (ppo.join_parameters).
 
 Policy heads and the PPO objective: GaussianPolicy, the DenseNet mean,
 log_std and exploration that controllers' LinearActor and NnActor share;
@@ -62,27 +63,7 @@ def split(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
-class FlatParameters:
-    """A learner whose parameters are views into one float64 vector, flat.
-
-    _view(flat) makes those views; move_to lets a caller place several
-    learners in one vector that one optimizer state steps.
-    """
-
-    flat: np.ndarray
-
-    def _view(self, flat: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def move_to(self, flat: np.ndarray) -> None:
-        """Copy the parameters into flat, a vector shaped like self.flat, and view them there from now on."""
-        if flat.shape != self.flat.shape:
-            raise ShapeError(f"storage shape {flat.shape} does not hold {self.flat.size} parameters")
-        flat[...] = self.flat
-        self._view(flat)
-
-
-class DenseNet(FlatParameters):
+class DenseNet:
     """A chain of affine layers with elementwise activations.
 
     Layer i has the (out, in) shape dims[i], both >= 1, and the activation
@@ -103,19 +84,18 @@ class DenseNet(FlatParameters):
             if n_in != n_out:
                 raise ShapeError(f"layer dims do not chain: {list(dims)}")
         self._shapes = [shape for n_out, n_in in dims for shape in ((n_out, n_in), (n_out,))]
-        size = sum(math.prod(shape) for shape in self._shapes)
-        if flat is None:
-            flat = np.zeros(size)
-        elif flat.shape != (size,):
-            raise ShapeError(f"flat storage shape {flat.shape} does not hold {size} parameters")
+        self._size = sum(math.prod(shape) for shape in self._shapes)
         self.activations = tuple(activations)
         self.version = 0  # bumped by whoever mutates the parameters
-        self._view(flat)
+        self.use(np.zeros(self._size) if flat is None else flat)
         # backward's views of the last `out` it was given
         self._grad_flat: np.ndarray | None = None
         self._grad_split: list[np.ndarray] = []
 
-    def _view(self, flat: np.ndarray) -> None:
+    def use(self, flat: np.ndarray) -> None:
+        """View flat, a vector of the net's size, as the parameters from now on (no copy)."""
+        if flat.shape != (self._size,):
+            raise ShapeError(f"flat storage shape {flat.shape} does not hold {self._size} parameters")
         self.flat = flat
         views = self.unflatten(flat)
         self.weights, self.biases = views[::2], views[1::2]
@@ -360,10 +340,10 @@ def episode_sampler(mean, log_std_arr: np.ndarray, rng):
     return draw
 
 
-class GaussianPolicy(FlatParameters):
+class GaussianPolicy:
     """What the policy heads share: flat = [net.flat | log_std], a one-output
     DenseNet mean over scaled states (states / scales) and Gaussian
-    exploration around it, std exp(log_std_arr[0]). The net, parameters()
+    exploration around it, std exp(log_std_arr[0]). The net's parameters
     and log_std_arr are views into flat. A subclass defines mean (of one
     state tuple) and label (its name in a divergence error)."""
 
@@ -371,11 +351,12 @@ class GaussianPolicy(FlatParameters):
 
     def __init__(self, net: DenseNet, scales: np.ndarray, log_std: float):
         self.net, self._scales = net, scales
-        self._view(np.append(net.flat, clamp_log_std(log_std)))
+        self.use(np.append(net.flat, clamp_log_std(log_std)))
 
-    def _view(self, flat: np.ndarray) -> None:
+    def use(self, flat: np.ndarray) -> None:
+        """View flat, laid out [net.flat | log_std], as the parameters from now on (no copy)."""
+        self.net.use(flat[:-1])
         self.flat, self.log_std_arr = flat, flat[-1:]
-        self.net = DenseNet([w.shape for w in self.net.weights], self.net.activations, flat[:-1])
 
     def parameters(self) -> list[np.ndarray]:
         """Views of flat in order: [W0, b0, ..., log_std]."""

@@ -17,8 +17,11 @@ tracking error e_t = |x_t - reference|:
     neg_sum   r_t = -(1 / steps_per_episode) * sum_{tau <= t} e_tau
 
 The recursive EMA has the closed form sum_{tau<=t} alpha*(1-alpha)^(t-tau)*e_tau.
-RewardAccumulator computes the rewards step by step while an episode runs;
-the tests check it against offline series, among them that closed form
+RewardConfig, the one checked record of a run's reward (ppo, cli and
+checkpoints take it from here), names a kind of REWARD_LABELS, the table of
+kinds and their ablation labels. RewardAccumulator.push computes its
+rewards step by step while an episode runs, one branch per kind, and the
+tests check it against offline series, among them that closed form
 evaluated by direct summation.
 
 report_dict turns the per-seed SDFs of ppo.build_report into report.json's
@@ -28,13 +31,17 @@ data: the learned controller's improvement over noise and PID, per seed and mean
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ConfigError, InputError
+from .spillsim import ConfigRecord
 
-REWARD_KINDS = ("neg_ema", "neg_sum")
+# every reward kind, with its label in the ablation table
+REWARD_LABELS = {"neg_ema": "EMA a={alpha}", "neg_sum": "-SUM"}
+REWARD_KINDS = tuple(REWARD_LABELS)
 
 
 def sdf(trace: Sequence[float]) -> float:
@@ -58,36 +65,44 @@ def sdf(trace: Sequence[float]) -> float:
     return 1.0 / (1.0 + var)
 
 
-def _check_alpha(alpha: float) -> None:
-    if isinstance(alpha, bool) or not (isinstance(alpha, (int, float)) and math.isfinite(alpha)):
-        raise InputError("alpha must be a finite number")
-    if not 0.0 <= alpha <= 1.0:
-        raise InputError(f"alpha must lie in [0, 1], got {alpha}")
+@dataclass(frozen=True)
+class RewardConfig(ConfigRecord):
+    """The reward of a run: one of REWARD_KINDS and the EMA's alpha in [0, 1]."""
+
+    section = "reward"
+
+    kind: str = "neg_ema"
+    alpha: float = 0.5
+
+    def __post_init__(self):
+        self.check_numbers()
+        if self.kind not in REWARD_KINDS:
+            raise ConfigError(f"reward kind must be one of {REWARD_KINDS}, got {self.kind!r}")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ConfigError(f"reward alpha must lie in [0, 1], got {self.alpha}")
+
+    @property
+    def label(self) -> str:
+        """The reward column of the ablation table."""
+        return REWARD_LABELS[self.kind].format(alpha=self.alpha)
 
 
 class RewardAccumulator:
-    """Incremental per-step reward tracker used while an episode unfolds.
+    """Incremental per-step reward of a RewardConfig, used while an episode unfolds.
 
     push() consumes one absolute error and returns the reward for that step.
     The offline series of the tests (the recursive ema_reward and the direct
     sums in tests/oracles.py) must reproduce the pushed sequence exactly.
     """
 
-    def __init__(self, kind: str, alpha: float, steps_per_episode: int):
-        if kind not in REWARD_KINDS:
-            raise InputError(f"unknown reward kind {kind!r}, expected one of {REWARD_KINDS}")
-        _check_alpha(alpha)
-        if steps_per_episode < 1:
-            raise InputError("steps_per_episode must be >= 1")
-        self.kind = kind
-        self.alpha = alpha
+    def __init__(self, reward: RewardConfig, steps_per_episode: int):
+        self.kind = reward.kind
+        self.alpha = reward.alpha
         self.scale = 1.0 / steps_per_episode
         self._ema = 0.0
         self._running_sum = 0.0
 
     def push(self, error: float) -> float:
-        if not math.isfinite(error) or error < 0.0:
-            raise InputError(f"absolute error must be finite and >= 0, got {error}")
         if self.kind == "neg_ema":
             self._ema = self.alpha * error + (1.0 - self.alpha) * self._ema
             return -self._ema

@@ -7,6 +7,8 @@ gradients come from gradnet; no autograd framework is involved, so the
 gradient of the Gaussian log-probability and of the clipped ratio objective
 are written out explicitly in gradnet.surrogate_grads.
 
+A Run's reward is a metrics.RewardConfig, the record metrics owns and
+checks; the rollout turns it into rewards through metrics.RewardAccumulator.
 A run keeps the parameters of both learners in one float64 vector,
 params = [actor.flat | critic.flat] (join_parameters), and one optimizer
 state (gradnet.optimizer_for) steps all of it in place, once per minibatch.
@@ -67,6 +69,7 @@ from .controllers import (
 )
 from .errors import CheckpointError, ConfigError, DivergenceError, SpillRegError
 from .gradnet import LossReport
+from .metrics import RewardConfig
 from .rng import Xoshiro256StarStar, check_seed, derive_seed
 from .spillsim import ConfigRecord, EnvConfig, closed_loop, run_raw_episode
 
@@ -134,21 +137,6 @@ class TrainConfig(ConfigRecord):
 
 
 @dataclass(frozen=True)
-class RewardConfig(ConfigRecord):
-    section = "reward"
-
-    kind: str = "neg_ema"
-    alpha: float = 0.5
-
-    def __post_init__(self):
-        self.check_numbers()
-        if self.kind not in metrics.REWARD_KINDS:
-            raise ConfigError(f"reward kind must be one of {metrics.REWARD_KINDS}, got {self.kind!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"reward alpha must lie in [0, 1], got {self.alpha}")
-
-
-@dataclass(frozen=True)
 class Run:
     """What train needs and a checkpoint records; train refuses gains of None.
 
@@ -211,7 +199,7 @@ def collect_rollout(
     raises DivergenceError.
     """
     tracker = StateTracker(env_cfg, actor.variant)
-    racc = metrics.RewardAccumulator(reward_cfg.kind, reward_cfg.alpha, env_cfg.steps_per_episode)
+    racc = metrics.RewardAccumulator(reward_cfg, env_cfg.steps_per_episode)
     n = env_cfg.steps_per_episode
     sample = actor.sampler(rng)
     reference = env_cfg.reference
@@ -289,11 +277,11 @@ def normalize_advantages(advantages: np.ndarray) -> np.ndarray:
 
 
 def join_parameters(actor, critic: gradnet.DenseNet) -> np.ndarray:
-    """Move both learners into one new vector, [actor.flat | critic.flat], and return it."""
+    """Copy both learners into one new vector, [actor.flat | critic.flat], view them there and return it."""
     split = actor.flat.size
-    params = np.empty(split + critic.flat.size)
-    actor.move_to(params[:split])
-    critic.move_to(params[split:])
+    params = np.concatenate([actor.flat, critic.flat])
+    actor.use(params[:split])
+    critic.use(params[split:])
     return params
 
 

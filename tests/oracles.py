@@ -2,13 +2,17 @@
 
 None of these is used by the package itself:
 
-- ema_reward is the offline EMA reward series by its recursion;
+- ema_reward is the offline EMA reward series by its recursion; it and
+  the direct sums refuse an alpha outside [0, 1] themselves (check_alpha),
+  as metrics.RewardConfig does for the package;
 - ema_direct_oracle / ema_direct_series evaluate the EMA reward by direct
   geometric summation, independent of the recursion in ema_reward and
   metrics.RewardAccumulator;
 - neg_sum_series is the offline neg_sum reward series;
 - surrogate_losses returns the PPO loss components through the code path
   ppo_update optimizes;
+- nested_round_points is controllers.round_points as it was, one axis and
+  one probe at a time over every point listed so far;
 - sequential_tune_pid is controllers.tune_pid without the batched kernel:
   every point, the grid's included, is scored on the scalar path when the
   search reaches it;
@@ -60,7 +64,7 @@ from spillreg.controllers import (
     run_pid_episode,
 )
 from spillreg.errors import ConfigError, DivergenceError, InputError
-from spillreg.metrics import _check_alpha, report_dict
+from spillreg.metrics import report_dict
 from spillreg.controllers import LinearActor
 from spillreg.gradnet import LossReport, surrogate_grads
 from spillreg.ppo import critic_inputs, evaluate_actor_sdf
@@ -86,12 +90,19 @@ def first_difference(ours: Sequence, reference: Sequence):
     return min(len(ours), len(reference)), None
 
 
+def check_alpha(alpha: float) -> None:
+    if isinstance(alpha, bool) or not (isinstance(alpha, (int, float)) and math.isfinite(alpha)):
+        raise InputError("alpha must be a finite number")
+    if not 0.0 <= alpha <= 1.0:
+        raise InputError(f"alpha must lie in [0, 1], got {alpha}")
+
+
 def ema_reward(errors: Sequence[float], alpha: float) -> list[float]:
     """Reward series r_t = -EMA_t over an absolute-error series.
 
     The recursion starts from EMA_{-1} = 0, so r_0 = -alpha * e_0.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     rewards = []
     ema = 0.0
     for e in errors:
@@ -106,7 +117,7 @@ def ema_direct_oracle(errors: Sequence[float], alpha: float, t: int) -> float:
     Independent of the recursion in ema_reward(); intended as a test oracle.
     Returns the positive EMA value (the reward at t is its negation).
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if not 0 <= t < len(errors):
         raise InputError(f"t={t} outside the error series of length {len(errors)}")
     e = np.asarray(errors[: t + 1], dtype=np.float64)
@@ -122,7 +133,7 @@ def ema_direct_series(errors: Sequence[float], alpha: float) -> np.ndarray:
     but built from one lower-triangular weight matrix so long batches stay
     inside the acceptance-suite time budget.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     e = np.asarray(errors, dtype=np.float64)
     t_len = e.shape[0]
     if t_len == 0:
@@ -160,6 +171,25 @@ def surrogate_losses(
     actor_grads = np.empty_like(actor.flat)
     grads = (actor_grads, actor_grads[:-1], np.empty_like(critic.flat))
     return surrogate_grads(actor, critic, actor.scale(states), critic_x, *arrays, cfg, grads)
+
+
+def nested_round_points(best, hs) -> list[tuple[float, float, float]]:
+    """Every point a tune_pid refinement round could probe, best first, in first-seen order.
+
+    Axis by axis (skipping h == 0), each probe best[axis] - h and then
+    best[axis] + h is applied to every point listed so far, with the
+    round's own float ops.
+    """
+    bests = {best: None}
+    for axis, h in enumerate(hs):
+        if h == 0.0:
+            continue
+        for delta in (-h, h):
+            for point in list(bests):
+                cand = list(point)
+                cand[axis] += delta
+                bests.setdefault(tuple(cand))
+    return list(bests)
 
 
 def sequential_tune_pid(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import calendar
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 
 from test_fingerprints import LINEAR_CHECKPOINT
 import spillreg
-from spillreg import cli, ppo
+from spillreg import cli, gradnet, ppo
 from spillreg.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, MANIFEST_NAME, main, payload_digest
 from spillreg.controllers import NnActor
 from spillreg.rng import Xoshiro256StarStar
@@ -89,6 +90,7 @@ def test_manifest_created_utc_is_the_current_utc_second(tmp_path):
     assert before - 2 <= seconds <= after + 2
 
 
+@pytest.mark.other_pythons
 @settings(max_examples=200, deadline=None)
 @given(data=st.binary(max_size=300))
 def test_manifest_digest_matches_hashlib(data):
@@ -100,6 +102,7 @@ EDGE_FLOATS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1.79769313486
                math.nan, math.inf, -math.inf, 0.1, 1.0 / 3.0, -8.750000000000001e-06]
 
 
+@pytest.mark.other_pythons
 @pytest.mark.parametrize("indent", [None, 2])
 def test_write_output_writes_arrays_as_their_lists(tmp_path, indent):
     """A record that holds float64 arrays is written byte for byte as the same record holding lists."""
@@ -120,12 +123,14 @@ def test_write_output_writes_arrays_as_their_lists(tmp_path, indent):
     assert np.array(json.loads(data)["params"][0]).tobytes() == values.tobytes()
 
 
+@pytest.mark.other_pythons
 @pytest.mark.parametrize("value", [object(), {1.0}, b"bytes", 1j, np.int64(3), np.float32(0.5), np.bool_(True)])
 def test_write_output_refuses_objects_json_cannot_write(tmp_path, value):
     with pytest.raises(TypeError, match="is not JSON serializable"):
         cli.write_output(tmp_path, "x.json", {"params": [np.zeros(2), value]}, indent=None)
 
 
+@pytest.mark.other_pythons
 def test_commands_load_no_openssl(tmp_path):
     # import hashlib loads OpenSSL's libcrypto (~3.5 MB resident) through
     # _hashlib; numpy imports datetime itself, so _datetime is not checked.
@@ -354,6 +359,40 @@ def test_ablate_lets_go_of_a_row_result_before_the_next_row_trains(tmp_path, gai
     assert results[1]() is None
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_ablate_keeps_no_failed_row_alive(tmp_path, gains_file, capsys, monkeypatch):
+    # a failed row's traceback holds its train frame: actor, critic and their joined parameters
+    real_train = ppo.train
+
+    def live_nets():
+        gc.collect()
+        return sum(isinstance(obj, gradnet.DenseNet) for obj in gc.get_objects())
+
+    def counting_train(*args, **kwargs):
+        nets_at_start.append(live_nets() - before)
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(ppo, "train", counting_train)
+    # a dt near the smallest double makes D infinite at step 1: the rollout
+    # raises an InputError whose cause's traceback holds the row's frames too
+    for i, (config, rows, code, error) in enumerate([
+        ({"train": {"lr": 1e300}}, "main,sum,pid3,ema01", EXIT_DIVERGED, "DivergenceError: non-finite loss"),
+        ({"train": {"lr": 1e300}}, "main,main", EXIT_DIVERGED, "DivergenceError: non-finite loss"),
+        ({"env": {"dt": 1e-310}}, "main,sum,pid3", EXIT_CONFIG, "InputError: rollout step 1: "),
+    ]):
+        nets_at_start, before = [], live_nets()
+        out, cfg = tmp_path / f"o{i}", write_config(tmp_path, config, f"c{i}.json")
+        argv = ("ablate", "--rows", rows, "--iterations", "2", "--gains", gains_file, "--config", cfg, "--out", out)
+        assert run(*argv) == code
+        names = rows.split(",")
+        assert nets_at_start == [0] * len(names)
+        err = capsys.readouterr().err
+        assert err.count(f"failed: {error}") == len(names) and "Traceback" not in err
+        # a repeated row is one entry of row_errors, and still no row trained
+        assert sorted(read_json(out / MANIFEST_NAME)["row_errors"]) == sorted(set(names))
+
+
+@pytest.mark.other_pythons
 def test_train_and_ablate_call_ppo_train_through_the_module(tmp_path, gains_file, monkeypatch):
     # the benchmark worker times iterations by replacing ppo.train
     calls = []
@@ -653,6 +692,7 @@ def test_malformed_file_is_config_error(tmp_path, capsys, command, flag, text):
     assert "Traceback" not in err
 
 
+@pytest.mark.other_pythons
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_train_divergence_keeps_the_initial_checkpoint(tmp_path, capsys):
     # lr 1e300 overflows the first Adam step of iteration 0, so the last good

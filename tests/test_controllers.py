@@ -334,6 +334,25 @@ def test_round_points_lists_every_point_the_round_can_probe(best, hs):
     assert set(points) == outcome_points(best, hs) | {best}
 
 
+# coordinates and steps with signed zeros, values whose sums overflow, and
+# steps below a coordinate's ulp, so that (b - h) + h can differ from b
+round_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.3, -0.6, 1e-300, 1e308, -1e308, 1.7e308, 0.85e308, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(best=st.tuples(round_values, round_values, round_values),
+       hs=st.tuples(*[st.one_of(st.sampled_from([0.0, -0.0]), round_values)] * 3))
+@example(best=(0.0, -0.0, 1e308), hs=(0.0, 1e-17, 1e308))
+@example(best=(1.7e308, 0.6, 0.0), hs=(0.85e308, 0.1, -0.0))
+def test_round_points_is_the_nested_enumeration(best, hs):
+    points, reference = controllers.round_points(best, hs), oracles.nested_round_points(best, hs)
+    assert points[0] == best and len(points) == len(reference)
+    assert set(points) == set(reference)
+
+
 def test_tune_pid_skips_an_unvisited_overflowing_point(monkeypatch):
     # every large kp drives the action to +-action_bound: a tie, so round 1's
     # first probe 0.85e308 takes over on its smaller |kp|, and the round never

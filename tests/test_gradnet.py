@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from spillreg import gradnet
 from spillreg.cli import json_default
+from spillreg.controllers import LinearActor
 from spillreg.errors import CheckpointError, DivergenceError, ShapeError, UsageError
 from spillreg.gradnet import (
     ACTIVATIONS,
@@ -281,6 +282,28 @@ def test_net_parameters_are_views_of_flat():
     assert not gradnet.DenseNet(dims, net.activations).flat.any()
     with pytest.raises(ShapeError):
         gradnet.DenseNet(dims, net.activations, storage)
+
+
+def test_use_views_other_storage_without_a_copy():
+    net = small_net(seed=2)
+    x = np.array([[0.3, -0.2, 0.9]])
+    before = forward(net, x)[0].tobytes()
+    storage = np.zeros(net.flat.size + 2)
+    storage[1:-1] = net.flat
+    net.use(storage[1:-1])
+    assert net.flat.base is storage and forward(net, x)[0].tobytes() == before
+    storage[1:-1] = 0.0  # every weight and bias now reads the storage
+    assert not any(a.any() for a in (*net.weights, *net.biases, *net.parameters()))
+    with pytest.raises(ShapeError, match="does not hold"):
+        net.use(storage)
+    # a policy head points its own net at the front of its vector, log_std last
+    actor = LinearActor("pid_act", [0.5, 0.25, 1e-5, 0.0], bias=0.1)
+    head_net, vec = actor.net, np.arange(6.0)
+    actor.use(vec)
+    assert actor.net is head_net and head_net.flat.base is vec and actor.log_std_arr.base is vec
+    assert actor.coefs() == [0.0, 1.0 / 8.0, 2.0 / 4096.0, 3.0, 4.0] and actor.log_std_arr[0] == 5.0
+    with pytest.raises(ShapeError, match="does not hold"):
+        actor.use(np.zeros(5))
 
 
 def test_writes_through_parameters_change_forward():

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from oracles import ema_direct_oracle, ema_direct_series, ema_reward, neg_sum_series
 from spillreg import metrics
-from spillreg.errors import InputError
+from spillreg.errors import ConfigError, InputError
 from spillreg.metrics import (
     RewardAccumulator,
+    RewardConfig,
     improvement,
     ordered_mean,
     report_dict,
@@ -85,10 +86,9 @@ def test_ema_reward_alpha_edges():
 
 @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan"), True, False])
 def test_ema_reward_rejects_bad_alpha(alpha):
+    # the package refuses these on the reward record (test_reward_config_validation_and_round_trip)
     with pytest.raises(InputError):
         ema_reward([0.1], alpha)
-    with pytest.raises(InputError):
-        RewardAccumulator("neg_ema", alpha, 10)
 
 
 @settings(max_examples=80, deadline=None)
@@ -124,8 +124,8 @@ def test_neg_sum_hand_values():
 
 def test_reward_accumulator_streams_match_batch():
     errors = [0.3, 0.05, 0.7, 0.0, 0.2]
-    ema_acc = RewardAccumulator("neg_ema", 0.4, len(errors))
-    sum_acc = RewardAccumulator("neg_sum", 0.4, len(errors))
+    ema_acc = RewardAccumulator(RewardConfig("neg_ema", 0.4), len(errors))
+    sum_acc = RewardAccumulator(RewardConfig("neg_sum", 0.4), len(errors))
     streamed_ema = [ema_acc.push(e) for e in errors]
     streamed_sum = [sum_acc.push(e) for e in errors]
     assert streamed_ema == pytest.approx(ema_reward(errors, 0.4), abs=1e-15)
@@ -133,8 +133,9 @@ def test_reward_accumulator_streams_match_batch():
 
 
 def test_reward_accumulator_rejects_unknown_kind():
-    with pytest.raises(InputError):
-        RewardAccumulator("bogus", 0.5, 10)
+    # an unknown kind is refused on the reward record, before an accumulator exists
+    with pytest.raises(ConfigError, match=r"^reward kind must be one of \('neg_ema', 'neg_sum'\), got 'bogus'$"):
+        RewardAccumulator(RewardConfig("bogus", 0.5), 10)
 
 
 def test_improvement_percent():
@@ -172,8 +173,12 @@ def test_improvement_report_dict_shape():
 
 def test_reward_kinds_registry():
     assert set(metrics.REWARD_KINDS) == {"neg_ema", "neg_sum"}
+    assert metrics.REWARD_KINDS == tuple(metrics.REWARD_LABELS)
+    # the ablation table's reward column
+    assert [RewardConfig(kind, 0.25).label for kind in metrics.REWARD_KINDS] == ["EMA a=0.25", "-SUM"]
 
 
+@pytest.mark.other_pythons
 def test_ordered_mean_adds_left_to_right():
     # a compensated sum (math.fsum, builtin sum from Python 3.12) gives 0.5 here
     assert ordered_mean([1.0, 1e100, 1.0, -1e100]) == 0.0

@@ -123,12 +123,19 @@ def test_train_config_round_trip():
 
 
 def test_reward_config_validation_and_round_trip():
+    assert ppo.RewardConfig is metrics.RewardConfig
     cfg = RewardConfig(kind="neg_sum", alpha=0.3)
     assert RewardConfig.from_dict(cfg.to_dict()) == cfg
-    with pytest.raises(ConfigError):
-        RewardConfig(kind="huber", alpha=0.5)
-    with pytest.raises(ConfigError):
-        RewardConfig(kind="neg_ema", alpha=-0.5)
+    for kind in ("huber", "bogus"):
+        with pytest.raises(ConfigError, match=r"^reward kind must be one of \('neg_ema', 'neg_sum'\), got "):
+            RewardConfig(kind=kind, alpha=0.5)
+    # the record is the reward's one check: metrics.RewardAccumulator takes it as it is
+    for alpha in (-0.5, -0.1, 1.5, math.nan):
+        with pytest.raises(ConfigError, match=r"^reward alpha must lie in \[0, 1\], got "):
+            RewardConfig(kind="neg_ema", alpha=alpha)
+    for alpha in (True, False):
+        with pytest.raises(ConfigError, match=r"^alpha must be a number, got "):
+            RewardConfig(kind="neg_ema", alpha=alpha)
 
 
 @pytest.mark.parametrize("section, record", [
@@ -208,6 +215,19 @@ def test_rollout_step_error_names_its_step():
         make_rollout(cfg)
     assert type(info.value) is InputError
     assert isinstance(info.value.__cause__, InputError)
+
+
+@pytest.mark.parametrize("variant", ["pid_act", "pid3", "cd_over"])
+def test_an_overflowing_error_stops_the_rollout_before_its_reward(variant):
+    """The reward takes |x - reference| unchecked: the state features, P among them, refuse it first.
+
+    Here x - reference overflows at step 0, and every state variant carries P.
+    """
+    cfg = spillsim.EnvConfig(steps_per_episode=20, reference=-1.7e308, clamp_lo=-1.75e308, clamp_hi=2e307,
+                             ripple_amps=(1.7e308, 1.7e308), ripple_freqs=(0.0, 0.0))
+    actor, critic = fresh_actor(variant=variant), fresh_critic(state_dim=STATE_DIMS[variant])
+    with pytest.raises(InputError, match=r"^rollout step 0: state features are not finite: "):
+        collect_rollout(cfg, 11, actor, critic, RewardConfig(), Xoshiro256StarStar(99))
 
 
 def test_nonfinite_transition_raises_divergence(env_cfg):
@@ -443,13 +463,13 @@ def test_join_parameters_keeps_both_learners_as_views():
         actor, critic = fresh_actor(kind=kind), fresh_critic()
         x = np.random.default_rng(0).normal(size=(3, 5))
         before = [actor.flat.copy(), critic.flat.copy(), forward_bytes(critic, x), record_text(actor.to_dict())]
+        net = actor.net
         params = ppo.join_parameters(actor, critic)
+        assert actor.net is net  # the head re-views the net it was given
         assert params.tobytes() == before[0].tobytes() + before[1].tobytes()
         assert [forward_bytes(critic, x), record_text(actor.to_dict())] == before[2:]
         params[:] = 0.5  # every parameter array of both learners now reads the vector
-        views = [*actor.parameters(), *critic.parameters(), actor.log_std_arr]
-        if kind == "nn":
-            views += [*actor.net.weights, *actor.net.biases]
+        views = [*actor.parameters(), *critic.parameters(), actor.log_std_arr, *net.weights, *net.biases]
         assert all((view == 0.5).all() for view in views)
 
 
@@ -621,6 +641,7 @@ def test_checkpoint_cuts_the_one_state_into_the_per_learner_records(kind, optimi
     assert records[0][0]["step"] == records[0][1]["step"] == 7
 
 
+@pytest.mark.other_pythons
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 @pytest.mark.parametrize("kind", ["pid", "nn"])
 def test_checkpoint_snapshot_is_not_changed_by_later_updates(tmp_path, kind, optimizer):
@@ -807,6 +828,7 @@ def test_train_reward_defaults_to_config_alpha(env_cfg, tuned_gains):
     assert result.checkpoint["reward"] == {"kind": "neg_ema", "alpha": 0.9}
 
 
+@pytest.mark.other_pythons
 @pytest.mark.parametrize("policy, state", [("pid", "pid3"), ("nn", "cd_over")])
 def test_checkpoint_round_trips_every_field_of_the_run(tmp_path, policy, state):
     # no field at its default, so a field the checkpoint drops cannot come back by accident
