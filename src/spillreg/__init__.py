@@ -8,6 +8,7 @@ Modules:
     spillsim     surrogate spill environment (ripple + Ornstein-Uhlenbeck noise)
     controllers  discrete PID, gain tuning, and the linear/NN policy heads
     gradnet      minimal dense-network toolkit with exact reverse-mode gradients
+    policy       the policy heads' Gaussian base and PPO's minibatch objective
     ppo          rollout collection, GAE, clipped-surrogate updates, training loop
     metrics      spill duty factor, reward shaping, improvement reports
     cli          command line entry points

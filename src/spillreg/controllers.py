@@ -21,14 +21,15 @@ During an episode StateTracker.push returns each step's features as a plain
 tuple of floats; the actors act on those tuples. Both heads keep a
 gradnet.DenseNet mean over the scaled features (the linear one a single
 identity layer) and log_std in one float64 vector, `flat`
-(gradnet.GaussianPolicy). mean() reads it live; a rollout, in which the
-policy does not change, reads it once per episode through sampler().
+(policy.GaussianPolicy). mean() reads it live; an episode, in which the
+policy does not change, reads it once through episode_mean(), which both
+the rollout's sampler() and ppo.evaluate_actor_sdf use.
 
 Exploration is a Gaussian over the mean action with a learnable log_std,
 clamped to [-5, 2]. The sampler returns the pre-clamp action and its log
 probability; actuation clamps to the environment's action bound. That math,
-policy_mean and the actors' shared methods (gradnet.GaussianPolicy) live in
-gradnet, next to the PPO gradient that differentiates them.
+policy_mean and the actors' shared methods (policy.GaussianPolicy) live in
+policy, next to the PPO step that differentiates them.
 
 run_pid_episode memoizes the corrected PID trace per (config, seed, gains),
 so the per-iteration training curve recomputes no PID episode.
@@ -43,9 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gradnet, metrics, pidbatch
+from . import gradnet, metrics, pidbatch, policy
 from .errors import ConfigError, InputError, ShapeError
-from .gradnet import policy_mean
+from .policy import policy_mean
 from .rng import Xoshiro256StarStar
 from .spillsim import RAW_MEMO_SIZE, EnvConfig, check_number, closed_loop
 
@@ -329,7 +330,7 @@ class StateTracker:
 # --- trainable policies -----------------------------------------------------
 
 
-class LinearActor(gradnet.GaussianPolicy):
+class LinearActor(policy.GaussianPolicy):
     """The neuralized-PID policy head: a linear map over the state features.
 
     weights holds one coefficient per feature of variant, in feature units.
@@ -338,8 +339,8 @@ class LinearActor(gradnet.GaussianPolicy):
     trainable coordinates) and its (1,) bias the bias, so flat = [w_0 ..
     w_{n-1}, bias, log_std]. mean() reads the live vector on every call,
     unscales it exactly (power-of-two scales) and evaluates policy_mean on
-    plain floats, where exactness matters; sampler() reads it once, for an
-    episode in which the policy does not change. params is the checkpoint
+    plain floats, where exactness matters; episode_mean() reads it once, for
+    an episode in which the policy does not change. params is the checkpoint
     record of the live coefficients.
     """
 
@@ -394,13 +395,12 @@ class LinearActor(gradnet.GaussianPolicy):
         }
 
     def mean(self, state: tuple[float, ...]) -> float:
-        *w, bias = self.coefs()
-        return policy_mean(w, bias, state)
+        return self.episode_mean()(state)
 
-    def sampler(self, rng: Xoshiro256StarStar):
-        """The episode's (action, log_prob) draw, the coefficients read once."""
+    def episode_mean(self):
+        """policy_mean on the coefficients as they are now, read once."""
         *w, bias = self.coefs()
-        return gradnet.episode_sampler(functools.partial(policy_mean, w, bias), self.log_std_arr, rng)
+        return functools.partial(policy_mean, w, bias)
 
     def to_dict(self) -> dict:
         return dict(self.params, variant=self.variant)
@@ -419,7 +419,7 @@ class LinearActor(gradnet.GaussianPolicy):
         return cls(data["variant"], weights, float(data["bias"]), float(data["log_std"]))
 
 
-class NnActor(gradnet.GaussianPolicy):
+class NnActor(policy.GaussianPolicy):
     """NN-policy ablation: a 64x64 tanh network emits the mean action."""
 
     kind = "nn"

@@ -6,7 +6,13 @@ one identity layer, all run on batches of (n, in) rows. forward returns the
 output and a tape of each layer's input and output; backward replays it
 into the exact gradient of sum(output * grad_output) with respect to every
 parameter, summed over the batch, so per-sample loss weights belong in
-grad_output. All math is float64 numpy.
+grad_output. All math is float64 numpy. A tape from buffer_tape is made
+once and refilled by every forward given it, and neither pass then
+allocates, copies or checks an array; backward replays its one forward and
+overwrites the hidden outputs with tanh' as it goes. Every tape records the
+net's version at its forward, and backward refuses a tape recorded before
+the parameters changed, or a buffer tape with no forward left to replay.
+The PPO step (policy.ppo_step) keeps one buffer tape per learner.
 
 The pass is lean but keeps every result of the textbook one bit for bit:
 h @ W.T + b forward (bias added in place), g.T @ inputs and g @ W backward,
@@ -26,26 +32,19 @@ head, view other storage of its size as its parameters, without a copy:
 the PPO trainer copies both learners into one vector and points each at
 its slice (ppo.join_parameters).
 
-Policy heads and the PPO objective: GaussianPolicy, the DenseNet mean,
-log_std and exploration that controllers' LinearActor and NnActor share;
-the Gaussian log probability; the linear head's plain-float mean; and
-surrogate_grads, the loss components and exact gradients of PPO's clipped
-objective on one minibatch.
-
 Optimizers: bias-corrected Adam (the default throughout the package) and
 plain SGD. Each keeps its state over one flat parameter vector and updates
-that vector in place from one flat gradient of the same shape. Both are
-elementwise, so one state over two learners' joined vectors steps each
-learner exactly as a state of its own would at the same step count; a PPO
-run keeps one parameter vector and one optimizer state.
+that vector in place from one flat gradient of the same shape, through
+two scratch vectors shaped like it. Both are elementwise, so one state
+over two learners' joined vectors steps each learner exactly as a state of
+its own would at the same step count; a PPO run keeps one parameter vector
+and one optimizer state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import CheckpointError, DivergenceError, ShapeError, UsageError
@@ -128,49 +127,86 @@ class DenseNet:
         return self._grad_split
 
 
-class Tape(NamedTuple):
+class Tape:
     """Activation record of one forward pass: acts[0] is the (n, in) input,
-    acts[i + 1] the output of layer i."""
+    acts[i + 1] the output of layer i, version the net's version then.
 
-    net: DenseNet
-    version: int
-    acts: list[np.ndarray]
+    A buffer_tape's scratch[i] takes backward's (n, in) gradient of layer
+    i's input. Its owner is a one-item list shared with the tapes head()
+    cuts from it: owner[0] is the tape whose forward the shared arrays
+    hold, and None once a backward has replayed it.
+    """
+
+    __slots__ = ("net", "version", "acts", "scratch", "owner")
+
+    def __init__(self, net: DenseNet, version: int | None, acts: list, scratch=None, owner=None):
+        self.net, self.version, self.acts, self.scratch, self.owner = net, version, acts, scratch, owner
+
+    def head(self, n: int) -> Tape:
+        """A buffer_tape's first n rows as a buffer_tape of n rows: views, no new arrays."""
+        return Tape(self.net, None, [None, *(a[:n] for a in self.acts[1:])], [g[:n] for g in self.scratch], self.owner)
 
 
-def forward(net: DenseNet, x: np.ndarray) -> tuple[np.ndarray, Tape]:
-    """Run the net on (n, in) inputs; returns ((n, out) output, tape). Pure: mutates nothing."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != net.in_dim:
-        raise ShapeError(f"input shape {np.shape(x)} does not match (n, {net.in_dim})")
-    acts = [arr]
-    h = arr
-    for weight_t, bias, activation in net._plan:
-        h = h @ weight_t
+def buffer_tape(net: DenseNet, n: int) -> Tape:
+    """A reusable tape of n rows, empty until a forward fills it; a backward
+    replays that forward once, overwriting its hidden layers' outputs."""
+    outs = [np.empty((n, w.shape[0])) for w in net.weights]
+    return Tape(net, None, [None, *outs], [np.empty((n, w.shape[1])) for w in net.weights], [None])
+
+
+def forward(net: DenseNet, x: np.ndarray, tape: Tape | None = None) -> tuple[np.ndarray, Tape]:
+    """Run the net on (n, in) inputs; returns ((n, out) output, tape). Mutates nothing but a given tape.
+
+    Given a buffer_tape of n rows, x must be a float64 (n, in) array and the
+    pass writes into that tape, which it returns.
+    """
+    if tape is None:
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != net.in_dim:
+            raise ShapeError(f"input shape {x.shape} does not match (n, {net.in_dim})")
+        tape = Tape(net, net.version, [None] * (len(net._plan) + 1))
+    else:
+        tape.version, tape.owner[0] = net.version, tape
+    acts = tape.acts
+    acts[0] = h = x
+    for i, (weight_t, bias, activation) in enumerate(net._plan, 1):
+        h = acts[i] = np.matmul(h, weight_t, out=acts[i])
         h += bias
         if activation == "tanh":
             np.tanh(h, out=h)
-        acts.append(h)
-    return h, Tape(net, net.version, acts)
+    return h, tape
 
 
 def backward(net: DenseNet, tape: Tape, grad_output: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Exact gradient of sum(output * grad_output) w.r.t. the parameters,
-    laid out like net.flat and written into `out` (a new vector if None)."""
+    laid out like net.flat and written into `out` (a new vector if None).
+
+    On a buffer_tape, grad_output must be a C-order float64 array of the
+    output's shape, and it is used as it is; the tape is then spent.
+    """
     if tape.net is not net:
         raise UsageError("tape was recorded on a different net")
+    acts, scratch, g = tape.acts, tape.scratch, grad_output
+    buffered = scratch is not None
+    if buffered:
+        if tape.owner[0] is not tape:
+            raise UsageError("buffer tape holds no forward to replay: run forward on it again")
+        tape.owner[0] = None
     if tape.version != net.version:
         raise UsageError("stale tape: net parameters changed since forward")
-    # a fresh C-order copy: an identity layer passes g on unmultiplied, and
-    # its products then see the layout a multiply would have produced
-    g = np.array(grad_output, dtype=np.float64)
-    acts = tape.acts
-    if g.shape != acts[-1].shape:
-        raise ShapeError(f"grad_output shape {g.shape} does not match output shape {acts[-1].shape}")
+    if not buffered:
+        # a fresh C-order copy: an identity layer passes g on unmultiplied, and
+        # its products then see the layout a multiply would have produced
+        g = np.array(grad_output, dtype=np.float64)
+        if g.shape != acts[-1].shape:
+            raise ShapeError(f"grad_output shape {g.shape} does not match output shape {acts[-1].shape}")
+        scratch = [None] * len(acts)
     flat = np.empty_like(net.flat) if out is None else out
     views = net._grad_views(flat)
     for idx in range(len(net.weights) - 1, -1, -1):
-        if net.activations[idx] == "tanh":  # d tanh = 1 - out^2
-            ga = acts[idx + 1] * acts[idx + 1]
+        if net.activations[idx] == "tanh":  # d tanh = 1 - out^2, over out on a buffer_tape
+            a = acts[idx + 1]
+            ga = np.multiply(a, a, out=a if buffered else None)
             np.subtract(1.0, ga, out=ga)
             np.multiply(g, ga, out=ga)
         else:
@@ -183,10 +219,10 @@ def backward(net: DenseNet, tape: Tape, grad_output: np.ndarray, out: np.ndarray
         if weight.shape[0] == 1:
             # numpy runs a product of inner dimension 1 through its own loop,
             # 0 + a*b per element; this is that sum, without the loop's cost
-            g = ga * weight
+            g = np.multiply(ga, weight, out=scratch[idx])
             g += 0.0
         else:
-            g = ga @ weight
+            g = np.matmul(ga, weight, out=scratch[idx])
     return flat
 
 
@@ -231,20 +267,26 @@ class AdamState:
     step: int = 0
 
 
-def adam_step(opt: AdamState, params: np.ndarray, grads: np.ndarray) -> None:
-    """One Adam update of params, in place. Raises DivergenceError on non-finite grads."""
+def adam_step(opt: AdamState, params: np.ndarray, grads: np.ndarray, scratch) -> None:
+    """One Adam update of params, in place, its intermediates in scratch (two
+    arrays shaped like params). Raises DivergenceError on non-finite grads."""
     _check_grads(params, grads, opt.step)
     if opt.m.shape != params.shape or opt.v.shape != params.shape:
         raise ShapeError("optimizer state does not match parameter count")
     opt.step += 1
     bc1 = 1.0 - opt.beta1 ** opt.step
     bc2 = 1.0 - opt.beta2 ** opt.step
+    a, b = scratch
     m, v = opt.m, opt.v
     m *= opt.beta1
-    m += (1.0 - opt.beta1) * grads
+    m += np.multiply(1.0 - opt.beta1, grads, out=a)
     v *= opt.beta2
-    v += (1.0 - opt.beta2) * (grads * grads)
-    params -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+    v += np.multiply(1.0 - opt.beta2, np.multiply(grads, grads, out=a), out=a)
+    # params -= lr * (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time
+    delta = np.multiply(opt.lr, np.divide(m, bc1, out=a), out=a)
+    denom = np.sqrt(np.divide(v, bc2, out=b), out=b)
+    denom += opt.eps
+    params -= np.divide(delta, denom, out=delta)
 
 
 @dataclass
@@ -255,11 +297,11 @@ class SgdState:
     step: int = 0
 
 
-def sgd_step(opt: SgdState, params: np.ndarray, grads: np.ndarray) -> None:
-    """One SGD update of params, in place. Raises DivergenceError on non-finite grads."""
+def sgd_step(opt: SgdState, params: np.ndarray, grads: np.ndarray, scratch) -> None:
+    """One SGD update of params, in place, through scratch[0]. Raises DivergenceError on non-finite grads."""
     _check_grads(params, grads, opt.step)
     opt.step += 1
-    params -= opt.lr * grads
+    params -= np.multiply(opt.lr, grads, out=scratch[0])
 
 
 def optimizer_for(kind: str, params: np.ndarray, lr: float) -> AdamState | SgdState:
@@ -271,12 +313,12 @@ def optimizer_for(kind: str, params: np.ndarray, lr: float) -> AdamState | SgdSt
     raise ShapeError(f"unknown optimizer {kind!r}, expected 'adam' or 'sgd'")
 
 
-def optimizer_step(opt: AdamState | SgdState, params: np.ndarray, grads: np.ndarray) -> None:
-    """One update of the flat params, in place, by opt's rule."""
+def optimizer_step(opt: AdamState | SgdState, params: np.ndarray, grads: np.ndarray, scratch) -> None:
+    """One update of the flat params, in place, by opt's rule (scratch: adam_step's)."""
     if isinstance(opt, AdamState):
-        adam_step(opt, params, grads)
+        adam_step(opt, params, grads, scratch)
     else:
-        sgd_step(opt, params, grads)
+        sgd_step(opt, params, grads, scratch)
 
 
 def nonfinite_gradient(coord: int, step: int) -> DivergenceError:
@@ -289,167 +331,6 @@ def _check_grads(params: np.ndarray, grads: np.ndarray, step: int) -> None:
         raise ShapeError(f"gradient shape {np.shape(grads)} does not match parameter shape {params.shape}")
     if not np.isfinite(grads).all():
         raise nonfinite_gradient(int(np.flatnonzero(~np.isfinite(grads))[0]), step)
-
-
-# --- Gaussian policy heads and the PPO objective ---------------------------
-
-LOG_STD_MIN = -5.0
-LOG_STD_MAX = 2.0
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-_ENTROPY_OFFSET = 0.5 * math.log(2.0 * math.pi * math.e)  # Gaussian entropy minus log_std
-
-
-def clamp_log_std(log_std: float) -> float:
-    return min(max(log_std, LOG_STD_MIN), LOG_STD_MAX)
-
-
-def gaussian_log_prob(x: float, mean: float, log_std: float) -> float:
-    std = math.exp(log_std)
-    z = (x - mean) / std
-    return -0.5 * z * z - log_std - _HALF_LOG_TWO_PI
-
-
-def policy_mean(weights, bias: float, state: tuple[float, ...]) -> float:
-    """Deterministic mean action of the linear policy for a feature tuple.
-
-    Four features (PIDAct, CDOver) use weights[0..3], three (PID3) use
-    weights[0..2]. The sum runs left to right in the order of
-    controllers.pid_update, so the PID embedding (action weight = bias = 0)
-    is exact, not just close.
-    """
-    w, v = weights, state
-    if len(v) == 4:
-        return w[0] * v[0] + w[1] * v[1] + w[2] * v[2] + w[3] * v[3] + bias
-    return w[0] * v[0] + w[1] * v[1] + w[2] * v[2] + bias
-
-
-def episode_sampler(mean, log_std_arr: np.ndarray, rng):
-    """state -> (action, log_prob), action ~ Normal(mean(state), exp(log_std)^2)
-    with log_std = log_std_arr[0] clamped, read once: a policy is fixed for an
-    episode. The action is the raw sample the log probability refers to;
-    callers clamp it to the actuation bound. rng has a normal() -> N(0, 1).
-    """
-    log_std = clamp_log_std(float(log_std_arr[0]))
-    std = math.exp(log_std)
-
-    def draw(state):
-        m = mean(state)
-        action = m + std * rng.normal()
-        return action, gaussian_log_prob(action, m, log_std)
-
-    return draw
-
-
-class GaussianPolicy:
-    """What the policy heads share: flat = [net.flat | log_std], a one-output
-    DenseNet mean over scaled states (states / scales) and Gaussian
-    exploration around it, std exp(log_std_arr[0]). The net's parameters
-    and log_std_arr are views into flat. A subclass defines mean (of one
-    state tuple) and label (its name in a divergence error)."""
-
-    label: str
-
-    def __init__(self, net: DenseNet, scales: np.ndarray, log_std: float):
-        self.net, self._scales = net, scales
-        self.use(np.append(net.flat, clamp_log_std(log_std)))
-
-    def use(self, flat: np.ndarray) -> None:
-        """View flat, laid out [net.flat | log_std], as the parameters from now on (no copy)."""
-        self.net.use(flat[:-1])
-        self.flat, self.log_std_arr = flat, flat[-1:]
-
-    def parameters(self) -> list[np.ndarray]:
-        """Views of flat in order: [W0, b0, ..., log_std]."""
-        return [*self.net.parameters(), self.log_std_arr]
-
-    def scale(self, states: np.ndarray) -> np.ndarray:
-        """States in the units the mean is defined over: the input of mean_scaled."""
-        return states / self._scales
-
-    def sampler(self, rng):
-        """The episode's (action, log_prob) draw as one function of the state."""
-        return episode_sampler(self.mean, self.log_std_arr, rng)
-
-    def mean_scaled(self, scaled: np.ndarray) -> tuple[np.ndarray, Tape]:
-        """(mean actions, tape for mean_grads) of scaled states."""
-        out, tape = forward(self.net, scaled)
-        return out[:, 0], tape
-
-    def mean_grads(self, tape: Tape, dmu: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Gradient of sum(mean * dmu) w.r.t. flat[:-1] (the net's parameters), written into out."""
-        return backward(self.net, tape, dmu.reshape(-1, 1), out)
-
-    def finalize_update(self) -> None:
-        """After an optimizer step: clamp log_std, invalidate tapes, refuse non-finite parameters."""
-        self.log_std_arr[0] = clamp_log_std(float(self.log_std_arr[0]))
-        self.net.bump_version()
-        if not np.isfinite(self.flat).all():
-            raise DivergenceError(f"{self.label} parameters became non-finite")
-
-
-class LossReport(NamedTuple):
-    actor_loss: float
-    value_loss: float
-    entropy: float
-    clip_fraction: float
-
-
-def surrogate_grads(actor, critic: DenseNet, actor_x, critic_x, actions, logp_old, advantages, returns, cfg,
-                    grads) -> LossReport:
-    """Loss components and exact gradients of PPO's objective on one minibatch.
-
-    The total loss is actor + value_coef * value - entropy_coef * entropy
-    (cfg: a ppo.TrainConfig), with the clipped-surrogate actor loss of a
-    Gaussian policy and a squared-error value loss. actor_x and critic_x are
-    the minibatch's rows of actor.scale(states) and ppo.critic_inputs.
-    grads is (actor_grads, actor_grads[:-1], critic_grads), buffers aligned
-    with actor.flat and critic.flat that the gradients are written into.
-    Raises DivergenceError on a non-finite loss.
-    """
-    n = actions.shape[0]
-    log_std = float(actor.log_std_arr[0])
-    std = math.exp(log_std)
-
-    mu, tape = actor.mean_scaled(actor_x)
-    z = (actions - mu) / std
-    logp_new = -0.5 * z * z - log_std - _HALF_LOG_TWO_PI
-    ratio = np.exp(logp_new - logp_old)
-    surr1 = ratio * advantages
-    clipped_ratio = np.minimum(np.maximum(ratio, 1.0 - cfg.clip_eps), 1.0 + cfg.clip_eps)
-    surr2 = clipped_ratio * advantages
-    per_sample = np.minimum(surr1, surr2)
-    # float(a.mean()) is float(np.add.reduce(a)) / n, bit for bit
-    actor_loss = -(float(np.add.reduce(per_sample)) / n)
-    clip_fraction = np.count_nonzero(np.abs(ratio - 1.0) > cfg.clip_eps) / n
-    entropy = log_std + _ENTROPY_OFFSET
-
-    v_out, v_tape = forward(critic, critic_x)
-    v_err = v_out[:, 0] - returns
-    value_loss = float(np.add.reduce(v_err * v_err)) / n
-
-    if not (math.isfinite(actor_loss) and math.isfinite(value_loss)):
-        raise DivergenceError(
-            "non-finite loss in ppo update",
-            diagnostics={"actor_loss": actor_loss, "value_loss": value_loss},
-        )
-
-    # d(actor_loss)/d(ratio): only the unclipped branch carries gradient
-    # (inside the clip band both branches coincide, so ties route cleanly)
-    active = surr1 <= surr2
-    dratio = np.where(active, advantages, 0.0) * (-1.0 / n)
-    dlogp = dratio * ratio
-    dmu = dlogp * z / std  # d logp / d mu = z / std
-    dlogstd_actor = float(np.dot(dlogp, z * z - 1.0))
-    dlogstd = dlogstd_actor - cfg.entropy_coef * 1.0
-
-    actor_grads, mean_grads, critic_grads = grads
-    actor.mean_grads(tape, dmu, mean_grads)
-    actor_grads[-1] = dlogstd
-
-    dv = cfg.value_coef * (2.0 / n) * v_err
-    backward(critic, v_tape, dv.reshape(n, 1), critic_grads)
-
-    return LossReport(actor_loss, value_loss, entropy, clip_fraction)
 
 
 # --- checkpoint pieces ----------------------------------------------------

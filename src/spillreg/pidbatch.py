@@ -7,7 +7,7 @@ does. A controller is a PID point (controllers.tune_pid, in the order of
 spillsim.closed_loop, controllers.ErrorTracker and controllers.pid_update)
 or the coefficients of a linear policy head over the P, I, D features
 (ppo.build_report, for report.json's sdf_pid and sdf_rl, in the order of
-controllers.StateTracker and gradnet.policy_mean; the PID row has zero w_Act
+controllers.StateTracker and policy.policy_mean; the PID row has zero w_Act
 and bias). Every row it marks exact equals the scalar path bit for bit, and
 its scalar episode runs without error; the callers recompute the other rows
 with the scalar path. A call splits its rows into as few near-equal blocks

@@ -5,7 +5,7 @@ rollout with the stochastic policy, compute GAE advantages against the critic,
 then run several epochs of clipped-surrogate minibatch updates. Nets and
 gradients come from gradnet; no autograd framework is involved, so the
 gradient of the Gaussian log-probability and of the clipped ratio objective
-are written out explicitly in gradnet.surrogate_grads.
+are written out explicitly in policy.ppo_step.
 
 A Run's reward is a metrics.RewardConfig, the record metrics owns and
 checks; the rollout turns it into rewards through metrics.RewardAccumulator.
@@ -15,23 +15,21 @@ state (gradnet.optimizer_for) steps all of it in place, once per minibatch.
 Adam and SGD are elementwise and both learners share lr, betas, eps and the
 step count, so this steps each learner exactly as a state of its own would.
 Checkpoints still record one optimizer state per learner, cut from the one.
-The rollout reads the policy once per episode
-(actor.sampler), collects each step's feature tuple, action, log probability
-and reward in lists and returns them as one immutable Rollout, with the
-critic's inputs and values of its states. ppo_update builds the actor's
-scaled features once per update, reuses the rollout's critic inputs, and
-writes every minibatch's gradient into one buffer laid out like params. Each
-epoch draws its shuffle keys in bulk (Xoshiro256StarStar.randoms), gathers
-the rows once in the shuffled order, and takes each minibatch as a slice of
-contiguous rows, so its products see the layouts the per-minibatch gather
+The rollout reads the policy once per episode (actor.sampler) and returns
+its transitions as one immutable Rollout, with the critic's inputs and
+values of its states. ppo_update runs every minibatch through one
+policy.ppo_step, whose buffers last the update. Each epoch argsorts one
+bulk draw of integer shuffle keys (Xoshiro256StarStar.randbits53), gathers
+the rows once in that order, and takes each minibatch as a slice of
+contiguous rows, so its products see the layouts a per-minibatch gather
 gave them.
 
 Determinism: every random draw flows from the master seed through named
-streams (init / sampling / shuffling), and each training episode gets its own
-env seed derived from the rotation slot's base seed plus the episode index.
-Evaluation-grade episodes (baselines, reports) use the raw seeds directly so
-they are comparable across runs and tools. Fixed master seed means
-bit-identical parameters, curves, and checkpoints.
+streams (init / sampling / shuffling), and each training episode runs on
+the env seed of its rotation slot. Evaluation-grade episodes (baselines,
+reports) use the raw seeds directly so they are comparable across runs and
+tools. Fixed master seed means bit-identical parameters, curves, and
+checkpoints.
 
 A Run (configs, gains, variants, master seed) is what train takes. Checkpoints
 and reports are data that cli writes: checkpoint_dict records a Run and its
@@ -53,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import gradnet, metrics, pidbatch
+from . import gradnet, metrics, pidbatch, policy
 from .controllers import (
     STATE_DIMS,
     VARIANT_CD_OVER,
@@ -68,8 +66,8 @@ from .controllers import (
     run_pid_episode,
 )
 from .errors import CheckpointError, ConfigError, DivergenceError, SpillRegError
-from .gradnet import LossReport
 from .metrics import RewardConfig
+from .policy import LossReport
 from .rng import Xoshiro256StarStar, check_seed, derive_seed
 from .spillsim import ConfigRecord, EnvConfig, closed_loop, run_raw_episode
 
@@ -301,9 +299,11 @@ def ppo_update(
     params is join_parameters(actor, critic) and opt its optimizer state
     (gradnet.optimizer_for). The actor's inputs are built once per update
     and the critic's are rollout.critic_x; each epoch gathers the rows once
-    in its shuffled order, so a minibatch is a slice of contiguous rows. One
-    gradient buffer laid out like params takes every minibatch's gradient,
-    and one optimizer step updates both learners.
+    in its shuffled order, so a minibatch is a slice of contiguous rows.
+    One policy.ppo_step writes every minibatch's gradient into one buffer
+    laid out like params, and one optimizer step updates both learners. The
+    update runs with numpy's overflow and invalid warnings off: a diverging
+    run raises DivergenceError instead.
 
     Errors are those of one optimizer state per learner, actor first: a
     non-finite gradient names its coordinate within its own learner. One
@@ -321,30 +321,29 @@ def ppo_update(
         actor.scale(rollout.states), rollout.critic_x, rollout.actions, rollout.log_probs, advantages, returns,
     )
     split = actor.flat.size
-    grads = np.empty_like(params)
-    # the views stay the same for the whole update: backward cuts a buffer
-    # into per-array views only the first time it is given that buffer
-    parts = (grads[:split], grads[:split - 1], grads[split:])
+    grads, scratch = np.empty_like(params), (np.empty_like(params), np.empty_like(params))
+    step = policy.ppo_step(actor, critic, cfg, grads)
     sums = (0.0, 0.0, 0.0, 0.0)
     batches = 0
-    for _ in range(cfg.epochs_per_iter):
-        # argsort of iid uniforms is a uniform random permutation
-        perm = np.argsort(np.asarray(rng.randoms(n)), kind="stable")
-        rows = [column[perm] for column in columns]
-        for start in range(0, n, cfg.minibatch):
-            stop = start + cfg.minibatch
-            components = gradnet.surrogate_grads(actor, critic, *[r[start:stop] for r in rows], cfg, parts)
-            try:
-                gradnet.optimizer_step(opt, params, grads)
-            except DivergenceError as exc:
-                coord = exc.diagnostics.get("coordinate", -1)
-                if coord < split:
-                    raise
-                raise gradnet.nonfinite_gradient(coord - split, exc.step) from None
-            actor.finalize_update()
-            critic.bump_version()
-            sums = tuple(map(operator.add, sums, components))
-            batches += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs_per_iter):
+            # argsort of iid uniform integers is a uniform random permutation
+            perm = np.argsort(rng.randbits53(n), kind="stable")
+            rows = [column[perm] for column in columns]
+            for start in range(0, n, cfg.minibatch):
+                stop = start + cfg.minibatch
+                components = step(*[r[start:stop] for r in rows])
+                try:
+                    gradnet.optimizer_step(opt, params, grads, scratch)
+                except DivergenceError as exc:
+                    coord = exc.diagnostics.get("coordinate", -1)
+                    if coord < split:
+                        raise
+                    raise gradnet.nonfinite_gradient(coord - split, exc.step) from None
+                actor.finalize_update()
+                critic.bump_version()
+                sums = tuple(map(operator.add, sums, components))
+                batches += 1
     return LossReport(*(s / batches for s in sums))
 
 
@@ -356,9 +355,8 @@ def make_critic(state_dim: int, rng: Xoshiro256StarStar) -> gradnet.DenseNet:
 def evaluate_actor_sdf(env_cfg: EnvConfig, actor, seed: int) -> float:
     """SDF of one deterministic (mean-action) closed-loop episode."""
     tracker = StateTracker(env_cfg, actor.variant)
-    _, corrected, _ = closed_loop(
-        env_cfg, seed, lambda t, raw, x, applied: actor.mean(tracker.push(raw, x, applied))
-    )
+    mean = actor.episode_mean()
+    _, corrected, _ = closed_loop(env_cfg, seed, lambda t, raw, x, applied: mean(tracker.push(raw, x, applied)))
     return metrics.sdf(corrected)
 
 

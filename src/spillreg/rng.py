@@ -5,7 +5,7 @@ minibatch shuffling) run on xoshiro256** seeded through splitmix64, with
 normal variates produced by the Box-Muller transform. The generator is pure
 64-bit integer arithmetic, so a given seed yields bit-identical streams on
 any platform and any Python build; nothing here depends on numpy's RNG
-(randoms() only borrows numpy's wrapping uint64 arithmetic).
+(randbits53() only borrows numpy's wrapping uint64 arithmetic).
 
 Seeding: the four 64-bit state words are the first four outputs of the
 splitmix64 sequence started at the seed. Derived streams come from
@@ -101,14 +101,14 @@ class Xoshiro256StarStar:
         """Uniform double in [0, 1): top 53 bits of the next word."""
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def randoms(self, n: int) -> list[float]:
-        """The n floats that n calls of random() return, in order, with the same end state.
+    def randbits53(self, n: int) -> np.ndarray:
+        """The top 53 bits of the next n words, as a uint64 array: the integers
+        that n calls of random() scale by 2**-53, with the same end state.
 
         One loop over local variables runs the state recurrence and keeps
         each step's s1; the output scrambler then runs on all of them at once
         in numpy uint64 arithmetic, which wraps modulo 2**64 as next_u64's
-        masks do, so every float is random()'s bit for bit. The Box-Muller
-        spare is untouched, as it is by random().
+        masks do. The Box-Muller spare is untouched, as it is by random().
         """
         s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
         mask = _MASK64
@@ -128,7 +128,11 @@ class Xoshiro256StarStar:
         x = (x << np.uint64(7)) | (x >> np.uint64(57))
         x *= np.uint64(9)
         x >>= np.uint64(11)
-        return (x.astype(np.float64) * 2.0**-53).tolist()
+        return x
+
+    def randoms(self, n: int) -> list[float]:
+        """The n floats that n calls of random() return: randbits53's integers times 2**-53, exactly."""
+        return (self.randbits53(n).astype(np.float64) * 2.0**-53).tolist()
 
     def uniform(self, low: float, high: float) -> float:
         return low + (high - low) * self.random()

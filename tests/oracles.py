@@ -21,7 +21,7 @@ None of these is used by the package itself:
   clamped and exponentiated on every call;
 - dense_forward / dense_backward, minibatch_step and ppo_update are
   gradnet.forward / backward, the PPO minibatch gradient (now
-  gradnet.surrogate_grads) and ppo.ppo_update as they were before the lean
+  policy.ppo_step) and ppo.ppo_update as they were before the lean
   inner loop: a tape of pre-activations, a multiply by
   the activation derivative on every layer (ones for identity), the critic
   inputs, shuffle keys and gradients rebuilt per minibatch, and an
@@ -66,7 +66,7 @@ from spillreg.controllers import (
 from spillreg.errors import ConfigError, DivergenceError, InputError
 from spillreg.metrics import report_dict
 from spillreg.controllers import LinearActor
-from spillreg.gradnet import LossReport, surrogate_grads
+from spillreg.policy import LossReport, clamp_log_std, gaussian_log_prob, ppo_step
 from spillreg.ppo import critic_inputs, evaluate_actor_sdf
 from spillreg.spillsim import EnvConfig, run_raw_episode
 
@@ -168,9 +168,8 @@ def surrogate_losses(
         states, np.arange(n) if steps is None else np.asarray(steps), n if horizon is None else horizon,
         actor.variant,
     )
-    actor_grads = np.empty_like(actor.flat)
-    grads = (actor_grads, actor_grads[:-1], np.empty_like(critic.flat))
-    return surrogate_grads(actor, critic, actor.scale(states), critic_x, *arrays, cfg, grads)
+    step = ppo_step(actor, critic, cfg, np.empty(actor.flat.size + critic.flat.size))
+    return LossReport(*step(actor.scale(states), critic_x, *arrays))
 
 
 def nested_round_points(best, hs) -> list[tuple[float, float, float]]:
@@ -251,10 +250,10 @@ def scalar_pid_sdfs(config: EnvConfig, gains: PidGains, seeds) -> list[float]:
 
 def sample(actor, state, rng) -> tuple[float, float]:
     """(action, log_prob) of one draw around actor.mean(state), std exp(log_std)."""
-    log_std = gradnet.clamp_log_std(float(actor.log_std_arr[0]))
+    log_std = clamp_log_std(float(actor.log_std_arr[0]))
     mean = actor.mean(state)
     action = mean + math.exp(log_std) * rng.normal()
-    return action, gradnet.gaussian_log_prob(action, mean, log_std)
+    return action, gaussian_log_prob(action, mean, log_std)
 
 
 # --- the PPO inner loop before its lean rewrite -------------------------------
@@ -357,6 +356,11 @@ def minibatch_step(actor, critic, states, actions, logp_old, advantages, returns
     return LossReport(actor_loss, value_loss, entropy, clip_fraction), actor_grads, critic_grads
 
 
+def scratch(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two scratch vectors that gradnet's optimizer steps take."""
+    return np.empty_like(params), np.empty_like(params)
+
+
 def ppo_update(actor, critic, rollout, advantages, returns, cfg, rng, actor_opt, critic_opt) -> LossReport:
     n = len(rollout.actions)
     sums = np.zeros(4)
@@ -370,9 +374,9 @@ def ppo_update(actor, critic, rollout, advantages, returns, cfg, rng, actor_opt,
                 actor, critic, rollout.states[mb], rollout.actions[mb], rollout.log_probs[mb],
                 advantages[mb], returns[mb], cfg, steps=mb, horizon=n,
             )
-            gradnet.optimizer_step(actor_opt, actor.flat, actor_grads)
+            gradnet.optimizer_step(actor_opt, actor.flat, actor_grads, scratch(actor.flat))
             actor.finalize_update()
-            gradnet.optimizer_step(critic_opt, critic.flat, critic_grads)
+            gradnet.optimizer_step(critic_opt, critic.flat, critic_grads, scratch(critic.flat))
             critic.bump_version()
             sums += components
             batches += 1

@@ -309,7 +309,6 @@ def test_an_empty_seed_list_is_config_error(tmp_path, capsys, monkeypatch, comma
     assert not (tmp_path / "o" / MANIFEST_NAME).exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("train, code, text", [
     ({"minibatch": 1000}, EXIT_CONFIG, "config error: "),
     ({"lr": 1e300}, EXIT_DIVERGED, "divergence: non-finite loss in ppo update"),
@@ -359,7 +358,6 @@ def test_ablate_lets_go_of_a_row_result_before_the_next_row_trains(tmp_path, gai
     assert results[1]() is None
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_ablate_keeps_no_failed_row_alive(tmp_path, gains_file, capsys, monkeypatch):
     # a failed row's traceback holds its train frame: actor, critic and their joined parameters
     real_train = ppo.train
@@ -693,7 +691,6 @@ def test_malformed_file_is_config_error(tmp_path, capsys, command, flag, text):
 
 
 @pytest.mark.other_pythons
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_train_divergence_keeps_the_initial_checkpoint(tmp_path, capsys):
     # lr 1e300 overflows the first Adam step of iteration 0, so the last good
     # checkpoint is the initial state: its bytes involve no BLAS product

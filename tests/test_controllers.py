@@ -41,7 +41,7 @@ from spillreg.controllers import (
     tune_pid,
 )
 from spillreg.errors import ConfigError, InputError, InvalidActionError, ShapeError, SpillRegError
-from spillreg.gradnet import LOG_STD_MAX, LOG_STD_MIN, clamp_log_std, gaussian_log_prob, policy_mean
+from spillreg.policy import LOG_STD_MAX, LOG_STD_MIN, clamp_log_std, gaussian_log_prob, policy_mean
 from spillreg.metrics import ordered_mean, sdf
 from spillreg.pidbatch import PID_KERNEL_BYTES
 from spillreg.rng import Xoshiro256StarStar

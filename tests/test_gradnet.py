@@ -109,6 +109,29 @@ def test_stale_tape_rejected():
     with pytest.raises(UsageError, match="different net"):  # same shapes, another net
         backward(small_net(), forward(net, np.ones((2, 3)))[1], np.ones_like(out))
 
+
+def test_buffer_tape_replays_each_forward_once():
+    net = small_net(seed=4)
+    rng = np.random.default_rng(1)
+    x, probe = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
+    full = gradnet.buffer_tape(net, 5)
+    head = full.head(3)
+    with pytest.raises(UsageError, match="no forward to replay"):  # nothing recorded yet
+        backward(net, full, probe)
+    for tape, rows in ((full, 5), (head, 3), (full, 5)):
+        out, plain = forward(net, x[:rows])
+        assert forward(net, x[:rows], tape)[0].tobytes() == out.tobytes()
+        assert backward(net, tape, probe[:rows]).tobytes() == backward(net, plain, probe[:rows]).tobytes()
+        with pytest.raises(UsageError, match="no forward to replay"):  # its tanh outputs are overwritten
+            backward(net, tape, probe[:rows])
+    forward(net, x, full)
+    forward(net, x[:3], head)  # over the full tape's first rows
+    with pytest.raises(UsageError, match="no forward to replay"):
+        backward(net, full, probe)
+    net.bump_version()
+    with pytest.raises(UsageError, match="stale tape"):
+        backward(net, head, probe[:3])
+
 def test_shape_validation():
     net = small_net()
     with pytest.raises(ShapeError):
@@ -205,7 +228,7 @@ def test_net_from_dict_refuses_malformed_records():
 def test_sgd_step_exact():
     opt = SgdState(lr=0.1)
     params = np.array([1.0, 2.0])
-    sgd_step(opt, params, np.array([0.5, -1.0]))
+    sgd_step(opt, params, np.array([0.5, -1.0]), oracles.scratch(params))
     assert np.allclose(params, [0.95, 2.1], atol=0.0)
     assert opt.step == 1
 
@@ -215,14 +238,14 @@ def test_adam_first_step_is_signed_lr():
     # lr * g / (|g| + eps) which is lr * sign(g) up to eps
     params = np.array([1.0, -1.0, 0.5])
     opt = optimizer_for("adam", params, 0.01)
-    adam_step(opt, params, np.array([10.0, -0.001, 2.0]))
+    adam_step(opt, params, np.array([10.0, -0.001, 2.0]), oracles.scratch(params))
     assert np.allclose(params, [1.0 - 0.01, -1.0 + 0.01, 0.5 - 0.01], atol=1e-6)
 
 
 def test_adam_zero_gradient_is_a_fixed_point():
     params = np.array([3.0, -4.0])
     opt = optimizer_for("adam", params, 0.1)
-    adam_step(opt, params, np.zeros(2))
+    adam_step(opt, params, np.zeros(2), oracles.scratch(params))
     assert np.array_equal(params, [3.0, -4.0])
 
 
@@ -230,7 +253,7 @@ def test_adam_descends_a_quadratic():
     params = np.array([2.0])
     opt = optimizer_for("adam", params, 0.05)
     for _ in range(500):
-        adam_step(opt, params, 2.0 * params)
+        adam_step(opt, params, 2.0 * params, oracles.scratch(params))
     assert abs(params[0]) < 0.05
 
 
@@ -241,16 +264,16 @@ def test_adam_serialize_resume_matches_uninterrupted():
     opt_a = optimizer_for("adam", p_a, 0.01)
     rng = np.random.default_rng(3)
     for _ in range(10):
-        adam_step(opt_a, p_a, rng.normal(size=2))
+        adam_step(opt_a, p_a, rng.normal(size=2), oracles.scratch(p_a))
 
     p_b = np.array([1.0, -1.0])
     opt_b = optimizer_for("adam", p_b, 0.01)
     rng = np.random.default_rng(3)
     for _ in range(5):
-        adam_step(opt_b, p_b, rng.normal(size=2))
+        adam_step(opt_b, p_b, rng.normal(size=2), oracles.scratch(p_b))
     restored = adam_from_dict(adam_to_dict(opt_b, views), views)
     for _ in range(5):
-        adam_step(restored, p_b, rng.normal(size=2))
+        adam_step(restored, p_b, rng.normal(size=2), oracles.scratch(p_b))
     assert np.array_equal(p_a, p_b)
 
 
@@ -427,8 +450,8 @@ def test_flat_optimizers_equal_per_array_reference(shapes, steps, seed, lr):
     for _ in range(steps):
         grads = [rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6) for shape in shapes]
         flat_grads = np.concatenate([g.ravel() for g in grads])
-        optimizer_step(adam, flat_adam, flat_grads)
-        optimizer_step(sgd, flat_sgd, flat_grads)
+        optimizer_step(adam, flat_adam, flat_grads, oracles.scratch(flat_adam))
+        optimizer_step(sgd, flat_sgd, flat_grads, oracles.scratch(flat_sgd))
         ref_step = reference_adam(m, v, ref_step, ref_adam, grads, lr)
         for p, g in zip(ref_sgd, grads):
             p -= lr * g
@@ -444,10 +467,10 @@ def test_optimizers_reject_bad_gradients_without_moving(kind):
     params = np.array([1.0, 2.0, 3.0])
     opt = optimizer_for(kind, params, 0.1)
     with pytest.raises(DivergenceError) as info:
-        optimizer_step(opt, params, np.array([0.0, np.nan, np.inf]))
+        optimizer_step(opt, params, np.array([0.0, np.nan, np.inf]), oracles.scratch(params))
     assert info.value.diagnostics == {"coordinate": 1}
     with pytest.raises(ShapeError):
-        optimizer_step(opt, params, np.zeros(2))
+        optimizer_step(opt, params, np.zeros(2), oracles.scratch(params))
     assert params.tolist() == [1.0, 2.0, 3.0] and opt.step == 0
 
 
@@ -456,7 +479,7 @@ def test_adam_dict_round_trip_keeps_per_array_lists():
     opt = optimizer_for("adam", net.flat, 0.01)
     rng = np.random.default_rng(8)
     for _ in range(3):
-        adam_step(opt, net.flat, rng.normal(size=net.flat.shape))
+        adam_step(opt, net.flat, rng.normal(size=net.flat.shape), oracles.scratch(net.flat))
     data = adam_to_dict(opt, net.parameters())
     assert set(data) == {"kind", "lr", "beta1", "beta2", "eps", "step", "m", "v"}
     # one flat block per parameter array, as [W0, b0, W1, b1] of the net, written as one list each

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import ema_reward, neg_sum_series, surrogate_losses
 from test_fingerprints import record_text
-from spillreg import gradnet, metrics, ppo
+from spillreg import gradnet, metrics, policy, ppo
 from spillreg.controllers import (
     STATE_DIMS,
     LinearActor,
@@ -30,6 +30,7 @@ from spillreg.errors import (
     ConfigError,
     DivergenceError,
     InputError,
+    UsageError,
 )
 from spillreg.ppo import (
     RewardConfig,
@@ -398,11 +399,10 @@ def test_minibatch_gradients_match_finite_differences():
         )
         return rep.actor_loss + cfg.value_coef * rep.value_loss - cfg.entropy_coef * rep.entropy
 
-    actor_grads, critic_grads = np.empty_like(actor.flat), np.empty_like(critic.flat)
-    gradnet.surrogate_grads(
-        actor, critic, actor.scale(states), critic_inputs(states, steps, n, actor.variant),
-        actions, logp_old, advantages, returns, cfg, (actor_grads, actor_grads[:-1], critic_grads),
-    )
+    grads = np.empty(actor.flat.size + critic.flat.size)
+    step = policy.ppo_step(actor, critic, cfg, grads)
+    step(actor.scale(states), critic_inputs(states, steps, n, actor.variant), actions, logp_old, advantages, returns)
+    actor_grads, critic_grads = grads[:actor.flat.size], grads[actor.flat.size:]
     h = 1e-6
     assert actor_grads.shape == actor.flat.shape and critic_grads.shape == critic.flat.shape
     pairs = [(actor.flat, actor_grads), *zip(critic.parameters(), critic.unflatten(critic_grads))]
@@ -524,6 +524,23 @@ def test_repeated_updates_reduce_value_loss(env_cfg):
     assert last.value_loss < first.value_loss
 
 
+@pytest.mark.parametrize("kind", ["pid", "nn"])
+def test_tapes_taken_before_an_update_step_are_stale(kind):
+    """Each optimizer step of ppo_update bumps both nets' versions: no tape recorded before it replays."""
+    actor, critic = fresh_actor(3, kind), fresh_critic(4)
+    rollout, advantages, returns = random_update_inputs(3, actor)
+    cfg = TrainConfig(epochs_per_iter=1, minibatch=rollout.actions.size)  # one step
+    params, opt = joint_opt(actor, critic, cfg)
+    mu, actor_tape = actor.mean_scaled(actor.scale(rollout.states))
+    v_out, critic_tape = gradnet.forward(critic, rollout.critic_x)
+    buffered = gradnet.forward(critic, rollout.critic_x, gradnet.buffer_tape(critic, rollout.actions.size))[1]
+    ppo_update(actor, critic, rollout, advantages, returns, cfg, Xoshiro256StarStar(3), params, opt)
+    assert opt.step == 1
+    for net, tape, out in (actor.net, actor_tape, mu[:, None]), (critic, critic_tape, v_out), (critic, buffered, v_out):
+        with pytest.raises(UsageError, match="stale tape"):
+            gradnet.backward(net, tape, np.ones_like(out))
+
+
 # --- bit identity with the per-minibatch loop it replaced -----------------------------
 
 def random_update_inputs(seed, actor, n=430):
@@ -592,19 +609,20 @@ def update_runs(reference, kind, variant, cfg, seed, updates=2, edit=None):
 
 
 @pytest.mark.scalar_loops
-@settings(max_examples=16, deadline=None)
+@settings(max_examples=32, deadline=None)
 @given(
     kind=st.sampled_from(["pid", "nn"]),
     variant=st.sampled_from(sorted(STATE_DIMS)),
     optimizer=st.sampled_from(["adam", "sgd"]),
+    minibatch=st.sampled_from([64, 43]),
     seed=st.integers(0, 2**16),
 )
-def test_ppo_update_matches_the_reference_bit_for_bit(kind, variant, optimizer, seed):
-    # 430 rows in minibatches of 64: six full ones and a 46-row tail per epoch
-    cfg = TrainConfig(epochs_per_iter=2, optimizer=optimizer, lr=1e-3, entropy_coef=0.01)
+def test_ppo_update_matches_the_reference_bit_for_bit(kind, variant, optimizer, minibatch, seed):
+    # 430 rows in minibatches of 64 (six full ones and a 46-row tail per epoch) or of 43 (ten)
+    cfg = TrainConfig(epochs_per_iter=2, minibatch=minibatch, optimizer=optimizer, lr=1e-3, entropy_coef=0.01)
+    ours = update_runs(False, kind, variant, cfg, seed)  # warns of nothing: the update runs under errstate
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ours = update_runs(False, kind, variant, cfg, seed)
         reference = update_runs(True, kind, variant, cfg, seed)
     # (update, field) of the first difference, so that a failure does not render both runs
     assert oracles.first_difference(ours, reference) is None
@@ -679,12 +697,13 @@ def test_compute_gae_matches_the_reference_bit_for_bit(seed):
             assert [a.tobytes() for a in ours] == [a.tobytes() for a in reference]
 
 
+@pytest.mark.scalar_loops
 @pytest.mark.parametrize("kind", ["pid", "nn"])
 def test_ppo_update_diverges_where_the_reference_does(kind):
     cfg = TrainConfig(epochs_per_iter=2, lr=1e300)
+    ours = update_runs(False, kind, "pid_act", cfg, 5, updates=1)  # the loss overflows, with no numpy warning
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ours = update_runs(False, kind, "pid_act", cfg, 5, updates=1)
         reference = update_runs(True, kind, "pid_act", cfg, 5, updates=1)
     assert oracles.first_difference(ours, reference) is None
     assert "non-finite" in ours[0][0][1]
@@ -720,14 +739,15 @@ GRADIENT_DIVERGENCES = {
 }
 
 
+@pytest.mark.scalar_loops
 @pytest.mark.parametrize("kind", ["pid", "nn"])
 @pytest.mark.parametrize("case", sorted(GRADIENT_DIVERGENCES))
 def test_gradient_divergence_raises_the_reference_error(kind, case):
-    """Type, message, step and diagnostics as the reference's per-learner steps raise them."""
+    """Type, message, step and diagnostics as the reference's per-learner steps raise them, with no numpy warning."""
     cfg, edit, message = GRADIENT_DIVERGENCES[case]
+    ours = update_runs(False, kind, "pid_act", cfg, 5, updates=1, edit=edit)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ours = update_runs(False, kind, "pid_act", cfg, 5, updates=1, edit=edit)
         reference = update_runs(True, kind, "pid_act", cfg, 5, updates=1, edit=edit)
     error_type, text, _, _ = ours[0][0]
     assert error_type is DivergenceError
@@ -751,7 +771,6 @@ def test_actor_overflow_beside_a_critic_gradient_reports_the_gradient(kind):
     assert re.fullmatch(r"(linear|NN) actor parameters became non-finite", reference[0][0][1])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_train_counts_a_critic_gradient_coordinate_within_the_critic(env_cfg, tuned_gains):
     cfg = TrainConfig(iterations=1, seeds=(0,), value_coef=1e308)
     with pytest.raises(DivergenceError, match=r"^non-finite gradient at coordinate 4544$") as info:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from spillreg.rng import Xoshiro256StarStar, derive_seed, splitmix64
@@ -127,6 +128,23 @@ def test_randoms_keeps_a_pending_normal_spare():
     spare = single.normal()
     assert bulk.normal() == spare
     assert bulk.state == single.state
+
+
+@pytest.mark.other_pythons
+@pytest.mark.parametrize("seed", [0, 3, 2**64 - 1])
+def test_shuffle_keys_order_rows_as_the_floats_did(seed):
+    """randbits53 draws the integers randoms scales: the same floats, the same end
+    state and, draw after draw, the same stable argsort, the one ppo_update takes."""
+    keys, floats = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    for n in (1, 2, 46, 64, 430, 431):
+        for _ in range(25):
+            ints = keys.randbits53(n)
+            values = floats.randoms(n)
+            assert ints.dtype == np.uint64 and int(ints.max()) < 2**53
+            assert (ints.astype(np.float64) * 2.0**-53).tolist() == values
+            assert np.array_equal(np.argsort(ints, kind="stable"), np.argsort(np.asarray(values), kind="stable"))
+            assert keys.state == floats.state
+    assert keys.next_u64() == floats.next_u64()
 
 
 def test_derive_seed_deterministic_and_tag_sensitive():
