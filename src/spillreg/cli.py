@@ -170,7 +170,7 @@ def config_payload(run: ppo.Run, variant: VariantSpec) -> dict:
     return payload
 
 
-def resolve_run(args) -> tuple[ppo.Run, VariantSpec]:
+def resolve_run(args, trains: bool = False) -> tuple[ppo.Run, VariantSpec]:
     """The run that flags, config file and defaults describe (gains None if none given), and its variant."""
     config_path = getattr(args, "config", None)
     with reading(config_path) if config_path else nullcontext():
@@ -194,6 +194,8 @@ def resolve_run(args) -> tuple[ppo.Run, VariantSpec]:
             raise ConfigError(
                 f"train.alpha {train_cfg.alpha} differs from the reward alpha {reward_cfg.alpha}; "
                 "set the alpha in the reward section or choose a variant")
+        if trains and train_cfg.minibatch > env_cfg.steps_per_episode:  # refused before any file or tuning
+            raise ConfigError(f"minibatch {train_cfg.minibatch} exceeds rollout length {env_cfg.steps_per_episode}")
 
         if getattr(args, "seed", None) is not None:
             master_seed = args.seed
@@ -291,7 +293,7 @@ def cmd_tune_pid(args) -> int:
 
 
 def cmd_train(args) -> int:
-    run, variant = resolve_run(args)
+    run, variant = resolve_run(args, trains=True)
     out_dir = ensure_out_dir(args)
     if run.gains is None:
         run = replace(run, gains=tune_pid(run.env, list(run.train.seeds))[0])
@@ -390,7 +392,7 @@ def format_ablation_csv(rows: list[dict]) -> str:
 
 
 def cmd_ablate(args) -> int:
-    run, variant = resolve_run(args)
+    run, variant = resolve_run(args, trains=True)
     out_dir = ensure_out_dir(args)
     row_names = list(ABLATION_ROWS)
     if args.rows is not None:

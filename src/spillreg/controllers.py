@@ -446,8 +446,7 @@ class NnActor(policy.GaussianPolicy):
 
     def mean(self, state: tuple[float, ...]) -> float:
         scaled = np.asarray(state, dtype=np.float64) / self._scales
-        out, _ = gradnet.forward(self.net, scaled[None, :])
-        return float(out[0, 0])
+        return float(gradnet.forward(self.net, scaled[None, :])[0, 0])
 
     def to_dict(self) -> dict:
         return {

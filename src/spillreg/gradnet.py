@@ -3,16 +3,17 @@
 Sized for exactly what the training loop needs: the critic and the NN
 actor, tanh nets with an identity output layer, and the linear policy head,
 one identity layer, all run on batches of (n, in) rows. forward returns the
-output and a tape of each layer's input and output; backward replays it
+(n, out) output. Without a tape it checks its input and records nothing:
+that is inference. Given a tape that buffer_tape made once for n rows and a
+gradient buffer, it fills that tape, and backward replays its one forward
 into the exact gradient of sum(output * grad_output) with respect to every
 parameter, summed over the batch, so per-sample loss weights belong in
-grad_output. All math is float64 numpy. A tape from buffer_tape is made
-once and refilled by every forward given it, and neither pass then
-allocates, copies or checks an array; backward replays its one forward and
-overwrites the hidden outputs with tanh' as it goes. Every tape records the
-net's version at its forward, and backward refuses a tape recorded before
-the parameters changed, or a buffer tape with no forward left to replay.
-The PPO step (policy.ppo_step) keeps one buffer tape per learner.
+grad_output. Neither buffered pass allocates, copies or checks an array;
+backward overwrites the hidden outputs with tanh' as it goes. All math is
+float64 numpy. A tape records the net's version at its forward, and
+backward refuses a tape recorded before the parameters changed, or one with
+no forward left to replay. The PPO step (policy.ppo_step) keeps one buffer
+tape per learner.
 
 The pass is lean but keeps every result of the textbook one bit for bit:
 h @ W.T + b forward (bias added in place), g.T @ inputs and g @ W backward,
@@ -25,12 +26,11 @@ a loop of its own; backward computes that sum elementwise instead.
 Parameter layout: a DenseNet is its layers' (out, in) shapes, their
 activations and one contiguous float64 vector, `flat` = [W0, b0, W1, b1,
 ...] row-major. weights[i] and biases[i] are views into flat, so writing
-through them changes the net. backward returns the parameter gradient in
-the same layout, written into a caller's buffer if given (cut into
-per-array views once per buffer). use(flat) makes a net, or a policy
-head, view other storage of its size as its parameters, without a copy:
-the PPO trainer copies both learners into one vector and points each at
-its slice (ppo.join_parameters).
+through them changes the net. backward writes the parameter gradient in
+the same layout, into the buffer its tape was made with. use(flat) makes a
+net, or a policy head, view other storage of its size as its parameters,
+without a copy: the PPO trainer copies both learners into one vector and
+points each at its slice (ppo.join_parameters).
 
 Optimizers: bias-corrected Adam (the default throughout the package) and
 plain SGD. Each keeps its state over one flat parameter vector and updates
@@ -87,9 +87,6 @@ class DenseNet:
         self.activations = tuple(activations)
         self.version = 0  # bumped by whoever mutates the parameters
         self.use(np.zeros(self._size) if flat is None else flat)
-        # backward's views of the last `out` it was given
-        self._grad_flat: np.ndarray | None = None
-        self._grad_split: list[np.ndarray] = []
 
     def use(self, flat: np.ndarray) -> None:
         """View flat, a vector of the net's size, as the parameters from now on (no copy)."""
@@ -120,93 +117,75 @@ class DenseNet:
     def bump_version(self) -> None:
         self.version += 1
 
-    def _grad_views(self, flat: np.ndarray) -> list[np.ndarray]:
-        """unflatten(flat), cut once for a buffer that backward is given again and again."""
-        if flat is not self._grad_flat:
-            self._grad_flat, self._grad_split = flat, self.unflatten(flat)
-        return self._grad_split
-
 
 class Tape:
-    """Activation record of one forward pass: acts[0] is the (n, in) input,
-    acts[i + 1] the output of layer i, version the net's version then.
+    """One buffer_tape's arrays over n rows: acts[0] the input, acts[i + 1]
+    layer i's output, scratch[i] backward's gradient of layer i's input,
+    grads views of the buffer backward writes, version the net's version at
+    the forward. owner, a one-item list shared with the tapes head() cuts,
+    holds the tape whose forward the shared arrays hold, or None once a
+    backward has replayed it."""
 
-    A buffer_tape's scratch[i] takes backward's (n, in) gradient of layer
-    i's input. Its owner is a one-item list shared with the tapes head()
-    cuts from it: owner[0] is the tape whose forward the shared arrays
-    hold, and None once a backward has replayed it.
-    """
+    __slots__ = ("net", "version", "acts", "scratch", "grads", "owner")
 
-    __slots__ = ("net", "version", "acts", "scratch", "owner")
-
-    def __init__(self, net: DenseNet, version: int | None, acts: list, scratch=None, owner=None):
-        self.net, self.version, self.acts, self.scratch, self.owner = net, version, acts, scratch, owner
+    def __init__(self, net: DenseNet, acts: list, scratch: list, grads: list, owner: list):
+        self.net, self.acts, self.scratch, self.grads, self.owner = net, acts, scratch, grads, owner
+        self.version = None
 
     def head(self, n: int) -> Tape:
-        """A buffer_tape's first n rows as a buffer_tape of n rows: views, no new arrays."""
-        return Tape(self.net, None, [None, *(a[:n] for a in self.acts[1:])], [g[:n] for g in self.scratch], self.owner)
+        """The first n rows as a tape of n rows: views, no new arrays."""
+        acts = [None, *(a[:n] for a in self.acts[1:])]
+        return Tape(self.net, acts, [g[:n] for g in self.scratch], self.grads, self.owner)
 
 
-def buffer_tape(net: DenseNet, n: int) -> Tape:
-    """A reusable tape of n rows, empty until a forward fills it; a backward
-    replays that forward once, overwriting its hidden layers' outputs."""
+def buffer_tape(net: DenseNet, n: int, grads: np.ndarray) -> Tape:
+    """A reusable tape of n rows whose backward writes into grads, laid out
+    like net.flat; empty until a forward fills it, and a backward replays
+    that forward once, overwriting its hidden layers' outputs."""
     outs = [np.empty((n, w.shape[0])) for w in net.weights]
-    return Tape(net, None, [None, *outs], [np.empty((n, w.shape[1])) for w in net.weights], [None])
+    return Tape(net, [None, *outs], [np.empty((n, w.shape[1])) for w in net.weights], net.unflatten(grads), [None])
 
 
-def forward(net: DenseNet, x: np.ndarray, tape: Tape | None = None) -> tuple[np.ndarray, Tape]:
-    """Run the net on (n, in) inputs; returns ((n, out) output, tape). Mutates nothing but a given tape.
+def forward(net: DenseNet, x: np.ndarray, tape: Tape | None = None) -> np.ndarray:
+    """Run the net on (n, in) inputs; returns the (n, out) output. Mutates nothing but a given tape.
 
-    Given a buffer_tape of n rows, x must be a float64 (n, in) array and the
-    pass writes into that tape, which it returns.
+    Given a buffer_tape of n rows, x must be a float64 (n, in) array, and
+    the pass writes into that tape; the output is its last array.
     """
     if tape is None:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != net.in_dim:
-            raise ShapeError(f"input shape {x.shape} does not match (n, {net.in_dim})")
-        tape = Tape(net, net.version, [None] * (len(net._plan) + 1))
+        h = np.asarray(x, dtype=np.float64)
+        if h.ndim != 2 or h.shape[1] != net.in_dim:
+            raise ShapeError(f"input shape {h.shape} does not match (n, {net.in_dim})")
+        outs = [None] * len(net._plan)
     else:
         tape.version, tape.owner[0] = net.version, tape
-    acts = tape.acts
-    acts[0] = h = x
-    for i, (weight_t, bias, activation) in enumerate(net._plan, 1):
-        h = acts[i] = np.matmul(h, weight_t, out=acts[i])
+        tape.acts[0] = h = x
+        outs = tape.acts[1:]
+    for (weight_t, bias, activation), out in zip(net._plan, outs):
+        h = np.matmul(h, weight_t, out=out)
         h += bias
         if activation == "tanh":
             np.tanh(h, out=h)
-    return h, tape
+    return h
 
 
-def backward(net: DenseNet, tape: Tape, grad_output: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Exact gradient of sum(output * grad_output) w.r.t. the parameters,
-    laid out like net.flat and written into `out` (a new vector if None).
+def backward(tape: Tape, grad_output: np.ndarray) -> None:
+    """Exact gradient of sum(output * grad_output) w.r.t. the parameters of
+    the tape's net, written into the buffer the tape was made with.
 
-    On a buffer_tape, grad_output must be a C-order float64 array of the
-    output's shape, and it is used as it is; the tape is then spent.
+    grad_output must be a C-order float64 array of the output's shape, and
+    it is used as it is; the tape is then spent.
     """
-    if tape.net is not net:
-        raise UsageError("tape was recorded on a different net")
-    acts, scratch, g = tape.acts, tape.scratch, grad_output
-    buffered = scratch is not None
-    if buffered:
-        if tape.owner[0] is not tape:
-            raise UsageError("buffer tape holds no forward to replay: run forward on it again")
-        tape.owner[0] = None
+    if tape.owner[0] is not tape:
+        raise UsageError("buffer tape holds no forward to replay: run forward on it again")
+    tape.owner[0] = None
+    net, acts, scratch, views, g = tape.net, tape.acts, tape.scratch, tape.grads, grad_output
     if tape.version != net.version:
         raise UsageError("stale tape: net parameters changed since forward")
-    if not buffered:
-        # a fresh C-order copy: an identity layer passes g on unmultiplied, and
-        # its products then see the layout a multiply would have produced
-        g = np.array(grad_output, dtype=np.float64)
-        if g.shape != acts[-1].shape:
-            raise ShapeError(f"grad_output shape {g.shape} does not match output shape {acts[-1].shape}")
-        scratch = [None] * len(acts)
-    flat = np.empty_like(net.flat) if out is None else out
-    views = net._grad_views(flat)
     for idx in range(len(net.weights) - 1, -1, -1):
-        if net.activations[idx] == "tanh":  # d tanh = 1 - out^2, over out on a buffer_tape
-            a = acts[idx + 1]
-            ga = np.multiply(a, a, out=a if buffered else None)
+        if net.activations[idx] == "tanh":  # d tanh = 1 - out^2, over out
+            ga = acts[idx + 1]
+            np.multiply(ga, ga, out=ga)
             np.subtract(1.0, ga, out=ga)
             np.multiply(g, ga, out=ga)
         else:
@@ -223,7 +202,6 @@ def backward(net: DenseNet, tape: Tape, grad_output: np.ndarray, out: np.ndarray
             g += 0.0
         else:
             g = np.matmul(ga, weight, out=scratch[idx])
-    return flat
 
 
 def init_dense(

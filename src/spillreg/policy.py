@@ -73,7 +73,7 @@ class GaussianPolicy:
         return [*self.net.parameters(), self.log_std_arr]
 
     def scale(self, states: np.ndarray) -> np.ndarray:
-        """States in the units the mean is defined over: the input of mean_scaled."""
+        """States in the units the mean is defined over: the net's input."""
         return states / self._scales
 
     def episode_mean(self):
@@ -94,15 +94,6 @@ class GaussianPolicy:
             return action, gaussian_log_prob(action, m, log_std)
 
         return draw
-
-    def mean_scaled(self, scaled: np.ndarray, tape: gradnet.Tape | None = None) -> tuple[np.ndarray, gradnet.Tape]:
-        """(mean actions, tape for mean_grads) of scaled states, through tape if given (forward)."""
-        out, tape = gradnet.forward(self.net, scaled, tape)
-        return out[:, 0], tape
-
-    def mean_grads(self, tape: gradnet.Tape, dmu: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Gradient of sum(mean * dmu) w.r.t. flat[:-1] (the net's parameters), written into out."""
-        return gradnet.backward(self.net, tape, dmu.reshape(-1, 1), out)
 
     def finalize_update(self) -> None:
         """After an optimizer step: clamp log_std, invalidate tapes, refuse non-finite parameters."""
@@ -132,8 +123,8 @@ def ppo_step(actor, critic: gradnet.DenseNet, cfg, grads: np.ndarray):
     buffer_tape of that many per learner, and row views of it for fewer.
     """
     split = actor.flat.size
-    actor_grads, mean_grads, critic_grads = grads[:split], grads[:split - 1], grads[split:]
-    full = (gradnet.buffer_tape(actor.net, cfg.minibatch), gradnet.buffer_tape(critic, cfg.minibatch))
+    full = (gradnet.buffer_tape(actor.net, cfg.minibatch, grads[:split - 1]),
+            gradnet.buffer_tape(critic, cfg.minibatch, grads[split:]))
     tapes = {}
     low, high = 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps
 
@@ -145,7 +136,7 @@ def ppo_step(actor, critic: gradnet.DenseNet, cfg, grads: np.ndarray):
         log_std = float(actor.log_std_arr[0])
         std = math.exp(log_std)
 
-        mu, _ = actor.mean_scaled(actor_x, actor_tape)
+        mu = gradnet.forward(actor.net, actor_x, actor_tape)[:, 0]
         z = (actions - mu) / std
         logp_new = -0.5 * z * z - log_std - _HALF_LOG_TWO_PI
         ratio = np.exp(logp_new - logp_old)
@@ -156,8 +147,7 @@ def ppo_step(actor, critic: gradnet.DenseNet, cfg, grads: np.ndarray):
         clip_fraction = np.count_nonzero(np.abs(ratio - 1.0) > cfg.clip_eps) / n
         entropy = log_std + _ENTROPY_OFFSET
 
-        v_out, _ = gradnet.forward(critic, critic_x, critic_tape)
-        v_err = v_out[:, 0] - returns
+        v_err = gradnet.forward(critic, critic_x, critic_tape)[:, 0] - returns
         value_loss = float(np.add.reduce(v_err * v_err)) / n
 
         if not (math.isfinite(actor_loss) and math.isfinite(value_loss)):
@@ -171,10 +161,10 @@ def ppo_step(actor, critic: gradnet.DenseNet, cfg, grads: np.ndarray):
         dratio = np.where(surr1 <= surr2, advantages, 0.0) * (-1.0 / n)
         dlogp = dratio * ratio
         dmu = dlogp * z / std  # d logp / d mu = z / std
-        actor.mean_grads(actor_tape, dmu, mean_grads)
-        actor_grads[-1] = float(np.dot(dlogp, z * z - 1.0)) - cfg.entropy_coef * 1.0
+        gradnet.backward(actor_tape, dmu.reshape(n, 1))
+        grads[split - 1] = float(np.dot(dlogp, z * z - 1.0)) - cfg.entropy_coef * 1.0
         dv = cfg.value_coef * (2.0 / n) * v_err
-        gradnet.backward(critic, critic_tape, dv.reshape(n, 1), critic_grads)
+        gradnet.backward(critic_tape, dv.reshape(n, 1))
         return actor_loss, value_loss, entropy, clip_fraction
 
     return step

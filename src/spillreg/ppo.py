@@ -223,7 +223,7 @@ def collect_rollout(
     _, corrected_trace, _ = closed_loop(env_cfg, seed, control)
     state_rows = np.array(states, dtype=np.float64)
     critic_x = critic_inputs(state_rows, np.arange(n), n, actor.variant)
-    values, _ = gradnet.forward(critic, critic_x)
+    values = gradnet.forward(critic, critic_x)
     return Rollout(
         states=state_rows,
         actions=np.array(actions, dtype=np.float64),

@@ -44,6 +44,9 @@ None of these is used by the package itself:
 first_difference is not a reference but the comparison the bit-for-bit
 tests assert through: it names the first differing entry, so that a
 failure reports an index instead of pytest's diff of two large lists.
+buffered_pass is not one either: it is gradnet's one training pass, a
+forward and a backward on a fresh buffer tape, for tests that need a
+net's gradient.
 """
 
 from __future__ import annotations
@@ -88,6 +91,18 @@ def first_difference(ours: Sequence, reference: Sequence):
             return i, next(j for j, (x, y) in enumerate(zip(a, b)) if [x] != [y])
         return i, None
     return min(len(ours), len(reference)), None
+
+
+def buffered_pass(net: gradnet.DenseNet, x: np.ndarray, grad_output: np.ndarray):
+    """(output, gradient) of net on x through gradnet's one training pass: forward
+    on a fresh buffer_tape of x's rows, its output copied before backward
+    replays the tape into a fresh buffer. x and grad_output become C-order
+    float64 arrays, as that pass takes them."""
+    grads = np.empty_like(net.flat)
+    tape = gradnet.buffer_tape(net, len(x), grads)
+    out = gradnet.forward(net, np.ascontiguousarray(x, dtype=np.float64), tape).copy()
+    gradnet.backward(tape, np.ascontiguousarray(grad_output, dtype=np.float64))
+    return out, grads
 
 
 def check_alpha(alpha: float) -> None:

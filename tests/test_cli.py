@@ -309,12 +309,13 @@ def test_an_empty_seed_list_is_config_error(tmp_path, capsys, monkeypatch, comma
     assert not (tmp_path / "o" / MANIFEST_NAME).exists()
 
 
-@pytest.mark.parametrize("train, code, text", [
-    ({"minibatch": 1000}, EXIT_CONFIG, "config error: "),
-    ({"lr": 1e300}, EXIT_DIVERGED, "divergence: non-finite loss in ppo update"),
+@pytest.mark.parametrize("overrides, code, text", [
+    # a dt near the smallest double makes D infinite at step 1 of each row's rollout
+    ({"env": {"dt": 1e-310}}, EXIT_CONFIG, "config error: rollout step 1: "),
+    ({"train": {"lr": 1e300}}, EXIT_DIVERGED, "divergence: non-finite loss in ppo update"),
 ])
-def test_ablate_exits_with_the_first_row_error_when_no_row_trains(tmp_path, gains_file, capsys, train, code, text):
-    cfg = write_config(tmp_path, {"train": train})
+def test_ablate_exits_with_the_first_row_error_when_no_row_trains(tmp_path, gains_file, capsys, overrides, code, text):
+    cfg = write_config(tmp_path, overrides)
     out = tmp_path / "o"
     argv = ("ablate", "--rows", "main,sum", "--iterations", "1", "--gains", gains_file, "--config", cfg)
     assert run(*argv, "--out", out) == code
@@ -323,6 +324,23 @@ def test_ablate_exits_with_the_first_row_error_when_no_row_trains(tmp_path, gain
     assert "Traceback" not in err
     assert (out / "ablation.csv").exists()
     assert sorted(read_json(out / MANIFEST_NAME)["row_errors"]) == ["main", "sum"]
+
+
+@pytest.mark.parametrize("command", [("train", "--iterations", "0"), ("ablate", "--rows", "main,sum")])
+@pytest.mark.parametrize("with_gains", [True, False])
+def test_a_minibatch_longer_than_an_episode_is_refused_before_any_file(
+        tmp_path, gains_file, capsys, monkeypatch, command, with_gains):
+    def no_tuning(*args, **kwargs):
+        raise AssertionError("tune_pid called")
+
+    monkeypatch.setattr(cli, "tune_pid", no_tuning)
+    cfg = write_config(tmp_path, {"train": {"minibatch": 1000}})
+    out = tmp_path / "o"
+    gains = ("--gains", gains_file) if with_gains else ()
+    assert run(*command, *gains, "--config", cfg, "--out", out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: minibatch 1000 exceeds rollout length 430" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_ablate_exits_ok_when_some_row_trains(tmp_path, gains_file, capsys, monkeypatch):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import first_difference, sequential_tune_pid
-from spillreg import controllers, pidbatch, ppo
+from spillreg import controllers, gradnet, pidbatch, ppo
 from spillreg.controllers import (
     DEFAULT_GAIN_GRID,
     FEATURE_SCALES,
@@ -955,18 +955,19 @@ def test_linear_actor_mean_is_exact_dot_product():
 def test_linear_actor_batch_matches_scalar(tuned_gains):
     actor = make_actor("pid", "pid_act", tuned_gains, Xoshiro256StarStar(0))
     states = np.array([[0.3, -1.0, 500.0, 0.2], [0.0, 2.0, -100.0, -0.5]])
-    mus, _ = actor.mean_scaled(actor.scale(states))
+    mus = gradnet.forward(actor.net, actor.scale(states))[:, 0]
     singles = [actor.mean(tuple(row)) for row in states]
     assert mus == pytest.approx(singles, abs=1e-15)
 
 
 def linear_head_difference(actor, reference, states, dmu):
-    """first_difference of actor's mean_scaled and mean_grads, run through its
-    one-layer net, against the matvec oracles on reference's parameters, as
-    float.hex strings, so that a zero of the other sign differs too."""
-    mu, tape = actor.mean_scaled(actor.scale(states))
+    """first_difference of actor's mean and its gradient, run through its
+    one-layer net by the buffered pass, against the matvec oracles on
+    reference's parameters, as float.hex strings, so that a zero of the
+    other sign differs too."""
+    mu, grads = oracles.buffered_pass(actor.net, actor.scale(states), dmu[:, None])
     want_mu, want_tape = oracles._mean_batch(reference, states)
-    got = [mu, actor.mean_grads(tape, dmu)]
+    got = [mu[:, 0], grads]
     want = [want_mu, oracles._mean_grads(reference, want_tape, dmu)]
     return first_difference([[x.hex() for x in a.tolist()] for a in got],
                             [[x.hex() for x in a.tolist()] for a in want])
@@ -1086,7 +1087,7 @@ def test_nn_actor_round_trip_preserves_function():
 def test_nn_actor_batch_matches_scalar():
     actor = NnActor.fresh("pid_act", Xoshiro256StarStar(4))
     states = np.array([[0.3, -1.0, 500.0, 0.2], [0.0, 2.0, -100.0, -0.5]])
-    mus, _ = actor.mean_scaled(actor.scale(states))
+    mus = gradnet.forward(actor.net, actor.scale(states))[:, 0]
     singles = [actor.mean(tuple(row)) for row in states]
     assert mus == pytest.approx(singles, abs=1e-12)
 

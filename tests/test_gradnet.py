@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -39,9 +40,9 @@ def small_net(seed=0, dims=(3, 5, 2), acts=("tanh", "identity")):
 
 def test_forward_shapes():
     net = small_net()
-    out, _ = forward(net, np.zeros((7, 3)))
+    out = forward(net, np.zeros((7, 3)))
     assert out.shape == (7, 2)
-    row, _ = forward(net, np.zeros((1, 3)))
+    row = forward(net, np.zeros((1, 3)))
     assert row.shape == (1, 2)
 
 
@@ -49,7 +50,7 @@ def test_identity_layer_is_affine():
     net = init_dense([2, 3], ["identity"], Xoshiro256StarStar(1))
     w, b = net.parameters()
     x = np.array([[1.0, -2.0], [0.5, 0.0]])
-    out, _ = forward(net, x)
+    out = forward(net, x)
     assert np.allclose(out, x @ w.T + b, atol=0.0)
 
 
@@ -60,7 +61,7 @@ def test_tanh_activation():
     b[:] = 0.0
     net.bump_version()
     x = np.array([[-1.0, 0.0, 2.0]])
-    out, _ = forward(net, x)
+    out = forward(net, x)
     assert np.allclose(out, np.tanh(x))
 
 
@@ -71,8 +72,7 @@ def test_param_count():
 
 
 def scalar_loss(net, x, probe):
-    out, tape = forward(net, x)
-    return float(np.sum(out * probe)), tape
+    return float(np.sum(forward(net, x) * probe))
 
 
 def test_backward_matches_finite_differences():
@@ -80,8 +80,7 @@ def test_backward_matches_finite_differences():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(4, 3))
     probe = rng.normal(size=(4, 2))
-    loss, tape = scalar_loss(net, x, probe)
-    grads = backward(net, tape, probe)
+    _, grads = oracles.buffered_pass(net, x, probe)
     h = 1e-6
     for p, g in zip(net.parameters(), net.unflatten(grads)):
         flat_p = p.reshape(-1)
@@ -90,10 +89,10 @@ def test_backward_matches_finite_differences():
             orig = flat_p[idx]
             flat_p[idx] = orig + h
             net.bump_version()
-            up, _ = scalar_loss(net, x, probe)
+            up = scalar_loss(net, x, probe)
             flat_p[idx] = orig - h
             net.bump_version()
-            down, _ = scalar_loss(net, x, probe)
+            down = scalar_loss(net, x, probe)
             flat_p[idx] = orig
             net.bump_version()
             fd = (up - down) / (2 * h)
@@ -102,35 +101,34 @@ def test_backward_matches_finite_differences():
 
 def test_stale_tape_rejected():
     net = small_net()
-    out, tape = forward(net, np.ones((2, 3)))
+    tape = gradnet.buffer_tape(net, 2, np.empty_like(net.flat))
+    forward(net, np.ones((2, 3)), tape)
     net.bump_version()
     with pytest.raises(UsageError, match="stale tape"):
-        backward(net, tape, np.ones_like(out))
-    with pytest.raises(UsageError, match="different net"):  # same shapes, another net
-        backward(small_net(), forward(net, np.ones((2, 3)))[1], np.ones_like(out))
+        backward(tape, np.ones((2, 2)))
 
 
 def test_buffer_tape_replays_each_forward_once():
     net = small_net(seed=4)
     rng = np.random.default_rng(1)
     x, probe = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
-    full = gradnet.buffer_tape(net, 5)
+    grads = np.full_like(net.flat, np.nan)
+    full = gradnet.buffer_tape(net, 5, grads)
     head = full.head(3)
     with pytest.raises(UsageError, match="no forward to replay"):  # nothing recorded yet
-        backward(net, full, probe)
+        backward(full, probe)
     for tape, rows in ((full, 5), (head, 3), (full, 5)):
-        out, plain = forward(net, x[:rows])
-        assert forward(net, x[:rows], tape)[0].tobytes() == out.tobytes()
-        assert backward(net, tape, probe[:rows]).tobytes() == backward(net, plain, probe[:rows]).tobytes()
+        assert buffered_difference(net, net, x[:rows], probe[:rows], tape, grads) is None
         with pytest.raises(UsageError, match="no forward to replay"):  # its tanh outputs are overwritten
-            backward(net, tape, probe[:rows])
+            backward(tape, probe[:rows])
     forward(net, x, full)
     forward(net, x[:3], head)  # over the full tape's first rows
     with pytest.raises(UsageError, match="no forward to replay"):
-        backward(net, full, probe)
+        backward(full, probe)
     net.bump_version()
     with pytest.raises(UsageError, match="stale tape"):
-        backward(net, head, probe[:3])
+        backward(head, probe[:3])
+
 
 def test_shape_validation():
     net = small_net()
@@ -140,9 +138,6 @@ def test_shape_validation():
         forward(net, np.ones((2, 2, 3)))
     with pytest.raises(ShapeError):  # one input is a (1, in) row, not a vector
         forward(net, np.ones(3))
-    out, tape = forward(net, np.ones((2, 3)))
-    with pytest.raises(ShapeError):
-        backward(net, tape, np.ones((3, 2)))
 
 
 def test_init_dense_validation():
@@ -196,8 +191,8 @@ def test_net_round_trip_is_exact():
     net = small_net(seed=6)
     again = net_from_dict(net_to_dict(net))
     x = np.random.default_rng(2).normal(size=(5, 3))
-    out_a, _ = forward(net, x)
-    out_b, _ = forward(again, x)
+    out_a = forward(net, x)
+    out_b = forward(again, x)
     assert np.array_equal(out_a, out_b)
 
 
@@ -310,11 +305,11 @@ def test_net_parameters_are_views_of_flat():
 def test_use_views_other_storage_without_a_copy():
     net = small_net(seed=2)
     x = np.array([[0.3, -0.2, 0.9]])
-    before = forward(net, x)[0].tobytes()
+    before = forward(net, x).tobytes()
     storage = np.zeros(net.flat.size + 2)
     storage[1:-1] = net.flat
     net.use(storage[1:-1])
-    assert net.flat.base is storage and forward(net, x)[0].tobytes() == before
+    assert net.flat.base is storage and forward(net, x).tobytes() == before
     storage[1:-1] = 0.0  # every weight and bias now reads the storage
     assert not any(a.any() for a in (*net.weights, *net.biases, *net.parameters()))
     with pytest.raises(ShapeError, match="does not hold"):
@@ -332,29 +327,57 @@ def test_use_views_other_storage_without_a_copy():
 def test_writes_through_parameters_change_forward():
     net = small_net(seed=3)
     x = np.array([[0.3, -0.2, 0.9]])
-    before, _ = forward(net, x)
+    before = forward(net, x)
     net.parameters()[-1][0] += 0.5  # output bias
-    after, _ = forward(net, x)
+    after = forward(net, x)
     assert after[0, 0] == pytest.approx(before[0, 0] + 0.5, abs=1e-12)
     assert after[0, 1] == before[0, 1]
     net.flat[:] = 0.0
-    zero, _ = forward(net, x)
+    zero = forward(net, x)
     assert np.array_equal(zero, np.zeros((1, 2)))
 
 
 def test_backward_flat_is_laid_out_like_the_parameters():
     net = small_net(seed=5)
     x = np.random.default_rng(4).normal(size=(3, 3))
-    _, tape = forward(net, x)
-    grads = backward(net, tape, np.ones((3, 2)))
-    assert grads.shape == net.flat.shape
+    grads = np.full_like(net.flat, np.nan)
+    tape = gradnet.buffer_tape(net, 3, grads)
+    forward(net, x, tape)
+    hidden = tape.acts[1].copy()  # backward overwrites it with tanh'
+    backward(tape, np.ones((3, 2)))
     w0, b0, w1, b1 = net.unflatten(grads)
+    assert all(np.isfinite(g).all() for g in (w0, b0))
     # output layer is identity: dL/db1 = sum over the batch of ones, dL/dW1 = sum of hidden outputs
     assert b1.tolist() == [3.0, 3.0]
-    assert np.allclose(w1, np.tile(tape.acts[1].sum(axis=0), (2, 1)), rtol=1e-12, atol=0.0)
+    assert np.allclose(w1, np.tile(hidden.sum(axis=0), (2, 1)), rtol=1e-12, atol=0.0)
 
 
 # --- bit identity with the tape-and-multiply pass it replaced ---------------------
+
+def buffered_difference(net, reference, x, probe, tape, grads):
+    """first_difference of one forward and backward of net on tape, whose
+    gradient buffer is grads, against oracles.dense_forward/dense_backward
+    of reference, as float.hex strings, so that a zero of the other sign
+    differs too; None where every byte matches."""
+    out = forward(net, x, tape).copy()  # backward overwrites a tanh output
+    backward(tape, probe)
+    want_out, want_tape = oracles.dense_forward(reference, x)
+    want_grads = oracles.dense_backward(reference, want_tape, probe)
+
+    def record(out, grads):
+        return [out.shape, *([v.hex() for v in a.ravel().tolist()] for a in (out, grads))]
+
+    return oracles.first_difference(record(out, grads), record(want_out, want_grads))
+
+
+def reference_case(in_dim, hidden, out_dim, acts, seed):
+    """(net, x, probe): a net with a nonzero output bias, and 64 rows of inputs and output gradients."""
+    dims = [in_dim, *hidden, out_dim]
+    net = init_dense(dims, acts[: len(dims) - 1], Xoshiro256StarStar(seed))
+    rng = np.random.default_rng(seed)
+    net.flat[net.flat.size - out_dim:] = rng.normal(size=out_dim)
+    return net, rng.normal(size=(64, in_dim)) * 2.0, rng.normal(size=(64, out_dim))
+
 
 @pytest.mark.scalar_loops
 @settings(max_examples=80, deadline=None)
@@ -363,32 +386,37 @@ def test_backward_flat_is_laid_out_like_the_parameters():
     hidden=st.lists(st.integers(1, 64), min_size=0, max_size=2),
     out_dim=st.integers(1, 3),
     acts=st.lists(st.sampled_from(ACTIVATIONS), min_size=3, max_size=3),
-    rows=st.sampled_from([1, 64]),
+    tail=st.sampled_from([1, 46]),
     seed=st.integers(0, 2**16),
 )
-def test_forward_backward_match_the_reference_bit_for_bit(in_dim, hidden, out_dim, acts, rows, seed):
-    dims = [in_dim, *hidden, out_dim]
-    net = init_dense(dims, acts[: len(dims) - 1], Xoshiro256StarStar(seed))
-    rng = np.random.default_rng(seed)
-    net.flat[net.flat.size - out_dim:] = rng.normal(size=out_dim)  # nonzero output bias
-    x = rng.normal(size=(rows, in_dim)) * 2.0
-    probe = rng.normal(size=(rows, out_dim))
+def test_forward_backward_match_the_reference_bit_for_bit(in_dim, hidden, out_dim, acts, tail, seed):
+    """The buffered pass, on a 64-row tape and on a head(tail) of it, as ppo_step runs it on a
+    minibatch and on an update's last, shorter one."""
+    net, x, probe = reference_case(in_dim, hidden, out_dim, acts, seed)
+    grads = np.full_like(net.flat, np.nan)
+    full = gradnet.buffer_tape(net, 64, grads)
+    for tape, rows in ((full, 64), (full.head(tail), tail)):
+        assert buffered_difference(net, net, x[:rows], probe[:rows], tape, grads) is None
+        # a zero gradient row: through a one-output layer its products with
+        # negative weights are -0.0, which g @ W's 0 + g*W turns into +0.0
+        zeroed = probe[:rows].copy()
+        zeroed[0] = 0.0
+        assert buffered_difference(net, net, x[:rows], zeroed, tape, grads) is None
 
-    out, tape = forward(net, x)
-    ref_out, ref_tape = oracles.dense_forward(net, x)
-    assert out.tobytes() == ref_out.tobytes() and out.shape == ref_out.shape
-    grads = backward(net, tape, probe)
-    ref_flat = oracles.dense_backward(net, ref_tape, probe)
-    assert grads.tobytes() == ref_flat.tobytes()
-    # a reused gradient buffer gets the same bytes
-    buffer = np.full_like(net.flat, np.nan)
-    for _ in range(2):
-        assert backward(net, tape, probe, buffer) is buffer
-        assert buffer.tobytes() == ref_flat.tobytes()
-    # a zero gradient row: through a one-output layer its products with
-    # negative weights are -0.0, which g @ W's 0 + g*W turns into +0.0
-    probe[0] = 0.0
-    assert backward(net, tape, probe).tobytes() == oracles.dense_backward(net, ref_tape, probe).tobytes()
+
+@pytest.mark.scalar_loops
+@pytest.mark.parametrize("layer", [0, 1, 2])
+def test_buffered_pin_rejects_a_one_ulp_weight_nudge(layer):
+    """The pin above fails when the reference's net differs from ours by one ulp in one weight."""
+    net, x, probe = reference_case(4, [64, 64], 1, ["tanh", "tanh", "identity"], seed=5)
+    nudged = gradnet.DenseNet([w.shape for w in net.weights], net.activations, net.flat.copy())
+    w = nudged.weights[layer]
+    w[0, 0] = np.nextafter(w[0, 0], math.inf)
+    grads = np.empty_like(net.flat)
+    full = gradnet.buffer_tape(net, 64, grads)
+    assert buffered_difference(net, net, x, probe, full, grads) is None
+    for tape, rows in ((full, 64), (full.head(46), 46)):
+        assert buffered_difference(net, nudged, x[:rows], probe[:rows], tape, grads) is not None
 
 
 @pytest.mark.scalar_loops

@@ -64,6 +64,11 @@ def fresh_critic(seed=1, state_dim=4):
     return make_critic(state_dim, Xoshiro256StarStar(seed))
 
 
+def actor_means(actor, states):
+    """The actor's mean actions of state rows, through its net."""
+    return gradnet.forward(actor.net, actor.scale(states))[:, 0]
+
+
 # --- configs ----------------------------------------------------------------
 
 def test_train_config_defaults():
@@ -192,7 +197,7 @@ def test_rollout_keeps_the_critic_columns_of_its_states(env_cfg):
     n = env_cfg.steps_per_episode
     critic_x = critic_inputs(rollout.states, np.arange(n), n, actor.variant)
     assert rollout.critic_x.tobytes() == critic_x.tobytes()
-    assert rollout.values.tobytes() == gradnet.forward(critic, critic_x)[0][:, 0].tobytes()
+    assert rollout.values.tobytes() == gradnet.forward(critic, critic_x)[:, 0].tobytes()
 
 
 def test_rollout_rewards_match_reward_recomputation(env_cfg):
@@ -318,7 +323,7 @@ def test_identical_policy_gives_unit_ratio():
     critic = fresh_critic()
     states, actions, advantages, returns = random_batch()
     log_std = float(actor.log_std_arr[0])
-    mu, _ = actor.mean_scaled(actor.scale(states))
+    mu = actor_means(actor, states)
     z = (actions - mu) / math.exp(log_std)
     logp = -0.5 * z * z - log_std - 0.5 * math.log(2.0 * math.pi)
     report = surrogate_losses(
@@ -358,9 +363,7 @@ def test_two_transition_spreadsheet():
         per_sample.append(min(ratio * adv, clipped * adv))
     expected_actor = -sum(per_sample) / 2
 
-    from spillreg.gradnet import forward
-
-    v_out, _ = forward(critic, critic_inputs(states, np.arange(2), 2, "pid_act"))
+    v_out = gradnet.forward(critic, critic_inputs(states, np.arange(2), 2, "pid_act"))
     expected_value = float(np.mean((v_out[:, 0] - returns) ** 2))
 
     report = surrogate_losses(
@@ -380,10 +383,10 @@ def test_minibatch_gradients_match_finite_differences():
     n = 16
     rng = np.random.default_rng(11)
     states = rng.normal(size=(n, 4)) * np.array([0.5, 5.0, 3000.0, 0.5])
-    actions, _ = actor.mean_scaled(actor.scale(states))
+    actions = actor_means(actor, states)
     actions = actions + rng.normal(size=n) * 0.05
     log_std = float(actor.log_std_arr[0])
-    mu, _ = actor.mean_scaled(actor.scale(states))
+    mu = actor_means(actor, states)
     z = (actions - mu) / math.exp(log_std)
     logp_exact = -0.5 * z * z - log_std - 0.5 * math.log(2 * math.pi)
     # small offset keeps every ratio strictly inside the clip band
@@ -455,7 +458,7 @@ def joint_opt(actor, critic, cfg):
 
 
 def forward_bytes(net, x):
-    return gradnet.forward(net, x)[0].tobytes()
+    return gradnet.forward(net, x).tobytes()
 
 
 def test_join_parameters_keeps_both_learners_as_views():
@@ -531,14 +534,17 @@ def test_tapes_taken_before_an_update_step_are_stale(kind):
     rollout, advantages, returns = random_update_inputs(3, actor)
     cfg = TrainConfig(epochs_per_iter=1, minibatch=rollout.actions.size)  # one step
     params, opt = joint_opt(actor, critic, cfg)
-    mu, actor_tape = actor.mean_scaled(actor.scale(rollout.states))
-    v_out, critic_tape = gradnet.forward(critic, rollout.critic_x)
-    buffered = gradnet.forward(critic, rollout.critic_x, gradnet.buffer_tape(critic, rollout.actions.size))[1]
+    n = rollout.actions.size
+    tapes = []
+    for net, x in (actor.net, actor.scale(rollout.states)), (critic, rollout.critic_x):
+        tape = gradnet.buffer_tape(net, n, np.empty_like(net.flat))
+        gradnet.forward(net, x, tape)
+        tapes.append(tape)
     ppo_update(actor, critic, rollout, advantages, returns, cfg, Xoshiro256StarStar(3), params, opt)
     assert opt.step == 1
-    for net, tape, out in (actor.net, actor_tape, mu[:, None]), (critic, critic_tape, v_out), (critic, buffered, v_out):
+    for tape in tapes:
         with pytest.raises(UsageError, match="stale tape"):
-            gradnet.backward(net, tape, np.ones_like(out))
+            gradnet.backward(tape, np.ones((n, 1)))
 
 
 # --- bit identity with the per-minibatch loop it replaced -----------------------------
@@ -548,7 +554,7 @@ def random_update_inputs(seed, actor, n=430):
     rng = np.random.default_rng(seed)
     magnitudes = np.array([0.5, 5.0, 3000.0, 0.5])[: actor.state_dim]
     states = rng.normal(size=(n, actor.state_dim)) * magnitudes
-    mu, _ = actor.mean_scaled(actor.scale(states))
+    mu = actor_means(actor, states)
     log_std = float(actor.log_std_arr[0])
     actions = mu + rng.normal(size=n) * math.exp(log_std)
     z = (actions - mu) / math.exp(log_std)
