@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__, metrics, ppo
-from .controllers import STATE_LABELS, PidGains, pid_episode_records, tune_pid
+from .controllers import STATE_LABELS, PidGains, _check_dt, pid_episode_records, tune_pid
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -194,8 +194,6 @@ def resolve_run(args, trains: bool = False) -> tuple[ppo.Run, VariantSpec]:
             raise ConfigError(
                 f"train.alpha {train_cfg.alpha} differs from the reward alpha {reward_cfg.alpha}; "
                 "set the alpha in the reward section or choose a variant")
-        if trains and train_cfg.minibatch > env_cfg.steps_per_episode:  # refused before any file or tuning
-            raise ConfigError(f"minibatch {train_cfg.minibatch} exceeds rollout length {env_cfg.steps_per_episode}")
 
         if getattr(args, "seed", None) is not None:
             master_seed = args.seed
@@ -211,6 +209,11 @@ def resolve_run(args, trains: bool = False) -> tuple[ppo.Run, VariantSpec]:
                 gains = PidGains.from_dict(load_json(gains_path))
         elif "gains" in file_cfg:
             gains = PidGains.from_dict(file_cfg["gains"])
+        if trains:  # refused before any file or tuning
+            if train_cfg.minibatch > env_cfg.steps_per_episode:
+                raise ConfigError(f"minibatch {train_cfg.minibatch} exceeds rollout length {env_cfg.steps_per_episode}")
+            if gains is not None:
+                _check_dt(env_cfg, gains)
     return ppo.Run(env_cfg, train_cfg, gains, reward_cfg, variant.policy, variant.state, master_seed), variant
 
 

@@ -357,10 +357,8 @@ class LinearActor(policy.GaussianPolicy):
         # flat[:-1] / _unscale is (weights, bias) exactly
         self._unscale = np.append(scales, 1.0)
         coefs = np.asarray(values, dtype=np.float64)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # a scaled weight may overflow: the base refuses it
             coefs[:dim] *= scales
-        if not np.isfinite(coefs).all():  # a scaled weight may overflow
-            raise InputError("policy parameters must be finite")
         super().__init__(gradnet.DenseNet([(1, dim)], ["identity"], coefs[:-1]), scales, values[-1])
 
     @classmethod

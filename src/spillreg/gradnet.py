@@ -32,13 +32,13 @@ net, or a policy head, view other storage of its size as its parameters,
 without a copy: the PPO trainer copies both learners into one vector and
 points each at its slice (ppo.join_parameters).
 
-Optimizers: bias-corrected Adam (the default throughout the package) and
-plain SGD. Each keeps its state over one flat parameter vector and updates
-that vector in place from one flat gradient of the same shape, through
-two scratch vectors shaped like it. Both are elementwise, so one state
-over two learners' joined vectors steps each learner exactly as a state of
-its own would at the same step count; a PPO run keeps one parameter vector
-and one optimizer state.
+Optimizer: bias-corrected Adam, the package's one, as in the reference PPO.
+Its state covers one flat parameter vector, which adam_step updates in
+place from one flat gradient of the same shape, through two scratch
+vectors shaped like it. The update is elementwise, so one state over two
+learners' joined vectors steps each learner exactly as a state of its own
+would at the same step count; a PPO run keeps one parameter vector and one
+Adam state.
 """
 
 from __future__ import annotations
@@ -248,7 +248,10 @@ class AdamState:
 def adam_step(opt: AdamState, params: np.ndarray, grads: np.ndarray, scratch) -> None:
     """One Adam update of params, in place, its intermediates in scratch (two
     arrays shaped like params). Raises DivergenceError on non-finite grads."""
-    _check_grads(params, grads, opt.step)
+    if params.shape != np.shape(grads):
+        raise ShapeError(f"gradient shape {np.shape(grads)} does not match parameter shape {params.shape}")
+    if not np.isfinite(grads).all():
+        raise nonfinite_gradient(int(np.flatnonzero(~np.isfinite(grads))[0]), opt.step)
     if opt.m.shape != params.shape or opt.v.shape != params.shape:
         raise ShapeError("optimizer state does not match parameter count")
     opt.step += 1
@@ -267,48 +270,9 @@ def adam_step(opt: AdamState, params: np.ndarray, grads: np.ndarray, scratch) ->
     params -= np.divide(delta, denom, out=delta)
 
 
-@dataclass
-class SgdState:
-    """Plain SGD; its only state is the step count."""
-
-    lr: float = 1e-4
-    step: int = 0
-
-
-def sgd_step(opt: SgdState, params: np.ndarray, grads: np.ndarray, scratch) -> None:
-    """One SGD update of params, in place, through scratch[0]. Raises DivergenceError on non-finite grads."""
-    _check_grads(params, grads, opt.step)
-    opt.step += 1
-    params -= np.multiply(opt.lr, grads, out=scratch[0])
-
-
-def optimizer_for(kind: str, params: np.ndarray, lr: float) -> AdamState | SgdState:
-    """Config switch between the two optimizers: fresh state for a flat parameter vector."""
-    if kind == "adam":
-        return AdamState(m=np.zeros_like(params), v=np.zeros_like(params), lr=lr)
-    if kind == "sgd":
-        return SgdState(lr=lr)
-    raise ShapeError(f"unknown optimizer {kind!r}, expected 'adam' or 'sgd'")
-
-
-def optimizer_step(opt: AdamState | SgdState, params: np.ndarray, grads: np.ndarray, scratch) -> None:
-    """One update of the flat params, in place, by opt's rule (scratch: adam_step's)."""
-    if isinstance(opt, AdamState):
-        adam_step(opt, params, grads, scratch)
-    else:
-        sgd_step(opt, params, grads, scratch)
-
-
 def nonfinite_gradient(coord: int, step: int) -> DivergenceError:
     """The error of a gradient whose first non-finite entry is at coord, before update step+1."""
     return DivergenceError(f"non-finite gradient at coordinate {coord}", step=step, diagnostics={"coordinate": coord})
-
-
-def _check_grads(params: np.ndarray, grads: np.ndarray, step: int) -> None:
-    if params.shape != np.shape(grads):
-        raise ShapeError(f"gradient shape {np.shape(grads)} does not match parameter shape {params.shape}")
-    if not np.isfinite(grads).all():
-        raise nonfinite_gradient(int(np.flatnonzero(~np.isfinite(grads))[0]), step)
 
 
 # --- checkpoint pieces ----------------------------------------------------

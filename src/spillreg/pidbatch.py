@@ -64,8 +64,7 @@ def batch_sdfs(config: EnvConfig, seeds, rows) -> tuple[np.ndarray, np.ndarray]:
     sdfs and exact have shape (n, len(seeds)). exact[i, j] is False where
     the vectorized pass cannot vouch for sdfs[i, j]: the row's trace or
     error sum went non-finite, or, for every row, the derivative term could
-    overflow ((clamp_hi - clamp_lo) / dt near the float range) or an episode
-    is shorter than two steps.
+    overflow ((clamp_hi - clamp_lo) / dt near the float range).
     """
     rows = np.array(rows, dtype=np.float64)
     if rows.shape == (0,):  # no rows: a tune_pid round may have nothing left to score
@@ -79,7 +78,7 @@ def batch_sdfs(config: EnvConfig, seeds, rows) -> tuple[np.ndarray, np.ndarray]:
     exact = np.zeros(sdfs.shape, dtype=bool)
     # with finite samples, |D| stays below 2 * (clamp_hi - clamp_lo) / dt plus rounding
     d_bound = 4.0 * (config.clamp_hi - config.clamp_lo) / config.dt
-    if len(seeds) == 0 or len(rows) == 0 or steps < 2 or not math.isfinite(d_bound):
+    if len(seeds) == 0 or len(rows) == 0 or not math.isfinite(d_bound):
         return sdfs, exact
     raw = np.empty((steps, len(seeds)))
     for j, seed in enumerate(seeds):

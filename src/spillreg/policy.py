@@ -6,7 +6,7 @@ exploration, in one float64 vector; policy_mean is the linear head's
 plain-float mean of one state. ppo_step is PPO's clipped objective on
 one minibatch with its exact gradients, written out here and run through
 gradnet.forward and gradnet.backward on one buffer tape per learner;
-ppo.ppo_update runs every minibatch through one and steps the optimizer.
+ppo.ppo_update runs every minibatch through one and takes one Adam step.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gradnet
-from .errors import DivergenceError
+from .errors import DivergenceError, InputError
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
@@ -53,13 +53,16 @@ class GaussianPolicy:
     """What the policy heads share: flat = [net.flat | log_std], a one-output
     DenseNet mean over scaled states (states / scales) and Gaussian
     exploration around it, std exp(log_std_arr[0]). The net's parameters
-    and log_std_arr are views into flat. A subclass defines mean (of one
+    and log_std_arr are views into flat; a non-finite one, or log_std
+    before its clamp, raises InputError. A subclass defines mean (of one
     state tuple) and label (its name in a divergence error), and may read
     its parameters once per episode in episode_mean."""
 
     label: str
 
     def __init__(self, net: gradnet.DenseNet, scales: np.ndarray, log_std: float):
+        if not (np.isfinite(net.flat).all() and math.isfinite(log_std)):
+            raise InputError("policy parameters must be finite")
         self.net, self._scales = net, scales
         self.use(np.append(net.flat, clamp_log_std(log_std)))
 

@@ -10,10 +10,11 @@ are written out explicitly in policy.ppo_step.
 A Run's reward is a metrics.RewardConfig, the record metrics owns and
 checks; the rollout turns it into rewards through metrics.RewardAccumulator.
 A run keeps the parameters of both learners in one float64 vector,
-params = [actor.flat | critic.flat] (join_parameters), and one optimizer
-state (gradnet.optimizer_for) steps all of it in place, once per minibatch.
-Adam and SGD are elementwise and both learners share lr, betas, eps and the
-step count, so this steps each learner exactly as a state of its own would.
+params = [actor.flat | critic.flat] (join_parameters), and one Adam state
+(gradnet.AdamState) steps all of it in place, once per minibatch. Adam,
+the one optimizer, is elementwise and both learners share lr, betas, eps
+and the step count, so this steps each learner exactly as a state of its
+own would.
 Checkpoints still record one optimizer state per learner, cut from the one.
 The rollout reads the policy once per episode (actor.sampler) and returns
 its transitions as one immutable Rollout, with the critic's inputs and
@@ -126,8 +127,8 @@ class TrainConfig(ConfigRecord):
             raise ConfigError("seeds must be non-empty")
         for seed in self.seeds:
             check_seed(seed, "seeds entry")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
+        if self.optimizer != "adam":  # recorded in every checkpoint and manifest; Adam is the one optimizer
+            raise ConfigError(f"optimizer must be 'adam', got {self.optimizer!r}")
         if not (0.0 <= self.value_coef and math.isfinite(self.value_coef)):
             raise ConfigError(f"value_coef must be finite and >= 0, got {self.value_coef}")
         if not math.isfinite(self.entropy_coef):
@@ -292,20 +293,20 @@ def ppo_update(
     cfg: TrainConfig,
     rng: Xoshiro256StarStar,
     params: np.ndarray,
-    opt: gradnet.AdamState | gradnet.SgdState,
+    opt: gradnet.AdamState,
 ) -> LossReport:
     """Clipped-surrogate update: epochs_per_iter passes of shuffled minibatches.
 
-    params is join_parameters(actor, critic) and opt its optimizer state
-    (gradnet.optimizer_for). The actor's inputs are built once per update
-    and the critic's are rollout.critic_x; each epoch gathers the rows once
-    in its shuffled order, so a minibatch is a slice of contiguous rows.
+    params is join_parameters(actor, critic) and opt its Adam state. The
+    actor's inputs are built once per update and the critic's are
+    rollout.critic_x; each epoch gathers the rows once in its shuffled
+    order, so a minibatch is a slice of contiguous rows.
     One policy.ppo_step writes every minibatch's gradient into one buffer
-    laid out like params, and one optimizer step updates both learners. The
+    laid out like params, and one Adam step updates both learners. The
     update runs with numpy's overflow and invalid warnings off: a diverging
     run raises DivergenceError instead.
 
-    Errors are those of one optimizer state per learner, actor first: a
+    Errors are those of one Adam state per learner, actor first: a
     non-finite gradient names its coordinate within its own learner. One
     case differs. If the actor's parameters overflow in a minibatch whose
     critic gradient is non-finite, the error names the critic gradient,
@@ -334,7 +335,7 @@ def ppo_update(
                 stop = start + cfg.minibatch
                 components = step(*[r[start:stop] for r in rows])
                 try:
-                    gradnet.optimizer_step(opt, params, grads, scratch)
+                    gradnet.adam_step(opt, params, grads, scratch)
                 except DivergenceError as exc:
                     coord = exc.diagnostics.get("coordinate", -1)
                     if coord < split:
@@ -424,7 +425,7 @@ def train(run: Run, on_iteration: Callable[[int, dict], None] | None = None) -> 
     shuffle_rng = Xoshiro256StarStar(derive_seed(run.master_seed, STREAM_SHUFFLE))
 
     params = join_parameters(actor, critic)
-    opt = gradnet.optimizer_for(train_cfg.optimizer, params, train_cfg.lr)
+    opt = gradnet.AdamState(m=np.zeros_like(params), v=np.zeros_like(params), lr=train_cfg.lr)
 
     curve_rows: list[dict] = []
     last_good = checkpoint_dict(run, actor, critic, opt, 0)
@@ -470,15 +471,12 @@ def format_curve_csv(rows: list[dict]) -> str:
 # --- checkpoints ------------------------------------------------------------
 
 def _optimizer_records(opt, actor, critic) -> tuple[dict, dict]:
-    """The one state over [actor.flat | critic.flat] as one record per learner."""
-    if isinstance(opt, gradnet.AdamState):
-        actor_params = actor.parameters()
-        record = gradnet.adam_to_dict(opt, [*actor_params, *critic.parameters()])
-        k = len(actor_params)
-        return (dict(record, m=record["m"][:k], v=record["v"][:k]),
-                dict(record, m=record["m"][k:], v=record["v"][k:]))
-    record = {"kind": "sgd", "lr": opt.lr, "step": opt.step}
-    return record, dict(record)
+    """The one Adam state over [actor.flat | critic.flat] as one record per learner."""
+    actor_params = actor.parameters()
+    record = gradnet.adam_to_dict(opt, [*actor_params, *critic.parameters()])
+    k = len(actor_params)
+    return (dict(record, m=record["m"][:k], v=record["v"][:k]),
+            dict(record, m=record["m"][k:], v=record["v"][k:]))
 
 
 def checkpoint_dict(run: Run, actor, critic, opt, iterations_done: int) -> dict:

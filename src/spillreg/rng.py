@@ -3,9 +3,12 @@
 All stochastic pieces of the package (noise draws, weight init, exploration,
 minibatch shuffling) run on xoshiro256** seeded through splitmix64, with
 normal variates produced by the Box-Muller transform. The generator is pure
-64-bit integer arithmetic, so a given seed yields bit-identical streams on
-any platform and any Python build; nothing here depends on numpy's RNG
-(randbits53() only borrows numpy's wrapping uint64 arithmetic).
+64-bit integer arithmetic, so a given seed yields a bit-identical integer
+stream, and uniform floats made from it, on any platform and any Python
+build; nothing here depends on numpy's RNG (randbits53() only borrows
+numpy's wrapping uint64 arithmetic). normal() is not portable in that way:
+its math.log, math.sin and math.cos come from the platform's libm, which
+IEEE 754 does not pin, so its draws hold for one libm.
 
 Seeding: the four 64-bit state words are the first four outputs of the
 splitmix64 sequence started at the seed. Derived streams come from

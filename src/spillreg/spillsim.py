@@ -125,8 +125,8 @@ class EnvConfig(ConfigRecord):
         self.validate()
 
     def validate(self) -> None:
-        if type(self.steps_per_episode) is not int or self.steps_per_episode <= 0:
-            raise ConfigError(f"steps_per_episode must be a positive integer, got {self.steps_per_episode}")
+        if type(self.steps_per_episode) is not int or self.steps_per_episode < 2:  # an SDF needs two samples
+            raise ConfigError(f"steps_per_episode must be an integer >= 2, got {self.steps_per_episode}")
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ConfigError(f"dt must be finite and > 0, got {self.dt}")
         if not math.isfinite(self.reference):

@@ -25,7 +25,7 @@ None of these is used by the package itself:
   inner loop: a tape of pre-activations, a multiply by
   the activation derivative on every layer (ones for identity), the critic
   inputs, shuffle keys and gradients rebuilt per minibatch, and an
-  optimizer state per learner where ppo.ppo_update now steps one state over
+  Adam state per learner where ppo.ppo_update now steps one state over
   both learners' joined parameters. The package's versions must match them
   bit for bit;
 - _mean_batch / _mean_grads are the policy head's minibatch mean and its
@@ -372,7 +372,7 @@ def minibatch_step(actor, critic, states, actions, logp_old, advantages, returns
 
 
 def scratch(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two scratch vectors that gradnet's optimizer steps take."""
+    """The two scratch vectors that gradnet.adam_step takes."""
     return np.empty_like(params), np.empty_like(params)
 
 
@@ -389,9 +389,9 @@ def ppo_update(actor, critic, rollout, advantages, returns, cfg, rng, actor_opt,
                 actor, critic, rollout.states[mb], rollout.actions[mb], rollout.log_probs[mb],
                 advantages[mb], returns[mb], cfg, steps=mb, horizon=n,
             )
-            gradnet.optimizer_step(actor_opt, actor.flat, actor_grads, scratch(actor.flat))
+            gradnet.adam_step(actor_opt, actor.flat, actor_grads, scratch(actor.flat))
             actor.finalize_update()
-            gradnet.optimizer_step(critic_opt, critic.flat, critic_grads, scratch(critic.flat))
+            gradnet.adam_step(critic_opt, critic.flat, critic_grads, scratch(critic.flat))
             critic.bump_version()
             sums += components
             batches += 1

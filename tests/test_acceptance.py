@@ -331,18 +331,29 @@ def test_criterion_6_baseline_ordering(passline, env_cfg):
 
 # --- criterion 7 ----------------------------------------------------------------
 
-def test_criterion_7_training_efficacy(passline, default_train_pair):
-    """600-iteration default run: beats noise by >= 5% and holds the PID floor."""
+def test_criterion_7_training_efficacy(passline, default_train_pair, tmp_path):
+    """600-iteration default run: beats noise by >= 5% and holds the PID floor.
+
+    The same run with zero iterations, the policy at its PID init, is
+    reported beside it and not asserted: it clears both floors too, so the
+    criterion shows no learning.
+    """
     first, _, seconds = default_train_pair
     report = json.loads((first / "report.json").read_text())
     agg = report["aggregate"]
     assert agg["vs_noise_pct"] >= 5.0
     assert agg["vs_pid_pct"] >= -0.5
     assert seconds < 900.0
+    untrained = tmp_path / "zero"
+    assert cli.main(["train", "--out", str(untrained), "--config", str(first / cli.MANIFEST_NAME),
+                     "--iterations", "0"]) == 0
+    zero = json.loads((untrained / "report.json").read_text())["aggregate"]
     passline(
         7,
         f"vs_noise {agg['vs_noise_pct']:+.2f}% (>= 5), vs_pid {agg['vs_pid_pct']:+.2f}% "
-        f"(>= -0.5) in {seconds:.0f} s; full-scale reference +13.67/+1.65 reported, not asserted",
+        f"(>= -0.5) in {seconds:.0f} s; full-scale reference +13.67/+1.65 reported, not asserted; "
+        f"0 iterations read vs_noise {zero['vs_noise_pct']:+.2f}%, vs_pid {zero['vs_pid_pct']:+.2f}%: "
+        "shows no learning; master seed 0 only",
     )
 
 

@@ -55,6 +55,11 @@ def gains_file(tmp_path, tuned_gains):
     return path
 
 
+def with_gains_at_its_dt(config, gains):
+    """config with a gains section at its env dt (default 1e-4): train and ablate refuse gains of another dt."""
+    return dict(config, gains=dict(gains.to_dict(), dt=config.get("env", {}).get("dt", 1e-4)))
+
+
 def test_version_flag(capsys):
     # argparse's version action exits rather than returning
     with pytest.raises(SystemExit) as exc:
@@ -314,10 +319,10 @@ def test_an_empty_seed_list_is_config_error(tmp_path, capsys, monkeypatch, comma
     ({"env": {"dt": 1e-310}}, EXIT_CONFIG, "config error: rollout step 1: "),
     ({"train": {"lr": 1e300}}, EXIT_DIVERGED, "divergence: non-finite loss in ppo update"),
 ])
-def test_ablate_exits_with_the_first_row_error_when_no_row_trains(tmp_path, gains_file, capsys, overrides, code, text):
-    cfg = write_config(tmp_path, overrides)
+def test_ablate_exits_with_the_first_row_error_when_no_row_trains(tmp_path, tuned_gains, capsys, overrides, code, text):
+    cfg = write_config(tmp_path, with_gains_at_its_dt(overrides, tuned_gains))
     out = tmp_path / "o"
-    argv = ("ablate", "--rows", "main,sum", "--iterations", "1", "--gains", gains_file, "--config", cfg)
+    argv = ("ablate", "--rows", "main,sum", "--iterations", "1", "--config", cfg)
     assert run(*argv, "--out", out) == code
     err = capsys.readouterr().err
     assert err.count("failed: ") == 2 and text in err
@@ -341,6 +346,46 @@ def test_a_minibatch_longer_than_an_episode_is_refused_before_any_file(
     err = capsys.readouterr().err
     assert "config error: minibatch 1000 exceeds rollout length 430" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [("train", "--iterations", "1"), ("ablate", "--rows", "main,sum")])
+@pytest.mark.parametrize("in_config", [False, True])
+def test_gains_of_another_dt_are_refused_before_any_file(tmp_path, tuned_gains, capsys, command, in_config):
+    gains = dict(tuned_gains.to_dict(), dt=2e-4)
+    if in_config:
+        source = ("--config", write_config(tmp_path, {"gains": gains}))
+    else:
+        source = ("--gains", write_config(tmp_path, gains, name="gains.json"))
+    out = tmp_path / "o"
+    assert run(*command, *source, "--out", out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: gains.dt=0.0002 does not match config.dt=0.0001" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "tune-pid", "train", "ablate"])
+def test_a_one_step_episode_is_refused_before_any_file(tmp_path, capsys, command):
+    # metrics.sdf needs two samples: no command could score such an episode
+    cfg = write_config(tmp_path, {"env": {"steps_per_episode": 1}})
+    out = tmp_path / "o"
+    assert run(command, "--config", cfg, "--out", out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "steps_per_episode must be an integer >= 2, got 1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "train", "evaluate"])
+def test_an_optimizer_other_than_adam_is_config_error(tmp_path, capsys, command):
+    train_section = {"optimizer": "sgd", "iterations": 1}
+    if command == "evaluate":
+        checkpoint = write_config(tmp_path, dict(LINEAR_CHECKPOINT, train=train_section), name="checkpoint.json")
+        argv = ("evaluate", "--checkpoint", checkpoint)
+    else:
+        argv = (command, "--config", write_config(tmp_path, {"train": train_section}))
+    assert run(*argv, "--out", tmp_path / "o") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: optimizer must be 'adam', got 'sgd'" in err and "Traceback" not in err
+    assert not (tmp_path / "o" / MANIFEST_NAME).exists()
 
 
 def test_ablate_exits_ok_when_some_row_trains(tmp_path, gains_file, capsys, monkeypatch):
@@ -376,7 +421,7 @@ def test_ablate_lets_go_of_a_row_result_before_the_next_row_trains(tmp_path, gai
     assert results[1]() is None
 
 
-def test_ablate_keeps_no_failed_row_alive(tmp_path, gains_file, capsys, monkeypatch):
+def test_ablate_keeps_no_failed_row_alive(tmp_path, tuned_gains, capsys, monkeypatch):
     # a failed row's traceback holds its train frame: actor, critic and their joined parameters
     real_train = ppo.train
 
@@ -397,8 +442,8 @@ def test_ablate_keeps_no_failed_row_alive(tmp_path, gains_file, capsys, monkeypa
         ({"env": {"dt": 1e-310}}, "main,sum,pid3", EXIT_CONFIG, "InputError: rollout step 1: "),
     ]):
         nets_at_start, before = [], live_nets()
-        out, cfg = tmp_path / f"o{i}", write_config(tmp_path, config, f"c{i}.json")
-        argv = ("ablate", "--rows", rows, "--iterations", "2", "--gains", gains_file, "--config", cfg, "--out", out)
+        out, cfg = tmp_path / f"o{i}", write_config(tmp_path, with_gains_at_its_dt(config, tuned_gains), f"c{i}.json")
+        argv = ("ablate", "--rows", rows, "--iterations", "2", "--config", cfg, "--out", out)
         assert run(*argv) == code
         names = rows.split(",")
         assert nets_at_start == [0] * len(names)
@@ -672,6 +717,22 @@ def nn_checkpoint(tmp_path, scales):
     if scales is not None:
         actor["feature_scales"] = scales
     return write_config(tmp_path, dict(LINEAR_CHECKPOINT, policy_variant="nn", actor=actor), name="checkpoint.json")
+
+
+@pytest.mark.parametrize("entry, value", [("weight", math.nan), ("weight", math.inf), ("log_std", math.nan),
+                                          ("log_std", -math.inf)])
+def test_evaluate_refuses_an_nn_checkpoint_with_a_nonfinite_parameter(tmp_path, capsys, entry, value):
+    # as a linear checkpoint's: log_std is checked before its clamp, which would turn -inf into -5
+    data = read_json(nn_checkpoint(tmp_path, None))
+    if entry == "weight":
+        data["actor"]["net"]["params"][2][7] = value
+    else:
+        data["actor"]["log_std"] = value
+    path = write_config(tmp_path, data, name="checkpoint.json")
+    assert run("evaluate", "--checkpoint", path, "--out", tmp_path / "o") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: policy parameters must be finite" in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 # the net is defined over the variant's scales, the only ones the package writes

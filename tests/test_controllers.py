@@ -254,13 +254,10 @@ def test_pid_sdfs_rejects_nonfinite_points(env_cfg):
         pidbatch.batch_sdfs(env_cfg, [0], [(0.5, math.inf, 0.0)])
 
 
-def test_pid_sdfs_short_episode_raises_like_sdf():
-    cfg = EnvConfig(steps_per_episode=1)
-    with pytest.raises(InputError):
-        sdf(run_pid_episode(cfg, 0, PidGains(0.5, 0.1, 0.0, dt=cfg.dt)))
-    for call in one_point_callers(cfg, [0], (0.5, 0.1, 0.0)):
-        with pytest.raises(InputError):
-            call()
+def test_env_config_refuses_an_episode_no_sdf_can_score():
+    """metrics.sdf needs two samples, so a one-step episode could run but never be scored."""
+    with pytest.raises(ConfigError, match=r"^steps_per_episode must be an integer >= 2, got 1$"):
+        EnvConfig(steps_per_episode=1)
 
 
 # --- batched refinement rounds against the sequential search ----------------

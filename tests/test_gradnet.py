@@ -18,7 +18,6 @@ from spillreg.errors import CheckpointError, DivergenceError, ShapeError, UsageE
 from spillreg.gradnet import (
     ACTIVATIONS,
     AdamState,
-    SgdState,
     adam_from_dict,
     adam_step,
     adam_to_dict,
@@ -27,9 +26,6 @@ from spillreg.gradnet import (
     init_dense,
     net_from_dict,
     net_to_dict,
-    optimizer_for,
-    optimizer_step,
-    sgd_step,
 )
 from spillreg.rng import Xoshiro256StarStar
 
@@ -220,33 +216,29 @@ def test_net_from_dict_refuses_malformed_records():
             net_from_dict({"layer_dims": dims, "activations": ["identity"] * len(dims), "params": params})
 
 
-def test_sgd_step_exact():
-    opt = SgdState(lr=0.1)
-    params = np.array([1.0, 2.0])
-    sgd_step(opt, params, np.array([0.5, -1.0]), oracles.scratch(params))
-    assert np.allclose(params, [0.95, 2.1], atol=0.0)
-    assert opt.step == 1
+def fresh_adam(params, lr):
+    return AdamState(m=np.zeros_like(params), v=np.zeros_like(params), lr=lr)
 
 
 def test_adam_first_step_is_signed_lr():
     # with zero moments, m-hat = g and v-hat = g^2, so the move is
     # lr * g / (|g| + eps) which is lr * sign(g) up to eps
     params = np.array([1.0, -1.0, 0.5])
-    opt = optimizer_for("adam", params, 0.01)
+    opt = fresh_adam(params, 0.01)
     adam_step(opt, params, np.array([10.0, -0.001, 2.0]), oracles.scratch(params))
     assert np.allclose(params, [1.0 - 0.01, -1.0 + 0.01, 0.5 - 0.01], atol=1e-6)
 
 
 def test_adam_zero_gradient_is_a_fixed_point():
     params = np.array([3.0, -4.0])
-    opt = optimizer_for("adam", params, 0.1)
+    opt = fresh_adam(params, 0.1)
     adam_step(opt, params, np.zeros(2), oracles.scratch(params))
     assert np.array_equal(params, [3.0, -4.0])
 
 
 def test_adam_descends_a_quadratic():
     params = np.array([2.0])
-    opt = optimizer_for("adam", params, 0.05)
+    opt = fresh_adam(params, 0.05)
     for _ in range(500):
         adam_step(opt, params, 2.0 * params, oracles.scratch(params))
     assert abs(params[0]) < 0.05
@@ -256,13 +248,13 @@ def test_adam_serialize_resume_matches_uninterrupted():
     views = [np.zeros(2)]  # layout of the single parameter array
 
     p_a = np.array([1.0, -1.0])
-    opt_a = optimizer_for("adam", p_a, 0.01)
+    opt_a = fresh_adam(p_a, 0.01)
     rng = np.random.default_rng(3)
     for _ in range(10):
         adam_step(opt_a, p_a, rng.normal(size=2), oracles.scratch(p_a))
 
     p_b = np.array([1.0, -1.0])
-    opt_b = optimizer_for("adam", p_b, 0.01)
+    opt_b = fresh_adam(p_b, 0.01)
     rng = np.random.default_rng(3)
     for _ in range(5):
         adam_step(opt_b, p_b, rng.normal(size=2), oracles.scratch(p_b))
@@ -270,15 +262,6 @@ def test_adam_serialize_resume_matches_uninterrupted():
     for _ in range(5):
         adam_step(restored, p_b, rng.normal(size=2), oracles.scratch(p_b))
     assert np.array_equal(p_a, p_b)
-
-
-def test_optimizer_for_dispatch():
-    params = np.zeros(2)
-    state = optimizer_for("adam", params, 1e-3)
-    assert isinstance(state, AdamState) and state.m.shape == state.v.shape == (2,)
-    assert isinstance(optimizer_for("sgd", params, 1e-3), SgdState)
-    with pytest.raises(ShapeError):
-        optimizer_for("rmsprop", params, 1e-3)
 
 
 # --- flat layout -------------------------------------------------------------
@@ -434,7 +417,7 @@ def test_one_output_product_is_the_elementwise_sum_bit_for_bit():
     assert product.tobytes() == (g @ weight).tobytes()
 
 
-# --- flat optimizers against the per-array reference ------------------------------
+# --- flat Adam against the per-array reference ------------------------------------
 
 def reference_adam(m, v, step, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """The per-array Adam loop the flat optimizer replaced, kept as a reference."""
@@ -466,45 +449,37 @@ array_shapes = st.lists(
 def test_flat_optimizers_equal_per_array_reference(shapes, steps, seed, lr):
     rng = np.random.default_rng(seed)
     arrays = [rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4) for shape in shapes]
-    flat_adam = np.concatenate([a.ravel() for a in arrays])
-    flat_sgd = flat_adam.copy()
-    ref_adam = [a.copy() for a in arrays]
-    ref_sgd = [a.copy() for a in arrays]
-    adam = optimizer_for("adam", flat_adam, lr)
-    sgd = optimizer_for("sgd", flat_sgd, lr)
+    flat = np.concatenate([a.ravel() for a in arrays])
+    ref = [a.copy() for a in arrays]
+    adam = fresh_adam(flat, lr)
     m = [np.zeros(shape) for shape in shapes]
     v = [np.zeros(shape) for shape in shapes]
     ref_step = 0
     for _ in range(steps):
         grads = [rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6) for shape in shapes]
         flat_grads = np.concatenate([g.ravel() for g in grads])
-        optimizer_step(adam, flat_adam, flat_grads, oracles.scratch(flat_adam))
-        optimizer_step(sgd, flat_sgd, flat_grads, oracles.scratch(flat_sgd))
-        ref_step = reference_adam(m, v, ref_step, ref_adam, grads, lr)
-        for p, g in zip(ref_sgd, grads):
-            p -= lr * g
-    assert adam.step == sgd.step == ref_step == steps
-    for flat, ref in ((flat_adam, ref_adam), (flat_sgd, ref_sgd)):
-        assert flat.tobytes() == np.concatenate([p.ravel() for p in ref]).tobytes()
+        adam_step(adam, flat, flat_grads, oracles.scratch(flat))
+        ref_step = reference_adam(m, v, ref_step, ref, grads, lr)
+    assert adam.step == ref_step == steps
+    assert flat.tobytes() == np.concatenate([p.ravel() for p in ref]).tobytes()
     assert adam.m.tobytes() == np.concatenate([a.ravel() for a in m]).tobytes()
     assert adam.v.tobytes() == np.concatenate([a.ravel() for a in v]).tobytes()
 
 
-@pytest.mark.parametrize("kind", ["adam", "sgd"])
-def test_optimizers_reject_bad_gradients_without_moving(kind):
+def test_adam_rejects_bad_gradients_without_moving():
     params = np.array([1.0, 2.0, 3.0])
-    opt = optimizer_for(kind, params, 0.1)
+    opt = fresh_adam(params, 0.1)
     with pytest.raises(DivergenceError) as info:
-        optimizer_step(opt, params, np.array([0.0, np.nan, np.inf]), oracles.scratch(params))
+        adam_step(opt, params, np.array([0.0, np.nan, np.inf]), oracles.scratch(params))
     assert info.value.diagnostics == {"coordinate": 1}
     with pytest.raises(ShapeError):
-        optimizer_step(opt, params, np.zeros(2), oracles.scratch(params))
+        adam_step(opt, params, np.zeros(2), oracles.scratch(params))
     assert params.tolist() == [1.0, 2.0, 3.0] and opt.step == 0
 
 
 def test_adam_dict_round_trip_keeps_per_array_lists():
     net = small_net(seed=1)
-    opt = optimizer_for("adam", net.flat, 0.01)
+    opt = fresh_adam(net.flat, 0.01)
     rng = np.random.default_rng(8)
     for _ in range(3):
         adam_step(opt, net.flat, rng.normal(size=net.flat.shape), oracles.scratch(net.flat))

@@ -112,6 +112,7 @@ def test_train_config_defaults():
         {"lr": math.nan},
         {"value_coef": math.inf},
         {"clip_eps": math.inf},
+        {"optimizer": "sgd"},  # Adam is the one optimizer
     ],
 )
 def test_train_config_validation(kwargs):
@@ -451,10 +452,15 @@ def collected_update_inputs(env_cfg, actor, critic, seed=0):
     return rollout, normalize_advantages(adv), ret
 
 
+def fresh_adam(params, lr):
+    """A fresh Adam state over params, as train builds it."""
+    return gradnet.AdamState(m=np.zeros_like(params), v=np.zeros_like(params), lr=lr)
+
+
 def joint_opt(actor, critic, cfg):
-    """(params, opt): both learners in one vector, as train holds them, and its optimizer state."""
+    """(params, opt): both learners in one vector, as train holds them, and its Adam state."""
     params = ppo.join_parameters(actor, critic)
-    return params, gradnet.optimizer_for(cfg.optimizer, params, cfg.lr)
+    return params, fresh_adam(params, cfg.lr)
 
 
 def forward_bytes(net, x):
@@ -569,17 +575,16 @@ def random_update_inputs(seed, actor, n=430):
 
 
 def opt_bytes(opt, part=slice(None)):
-    if isinstance(opt, gradnet.AdamState):
-        return opt.m[part].tobytes(), opt.v[part].tobytes(), opt.step
-    return (opt.step,)
+    return opt.m[part].tobytes(), opt.v[part].tobytes(), opt.step
 
 
-def update_runs(reference, kind, variant, cfg, seed, updates=2, edit=None):
-    """Per update: the report or error, both learners' bytes, each learner's optimizer bytes, the rng state.
+def update_runs(reference, kind, variant, cfg, seed, updates=2, edit=None, m0=None):
+    """Per update: the report or error, both learners' bytes, each learner's Adam bytes, the rng state.
 
     The package steps one state over join_parameters(actor, critic), cut
     here at the actor's end; the reference (oracles.ppo_update) steps a
-    state per learner. edit(rollout, advantages, returns) may change the inputs.
+    state per learner. edit(rollout, advantages, returns) may change the
+    inputs; m0, if given, presets the actor's first Adam m entry in both.
     """
     actor = fresh_actor(seed, kind, variant)
     critic = fresh_critic(seed + 1, STATE_DIMS[variant])
@@ -588,7 +593,8 @@ def update_runs(reference, kind, variant, cfg, seed, updates=2, edit=None):
         inputs = edit(*inputs)
     rng = Xoshiro256StarStar(seed)
     if reference:
-        opts = [gradnet.optimizer_for(cfg.optimizer, p, cfg.lr) for p in (actor.flat, critic.flat)]
+        opts = [fresh_adam(p, cfg.lr) for p in (actor.flat, critic.flat)]
+        actor_m = opts[0].m
 
         def update():
             return oracles.ppo_update(actor, critic, *inputs, cfg, rng, *opts)
@@ -597,13 +603,15 @@ def update_runs(reference, kind, variant, cfg, seed, updates=2, edit=None):
             return [opt_bytes(opt) for opt in opts]
     else:
         params, opt = joint_opt(actor, critic, cfg)
-        split = actor.flat.size
+        split, actor_m = actor.flat.size, opt.m  # the actor's entries come first
 
         def update():
             return ppo_update(actor, critic, *inputs, cfg, rng, params, opt)
 
         def opt_states():
             return [opt_bytes(opt, slice(None, split)), opt_bytes(opt, slice(split, None))]
+    if m0 is not None:
+        actor_m[0] = m0
     states = []
     for _ in range(updates):
         try:
@@ -619,13 +627,12 @@ def update_runs(reference, kind, variant, cfg, seed, updates=2, edit=None):
 @given(
     kind=st.sampled_from(["pid", "nn"]),
     variant=st.sampled_from(sorted(STATE_DIMS)),
-    optimizer=st.sampled_from(["adam", "sgd"]),
     minibatch=st.sampled_from([64, 43]),
     seed=st.integers(0, 2**16),
 )
-def test_ppo_update_matches_the_reference_bit_for_bit(kind, variant, optimizer, minibatch, seed):
+def test_ppo_update_matches_the_reference_bit_for_bit(kind, variant, minibatch, seed):
     # 430 rows in minibatches of 64 (six full ones and a 46-row tail per epoch) or of 43 (ten)
-    cfg = TrainConfig(epochs_per_iter=2, minibatch=minibatch, optimizer=optimizer, lr=1e-3, entropy_coef=0.01)
+    cfg = TrainConfig(epochs_per_iter=2, minibatch=minibatch, lr=1e-3, entropy_coef=0.01)
     ours = update_runs(False, kind, variant, cfg, seed)  # warns of nothing: the update runs under errstate
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -634,26 +641,19 @@ def test_ppo_update_matches_the_reference_bit_for_bit(kind, variant, optimizer, 
     assert oracles.first_difference(ours, reference) is None
 
 
-def learner_record(opt, learner):
-    """The checkpoint record of a learner's own optimizer state, as checkpoints wrote it before the one state."""
-    if isinstance(opt, gradnet.AdamState):
-        return gradnet.adam_to_dict(opt, learner.parameters())
-    return {"kind": "sgd", "lr": opt.lr, "step": opt.step}
-
-
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 @pytest.mark.parametrize("kind", ["pid", "nn"])
-def test_checkpoint_cuts_the_one_state_into_the_per_learner_records(kind, optimizer):
+def test_checkpoint_cuts_the_one_state_into_the_per_learner_records(kind):
     """checkpoint_dict's actor_opt and critic_opt equal the records of the reference's two states."""
-    cfg = TrainConfig(epochs_per_iter=1, optimizer=optimizer, lr=1e-3)
+    cfg = TrainConfig(epochs_per_iter=1, lr=1e-3)
     records = []
     for reference in (False, True):
         actor, critic = fresh_actor(3, kind), fresh_critic(4)
         inputs = random_update_inputs(3, actor)
         if reference:
-            opts = [gradnet.optimizer_for(optimizer, p, cfg.lr) for p in (actor.flat, critic.flat)]
+            opts = [fresh_adam(p, cfg.lr) for p in (actor.flat, critic.flat)]
             oracles.ppo_update(actor, critic, *inputs, cfg, Xoshiro256StarStar(3), *opts)
-            records.append([learner_record(opts[0], actor), learner_record(opts[1], critic)])
+            records.append([gradnet.adam_to_dict(opt, learner.parameters())
+                            for opt, learner in zip(opts, (actor, critic))])
         else:
             params, opt = joint_opt(actor, critic, cfg)
             ppo_update(actor, critic, *inputs, cfg, Xoshiro256StarStar(3), params, opt)
@@ -666,11 +666,10 @@ def test_checkpoint_cuts_the_one_state_into_the_per_learner_records(kind, optimi
 
 
 @pytest.mark.other_pythons
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 @pytest.mark.parametrize("kind", ["pid", "nn"])
-def test_checkpoint_snapshot_is_not_changed_by_later_updates(tmp_path, kind, optimizer):
+def test_checkpoint_snapshot_is_not_changed_by_later_updates(tmp_path, kind):
     """checkpoint_dict copies the arrays it records: the run steps params, opt.m and opt.v in place."""
-    cfg = TrainConfig(epochs_per_iter=1, optimizer=optimizer, lr=1e-3)
+    cfg = TrainConfig(epochs_per_iter=1, lr=1e-3)
     run = Run(spillsim.EnvConfig(), cfg, GAINS, policy_variant=kind)
     actor, critic = fresh_actor(3, kind), fresh_critic(4)
     params, opt = joint_opt(actor, critic, cfg)
@@ -726,22 +725,15 @@ def far_returns(rollout, advantages, returns):
     return rollout, advantages, returns * 30.0
 
 
-def large_advantages(rollout, advantages, returns):
-    return rollout, advantages * 1e2, returns
+# an actor's first Adam m entry at which the first step overflows that weight: m / bc1 = 0.9e308 / 0.1
+OVERFLOWING_M = 1e308
 
-
-def both(rollout, advantages, returns):
-    return far_returns(*large_advantages(rollout, advantages, returns))
-
-
-# gradient-side divergences: (config, input edit, the error's message)
+# gradient-side divergences: (config, input edit, preset m entry, the error's message)
 GRADIENT_DIVERGENCES = {
     # value_coef * (2 / n) * v_err overflows a sum of the critic's output layer (W2 starts at 4544)
-    "critic gradient": (TrainConfig(value_coef=1e308), far_returns, r"non-finite gradient at coordinate 4578"),
-    "actor gradient": (TrainConfig(), far_action, None),
-    # lr * gradient overflows the actor's weights in the first SGD step
-    "actor parameters": (TrainConfig(optimizer="sgd", lr=1e308), large_advantages,
-                         r"(linear|NN) actor parameters became non-finite"),
+    "critic gradient": (TrainConfig(value_coef=1e308), far_returns, None, r"non-finite gradient at coordinate 4578"),
+    "actor gradient": (TrainConfig(), far_action, None, None),
+    "actor parameters": (TrainConfig(), None, OVERFLOWING_M, r"(linear|NN) actor parameters became non-finite"),
 }
 
 
@@ -750,11 +742,11 @@ GRADIENT_DIVERGENCES = {
 @pytest.mark.parametrize("case", sorted(GRADIENT_DIVERGENCES))
 def test_gradient_divergence_raises_the_reference_error(kind, case):
     """Type, message, step and diagnostics as the reference's per-learner steps raise them, with no numpy warning."""
-    cfg, edit, message = GRADIENT_DIVERGENCES[case]
-    ours = update_runs(False, kind, "pid_act", cfg, 5, updates=1, edit=edit)
+    cfg, edit, m0, message = GRADIENT_DIVERGENCES[case]
+    ours = update_runs(False, kind, "pid_act", cfg, 5, updates=1, edit=edit, m0=m0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        reference = update_runs(True, kind, "pid_act", cfg, 5, updates=1, edit=edit)
+        reference = update_runs(True, kind, "pid_act", cfg, 5, updates=1, edit=edit, m0=m0)
     error_type, text, _, _ = ours[0][0]
     assert error_type is DivergenceError
     assert ours[0][0] == reference[0][0]
@@ -768,11 +760,11 @@ def test_gradient_divergence_raises_the_reference_error(kind, case):
 @pytest.mark.parametrize("kind", ["pid", "nn"])
 def test_actor_overflow_beside_a_critic_gradient_reports_the_gradient(kind):
     """The one case where the one step raises another error than the per-learner steps did."""
-    cfg = TrainConfig(optimizer="sgd", lr=1e308, value_coef=1e308)
+    cfg = TrainConfig(value_coef=1e308)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ours = update_runs(False, kind, "pid_act", cfg, 5, updates=1, edit=both)
-        reference = update_runs(True, kind, "pid_act", cfg, 5, updates=1, edit=both)
+        ours = update_runs(False, kind, "pid_act", cfg, 5, updates=1, edit=far_returns, m0=OVERFLOWING_M)
+        reference = update_runs(True, kind, "pid_act", cfg, 5, updates=1, edit=far_returns, m0=OVERFLOWING_M)
     assert ours[0][0][1] == "non-finite gradient at coordinate 4578"
     assert re.fullmatch(r"(linear|NN) actor parameters became non-finite", reference[0][0][1])
 
@@ -845,6 +837,15 @@ def test_checkpoint_version_guard(tmp_path, env_cfg, tuned_gains):
     path = write_output(tmp_path, "bad.json", bad, indent=None)
     with pytest.raises(CheckpointError, match="format_version 99 unsupported"):
         restore_from_checkpoint(load_json(path))
+
+
+def test_train_starts_one_zero_adam_state_at_train_lr(env_cfg, tuned_gains):
+    """Adam is the one optimizer: train starts it at train.lr, step 0, m = v = 0, over both learners."""
+    cfg = TrainConfig(iterations=0, seeds=(0,), lr=3e-4)
+    checkpoint = train(Run(env_cfg, cfg, tuned_gains)).checkpoint
+    for record in (checkpoint["actor_opt"], checkpoint["critic_opt"]):
+        assert (record["kind"], record["lr"], record["step"]) == ("adam", 3e-4, 0)
+        assert not any(block.any() for block in record["m"] + record["v"])
 
 
 def test_train_reward_defaults_to_config_alpha(env_cfg, tuned_gains):
